@@ -43,6 +43,7 @@ from .diagram import (
 )
 from .errors import (
     CapExceededError,
+    ConfigError,
     GroupSpecError,
     InconsistencyError,
     InvariantError,

@@ -24,14 +24,14 @@ from .groups import (
     identity,
     subgroup_closure,
 )
-from .kernels import convolve_ints, translate_indices
+from .kernels import Spectra, convolve_ints, primes_needed, translate_indices
 from .numtheory import euler_phi, prime_power
 
 
 class AlgebraElement:
     """Element of Q[G] with exact rational coefficients."""
 
-    __slots__ = ("spec", "nums", "den")
+    __slots__ = ("spec", "nums", "den", "_spectra")
 
     def __init__(self, spec: GroupSpec, nums: Iterable[int], den: int = 1):
         nums = tuple(int(v) for v in nums)
@@ -56,6 +56,7 @@ class AlgebraElement:
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "_spectra", None)
 
     def __setattr__(self, *args):
         raise AttributeError("AlgebraElement is immutable")
@@ -168,10 +169,11 @@ class AlgebraElement:
 
     def to_strings(self) -> list[str]:
         """Coefficients as exact "num/den" strings in enumeration order."""
+        den = self.den
         out = []
         for v in self.nums:
-            f = Fraction(v, self.den)
-            out.append(f"{f.numerator}/{f.denominator}")
+            g = math.gcd(v, den)
+            out.append(f"{v // g}/{den // g}")
         return out
 
     @classmethod
@@ -186,12 +188,47 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(a.spec, nums, a.den * b.den)
 
 
+def _spectra(a: AlgebraElement) -> Spectra:
+    """The element's numerators with their norms and transforms, cached."""
+    if a._spectra is None:
+        object.__setattr__(a, "_spectra", Spectra(a.nums, a.spec.factor_orders))
+    return a._spectra
+
+
 def is_idempotent(a: AlgebraElement) -> bool:
-    return convolve(a, a) == a
+    """a*a == a, tested pointwise on the transform T(nums) of the
+    numerators: T(nums)^2 == den * T(nums) modulo every prime needed.
+
+    Exactness: with c = nums*nums - den*nums, an integer vector, a is
+    idempotent iff c = 0, and |c| <= B = l1(nums)*max|nums| + den*max|nums|.
+    Each axis length of G divides q - 1, so the transform is invertible mod
+    q, and T(c) = 0 (mod q) gives c = 0 (mod q).  Over primes with product
+    above 2B, c = 0 (mod their product) forces c = 0.  Without such primes
+    the product is formed in full."""
+    s = _spectra(a)
+    count = primes_needed(s.l1 * s.linf + a.den * s.linf, s)
+    if count is None:
+        return convolve(a, a) == a
+    return all(
+        np.array_equal(x * x % q, x * (a.den % q) % q)
+        for q, x in zip(s.plan.primes, s.modulo(count))
+    )
 
 
 def are_orthogonal(a: AlgebraElement, b: AlgebraElement) -> bool:
-    return convolve(a, b).is_zero()
+    """a*b == 0, tested pointwise on the transforms:
+    T(nums_a) * T(nums_b) == 0 modulo every prime needed.  Exact by the
+    argument of is_idempotent, with c = nums_a * nums_b and
+    B = min(l1(a)*max|b|, l1(b)*max|a|)."""
+    a._check_spec(b)
+    sa, sb = _spectra(a), _spectra(b)
+    count = primes_needed(min(sa.l1 * sb.linf, sb.l1 * sa.linf), sa, sb)
+    if count is None:
+        return convolve(a, b).is_zero()
+    return not any(
+        (x * y % q).any()
+        for q, x, y in zip(sa.plan.primes, sa.modulo(count), sb.modulo(count))
+    )
 
 
 def translate(g: GroupElement, a: AlgebraElement) -> AlgebraElement:

@@ -22,12 +22,15 @@ from .diagram import (
     extension_children,
     galois_orbit_collapse,
     galois_orbits,
+    leaf_records,
     lift_into_extension,
     pci_records,
+    records_from_diagrams,
     splitting_field_pcis,
 )
 from .errors import (
     CapExceededError,
+    ConfigError,
     GroupSpecError,
     InconsistencyError,
     InvariantError,
@@ -35,6 +38,7 @@ from .errors import (
     VerificationError,
 )
 from .groups import AbelianGroupSpec, GroupElement, parse_group_spec, subgroup_closure
+from .kernels import active_backend
 from .numtheory import euler_phi, prime_power
 from .oracle import compare_pci_sets, oracle_pci_set, wedderburn_profile
 
@@ -314,7 +318,8 @@ def _run_verify(config: RunConfig) -> tuple[int, str]:
             {"name": name, "status": "pass" if ok else "fail", "detail": detail}
         )
 
-    records = pci_records(spec)
+    diagrams = [(part, build_pci_diagram(part)) for part in spec.parts]
+    records = records_from_diagrams(spec, [diag for _, diag in diagrams])
     elements = [rec.element for rec in records]
 
     bad = [i for i, e in enumerate(elements) if not is_idempotent(e)]
@@ -354,8 +359,6 @@ def _run_verify(config: RunConfig) -> tuple[int, str]:
         if cmp.equal
         else f"witness on {cmp.witness_side} side: {cmp.witness.to_strings()}",
     )
-
-    diagrams = [(part, build_pci_diagram(part)) for part in spec.parts]
 
     structure_ok = all(
         (v.trivial and v.form.primed is None) or (not v.trivial and v.form.primed is not None)
@@ -404,7 +407,7 @@ def _run_verify(config: RunConfig) -> tuple[int, str]:
         part = spec.parts[0]
         p, n = part.p, part.classes[0][0]
         closed = cyclic_rational_pcis(p, n)
-        part_leaves = [rec.element for rec in pci_records(part)]
+        part_leaves = [rec.element for rec in leaf_records(diagrams[0][1])]
         check(
             "cyclic_closed_form",
             len(closed) == n + 1 and compare_pci_sets(closed, part_leaves).equal,
@@ -539,8 +542,15 @@ def main(argv=None) -> int:
         alternate_order=getattr(ns, "alternate_order", False),
     )
     try:
+        active_backend()  # a bad PCIKIT_BACKEND is refused before any work
         code, output = run(config)
-    except (GroupSpecError, CapExceededError, SpecMismatchError, InvariantError) as exc:
+    except (
+        GroupSpecError,
+        CapExceededError,
+        SpecMismatchError,
+        InvariantError,
+        ConfigError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InconsistencyError, VerificationError) as exc:

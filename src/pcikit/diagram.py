@@ -501,16 +501,33 @@ def pci_records(
     groups from the product of the per-part leaf sets."""
     if isinstance(spec, PrimaryGroupSpec):
         labels = alternate_generator_labels(spec) if alternate_order else None
-        diagram = build_pci_diagram(spec, labels, max_order=max_order)
-        return [
-            PciRecord(expansion, v.kernel_order, spec.p**v.field_index)
-            for v, expansion in zip(diagram.leaves, diagram.leaf_expansions())
-        ]
+        return leaf_records(build_pci_diagram(spec, labels, max_order=max_order))
     if max_order is not None and spec.order > max_order:
         raise CapExceededError(f"group order {spec.order} exceeds cap {max_order}")
-    part_records = [
-        pci_records(part, alternate_order=alternate_order) for part in spec.parts
+    diagrams = [
+        build_pci_diagram(
+            part, alternate_generator_labels(part) if alternate_order else None
+        )
+        for part in spec.parts
     ]
+    return records_from_diagrams(spec, diagrams)
+
+
+def leaf_records(diagram: PciDiagram) -> list[PciRecord]:
+    """The records of a primary group, one per leaf of its diagram."""
+    p = diagram.spec.p
+    return [
+        PciRecord(expansion, v.kernel_order, p**v.field_index)
+        for v, expansion in zip(diagram.leaves, diagram.leaf_expansions())
+    ]
+
+
+def records_from_diagrams(
+    spec: AbelianGroupSpec, diagrams: Sequence[PciDiagram]
+) -> list[PciRecord]:
+    """The records of Q[G] from already-built diagrams, one per primary
+    part in order: the products of one leaf per part."""
+    part_records = [leaf_records(d) for d in diagrams]
     elements = cross_prime_product(
         spec, [[r.element for r in records] for records in part_records]
     )

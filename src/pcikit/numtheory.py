@@ -10,23 +10,43 @@ from __future__ import annotations
 from functools import cache
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_LIMIT = 3_317_044_064_679_887_385_961_981  # the bases above decide every n below
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality test.
+    """Deterministic primality test: Miller-Rabin with the first twelve
+    prime bases, which is exact below 3.3e24; trial division above.
 
     >>> [k for k in range(20) if is_prime(k)]
     [2, 3, 5, 7, 11, 13, 17, 19]
     """
     if n < 2:
         return False
-    if n < 4:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MR_LIMIT:
+        d = _MR_BASES[-1] + 2
+        while d * d <= n:
+            if n % d == 0:
+                return False
+            d += 2
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

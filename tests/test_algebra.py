@@ -206,3 +206,20 @@ def test_scalar_arithmetic():
         C2, [Fraction(1, 2), Fraction(1, 4)]
     )
     assert -a + a == AlgebraElement.zero(C2)
+
+
+def test_to_strings_matches_fraction_formatting():
+    import random
+
+    rng = random.Random(2015)
+    spec = parse_group_spec("2:[1];3:[1];5:[1]")
+    for _ in range(20):
+        den = rng.randint(1, 10**6)
+        nums = [rng.choice([0, rng.randint(-(10**9), 10**9)]) for _ in range(spec.order)]
+        a = AlgebraElement(spec, nums, den)
+        expected = []
+        for v in a.nums:
+            f = Fraction(v, a.den)
+            expected.append(f"{f.numerator}/{f.denominator}")
+        assert a.to_strings() == expected
+    assert AlgebraElement.zero(spec).to_strings() == ["0/1"] * spec.order

@@ -146,3 +146,36 @@ def test_text_formats_render():
 def test_parser_defaults():
     ns = build_parser().parse_args(["pci", "--group", "2:[1]"])
     assert ns.format == "json" and ns.max_order == 4096
+
+
+@pytest.mark.parametrize("subcommand", ["pci", "verify"])
+@pytest.mark.parametrize("value", ["bogus", "numba"])
+def test_bad_backend_variable_exits_2(subcommand, value, monkeypatch, capsys):
+    from pcikit import kernels
+
+    if value == "numba" and kernels.numba is not None:
+        pytest.skip("numba is importable here, so PCIKIT_BACKEND=numba is valid")
+    monkeypatch.setenv("PCIKIT_BACKEND", value)
+    assert main([subcommand, "--group", "2:[1]"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_builds_each_diagram_once(monkeypatch):
+    from pcikit import cli, diagram
+
+    builds = []
+    original = diagram.build_pci_diagram
+
+    def counting(part, *args, **kwargs):
+        builds.append(part.p)
+        return original(part, *args, **kwargs)
+
+    monkeypatch.setattr(diagram, "build_pci_diagram", counting)
+    monkeypatch.setattr(cli, "build_pci_diagram", counting)
+    for group, primes in (("2:[2,1];3:[1]", [2, 3]), ("3:[2]", [3])):
+        builds.clear()
+        code, _ = run_json("verify", group)
+        assert code == 0
+        assert sorted(builds) == primes

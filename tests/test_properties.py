@@ -1,11 +1,15 @@
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import math
+import random
+
+from hypothesis import event, given, settings, strategies as st
 
 from pcikit import (
     AlgebraElement,
     CycloNumber,
     PrimaryGroupSpec,
+    are_orthogonal,
     convolve,
     cyclo_mul,
     element_from_index,
@@ -13,9 +17,12 @@ from pcikit import (
     galois_apply,
     group_mul,
     identity,
+    is_idempotent,
     parse_group_spec,
+    pci_set,
     subgroup_closure,
 )
+from pcikit.kernels import Spectra, _convolve_bigint, convolve_ints, primes_needed
 
 SPECS = [
     PrimaryGroupSpec(2, ((2, 1),)),
@@ -120,3 +127,110 @@ def test_galois_preserves_products(a, k):
     assert galois_apply(k, cyclo_mul(a, a)) == cyclo_mul(
         galois_apply(k, a), galois_apply(k, a)
     )
+
+
+# Trivial, elementary, mixed and long cyclic axes: (128,) and (3, 81) are
+# split four-step, (2, 128) mixes a split axis with a short one.
+KERNEL_ORDERS = [
+    (), (2,), (2, 2, 2), (2,) * 6, (3, 3), (9, 3), (5, 5, 5), (4, 2, 8),
+    (128,), (3, 81), (2, 128), (32,),
+]
+
+
+@st.composite
+def kernel_operands(draw):
+    orders = draw(st.sampled_from(KERNEL_ORDERS))
+    n = math.prod(orders)
+
+    def vector():
+        # 2^0 .. 2^40 reaches the one-prime, two-prime, direct-by-bound and
+        # bigint paths; the density covers monomial, sparse and dense
+        # operands.
+        mag = 2 ** draw(st.integers(min_value=0, max_value=40))
+        density = draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))
+        seed = draw(st.integers(min_value=0, max_value=2**32))
+        rng = random.Random(seed)
+        out = [0] * n
+        for i in range(n):
+            if rng.random() < density:
+                out[i] = rng.randint(-mag, mag)
+        out[rng.randrange(n)] = rng.choice([-mag, mag])
+        return out
+
+    return orders, vector(), vector()
+
+
+def _kernel_path(a, b, orders):
+    sa, sb = Spectra(a, orders), Spectra(b, orders)
+    if sa.l1 == 0 or sb.l1 == 0:
+        return "zero"
+    bound = min(sa.l1 * sb.linf, sb.l1 * sa.linf)
+    if bound >= 2**63:
+        return "bigint"
+    count = primes_needed(bound, sa, sb)
+    if count is None or min(sa.nnz, sb.nnz) <= len(orders):
+        return "direct"
+    return f"transform, {count} prime(s)"
+
+
+@given(kernel_operands())
+@settings(max_examples=150, deadline=None)
+def test_convolve_ints_matches_bigint_reference(data):
+    orders, a, b = data
+    event(_kernel_path(a, b, orders))
+    assert convolve_ints(a, b, orders) == _convolve_bigint(a, b, orders)
+
+
+def test_kernel_magnitudes_reach_every_path():
+    orders = (2, 2, 2)
+    seen = set()
+    for mag in (1, 2**20, 2**30, 2**40):
+        a = [mag, -mag, 0, mag, 1, 0, 2, -1]
+        b = [mag - 1, 3, -mag, 0, 0, 1, mag, 5]
+        seen.add(_kernel_path(a, b, orders))
+        assert convolve_ints(a, b, orders) == _convolve_bigint(a, b, orders)
+    assert seen == {
+        "transform, 1 prime(s)",
+        "transform, 2 prime(s)",
+        "direct",
+        "bigint",
+    }
+
+
+NEAR_MISS_GROUPS = [
+    parse_group_spec(t) for t in ("2:[2,1]", "3:[1,1]", "2:[1];3:[1]", "5:[2]")
+]
+
+
+@st.composite
+def pci_near_misses(draw):
+    spec = draw(st.sampled_from(NEAR_MISS_GROUPS))
+    pcis = pci_set(spec)
+    i = draw(st.integers(min_value=0, max_value=len(pcis) - 1))
+    j = draw(st.integers(min_value=0, max_value=len(pcis) - 1))
+    pos = draw(st.integers(min_value=0, max_value=spec.order - 1))
+    step = draw(st.sampled_from([-1, 1]))
+    e = pcis[i]
+    nums = list(e.nums)
+    nums[pos] += step
+    return pcis[i], pcis[j], AlgebraElement(spec, nums, e.den), i == j
+
+
+@given(pci_near_misses())
+@settings(max_examples=80, deadline=None)
+def test_pointwise_verdicts_match_products(data):
+    e, f, moved, same = data
+    assert is_idempotent(e) and is_idempotent(f)
+    assert is_idempotent(moved) == (convolve(moved, moved) == moved)
+    assert not is_idempotent(moved)
+    assert are_orthogonal(e, f) == convolve(e, f).is_zero() == (not same)
+    assert are_orthogonal(moved, f) == convolve(moved, f).is_zero()
+    assert are_orthogonal(f, moved) == convolve(f, moved).is_zero()
+
+
+@given(spec_and_algebra_elements(2))
+@settings(max_examples=60, deadline=None)
+def test_pointwise_verdicts_match_products_on_random_elements(data):
+    spec, (a, b) = data
+    assert is_idempotent(a) == (convolve(a, a) == a)
+    assert are_orthogonal(a, b) == convolve(a, b).is_zero()
