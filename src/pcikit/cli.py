@@ -12,7 +12,14 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 
-from .algebra import are_orthogonal, is_idempotent, kernel_subgroup, AlgebraElement
+from .algebra import (
+    AlgebraElement,
+    are_orthogonal,
+    expand_from_subgroup,
+    is_idempotent,
+    kernel_subgroup,
+    subgroup_indices,
+)
 from .cyclotomic import CycloAlgebraElement
 from .diagram import (
     alternate_generator_labels,
@@ -71,6 +78,14 @@ def _load_spec(config: RunConfig) -> AbelianGroupSpec:
     if config.max_order < 1:
         raise GroupSpecError("max order must be at least 1")
     spec = parse_group_spec(config.group_text)
+    for part in spec.parts:
+        # Refused by exponent sum before p**N is formed: for a giant N that
+        # power takes unbounded time to compute and cannot be printed.
+        if part.num_generators > config.max_order.bit_length():
+            raise CapExceededError(
+                f"group order {part.p}^{part.num_generators} exceeds cap "
+                f"{config.max_order}"
+            )
     if spec.order > config.max_order:
         raise CapExceededError(
             f"group order {spec.order} exceeds cap {config.max_order}"
@@ -380,7 +395,10 @@ def _run_verify(config: RunConfig) -> tuple[int, str]:
         if len(tracked) != v.kernel_order:
             kernel_failures.append((part.p, v.level, v.index, "size"))
             continue
-        if kernel_subgroup(v.expansion()) != tracked:
+        expansion = expand_from_subgroup(
+            part, subgroup_indices(tracked), v.form.primed
+        )
+        if kernel_subgroup(expansion) != tracked:
             kernel_failures.append((part.p, v.level, v.index, "kernel"))
     check(
         "vertex_kernels",

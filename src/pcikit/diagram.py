@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
+
+import numpy as np
 
 from .algebra import (
     AlgebraElement,
@@ -45,13 +47,14 @@ from .groups import (
     GroupElement,
     LongGenerator,
     PrimaryGroupSpec,
+    element_from_index,
     element_index,
     element_order,
     embed_generator,
     identity,
     long_generator_sequence,
-    subgroup_closure,
 )
+from .kernels import enumeration_tables
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,10 @@ class PciDiagram:
     generator_labels: tuple[LongGenerator, ...]
     levels: tuple[tuple[PciVertex, ...], ...]
     edges: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    leaf_kernels: tuple[frozenset[GroupElement], ...]
+    # Sorted element indices of each leaf's kernel.  Left out of == and
+    # hash: they follow from the levels, and arrays do not compare as one
+    # value.
+    leaf_kernels: tuple[np.ndarray, ...] = field(compare=False)
 
     @property
     def leaves(self) -> tuple[PciVertex, ...]:
@@ -95,9 +101,6 @@ class PciDiagram:
 
     def level_sizes(self) -> list[int]:
         return [len(level) for level in self.levels]
-
-    def level_subgroup(self, level: int) -> frozenset[GroupElement]:
-        return subgroup_closure(self.spec, self.generators[:level])
 
 
 def cyclic_group_spec(p: int, n: int) -> PrimaryGroupSpec:
@@ -133,45 +136,61 @@ def alternate_generator_labels(spec: PrimaryGroupSpec) -> list[LongGenerator]:
     return out
 
 
+def _products(tables, a, b):
+    """Indices of the products of the elements indexed by a and b
+    (broadcast like numpy arrays)."""
+    digits, mods, strides = tables
+    return ((digits[a] + digits[b]) % mods) @ strides
+
+
+def _powers(tables, a, k):
+    """Indices of the k-th powers of the elements indexed by a."""
+    digits, mods, strides = tables
+    return ((digits[a] * k) % mods) @ strides
+
+
+def _contains(subgroup: np.ndarray, idx) -> bool:
+    return bool((subgroup == idx).any())
+
+
 def _split_witness(
-    u: GroupElement,
-    level_elements: list[GroupElement],
-    kernel: frozenset[GroupElement],
-    p: int,
-    level_order: int,
-) -> GroupElement | None:
-    """An element w of the coset u*G_l with w^p in K, or None.
+    u: int, level: np.ndarray, kernel: np.ndarray, p: int, tables
+) -> int | None:
+    """Index of an element w of the coset u*G_l with w^p in K, or None.
 
-    None means G_{l+1}/K stays cyclic and the vertex persists; that holds
-    exactly when u^p generates the cyclic G_l/K, a single powering test.
-    Otherwise a witness exists and the p subgroups <K, z^i w> are the
-    children kernels; w := u when valid, else the first hit scanning G_l in
-    enumeration order, for reproducible output.
+    Elements are indices of the canonical enumeration; level (G_l) is
+    sorted.  None means G_{l+1}/K stays cyclic and the vertex persists;
+    that holds exactly when u^p generates the cyclic G_l/K, a single
+    powering test.  Otherwise a witness exists and the p subgroups
+    <K, z^i w> are the children kernels; w := u when valid, else the first
+    hit scanning G_l in enumeration order, for reproducible output.
     """
-    up = u**p
-    if up in kernel:
+    up = _powers(tables, u, p)
+    if _contains(kernel, up):
         return u
-    quotient = level_order // len(kernel)
-    if up ** (quotient // p) not in kernel:
+    quotient = len(level) // len(kernel)
+    if not _contains(kernel, _powers(tables, up, quotient // p)):
         return None
-    for g in level_elements:
-        w = u * g
-        if w**p in kernel:
-            return w
-    raise InconsistencyError("no coset witness despite a non-cyclic quotient")
+    in_kernel = np.zeros(len(tables[0]), dtype=bool)
+    in_kernel[kernel] = True
+    coset = _products(tables, u, level)
+    hits = np.flatnonzero(in_kernel[_powers(tables, coset, p)])
+    if not hits.size:
+        raise InconsistencyError("no coset witness despite a non-cyclic quotient")
+    return int(coset[hits[0]])
 
 
-def _coset_span(
-    kernel: frozenset[GroupElement], w: GroupElement, p: int
-) -> frozenset[GroupElement]:
-    # The subgroup <K, w> as the union of the cosets K*w^c, valid since
-    # w^p lies in K.
-    out = set()
-    t = identity(w.spec)
-    for _ in range(p):
-        out.update(k * t for k in kernel)
-        t = t * w
-    return frozenset(out)
+def _coset_span(kernel: np.ndarray, w: int, p: int, tables) -> np.ndarray:
+    """The subgroup <K, w> as the sorted union of the cosets K*w^c, valid
+    since w^p lies in K; its size is p*|K| exactly when those cosets are
+    distinct."""
+    shifts = _powers(tables, w, np.arange(1, p)[:, None])
+    members = np.zeros(len(tables[0]), dtype=bool)
+    members[kernel] = True
+    members[_products(tables, shifts[:, None], kernel)] = True
+    span = np.flatnonzero(members)
+    span.setflags(write=False)
+    return span
 
 
 def build_pci_diagram(
@@ -182,6 +201,9 @@ def build_pci_diagram(
     """Build the full refinement diagram for an abelian p-group.
 
     The leaves are the complete primitive central idempotent set of Q[G].
+    The level subgroups and vertex kernels are held as sorted arrays of
+    element indices (see groups.element_index); only the factored forms
+    carry GroupElements.
     """
     if max_order is not None and spec.order > max_order:
         raise CapExceededError(f"group order {spec.order} exceeds cap {max_order}")
@@ -192,22 +214,22 @@ def build_pci_diagram(
         _validate_generator_order(spec, labels)
     gens = [embed_generator(spec, lab) for lab in labels]
     p = spec.p
+    tables = enumeration_tables(spec.factor_orders)
 
     root = PciVertex(0, 0, FactoredIdempotent(spec, ()), True, 1, 0)
     levels: list[tuple[PciVertex, ...]] = [(root,)]
     edges: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    level_set: frozenset[GroupElement] = frozenset([identity(spec)])
-    kernel_sets: dict[int, frozenset[GroupElement]] = {0: level_set}
+    level = np.zeros(1, dtype=np.int64)  # the identity has index 0
+    level.setflags(write=False)
+    kernels: dict[int, np.ndarray] = {0: level}
 
-    for l, u in enumerate(gens):
-        level_elements = sorted(level_set, key=element_index)
-        next_level_set = frozenset(
-            g * t for g in level_set for t in (u**c for c in range(p))
-        )
-        if len(next_level_set) != p * len(level_set):
+    for l, gen in enumerate(gens):
+        u = element_index(gen)
+        next_level = _coset_span(level, u, p, tables)
+        if len(next_level) != p * len(level):
             raise InconsistencyError("chain generator does not extend the subgroup")
         nxt: list[PciVertex] = []
-        next_kernels: dict[int, frozenset[GroupElement]] = {}
+        next_kernels: dict[int, np.ndarray] = {}
 
         def attach(parent: PciVertex, vertex: PciVertex, kernel):
             nxt.append(vertex)
@@ -215,7 +237,7 @@ def build_pci_diagram(
             edges.append(((l, parent.index), (l + 1, vertex.index)))
 
         for v in levels[l]:
-            kernel = kernel_sets[v.index]
+            kernel = kernels[v.index]
             if v.trivial:
                 attach(
                     v,
@@ -227,14 +249,14 @@ def build_pci_diagram(
                         v.kernel_order * p,
                         0,
                     ),
-                    next_level_set,
+                    next_level,
                 )
                 attach(
                     v,
                     PciVertex(
                         l + 1,
                         len(nxt),
-                        FactoredIdempotent(spec, v.form.kernel_gens, u),
+                        FactoredIdempotent(spec, v.form.kernel_gens, gen),
                         False,
                         v.kernel_order,
                         1,
@@ -243,7 +265,7 @@ def build_pci_diagram(
                 )
             else:
                 z = v.form.primed
-                w = _split_witness(u, level_elements, kernel, p, len(level_set))
+                w = _split_witness(u, level, kernel, p, tables)
                 if w is None:
                     # The component stays simple; the vertex carries over.
                     attach(
@@ -254,10 +276,11 @@ def build_pci_diagram(
                         kernel,
                     )
                 else:
+                    zi = element_index(z)
                     for i in range(p):
-                        extra = (z**i) * w
-                        grown_set = _coset_span(kernel, extra, p)
-                        if len(grown_set) != p * len(kernel) or z in grown_set:
+                        extra = int(_products(tables, _powers(tables, zi, i), w))
+                        grown = _coset_span(kernel, extra, p, tables)
+                        if len(grown) != p * len(kernel) or _contains(grown, zi):
                             raise InconsistencyError(
                                 "split produced an invalid child kernel"
                             )
@@ -267,19 +290,22 @@ def build_pci_diagram(
                                 l + 1,
                                 len(nxt),
                                 FactoredIdempotent(
-                                    spec, v.form.kernel_gens + (extra,), z
+                                    spec,
+                                    v.form.kernel_gens
+                                    + (element_from_index(spec, extra),),
+                                    z,
                                 ),
                                 False,
                                 v.kernel_order * p,
                                 v.field_index,
                             ),
-                            grown_set,
+                            grown,
                         )
         levels.append(tuple(nxt))
-        level_set = next_level_set
-        kernel_sets = next_kernels
+        level = next_level
+        kernels = next_kernels
 
-    leaf_kernels = tuple(kernel_sets[i] for i in range(len(levels[-1])))
+    leaf_kernels = tuple(kernels[i] for i in range(len(levels[-1])))
     return PciDiagram(
         spec, tuple(gens), tuple(labels), tuple(levels), tuple(edges), leaf_kernels
     )

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -179,3 +183,25 @@ def test_verify_builds_each_diagram_once(monkeypatch):
         code, _ = run_json("verify", group)
         assert code == 0
         assert sorted(builds) == primes
+
+
+@pytest.mark.parametrize(
+    "group", ["2:[2000000]", "2:[999999999999]", "2:[1];3:[999999999999]", "2:[13]"]
+)
+def test_over_cap_exponent_exits_2_quickly(group):
+    # A separate process with a timeout, so a hang fails instead of stalling.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcikit.cli", "pci", "--group", group],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert len(proc.stderr) < 200

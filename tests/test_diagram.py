@@ -313,3 +313,23 @@ def test_emit_dot_shape():
     assert dot.count("->") == 2 + 5
     assert 'label="trivial\\nQ(zeta_1)"' in dot
     assert dot.count("Q(zeta_3)") == 4
+
+
+def test_build_runs_no_group_multiplication(monkeypatch):
+    from pcikit import groups
+
+    calls = []
+    original = groups.group_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(groups, "group_mul", counting)
+    for text in ("2:[1,1,1,1,1,1,1,1]", "3:[2,2]"):
+        spec = parse_group_spec(text).parts[0]
+        diag = build_pci_diagram(spec)
+        assert calls == [], text
+        subgroup_closure(spec, diag.generators)
+        assert calls, "the counter must see GroupElement products"
+        calls.clear()

@@ -3,25 +3,33 @@ from fractions import Fraction
 import math
 import random
 
-from hypothesis import event, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
+from conftest import partitions, spec_from_partition
 from pcikit import (
     AlgebraElement,
     CycloNumber,
     PrimaryGroupSpec,
     are_orthogonal,
+    build_pci_diagram,
     convolve,
     cyclo_mul,
     element_from_index,
+    element_index,
     element_order,
+    elements,
+    expand_factored,
     galois_apply,
     group_mul,
     identity,
     is_idempotent,
+    kernel_subgroup,
     parse_group_spec,
     pci_set,
     subgroup_closure,
+    translate,
 )
+from pcikit.diagram import alternate_generator_labels
 from pcikit.kernels import Spectra, _convolve_bigint, convolve_ints, primes_needed
 
 SPECS = [
@@ -234,3 +242,53 @@ def test_pointwise_verdicts_match_products_on_random_elements(data):
     spec, (a, b) = data
     assert is_idempotent(a) == (convolve(a, a) == a)
     assert are_orthogonal(a, b) == convolve(a, b).is_zero()
+
+
+# Every p-group of order <= 256 for p = 2, 3, 5, the trivial group included.
+SMALL_P_GROUPS = [
+    spec_from_partition(p, part)
+    for p, top in ((2, 8), (3, 5), (5, 3))
+    for n in range(top + 1)
+    for part in partitions(n)
+]
+
+
+@given(st.sampled_from(SMALL_P_GROUPS), st.booleans())
+@example(PrimaryGroupSpec(2, ((2, 2),)), False)  # C_4 x C_4: the scanned
+@example(PrimaryGroupSpec(2, ((2, 2),)), True)  # witness, not u, splits one vertex
+@settings(max_examples=20, deadline=None)
+def test_diagram_kernels_match_closure_reference(spec, alternate):
+    labels = alternate_generator_labels(spec) if alternate else None
+    diag = build_pci_diagram(spec, labels)
+    for v, kernel in zip(diag.leaves, diag.leaf_kernels):
+        closure = subgroup_closure(spec, v.form.kernel_gens)
+        assert len(kernel) == len(closure) == v.kernel_order
+        assert set(kernel.tolist()) == {element_index(g) for g in closure}
+    assert diag.leaf_expansions() == [expand_factored(v.form) for v in diag.leaves]
+
+
+def _kernel_reference(e):
+    return frozenset(g for g in elements(e.spec) if translate(g, e) == e)
+
+
+@st.composite
+def kernel_inputs(draw):
+    spec = draw(st.sampled_from(SPECS + NEAR_MISS_GROUPS))
+    kind = draw(st.sampled_from(["pci", "huge pci", "random", "zero"]))
+    if kind == "zero":
+        return AlgebraElement.zero(spec)
+    if kind == "random":
+        nums = draw(
+            st.lists(st.integers(-2, 2), min_size=spec.order, max_size=spec.order)
+        )
+        return AlgebraElement(spec, nums)
+    pcis = pci_set(spec)
+    e = pcis[draw(st.integers(min_value=0, max_value=len(pcis) - 1))]
+    # numerators beyond int64 take the exact-int comparison
+    return e.scaled(2**70 + 1) if kind == "huge pci" else e
+
+
+@given(kernel_inputs())
+@settings(max_examples=80, deadline=None)
+def test_kernel_subgroup_matches_translation_reference(e):
+    assert kernel_subgroup(e) == _kernel_reference(e)
