@@ -37,38 +37,118 @@ from .numtheory import euler_phi, prime_power
 _KERNEL_BLOCK = 1 << 20  # translated indices per block of kernel_subgroup's tests
 
 
-class AlgebraElement:
-    """Element of Q[G] with exact rational coefficients."""
+def lowest_terms(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
+    """nums/den in lowest terms: den > 0, gcd(den, *nums) == 1, and den == 1
+    for the zero vector.  Every exact type normalises through this.
 
-    __slots__ = ("spec", "nums", "den", "_spectra")
+    >>> lowest_terms((2, -4), -6)
+    ((-1, 2), 3)
+    >>> lowest_terms((6, 9), 12)
+    ((2, 3), 4)
+    >>> lowest_terms((0, 0), 5)
+    ((0, 0), 1)
+    """
+    if den == 0:
+        raise ZeroDivisionError("zero denominator")
+    if den < 0:
+        nums = tuple(-v for v in nums)
+        den = -den
+    g = math.gcd(den, *nums)  # == den for the zero vector
+    if g > 1:
+        nums = tuple(v // g for v in nums)
+        den //= g
+    return nums, den
+
+
+def integer_form(values: Iterable) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    fracs = [Fraction(c) for c in values]
+    den = math.lcm(1, *(f.denominator for f in fracs))
+    return [f.numerator * (den // f.denominator) for f in fracs], den
+
+
+def fraction_strings(nums: Iterable[int], den: int) -> list[str]:
+    """Each nums[i]/den as an exact "num/den" string in lowest terms."""
+    out = []
+    for v in nums:
+        g = math.gcd(v, den)
+        out.append(f"{v // g}/{den // g}")
+    return out
+
+
+class _Lattice:
+    """Exact element on an integer lattice: numerators nums, indexed
+    mixed-radix over the cyclic orders _orders, on one denominator den, kept
+    in lowest terms.  Sums, scaling and the convolution product are exact
+    integer operations.  Subclasses give _orders and their own equality,
+    and override _like when their constructor takes more than
+    (spec, nums, den)."""
+
+    __slots__ = ("spec", "nums", "den")
 
     def __init__(self, spec: GroupSpec, nums: Iterable[int], den: int = 1):
-        nums = tuple(int(v) for v in nums)
-        den = int(den)
-        if len(nums) != spec.order:
-            raise InvariantError("coefficient vector length != group order")
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            nums = tuple(-v for v in nums)
-            den = -den
-        g = den
-        for v in nums:
-            g = math.gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            nums = tuple(v // g for v in nums)
-            den //= g
-        if not any(nums):
-            den = 1
         object.__setattr__(self, "spec", spec)
+        nums, den = lowest_terms(tuple(map(int, nums)), int(den))
+        if len(nums) != math.prod(self._orders):
+            raise InvariantError("numerator count != lattice size")
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_spectra", None)
 
     def __setattr__(self, *args):
-        raise AttributeError("AlgebraElement is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def _like(self, nums: Iterable[int], den: int):
+        return type(self)(self.spec, nums, den)
+
+    def _check(self, other: "_Lattice"):
+        if type(other) is not type(self) or self.spec != other.spec:
+            raise SpecMismatchError("elements belong to different group algebras")
+
+    def __add__(self, other):
+        self._check(other)
+        return self._like(
+            (a * other.den + b * self.den for a, b in zip(self.nums, other.nums)),
+            self.den * other.den,
+        )
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._like(
+            (a * other.den - b * self.den for a, b in zip(self.nums, other.nums)),
+            self.den * other.den,
+        )
+
+    def __neg__(self):
+        return self._like((-v for v in self.nums), self.den)
+
+    def scaled(self, c):
+        if not isinstance(c, (int, Fraction)):
+            c = Fraction(c)
+        return self._like((v * c.numerator for v in self.nums), self.den * c.denominator)
+
+    def _product(self, other):
+        """Convolution over the lattice's cyclic orders."""
+        self._check(other)
+        nums = convolve_ints(self.nums, other.nums, self._orders)
+        return self._like(nums, self.den * other.den)
+
+    def __mul__(self, other):
+        if isinstance(other, _Lattice):
+            return self._product(other)
+        return self.scaled(other)
+
+    def __rmul__(self, other):
+        return self.scaled(other)
+
+
+class AlgebraElement(_Lattice):
+    """Element of Q[G] with exact rational coefficients; the lattice is G."""
+
+    __slots__ = ("_spectra",)
+
+    @property
+    def _orders(self) -> tuple[int, ...]:
+        return self.spec.factor_orders
 
     # -- constructors -------------------------------------------------
 
@@ -88,9 +168,8 @@ class AlgebraElement:
 
     @classmethod
     def from_coeffs(cls, spec: GroupSpec, coeffs) -> "AlgebraElement":
-        coeffs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in coeffs), 1)
-        return cls(spec, (c.numerator * (den // c.denominator) for c in coeffs), den)
+        nums, den = integer_form(coeffs)
+        return cls(spec, nums, den)
 
     @classmethod
     def subgroup_average(
@@ -105,10 +184,6 @@ class AlgebraElement:
 
     # -- accessors ----------------------------------------------------
 
-    def coeff(self, at) -> Fraction:
-        idx = element_index(at) if isinstance(at, GroupElement) else int(at)
-        return Fraction(self.nums[idx], self.den)
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.den) for v in self.nums)
@@ -118,47 +193,6 @@ class AlgebraElement:
 
     def is_zero(self) -> bool:
         return not any(self.nums)
-
-    # -- arithmetic ---------------------------------------------------
-
-    def _check_spec(self, other: "AlgebraElement"):
-        if self.spec != other.spec:
-            raise SpecMismatchError("elements belong to different group algebras")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_spec(other)
-        return AlgebraElement(
-            self.spec,
-            (a * other.den + b * self.den for a, b in zip(self.nums, other.nums)),
-            self.den * other.den,
-        )
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._check_spec(other)
-        return AlgebraElement(
-            self.spec,
-            (a * other.den - b * self.den for a, b in zip(self.nums, other.nums)),
-            self.den * other.den,
-        )
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.spec, (-v for v in self.nums), self.den)
-
-    def scaled(self, c) -> "AlgebraElement":
-        c = Fraction(c)
-        return AlgebraElement(
-            self.spec,
-            (v * c.numerator for v in self.nums),
-            self.den * c.denominator,
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, AlgebraElement):
-            return convolve(self, other)
-        return self.scaled(other)
-
-    def __rmul__(self, other):
-        return self.scaled(other)
 
     def __eq__(self, other) -> bool:
         return (
@@ -178,30 +212,28 @@ class AlgebraElement:
 
     def to_strings(self) -> list[str]:
         """Coefficients as exact "num/den" strings in enumeration order."""
-        den = self.den
-        out = []
-        for v in self.nums:
-            g = math.gcd(v, den)
-            out.append(f"{v // g}/{den // g}")
-        return out
+        return fraction_strings(self.nums, self.den)
 
     @classmethod
     def from_strings(cls, spec: GroupSpec, strings: Sequence[str]) -> "AlgebraElement":
-        return cls.from_coeffs(spec, (Fraction(s) for s in strings))
+        return cls.from_coeffs(spec, strings)
 
 
 def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Group-algebra product: coefficient of g*h accumulates a_g * b_h."""
-    a._check_spec(b)
-    nums = convolve_ints(a.nums, b.nums, a.spec.factor_orders)
-    return AlgebraElement(a.spec, nums, a.den * b.den)
+    return a._product(b)
 
 
 def _spectra(a: AlgebraElement) -> Spectra:
-    """The element's numerators with their norms and transforms, cached."""
-    if a._spectra is None:
-        object.__setattr__(a, "_spectra", Spectra(a.nums, a.spec.factor_orders))
-    return a._spectra
+    """The element's numerators with their norms and transforms, cached in
+    the _spectra slot (unset until the first call)."""
+    if not isinstance(a, AlgebraElement):
+        raise SpecMismatchError("not an element of Q[G]")
+    s = getattr(a, "_spectra", None)
+    if s is None:
+        s = Spectra(a.nums, a.spec.factor_orders)
+        object.__setattr__(a, "_spectra", s)
+    return s
 
 
 def is_idempotent(a: AlgebraElement) -> bool:
@@ -229,7 +261,7 @@ def are_orthogonal(a: AlgebraElement, b: AlgebraElement) -> bool:
     T(nums_a) * T(nums_b) == 0 modulo every prime needed.  Exact by the
     argument of is_idempotent, with c = nums_a * nums_b and
     B = min(l1(a)*max|b|, l1(b)*max|a|)."""
-    a._check_spec(b)
+    a._check(b)
     sa, sb = _spectra(a), _spectra(b)
     count = primes_needed(min(sa.l1 * sb.linf, sb.l1 * sa.linf), sa, sb)
     if count is None:

@@ -44,7 +44,7 @@ from .errors import (
     SpecMismatchError,
     VerificationError,
 )
-from .groups import AbelianGroupSpec, GroupElement, parse_group_spec, subgroup_closure
+from .groups import GroupElement, parse_group_spec, subgroup_closure
 from .kernels import active_backend
 from .numtheory import euler_phi, prime_power
 from .oracle import compare_pci_sets, oracle_pci_set, wedderburn_profile
@@ -74,25 +74,6 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _load_spec(config: RunConfig) -> AbelianGroupSpec:
-    if config.max_order < 1:
-        raise GroupSpecError("max order must be at least 1")
-    spec = parse_group_spec(config.group_text)
-    for part in spec.parts:
-        # Refused by exponent sum before p**N is formed: for a giant N that
-        # power takes unbounded time to compute and cannot be printed.
-        if part.num_generators > config.max_order.bit_length():
-            raise CapExceededError(
-                f"group order {part.p}^{part.num_generators} exceeds cap "
-                f"{config.max_order}"
-            )
-    if spec.order > config.max_order:
-        raise CapExceededError(
-            f"group order {spec.order} exceeds cap {config.max_order}"
-        )
-    return spec
-
-
 def _part_labels(part, alternate: bool):
     return alternate_generator_labels(part) if alternate else None
 
@@ -101,7 +82,7 @@ def _part_labels(part, alternate: bool):
 
 
 def _run_pci(config: RunConfig) -> tuple[int, str]:
-    spec = _load_spec(config)
+    spec = parse_group_spec(config.group_text, config.max_order)
     records = pci_records(spec, alternate_order=config.alternate_order)
     rows = []
     for i, rec in enumerate(records):
@@ -157,7 +138,7 @@ def _vertex_json(v) -> dict:
 
 
 def _run_diagram(config: RunConfig) -> tuple[int, str]:
-    spec = _load_spec(config)
+    spec = parse_group_spec(config.group_text, config.max_order)
     diagrams = [
         build_pci_diagram(part, _part_labels(part, config.alternate_order))
         for part in spec.parts
@@ -214,7 +195,7 @@ def _run_diagram(config: RunConfig) -> tuple[int, str]:
 
 
 def _run_wedderburn(config: RunConfig) -> tuple[int, str]:
-    spec = _load_spec(config)
+    spec = parse_group_spec(config.group_text, config.max_order)
     parts = []
     for part in spec.parts:
         profile = wedderburn_profile(part)
@@ -267,7 +248,7 @@ def _run_wedderburn(config: RunConfig) -> tuple[int, str]:
 
 
 def _run_split(config: RunConfig) -> tuple[int, str]:
-    spec = _load_spec(config)
+    spec = parse_group_spec(config.group_text, config.max_order)
     if len(spec.parts) != 1 or len(spec.parts[0].classes) != 1 or spec.parts[0].classes[0][1] != 1:
         raise GroupSpecError("split requires a cyclic group of prime-power order")
     part = spec.parts[0]
@@ -322,7 +303,7 @@ def _orthogonality_pairs(count: int, mode: str) -> list[tuple[int, int]]:
 
 
 def _run_verify(config: RunConfig) -> tuple[int, str]:
-    spec = _load_spec(config)
+    spec = parse_group_spec(config.group_text, config.max_order)
     mode = config.check_level or (
         "full" if spec.order <= FULL_CHECK_LIMIT else "sampled"
     )

@@ -1,10 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m) and in group algebras
 with cyclotomic coefficients.
 
-CycloNumber keeps the canonical reduced form: rational coordinates over the
+CycloNumber keeps the canonical reduced form: integer coordinates over the
 power basis 1, zeta, ..., zeta^(phi(m)-1) modulo the m-th cyclotomic
-polynomial.  CycloAlgebraElement stores an integer lattice over
-(group element, zeta power) with one common denominator; products are then
+polynomial, on one common denominator.  CycloAlgebraElement stores an
+integer lattice over (group element, zeta power), also on one common
+denominator, with the arithmetic of algebra's lattice core; products are then
 plain convolutions over the extended abelian group G x C_m (zeta is a formal
 m-th root of unity), and reduction modulo the cyclotomic polynomial happens
 lazily, only for comparisons and output.
@@ -13,14 +14,21 @@ lazily, only for comparisons and output.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from functools import reduce as _reduce
+from functools import cache, reduce as _reduce
 from typing import Iterable, Sequence
 
-from .algebra import AlgebraElement
+from .algebra import (
+    AlgebraElement,
+    _Lattice,
+    fraction_strings,
+    integer_form,
+    lowest_terms,
+)
 from .errors import InconsistencyError, InvariantError, SpecMismatchError
 from .groups import GroupElement, GroupSpec, element_index
-from .kernels import convolve_ints, translate_indices
+from .kernels import translate_indices
 from .numtheory import cyclotomic_poly, euler_phi, mobius
 
 
@@ -50,36 +58,59 @@ def ramanujan_sum_direct(m: int, t: int) -> "CycloNumber":
     return total
 
 
-def _reduce_mod_cyclotomic(coeffs: list, m: int) -> list:
-    # Polynomial remainder modulo the (monic, integer) m-th cyclotomic
-    # polynomial; works for int or Fraction coefficients.
+@cache
+def _cyclotomic_terms(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    # phi(m) and the nonzero (power, coefficient) terms of the m-th
+    # cyclotomic polynomial below its leading 1.
     phi_poly = cyclotomic_poly(m)
     deg = len(phi_poly) - 1
+    return deg, tuple((t, a) for t, a in enumerate(phi_poly[:deg]) if a)
+
+
+def _reduce_mod_cyclotomic(coeffs: Sequence[int], m: int) -> list[int]:
+    # Integer polynomial remainder modulo the (monic) m-th cyclotomic
+    # polynomial: the phi(m) reduced power-basis coordinates.
+    deg, terms = _cyclotomic_terms(m)
     c = list(coeffs)
     if len(c) < deg:
         c += [0] * (deg - len(c))
     for j in range(len(c) - 1, deg - 1, -1):
         v = c[j]
         if v:
-            c[j] = 0
-            for t in range(deg):
-                if phi_poly[t]:
-                    c[j - deg + t] -= v * phi_poly[t]
+            base = j - deg
+            for t, a in terms:
+                c[base + t] -= v * a
     return c[:deg]
 
 
 class CycloNumber:
-    """Element of Q(zeta_m) in the canonical reduced power basis."""
+    """Element of Q(zeta_m): integer coordinates nums over the reduced power
+    basis 1, zeta, ..., zeta^(phi(m)-1), on one denominator den, in lowest
+    terms.  The constructor takes any rationals (coordinates of any length,
+    reduced modulo the m-th cyclotomic polynomial) over an integer den."""
 
-    __slots__ = ("m", "coeffs")
+    __slots__ = ("m", "nums", "den")
 
-    def __init__(self, m: int, coeffs: Iterable):
-        reduced = _reduce_mod_cyclotomic([Fraction(c) for c in coeffs], m)
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "coeffs", tuple(Fraction(c) for c in reduced))
+    def __init__(self, m: int, coeffs: Iterable, den: int = 1):
+        coeffs = tuple(coeffs)
+        try:
+            nums = list(map(operator.index, coeffs))
+        except TypeError:  # Fraction, str, float, ...
+            nums, scale = integer_form(coeffs)
+            den *= scale
+        m = int(m)
+        nums, den = lowest_terms(tuple(_reduce_mod_cyclotomic(nums, m)), den)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, *args):
         raise AttributeError("CycloNumber is immutable")
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coordinates as Fractions (a read-only view)."""
+        return tuple(Fraction(v, self.den) for v in self.nums)
 
     @classmethod
     def zero(cls, m: int) -> "CycloNumber":
@@ -91,7 +122,7 @@ class CycloNumber:
 
     @classmethod
     def from_rational(cls, m: int, value) -> "CycloNumber":
-        return cls(m, (Fraction(value),))
+        return cls(m, (value,))
 
     @classmethod
     def zeta(cls, m: int, k: int = 1) -> "CycloNumber":
@@ -105,19 +136,31 @@ class CycloNumber:
 
     def __add__(self, other: "CycloNumber") -> "CycloNumber":
         self._check_modulus(other)
-        return CycloNumber(self.m, (a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycloNumber(
+            self.m,
+            [a * other.den + b * self.den for a, b in zip(self.nums, other.nums)],
+            self.den * other.den,
+        )
 
     def __sub__(self, other: "CycloNumber") -> "CycloNumber":
         self._check_modulus(other)
-        return CycloNumber(self.m, (a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycloNumber(
+            self.m,
+            [a * other.den - b * self.den for a, b in zip(self.nums, other.nums)],
+            self.den * other.den,
+        )
 
     def __neg__(self) -> "CycloNumber":
-        return CycloNumber(self.m, (-a for a in self.coeffs))
+        return CycloNumber(self.m, [-a for a in self.nums], self.den)
 
     def __mul__(self, other):
         if isinstance(other, CycloNumber):
             return cyclo_mul(self, other)
-        return CycloNumber(self.m, (a * Fraction(other) for a in self.coeffs))
+        if not isinstance(other, (int, Fraction)):
+            other = Fraction(other)
+        return CycloNumber(
+            self.m, [a * other.numerator for a in self.nums], self.den * other.denominator
+        )
 
     def __rmul__(self, other):
         return self * other
@@ -126,29 +169,27 @@ class CycloNumber:
         return (
             isinstance(other, CycloNumber)
             and self.m == other.m
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self) -> int:
-        return hash((self.m, self.coeffs))
+        return hash((self.m, self.den, self.nums))
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.nums[1:])
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise InvariantError("value is not rational")
-        return self.coeffs[0] if self.coeffs else Fraction(0)
+        return Fraction(self.nums[0], self.den)
 
     def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs],
-        }
+        return {"m": self.m, "coeffs": fraction_strings(self.nums, self.den)}
 
     @classmethod
     def from_json(cls, data: dict) -> "CycloNumber":
-        return cls(data["m"], (Fraction(s) for s in data["coeffs"]))
+        return cls(data["m"], data["coeffs"])
 
     def __repr__(self) -> str:
         return f"CycloNumber({self.m}, {[str(c) for c in self.coeffs]})"
@@ -158,64 +199,49 @@ def cyclo_mul(a: CycloNumber, b: CycloNumber) -> CycloNumber:
     """Field product: polynomial product reduced modulo the cyclotomic
     polynomial of the shared modulus."""
     a._check_modulus(b)
-    out = [Fraction(0)] * (2 * max(len(a.coeffs), 1) - 1)
-    for i, ai in enumerate(a.coeffs):
+    out = [0] * (2 * len(a.nums) - 1)
+    for i, ai in enumerate(a.nums):
         if ai:
-            for j, bj in enumerate(b.coeffs):
+            for j, bj in enumerate(b.nums):
                 if bj:
                     out[i + j] += ai * bj
-    return CycloNumber(a.m, out)
+    return CycloNumber(a.m, out, a.den * b.den)
 
 
 def galois_apply(k: int, a: CycloNumber) -> CycloNumber:
     """Field automorphism zeta -> zeta^k (k coprime to the modulus)."""
     if math.gcd(k, a.m) != 1:
         raise InvariantError(f"{k} is not coprime to the modulus {a.m}")
-    out = [Fraction(0)] * a.m
-    for i, c in enumerate(a.coeffs):
+    out = [0] * a.m
+    for i, c in enumerate(a.nums):
         if c:
             out[(i * k) % a.m] += c
-    return CycloNumber(a.m, out)
+    return CycloNumber(a.m, out, a.den)
 
 
-class CycloAlgebraElement:
-    """Element of Q(zeta_m)[G] on the integer lattice over
-    (group index, zeta power); index = group_index * m + zeta_power."""
+class CycloAlgebraElement(_Lattice):
+    """Element of Q(zeta_m)[G] on the integer lattice G x C_m of
+    (group index, zeta power); index = group_index * m + zeta_power.
+    Equality and hashing compare the reduction modulo the cyclotomic
+    polynomial, so this is not a Q[G] element even for m = 1."""
 
-    __slots__ = ("spec", "m", "nums", "den", "_reduced")
+    __slots__ = ("m", "_reduced")
 
     def __init__(self, spec: GroupSpec, m: int, nums: Iterable[int], den: int = 1):
-        nums = tuple(int(v) for v in nums)
-        den = int(den)
-        if len(nums) != spec.order * m:
-            raise InvariantError("lattice length != group order * modulus")
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            nums = tuple(-v for v in nums)
-            den = -den
-        g = den
-        for v in nums:
-            g = math.gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            nums = tuple(v // g for v in nums)
-            den //= g
-        if not any(nums):
-            den = 1
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "_reduced", None)
-
-    def __setattr__(self, *args):
-        raise AttributeError("CycloAlgebraElement is immutable")
+        object.__setattr__(self, "m", int(m))
+        super().__init__(spec, nums, den)
 
     @property
-    def _ext_orders(self) -> tuple[int, ...]:
+    def _orders(self) -> tuple[int, ...]:
         return self.spec.factor_orders + (self.m,)
+
+    def _like(self, nums: Iterable[int], den: int) -> "CycloAlgebraElement":
+        return CycloAlgebraElement(self.spec, self.m, nums, den)
+
+    def _check(self, other: "CycloAlgebraElement"):
+        super()._check(other)
+        if self.m != other.m:
+            raise SpecMismatchError("cyclotomic moduli differ")
 
     # -- constructors -------------------------------------------------
 
@@ -245,110 +271,33 @@ class CycloAlgebraElement:
         nums[element_index(g) * m + zeta_exp % m] = 1
         return cls(spec, m, nums, den)
 
-    @classmethod
-    def from_cyclo_coeffs(
-        cls, spec: GroupSpec, coeffs: Sequence[CycloNumber]
-    ) -> "CycloAlgebraElement":
-        if len(coeffs) != spec.order:
-            raise InvariantError("wrong number of coefficients")
-        m = coeffs[0].m
-        if any(c.m != m for c in coeffs):
-            raise SpecMismatchError("coefficients with mixed moduli")
-        den = 1
-        for c in coeffs:
-            for f in c.coeffs:
-                den = math.lcm(den, f.denominator)
-        nums = [0] * (spec.order * m)
-        for g, c in enumerate(coeffs):
-            for e, f in enumerate(c.coeffs):
-                nums[g * m + e] = f.numerator * (den // f.denominator)
-        return cls(spec, m, nums, den)
-
     # -- canonical form -----------------------------------------------
 
     def reduced(self) -> tuple[int, tuple[int, ...]]:
         """(den, integer matrix of shape order x phi(m), flattened) with every
-        zeta block reduced modulo the cyclotomic polynomial and the whole
-        thing gcd-normalized."""
-        if self._reduced is not None:
-            return self._reduced
-        deg = euler_phi(self.m)
-        flat: list[int] = []
-        for g in range(self.spec.order):
-            block = list(self.nums[g * self.m : (g + 1) * self.m])
-            flat.extend(_reduce_mod_cyclotomic(block, self.m))
-        den = self.den
-        g = den
-        for v in flat:
-            g = math.gcd(g, v)
-            if g == 1:
-                break
-        if g > 1:
-            flat = [v // g for v in flat]
-            den //= g
-        if not any(flat):
-            den = 1
-        if len(flat) != deg * self.spec.order:
-            raise InconsistencyError("reduction produced a lattice of the wrong size")
-        result = (den, tuple(flat))
-        object.__setattr__(self, "_reduced", result)
-        return result
+        zeta block reduced modulo the cyclotomic polynomial, in lowest terms."""
+        cached = getattr(self, "_reduced", None)
+        if cached is None:
+            m = self.m
+            flat: list[int] = []
+            for start in range(0, len(self.nums), m):
+                flat.extend(_reduce_mod_cyclotomic(self.nums[start : start + m], m))
+            nums, den = lowest_terms(tuple(flat), self.den)
+            cached = (den, nums)
+            object.__setattr__(self, "_reduced", cached)
+        return cached
 
     def cyclo_coeff(self, at) -> CycloNumber:
         idx = element_index(at) if isinstance(at, GroupElement) else int(at)
         den, flat = self.reduced()
         deg = euler_phi(self.m)
-        block = flat[idx * deg : (idx + 1) * deg]
-        return CycloNumber(self.m, (Fraction(v, den) for v in block))
+        return CycloNumber(self.m, flat[idx * deg : (idx + 1) * deg], den)
 
     @property
     def coeffs(self) -> tuple[CycloNumber, ...]:
         return tuple(self.cyclo_coeff(i) for i in range(self.spec.order))
 
     # -- arithmetic ---------------------------------------------------
-
-    def _check_compatible(self, other: "CycloAlgebraElement"):
-        if self.spec != other.spec:
-            raise SpecMismatchError("elements belong to different group algebras")
-        if self.m != other.m:
-            raise SpecMismatchError("cyclotomic moduli differ")
-
-    def __add__(self, other: "CycloAlgebraElement") -> "CycloAlgebraElement":
-        self._check_compatible(other)
-        return CycloAlgebraElement(
-            self.spec,
-            self.m,
-            (a * other.den + b * self.den for a, b in zip(self.nums, other.nums)),
-            self.den * other.den,
-        )
-
-    def __sub__(self, other: "CycloAlgebraElement") -> "CycloAlgebraElement":
-        self._check_compatible(other)
-        return CycloAlgebraElement(
-            self.spec,
-            self.m,
-            (a * other.den - b * self.den for a, b in zip(self.nums, other.nums)),
-            self.den * other.den,
-        )
-
-    def __neg__(self) -> "CycloAlgebraElement":
-        return CycloAlgebraElement(self.spec, self.m, (-v for v in self.nums), self.den)
-
-    def __mul__(self, other):
-        if not isinstance(other, CycloAlgebraElement):
-            other = Fraction(other)
-            return CycloAlgebraElement(
-                self.spec,
-                self.m,
-                (v * other.numerator for v in self.nums),
-                self.den * other.denominator,
-            )
-        self._check_compatible(other)
-        nums = convolve_ints(self.nums, other.nums, self._ext_orders)
-        return CycloAlgebraElement(self.spec, self.m, nums, self.den * other.den)
-
-    def __rmul__(self, other):
-        return self * other
 
     def zeta_scale(self, k: int) -> "CycloAlgebraElement":
         """Multiply by the root of unity zeta^k (a rotation of every block)."""
@@ -360,7 +309,7 @@ class CycloAlgebraElement:
                 v = self.nums[base + e]
                 if v:
                     nums[base + (e + k) % self.m] = v
-        return CycloAlgebraElement(self.spec, self.m, nums, self.den)
+        return self._like(nums, self.den)
 
     def group_translate(self, g: GroupElement) -> "CycloAlgebraElement":
         """Left multiplication by the group element g."""
@@ -372,7 +321,7 @@ class CycloAlgebraElement:
             tgt = int(perm[j]) * self.m
             src = j * self.m
             nums[tgt : tgt + self.m] = self.nums[src : src + self.m]
-        return CycloAlgebraElement(self.spec, self.m, nums, self.den)
+        return self._like(nums, self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycloAlgebraElement):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Union
 
-from .errors import GroupSpecError, SpecMismatchError
+from .errors import CapExceededError, GroupSpecError, SpecMismatchError
 from .numtheory import is_prime
 
 
@@ -112,16 +112,6 @@ class AbelianGroupSpec:
     def exponent(self) -> int:
         return math.prod(part.exponent for part in self.parts)
 
-    @cached_property
-    def part_offsets(self) -> tuple[int, ...]:
-        # Index of each part's first factor in the concatenated exponent vector.
-        offsets = []
-        total = 0
-        for part in self.parts:
-            offsets.append(total)
-            total += len(part.factor_orders)
-        return tuple(offsets)
-
     def spec_text(self) -> str:
         return ";".join(part.spec_text() for part in self.parts)
 
@@ -137,26 +127,49 @@ GroupSpec = Union[PrimaryGroupSpec, AbelianGroupSpec]
 _PART_RE = re.compile(r"^(\d+):\[(\d+(?:,\d+)*)\]$")
 
 
-def parse_group_spec(text: str) -> AbelianGroupSpec:
+def _check_part_cap(n: int, p_text: str, exp_texts: list[str], cap: int):
+    """Refuse part n when its order p^N must exceed cap, judged from the
+    literals' lengths before any of them is converted, so no giant number is
+    parsed, tested for primality or raised to a power."""
+    bits = cap.bit_length()  # p^N > cap once N > bits, as p >= 2
+    if len(p_text) > len(str(cap)) or int(p_text) > cap:
+        raise CapExceededError(f"prime of part {n} exceeds cap {cap}")
+    if any(len(e) > len(str(bits)) for e in exp_texts):
+        raise CapExceededError(f"group order of part {n} exceeds cap {cap}")
+    total = sum(map(int, exp_texts))
+    if total > bits:
+        raise CapExceededError(f"group order {p_text}^{total} exceeds cap {cap}")
+
+
+def parse_group_spec(text: str, max_order: int | None = None) -> AbelianGroupSpec:
     """Parse the group grammar  prime ":[" exponents "]" (";"-separated parts).
 
-    Exponents are listed with repetition and may come in any order.
+    Exponents are listed with repetition and may come in any order.  With
+    max_order, a group of larger order raises CapExceededError, in time
+    bounded by the length of the text.
 
     >>> str(parse_group_spec("2:[2,1,1]"))
     'C_4 x C_2 x C_2'
     >>> parse_group_spec("2:[1];3:[2]").order
     18
     """
+    if max_order is not None and max_order < 1:
+        raise GroupSpecError("max order must be at least 1")
     compact = text.replace(" ", "")
     if not compact:
         raise GroupSpecError("empty group spec")
     parts = []
-    for chunk in compact.split(";"):
+    for n, chunk in enumerate(compact.split(";"), 1):
         m = _PART_RE.match(chunk)
         if m is None:
             raise GroupSpecError(f"cannot parse group part {chunk!r}")
-        p = int(m.group(1))
-        exps = sorted((int(e) for e in m.group(2).split(",")), reverse=True)
+        # Literals without leading zeros, so their lengths measure them.
+        p_text = m.group(1).lstrip("0") or "0"
+        exp_texts = [e.lstrip("0") or "0" for e in m.group(2).split(",")]
+        if max_order is not None:
+            _check_part_cap(n, p_text, exp_texts, max_order)
+        p = int(p_text)
+        exps = sorted(map(int, exp_texts), reverse=True)
         if exps[-1] < 1:
             raise GroupSpecError(f"exponents must be positive in {chunk!r}")
         classes = []
@@ -170,7 +183,10 @@ def parse_group_spec(text: str) -> AbelianGroupSpec:
     if len(set(primes)) != len(primes):
         raise GroupSpecError("duplicate prime in group spec")
     parts.sort(key=lambda part: part.p)
-    return AbelianGroupSpec(tuple(parts))
+    spec = AbelianGroupSpec(tuple(parts))
+    if max_order is not None and spec.order > max_order:
+        raise CapExceededError(f"group order {spec.order} exceeds cap {max_order}")
+    return spec
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from .errors import (
     SpecMismatchError,
     VerificationError,
 )
-from .groups import GroupElement, GroupSpec, PrimaryGroupSpec
+from .groups import GroupSpec, PrimaryGroupSpec
 from .kernels import enumeration_tables
 from .numtheory import euler_phi
 
@@ -41,17 +41,6 @@ class CharacterIndex:
     def order(self) -> int:
         return math.lcm(
             *(d // math.gcd(t, d) for t, d in zip(self.t, self.spec.factor_orders)), 1
-        )
-
-    def value_exponent(self, g: GroupElement) -> int:
-        """Exponent e with chi(g) = zeta_L^e, L the group exponent."""
-        L = self.spec.exponent
-        return (
-            sum(
-                t * gi * (L // d)
-                for t, gi, d in zip(self.t, g.exps, self.spec.factor_orders)
-            )
-            % L
         )
 
 
@@ -224,9 +213,10 @@ def compare_pci_sets(
 ) -> PciSetComparison:
     """Multiset comparison of canonical coefficient vectors; on failure the
     witness is an element present more often on the named side."""
-    for e in left[1:] + right:
-        if left and e.spec != left[0].spec:
-            raise SpecMismatchError("sets over different groups")
+    both = left + right
+    for e in both:
+        if not isinstance(e, AlgebraElement) or e.spec != both[0].spec:
+            raise SpecMismatchError("sets of Q[G] elements over different groups")
     lc = Counter((e.den, e.nums) for e in left)
     rc = Counter((e.den, e.nums) for e in right)
     if lc == rc:

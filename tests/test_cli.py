@@ -186,7 +186,17 @@ def test_verify_builds_each_diagram_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "group", ["2:[2000000]", "2:[999999999999]", "2:[1];3:[999999999999]", "2:[13]"]
+    "group",
+    [
+        "2:[2000000]",
+        "2:[999999999999]",
+        "2:[1];3:[999999999999]",
+        "2:[13]",
+        "618970019642690137449562111:[1]",  # the prime 2^89 - 1
+        # literals past Python's 4300-digit limit for int()
+        pytest.param("7" * 5000 + ":[1]", id="prime-literal-5000-digits"),
+        pytest.param("2:[" + "1" * 5000 + "]", id="exponent-literal-5000-digits"),
+    ],
 )
 def test_over_cap_exponent_exits_2_quickly(group):
     # A separate process with a timeout, so a hang fails instead of stalling.

@@ -1,12 +1,13 @@
 import doctest
 
+import pcikit.algebra
 import pcikit.cyclotomic
 import pcikit.groups
 import pcikit.numtheory
 
 
 def test_module_doctests():
-    for module in (pcikit.numtheory, pcikit.groups, pcikit.cyclotomic):
+    for module in (pcikit.numtheory, pcikit.groups, pcikit.cyclotomic, pcikit.algebra):
         result = doctest.testmod(module)
         assert result.failed == 0, module.__name__
         assert result.attempted > 0, module.__name__

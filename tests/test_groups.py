@@ -1,6 +1,7 @@
 import pytest
 
 from pcikit import (
+    CapExceededError,
     GroupSpecError,
     LongGenerator,
     PrimaryGroupSpec,
@@ -44,6 +45,17 @@ def test_parse_grammar():
         with pytest.raises(GroupSpecError):
             parse_group_spec(bad)
 
+
+
+def test_parse_cap_measures_literals_without_leading_zeros():
+    zeros = "0" * 5000  # past Python's 4300-digit limit for int()
+    assert parse_group_spec(f"{zeros}2:[{zeros}1]", 4096) == parse_group_spec("2:[1]")
+    assert parse_group_spec("2:[12]", 4096).order == 4096
+    for over in ("2:[13]", "4099:[1]", "2:[" + ",".join(["1"] * 13) + "]", "3:[8]"):
+        with pytest.raises(CapExceededError):
+            parse_group_spec(over, 4096)
+    with pytest.raises(GroupSpecError):
+        parse_group_spec("2:[1]", 0)
 
 def test_long_generator_sequence_c9():
     assert long_generator_sequence(C9) == [

@@ -3,15 +3,19 @@ from fractions import Fraction
 import math
 import random
 
+import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
 from conftest import partitions, spec_from_partition
 from pcikit import (
     AlgebraElement,
+    CycloAlgebraElement,
     CycloNumber,
+    SpecMismatchError,
     PrimaryGroupSpec,
     are_orthogonal,
     build_pci_diagram,
+    compare_pci_sets,
     convolve,
     cyclo_mul,
     element_from_index,
@@ -31,6 +35,7 @@ from pcikit import (
 )
 from pcikit.diagram import alternate_generator_labels
 from pcikit.kernels import Spectra, _convolve_bigint, convolve_ints, primes_needed
+from pcikit.numtheory import cyclotomic_poly
 
 SPECS = [
     PrimaryGroupSpec(2, ((2, 1),)),
@@ -135,6 +140,175 @@ def test_galois_preserves_products(a, k):
     assert galois_apply(k, cyclo_mul(a, a)) == cyclo_mul(
         galois_apply(k, a), galois_apply(k, a)
     )
+
+
+# -- Q(zeta_m) and Q(zeta_m)[G] against a Fraction-tuple reference ------------
+# The reference keeps one Fraction per power-basis coordinate and reduces by
+# long division by the m-th cyclotomic polynomial: the representation
+# CycloNumber had before it moved to integers over one denominator.
+
+
+def _ref_reduce(m, coeffs):
+    phi = cyclotomic_poly(m)
+    deg = len(phi) - 1
+    c = [Fraction(v) for v in coeffs]
+    c += [Fraction(0)] * (deg - len(c))
+    for j in range(len(c) - 1, deg - 1, -1):
+        v = c[j]
+        if v:
+            c[j] = Fraction(0)
+            for t in range(deg):
+                c[j - deg + t] -= v * phi[t]
+    return tuple(c[:deg])
+
+
+def _ref_mul(m, a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_reduce(m, out)
+
+
+def _ref_galois(m, k, a):
+    out = [Fraction(0)] * m
+    for i, x in enumerate(a):
+        out[i * k % m] += x
+    return _ref_reduce(m, out)
+
+
+# Small and beyond-int64 numerators and denominators.
+big_int_st = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(2**100), max_value=2**100),
+)
+big_den_st = st.one_of(
+    st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=2**70)
+)
+rational_st = st.builds(Fraction, big_int_st, big_den_st)
+
+
+@st.composite
+def cyclo_pairs(draw):
+    """m in 1..30 and two coordinate lists of any length up to m + 4, past
+    phi(m), so the constructor reduces them."""
+    m = draw(st.integers(min_value=1, max_value=30))
+    coords = st.lists(rational_st, max_size=m + 4)
+    return m, draw(coords), draw(coords)
+
+
+@given(cyclo_pairs(), rational_st, st.data())
+@settings(max_examples=100, deadline=None)
+def test_cyclo_number_matches_fraction_reference(pair, c, data):
+    m, xs, ys = pair
+    a, b = CycloNumber(m, xs), CycloNumber(m, ys)
+    ra, rb = _ref_reduce(m, xs), _ref_reduce(m, ys)
+    assert a.coeffs == ra and b.coeffs == rb
+    assert (a + b).coeffs == tuple(x + y for x, y in zip(ra, rb))
+    assert (a - b).coeffs == tuple(x - y for x, y in zip(ra, rb))
+    assert (-a).coeffs == tuple(-x for x in ra)
+    assert (a * b).coeffs == cyclo_mul(a, b).coeffs == _ref_mul(m, ra, rb)
+    assert (a * c).coeffs == (c * a).coeffs == tuple(x * c for x in ra)
+    k = data.draw(st.sampled_from([k for k in range(1, m + 1) if math.gcd(k, m) == 1]))
+    assert galois_apply(k, a).coeffs == _ref_galois(m, k, ra)
+    assert (a == b) == (ra == rb)
+    assert a.to_json() == {
+        "m": m,
+        "coeffs": [f"{x.numerator}/{x.denominator}" for x in ra],
+    }
+    assert CycloNumber.from_json(a.to_json()) == a
+
+
+@given(cyclo_pairs(), big_int_st, st.integers(min_value=0, max_value=30))
+@settings(max_examples=60, deadline=None)
+def test_cyclo_number_equality_and_hash_ignore_representation(pair, s, shift):
+    # xs + s * zeta^shift * Phi_m is the same field element as xs.
+    m, xs, _ = pair
+    alt = list(xs) + [0] * (shift + len(cyclotomic_poly(m)))
+    for t, coef in enumerate(cyclotomic_poly(m)):
+        alt[shift + t] += s * coef
+    a, b = CycloNumber(m, xs), CycloNumber(m, alt)
+    assert a == b and hash(a) == hash(b)
+    assert a.to_json() == b.to_json()
+
+
+@given(
+    st.integers(min_value=1, max_value=30),
+    st.lists(big_int_st, max_size=60),
+    big_int_st.filter(bool),
+)
+@settings(max_examples=100, deadline=None)
+def test_cyclo_number_integer_constructor(m, nums, den):
+    # Integers over a denominator of either sign, as the arithmetic builds them.
+    a = CycloNumber(m, nums, den)
+    assert a.coeffs == _ref_reduce(m, [Fraction(v, den) for v in nums])
+    assert a.den > 0 and math.gcd(a.den, *a.nums) == 1
+
+
+LATTICE_GROUPS = [
+    PrimaryGroupSpec(2, ((1, 1),)),
+    PrimaryGroupSpec(3, ((1, 1),)),
+    PrimaryGroupSpec(2, ((2, 1),)),
+    PrimaryGroupSpec(2, ((1, 2),)),
+]
+
+
+@st.composite
+def cyclo_elements(draw):
+    spec = draw(st.sampled_from(LATTICE_GROUPS))
+    m = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 9]))
+    size = spec.order * m
+    nums = st.lists(big_int_st, min_size=size, max_size=size)
+    den = big_int_st.filter(bool)
+    x = CycloAlgebraElement(spec, m, draw(nums), draw(den))
+    y = CycloAlgebraElement(spec, m, draw(nums), draw(den))
+    return spec, m, x, y, draw(rational_st)
+
+
+@given(cyclo_elements())
+@settings(max_examples=40, deadline=None)
+def test_cyclo_algebra_matches_coefficientwise_field_arithmetic(data):
+    spec, m, x, y, c = data
+    n = spec.order
+    xc = [x.cyclo_coeff(g) for g in range(n)]
+    yc = [y.cyclo_coeff(g) for g in range(n)]
+    inverse = [element_index(element_from_index(spec, g).inverse()) for g in range(n)]
+    for g in range(n):
+        gel = element_from_index(spec, g)
+        expected = CycloNumber.zero(m)
+        for h in range(n):
+            k = element_index(group_mul(gel, element_from_index(spec, inverse[h])))
+            expected = expected + cyclo_mul(xc[h], yc[k])
+        assert (x * y).cyclo_coeff(g) == expected
+        assert (x + y).cyclo_coeff(g) == xc[g] + yc[g]
+        assert (x - y).cyclo_coeff(g) == xc[g] - yc[g]
+        assert (x * c).cyclo_coeff(g) == xc[g] * c
+    assert (x == y) == (xc == yc)
+    assert (x - x).is_zero() and x - x == CycloAlgebraElement.zero(spec, m)
+    # den of either sign reaches the shared normaliser
+    assert CycloAlgebraElement(spec, m, [-v for v in x.nums], -x.den) == x
+    assert AlgebraElement(spec, [-v for v in range(n)], -3) == AlgebraElement.from_coeffs(
+        spec, [Fraction(v, 3) for v in range(n)]
+    )
+
+
+def test_lattice_types_do_not_mix():
+    spec = LATTICE_GROUPS[0]
+    a = AlgebraElement.one(spec)
+    x = CycloAlgebraElement.one(spec, 1)
+    assert a != x and x != a
+    for op in (lambda: a + x, lambda: x + a, lambda: a * x, lambda: x * a):
+        with pytest.raises(SpecMismatchError):
+            op()
+    for check in (
+        lambda: are_orthogonal(a, x),
+        lambda: are_orthogonal(x, x),
+        lambda: is_idempotent(x),
+        lambda: compare_pci_sets([a], [x]),
+        lambda: compare_pci_sets([x], [x]),
+    ):
+        with pytest.raises(SpecMismatchError):
+            check()
 
 
 # Trivial, elementary, mixed and long cyclic axes: (128,) and (3, 81) are
