@@ -1,38 +1,23 @@
 """Command-line front end: parse a group description, dispatch a
-computation, emit deterministic JSON/text/DOT, and run the verification
-suite.  Exit codes: 0 success, 1 verification failure, 2 invalid input.
+computation, and emit deterministic JSON/text/DOT, including the report of
+the checks in verify.py.  Exit codes: 0 success, 1 verification failure,
+2 invalid input.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import random
 import sys
-from collections import Counter
-from dataclasses import dataclass
 
-from .algebra import (
-    AlgebraElement,
-    are_orthogonal,
-    expand_from_subgroup,
-    is_idempotent,
-    kernel_subgroup,
-    subgroup_indices,
-)
-from .cyclotomic import CycloAlgebraElement
 from .diagram import (
     alternate_generator_labels,
     build_pci_diagram,
     cyclic_rational_pcis,
     emit_dot,
-    extension_children,
-    galois_orbit_collapse,
     galois_orbits,
-    leaf_records,
-    lift_into_extension,
     pci_records,
-    records_from_diagrams,
     splitting_field_pcis,
 )
 from .errors import (
@@ -44,19 +29,16 @@ from .errors import (
     SpecMismatchError,
     VerificationError,
 )
-from .groups import GroupElement, parse_group_spec, subgroup_closure
+from .groups import AbelianGroupSpec, parse_group_spec
 from .kernels import active_backend
 from .numtheory import euler_phi, prime_power
-from .oracle import compare_pci_sets, oracle_pci_set, wedderburn_profile
+from .oracle import wedderburn_profile
+from .verify import FULL_CHECK_LIMIT, collapse_matches_closed_form, run_checks
 
 DEFAULT_MAX_ORDER = 4096
-FULL_CHECK_LIMIT = 512  # beyond this, pairwise sweeps are sampled
-_SAMPLE_SEED = 1729
-_SAMPLE_PAIRS = 256
-_SPLIT_CHECK_LIMIT = 64
 
 
-@dataclass
+@dataclasses.dataclass
 class RunConfig:
     subcommand: str
     group_text: str
@@ -74,15 +56,26 @@ def _json_text(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _part_labels(part, alternate: bool):
-    return alternate_generator_labels(part) if alternate else None
+def _payload(spec, **fields) -> dict:
+    """A JSON payload: the group header, then the subcommand's fields."""
+    return {
+        "group": spec.spec_text(), "structure": str(spec), "order": spec.order, **fields
+    }
+
+
+def _status(ok: bool) -> str:
+    return "pass" if ok else "fail"
+
+
+def _title(spec) -> str:
+    """The first line of text output."""
+    return f"group {spec} ({spec.spec_text()}), order {spec.order}"
 
 
 # -- pci ----------------------------------------------------------------
 
 
-def _run_pci(config: RunConfig) -> tuple[int, str]:
-    spec = parse_group_spec(config.group_text, config.max_order)
+def _run_pci(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
     records = pci_records(spec, alternate_order=config.alternate_order)
     rows = []
     for i, rec in enumerate(records):
@@ -99,19 +92,14 @@ def _run_pci(config: RunConfig) -> tuple[int, str]:
                 "dimension": euler_phi(d),
             }
         )
-    payload = {
-        "group": spec.spec_text(),
-        "structure": str(spec),
-        "order": spec.order,
-        "count": len(records),
-        "pcis": rows,
-        "dimension_total": sum(row["dimension"] for row in rows),
-    }
+    payload = _payload(
+        spec,
+        count=len(records),
+        pcis=rows,
+        dimension_total=sum(row["dimension"] for row in rows),
+    )
     if config.output_format == "text":
-        lines = [
-            f"group {payload['structure']} ({payload['group']}), order {payload['order']}",
-            f"{payload['count']} primitive central idempotents",
-        ]
+        lines = [_title(spec), f"{payload['count']} primitive central idempotents"]
         for row in rows:
             lines.append(
                 f"[{row['index']}] field {row['field']} dim {row['dimension']} "
@@ -137,10 +125,11 @@ def _vertex_json(v) -> dict:
     }
 
 
-def _run_diagram(config: RunConfig) -> tuple[int, str]:
-    spec = parse_group_spec(config.group_text, config.max_order)
+def _run_diagram(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
     diagrams = [
-        build_pci_diagram(part, _part_labels(part, config.alternate_order))
+        build_pci_diagram(
+            part, alternate_generator_labels(part) if config.alternate_order else None
+        )
         for part in spec.parts
     ]
     if config.output_format == "dot":
@@ -161,16 +150,8 @@ def _run_diagram(config: RunConfig) -> tuple[int, str]:
                 ],
             }
         )
-    payload = {
-        "group": spec.spec_text(),
-        "structure": str(spec),
-        "order": spec.order,
-        "parts": parts,
-    }
     if config.output_format == "text":
-        lines = [
-            f"group {payload['structure']} ({payload['group']}), order {payload['order']}"
-        ]
+        lines = [_title(spec)]
         for part in parts:
             lines.append(f"p={part['p']}: level sizes {part['level_sizes']}")
             for v in part["levels"][-1]:
@@ -188,14 +169,13 @@ def _run_diagram(config: RunConfig) -> tuple[int, str]:
                     f"{_field_name(part['p'] ** v['field_index'])}"
                 )
         return 0, "\n".join(lines) + "\n"
-    return 0, _json_text(payload)
+    return 0, _json_text(_payload(spec, parts=parts))
 
 
 # -- wedderburn ---------------------------------------------------------
 
 
-def _run_wedderburn(config: RunConfig) -> tuple[int, str]:
-    spec = parse_group_spec(config.group_text, config.max_order)
+def _run_wedderburn(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
     parts = []
     for part in spec.parts:
         profile = wedderburn_profile(part)
@@ -203,32 +183,11 @@ def _run_wedderburn(config: RunConfig) -> tuple[int, str]:
             {
                 "p": profile.p,
                 "exponent": profile.exponent,
-                "rows": [
-                    {
-                        "r": row.r,
-                        "cyclotomic_order": row.cyclotomic_order,
-                        "a": row.a,
-                        "b": row.b,
-                        "c": row.c,
-                        "census": row.census,
-                        "formula": row.formula,
-                        "statement_variant": row.statement_variant,
-                        "agree": row.agree,
-                    }
-                    for row in profile.rows
-                ],
+                "rows": [dataclasses.asdict(row) for row in profile.rows],
             }
         )
-    payload = {
-        "group": spec.spec_text(),
-        "structure": str(spec),
-        "order": spec.order,
-        "parts": parts,
-    }
     if config.output_format == "text":
-        lines = [
-            f"group {payload['structure']} ({payload['group']}), order {payload['order']}"
-        ]
+        lines = [_title(spec)]
         for part in parts:
             lines.append(f"p={part['p']} (exponent {part['p']}^{part['exponent']})")
             lines.append("  r field        a b c census formula variant agree")
@@ -241,43 +200,26 @@ def _run_wedderburn(config: RunConfig) -> tuple[int, str]:
                     f"{'yes' if row['agree'] else 'NO'}"
                 )
         return 0, "\n".join(lines) + "\n"
-    return 0, _json_text(payload)
+    return 0, _json_text(_payload(spec, parts=parts))
 
 
 # -- split --------------------------------------------------------------
 
 
-def _run_split(config: RunConfig) -> tuple[int, str]:
-    spec = parse_group_spec(config.group_text, config.max_order)
-    if len(spec.parts) != 1 or len(spec.parts[0].classes) != 1 or spec.parts[0].classes[0][1] != 1:
+def _run_split(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
+    if len(spec.factor_orders) != 1:
         raise GroupSpecError("split requires a cyclic group of prime-power order")
     part = spec.parts[0]
-    p, n = part.p, part.classes[0][0]
-    m = part.order
-    splitting = splitting_field_pcis(p, n, max_order=config.max_order)
+    p, n, m = part.p, part.classes[0][0], part.order
+    splitting = splitting_field_pcis(p, n)
     orbits = galois_orbits(m)
-    collapsed = galois_orbit_collapse(splitting, m)
-    closed = cyclic_rational_pcis(p, n)
-    matches = compare_pci_sets(collapsed, closed).equal
-    payload = {
-        "group": spec.spec_text(),
-        "structure": str(spec),
-        "order": m,
-        "prime": p,
-        "chain_length": n,
-        "modulus": m,
-        "splitting_pcis": [
-            {"t": t, "coefficients": [c.to_json() for c in e.coeffs]}
-            for t, e in enumerate(splitting)
-        ],
-        "orbits": orbits,
-        "rational_pcis": [e.to_strings() for e in collapsed],
-        "matches_closed_form": matches,
-    }
+    collapsed, matches = collapse_matches_closed_form(
+        splitting, m, cyclic_rational_pcis(p, n)
+    )
     code = 0 if matches else 1
     if config.output_format == "text":
         lines = [
-            f"group {payload['structure']}, splitting field Q(zeta_{m})",
+            f"group {spec}, splitting field Q(zeta_{m})",
             f"{m} splitting-field idempotents, {len(orbits)} Galois orbits",
         ]
         for orbit, e in zip(orbits, collapsed):
@@ -288,189 +230,45 @@ def _run_split(config: RunConfig) -> tuple[int, str]:
             else "collapse DOES NOT match the rational closed form"
         )
         return code, "\n".join(lines) + "\n"
+    payload = _payload(
+        spec,
+        prime=p,
+        chain_length=n,
+        modulus=m,
+        splitting_pcis=[
+            {"t": t, "coefficients": [c.to_json() for c in e.coeffs]}
+            for t, e in enumerate(splitting)
+        ],
+        orbits=orbits,
+        rational_pcis=[e.to_strings() for e in collapsed],
+        matches_closed_form=matches,
+    )
     return code, _json_text(payload)
 
 
 # -- verify -------------------------------------------------------------
 
 
-def _orthogonality_pairs(count: int, mode: str) -> list[tuple[int, int]]:
-    pairs = [(i, j) for i in range(count) for j in range(i + 1, count)]
-    if mode == "sampled" and len(pairs) > _SAMPLE_PAIRS:
-        rng = random.Random(_SAMPLE_SEED)
-        pairs = sorted(rng.sample(pairs, _SAMPLE_PAIRS))
-    return pairs
-
-
-def _run_verify(config: RunConfig) -> tuple[int, str]:
-    spec = parse_group_spec(config.group_text, config.max_order)
+def _run_verify(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
     mode = config.check_level or (
         "full" if spec.order <= FULL_CHECK_LIMIT else "sampled"
     )
-    checks: list[dict] = []
-
-    def check(name: str, ok: bool, detail: str | None = None):
-        checks.append(
-            {"name": name, "status": "pass" if ok else "fail", "detail": detail}
-        )
-
-    diagrams = [(part, build_pci_diagram(part)) for part in spec.parts]
-    records = records_from_diagrams(spec, [diag for _, diag in diagrams])
-    elements = [rec.element for rec in records]
-
-    bad = [i for i, e in enumerate(elements) if not is_idempotent(e)]
-    check(
-        "engine_idempotency",
-        not bad,
-        f"failures at {bad}" if bad else f"{len(elements)} idempotents",
-    )
-
-    pairs = _orthogonality_pairs(len(elements), mode)
-    bad_pair = next(
-        (
-            (i, j)
-            for i, j in pairs
-            if not are_orthogonal(elements[i], elements[j])
-        ),
-        None,
-    )
-    check(
-        "engine_orthogonality",
-        bad_pair is None,
-        f"pair {bad_pair} not orthogonal"
-        if bad_pair
-        else f"{len(pairs)} pairs checked ({mode})",
-    )
-
-    total = AlgebraElement.zero(spec)
-    for e in elements:
-        total = total + e
-    check("engine_sum_to_identity", total == AlgebraElement.one(spec), None)
-
-    cmp = compare_pci_sets(elements, oracle_pci_set(spec))
-    check(
-        "engine_matches_oracle",
-        cmp.equal,
-        None
-        if cmp.equal
-        else f"witness on {cmp.witness_side} side: {cmp.witness.to_strings()}",
-    )
-
-    structure_ok = all(
-        (v.trivial and v.form.primed is None) or (not v.trivial and v.form.primed is not None)
-        for _, diag in diagrams
-        for level in diag.levels
-        for v in level
-    )
-    check("factored_form_structure", structure_ok, None)
-
-    kernel_failures = []
-    vertices = [
-        (part, v) for part, diag in diagrams for level in diag.levels for v in level
-    ]
-    if mode == "sampled" and len(vertices) > _SAMPLE_PAIRS:
-        rng = random.Random(_SAMPLE_SEED)
-        vertices = rng.sample(vertices, _SAMPLE_PAIRS)
-    for part, v in vertices:
-        tracked = subgroup_closure(part, v.form.kernel_gens)
-        if len(tracked) != v.kernel_order:
-            kernel_failures.append((part.p, v.level, v.index, "size"))
-            continue
-        expansion = expand_from_subgroup(
-            part, subgroup_indices(tracked), v.form.primed
-        )
-        if kernel_subgroup(expansion) != tracked:
-            kernel_failures.append((part.p, v.level, v.index, "kernel"))
-    check(
-        "vertex_kernels",
-        not kernel_failures,
-        f"failures: {kernel_failures[:3]}"
-        if kernel_failures
-        else f"{len(vertices)} vertices checked ({mode})",
-    )
-
-    for part, diag in diagrams:
-        profile = wedderburn_profile(part)  # raises on census disagreement
-        leaf_counts = {r: 0 for r in range(profile.exponent + 1)}
-        for v in diag.leaves:
-            leaf_counts[v.field_index] += 1
-        rows_ok = all(leaf_counts[row.r] == row.census for row in profile.rows)
-        detail = "; ".join(
-            f"r={row.r}: census={row.census} formula={row.formula} "
-            f"variant={row.statement_variant}"
-            for row in profile.rows
-        )
-        check(f"component_counts_p{part.p}", rows_ok, detail)
-
-    if len(spec.parts) == 1 and len(spec.parts[0].classes) == 1 and spec.parts[0].classes[0][1] == 1:
-        part = spec.parts[0]
-        p, n = part.p, part.classes[0][0]
-        closed = cyclic_rational_pcis(p, n)
-        part_leaves = [rec.element for rec in leaf_records(diagrams[0][1])]
-        check(
-            "cyclic_closed_form",
-            len(closed) == n + 1 and compare_pci_sets(closed, part_leaves).equal,
-            f"{n + 1} idempotents",
-        )
-        if part.order <= _SPLIT_CHECK_LIMIT:
-            m = part.order
-            splitting = splitting_field_pcis(p, n)
-            sound = all(e * e == e for e in splitting)
-            sound = sound and all(
-                (splitting[i] * splitting[j]).is_zero()
-                for i in range(m)
-                for j in range(i + 1, m)
-            )
-            ssum = splitting[0]
-            for e in splitting[1:]:
-                ssum = ssum + e
-            sound = sound and ssum == CycloAlgebraElement.one(part, m)
-            collapsed = galois_orbit_collapse(splitting, m)
-            sound = sound and compare_pci_sets(collapsed, closed).equal
-            if n >= 1:
-                lifted = [
-                    lift_into_extension(eta) for eta in splitting_field_pcis(p, n - 1)
-                ]
-                gen = GroupElement(part, (1,))
-                children = [
-                    child
-                    for eta in lifted
-                    for child in extension_children(eta, gen)
-                ]
-                sound = sound and Counter(
-                    c.reduced() for c in children
-                ) == Counter(e.reduced() for e in splitting)
-            check("splitting_field_coherence", sound, f"modulus {m}")
-
-    if config.alternate_order:
-        alt = compare_pci_sets(
-            [r.element for r in pci_records(spec, alternate_order=True)],
-            oracle_pci_set(spec),
-        )
-        check("alternate_order_soundness", alt.equal, None)
-
-    ok = all(c["status"] == "pass" for c in checks)
-    payload = {
-        "group": spec.spec_text(),
-        "structure": str(spec),
-        "order": spec.order,
-        "check_level": mode,
-        "checks": checks,
-        "status": "pass" if ok else "fail",
-    }
+    checks = run_checks(spec, mode, config.alternate_order)
+    ok = all(c.ok for c in checks)
     code = 0 if ok else 1
     if config.output_format == "text":
-        lines = [
-            f"group {payload['structure']} ({payload['group']}), order {payload['order']}, "
-            f"check level {mode}"
-        ]
+        lines = [f"{_title(spec)}, check level {mode}"]
         for c in checks:
-            line = f"{c['status'].upper():4} {c['name']}"
-            if c["detail"]:
-                line += f": {c['detail']}"
+            line = f"{_status(c.ok).upper()} {c.name}"
+            if c.detail:
+                line += f": {c.detail}"
             lines.append(line)
-        lines.append(f"overall: {payload['status'].upper()}")
+        lines.append(f"overall: {_status(ok).upper()}")
         return code, "\n".join(lines) + "\n"
+    rows = [
+        {"name": c.name, "status": _status(c.ok), "detail": c.detail} for c in checks
+    ]
+    payload = _payload(spec, check_level=mode, checks=rows, status=_status(ok))
     return code, _json_text(payload)
 
 
@@ -489,7 +287,8 @@ def run(config: RunConfig) -> tuple[int, str]:
         raise GroupSpecError(f"unknown subcommand {config.subcommand!r}")
     if config.output_format == "dot" and config.subcommand != "diagram":
         raise GroupSpecError("dot output is only available for the diagram subcommand")
-    return _HANDLERS[config.subcommand](config)
+    spec = parse_group_spec(config.group_text, config.max_order)
+    return _HANDLERS[config.subcommand](config, spec)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -36,7 +36,6 @@ from .algebra import (
 )
 from .cyclotomic import CycloAlgebraElement, CycloNumber, cyclo_sum
 from .errors import (
-    CapExceededError,
     GroupSpecError,
     InconsistencyError,
     InvariantError,
@@ -196,7 +195,6 @@ def _coset_span(kernel: np.ndarray, w: int, p: int, tables) -> np.ndarray:
 def build_pci_diagram(
     spec: PrimaryGroupSpec,
     generator_labels: Sequence[LongGenerator] | None = None,
-    max_order: int | None = None,
 ) -> PciDiagram:
     """Build the full refinement diagram for an abelian p-group.
 
@@ -205,8 +203,6 @@ def build_pci_diagram(
     element indices (see groups.element_index); only the factored forms
     carry GroupElements.
     """
-    if max_order is not None and spec.order > max_order:
-        raise CapExceededError(f"group order {spec.order} exceeds cap {max_order}")
     if generator_labels is None:
         labels = long_generator_sequence(spec)
     else:
@@ -348,9 +344,7 @@ def _root_average_factor(
     return CycloAlgebraElement(spec, m, nums, p)
 
 
-def splitting_field_pcis(
-    p: int, n: int, max_order: int | None = None
-) -> list[CycloAlgebraElement]:
+def splitting_field_pcis(p: int, n: int) -> list[CycloAlgebraElement]:
     """The p^n primitive idempotents of Q(zeta_{p^n})[C_{p^n}], built as the
     product of one root-twisted average per chain generator.
 
@@ -359,8 +353,6 @@ def splitting_field_pcis(
     """
     spec = cyclic_group_spec(p, n)
     m = spec.order
-    if max_order is not None and m > max_order:
-        raise CapExceededError(f"group order {m} exceeds cap {max_order}")
     if n == 0:
         return [CycloAlgebraElement.one(spec, 1)]
     gen = GroupElement(spec, (1,))
@@ -517,19 +509,13 @@ def cross_prime_product(
     return out
 
 
-def pci_records(
-    spec,
-    alternate_order: bool = False,
-    max_order: int | None = None,
-) -> list[PciRecord]:
+def pci_records(spec, alternate_order: bool = False) -> list[PciRecord]:
     """Engine-side primitive central idempotents of Q[G] with component
     bookkeeping; primary groups come from the diagram leaves, multi-prime
     groups from the product of the per-part leaf sets."""
     if isinstance(spec, PrimaryGroupSpec):
         labels = alternate_generator_labels(spec) if alternate_order else None
-        return leaf_records(build_pci_diagram(spec, labels, max_order=max_order))
-    if max_order is not None and spec.order > max_order:
-        raise CapExceededError(f"group order {spec.order} exceeds cap {max_order}")
+        return leaf_records(build_pci_diagram(spec, labels))
     diagrams = [
         build_pci_diagram(
             part, alternate_generator_labels(part) if alternate_order else None
@@ -565,9 +551,9 @@ def records_from_diagrams(
     return out
 
 
-def pci_set(spec, alternate_order: bool = False, max_order: int | None = None):
+def pci_set(spec, alternate_order: bool = False):
     """Just the idempotents, without bookkeeping."""
-    return [r.element for r in pci_records(spec, alternate_order, max_order)]
+    return [r.element for r in pci_records(spec, alternate_order)]
 
 
 def _vertex_label(spec: PrimaryGroupSpec, v: PciVertex, is_leaf: bool) -> str:

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Union
 
 from .errors import CapExceededError, GroupSpecError, SpecMismatchError
-from .numtheory import is_prime
+from .numtheory import MR_LIMIT, is_prime
 
 
 @dataclass(frozen=True)
@@ -125,6 +125,14 @@ GroupSpec = Union[PrimaryGroupSpec, AbelianGroupSpec]
 
 
 _PART_RE = re.compile(r"^(\d+):\[(\d+(?:,\d+)*)\]$")
+_SHOWN_CHARS = 40  # an error message quotes at most this much of the input
+
+
+def _shown(chunk: str) -> str:
+    """repr of a group part for an error message, cut to _SHOWN_CHARS."""
+    if len(chunk) <= _SHOWN_CHARS:
+        return repr(chunk)
+    return repr(chunk[:_SHOWN_CHARS]) + "..."
 
 
 def _check_part_cap(n: int, p_text: str, exp_texts: list[str], cap: int):
@@ -146,7 +154,9 @@ def parse_group_spec(text: str, max_order: int | None = None) -> AbelianGroupSpe
 
     Exponents are listed with repetition and may come in any order.  With
     max_order, a group of larger order raises CapExceededError, in time
-    bounded by the length of the text.
+    bounded by the length of the text.  A prime at or above
+    numtheory.MR_LIMIT raises GroupSpecError, as is_prime cannot test it
+    quickly.
 
     >>> str(parse_group_spec("2:[2,1,1]"))
     'C_4 x C_2 x C_2'
@@ -162,16 +172,18 @@ def parse_group_spec(text: str, max_order: int | None = None) -> AbelianGroupSpe
     for n, chunk in enumerate(compact.split(";"), 1):
         m = _PART_RE.match(chunk)
         if m is None:
-            raise GroupSpecError(f"cannot parse group part {chunk!r}")
+            raise GroupSpecError(f"cannot parse group part {_shown(chunk)}")
         # Literals without leading zeros, so their lengths measure them.
         p_text = m.group(1).lstrip("0") or "0"
         exp_texts = [e.lstrip("0") or "0" for e in m.group(2).split(",")]
         if max_order is not None:
             _check_part_cap(n, p_text, exp_texts, max_order)
+        if len(p_text) > len(str(MR_LIMIT)) or int(p_text) >= MR_LIMIT:
+            raise GroupSpecError(f"prime of part {n} is beyond the primality test")
         p = int(p_text)
         exps = sorted(map(int, exp_texts), reverse=True)
         if exps[-1] < 1:
-            raise GroupSpecError(f"exponents must be positive in {chunk!r}")
+            raise GroupSpecError(f"exponents must be positive in {_shown(chunk)}")
         classes = []
         for r in exps:
             if classes and classes[-1][0] == r:

@@ -51,10 +51,6 @@ def active_backend() -> str:
     choice = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
     if choice in ("", "auto"):
         return "numba" if numba is not None else "numpy"
-    return _checked_backend(choice)
-
-
-def _checked_backend(choice: str) -> str:
     if choice not in _BACKENDS:
         raise ConfigError(
             f"{BACKEND_ENV_VAR} must be 'numba' or 'numpy', got {choice!r}"
@@ -368,17 +364,17 @@ def _convolve_bigint(a, b, orders):
     return out
 
 
-def convolve_ints(a, b, orders: tuple[int, ...], backend: str | None = None):
+def convolve_ints(a, b, orders: tuple[int, ...]):
     """Exact convolution of two integer vectors over the abelian group with
     the given cyclic factor orders.  Returns a list of Python ints.
 
     Every entry of the result is at most B = min(l1(a)*max|b|,
     l1(b)*max|a|) in absolute value.  B above int64 takes the bigint path.
-    The direct path, whose implementation `backend` (default:
-    PCIKIT_BACKEND) selects, takes the products whose sparser operand has
-    at most one nonzero per cyclic axis (the monomial factors of the
-    splitting-field products), and those whose B the plan's primes do not
-    cover (2B >= their product).  Everything else takes the transform path.
+    The direct path, whose implementation PCIKIT_BACKEND selects, takes
+    the products whose sparser operand has at most one nonzero per cyclic
+    axis (the monomial factors of the splitting-field products), and those
+    whose B the plan's primes do not cover (2B >= their product).
+    Everything else takes the transform path.
 
     The direct path makes a few passes over all |G| entries per nonzero;
     three transforms make a few passes per axis.  Measured with numpy on
@@ -394,7 +390,7 @@ def convolve_ints(a, b, orders: tuple[int, ...], backend: str | None = None):
     bound = min(sa.l1 * sb.linf, sb.l1 * sa.linf)
     if bound > _INT64_MAX:
         return _convolve_bigint(a, b, orders)
-    backend = active_backend() if backend is None else _checked_backend(backend)
+    backend = active_backend()
     count = primes_needed(bound, sa, sb)
     if count is None or min(sa.nnz, sb.nnz) <= len(orders):
         out = _convolve_direct(sa.vec, sb.vec, orders, backend)

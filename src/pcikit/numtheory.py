@@ -11,7 +11,7 @@ from functools import cache
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_LIMIT = 3_317_044_064_679_887_385_961_981  # the bases above decide every n below
+MR_LIMIT = 3_317_044_064_679_887_385_961_981  # the bases above decide every n below
 
 
 def is_prime(n: int) -> bool:
@@ -26,7 +26,7 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n >= _MR_LIMIT:
+    if n >= MR_LIMIT:
         d = _MR_BASES[-1] + 2
         while d * d <= n:
             if n % d == 0:

@@ -1,0 +1,203 @@
+"""The checks behind ``pcikit verify``: the certificate that the engine's
+idempotents are the primitive central idempotents of Q[G] and that the
+Wedderburn component counts agree with the element-order census.
+
+``run_checks`` returns one Check per check, in a fixed order; rendering
+them is the CLI's job.
+"""
+
+from __future__ import annotations
+
+import random
+from collections import Counter
+from dataclasses import dataclass
+
+from .algebra import (
+    AlgebraElement,
+    are_orthogonal,
+    expand_from_subgroup,
+    is_idempotent,
+    kernel_subgroup,
+    subgroup_indices,
+)
+from .cyclotomic import CycloAlgebraElement
+from .diagram import (
+    build_pci_diagram,
+    cyclic_rational_pcis,
+    extension_children,
+    galois_orbit_collapse,
+    leaf_records,
+    lift_into_extension,
+    pci_records,
+    records_from_diagrams,
+    splitting_field_pcis,
+)
+from .groups import AbelianGroupSpec, GroupElement, subgroup_closure
+from .oracle import compare_pci_sets, oracle_pci_set, wedderburn_profile
+
+FULL_CHECK_LIMIT = 512  # beyond this order, pairwise sweeps are sampled
+SAMPLE_SEED = 1729
+SAMPLE_SIZE = 256
+SPLIT_CHECK_LIMIT = 64  # largest cyclic group whose splitting field is checked
+
+
+@dataclass(frozen=True)
+class Check:
+    """One check's result; detail is a short note for the report, or None."""
+
+    name: str
+    ok: bool
+    detail: str | None = None
+
+
+def _sample(items: list, mode: str) -> list:
+    """Every item in full mode; in sampled mode, at most SAMPLE_SIZE of them
+    drawn with the fixed seed, so a run is reproducible."""
+    if mode == "sampled" and len(items) > SAMPLE_SIZE:
+        return random.Random(SAMPLE_SEED).sample(items, SAMPLE_SIZE)
+    return items
+
+
+def collapse_matches_closed_form(
+    splitting: list[CycloAlgebraElement], m: int, closed: list[AlgebraElement]
+) -> tuple[list[AlgebraElement], bool]:
+    """The Galois-orbit collapse of the splitting-field idempotents of C_m,
+    and whether it equals the closed-form rational set `closed`."""
+    collapsed = galois_orbit_collapse(splitting, m)
+    return collapsed, compare_pci_sets(collapsed, closed).equal
+
+
+def run_checks(spec: AbelianGroupSpec, mode: str, alternate_order: bool) -> list[Check]:
+    """Every check of the engine's result for spec, in report order.
+
+    mode is "full" or "sampled"; sampled mode checks a fixed-seed sample
+    of the orthogonality pairs and of the diagram vertices.
+    """
+    checks: list[Check] = []
+
+    def check(name: str, ok: bool, detail: str | None = None):
+        checks.append(Check(name, ok, detail))
+
+    diagrams = [(part, build_pci_diagram(part)) for part in spec.parts]
+    records = records_from_diagrams(spec, [diag for _, diag in diagrams])
+    elements = [rec.element for rec in records]
+    count = len(elements)
+
+    bad = [i for i, e in enumerate(elements) if not is_idempotent(e)]
+    check(
+        "engine_idempotency",
+        not bad,
+        f"failures at {bad}" if bad else f"{count} idempotents",
+    )
+
+    pairs = sorted(
+        _sample([(i, j) for i in range(count) for j in range(i + 1, count)], mode)
+    )
+    bad_pair = next(
+        ((i, j) for i, j in pairs if not are_orthogonal(elements[i], elements[j])), None
+    )
+    check(
+        "engine_orthogonality",
+        bad_pair is None,
+        f"pair {bad_pair} not orthogonal"
+        if bad_pair
+        else f"{len(pairs)} pairs checked ({mode})",
+    )
+
+    total = sum(elements, AlgebraElement.zero(spec))
+    check("engine_sum_to_identity", total == AlgebraElement.one(spec))
+
+    cmp = compare_pci_sets(elements, oracle_pci_set(spec))
+    check(
+        "engine_matches_oracle",
+        cmp.equal,
+        None
+        if cmp.equal
+        else f"witness on {cmp.witness_side} side: {cmp.witness.to_strings()}",
+    )
+
+    vertices = [
+        (part, v) for part, diag in diagrams for level in diag.levels for v in level
+    ]
+    check(
+        "factored_form_structure",
+        all(v.trivial == (v.form.primed is None) for _, v in vertices),
+    )
+
+    kernel_failures = []
+    sampled = _sample(vertices, mode)
+    for part, v in sampled:
+        tracked = subgroup_closure(part, v.form.kernel_gens)
+        if len(tracked) != v.kernel_order:
+            kernel_failures.append((part.p, v.level, v.index, "size"))
+            continue
+        expansion = expand_from_subgroup(part, subgroup_indices(tracked), v.form.primed)
+        if kernel_subgroup(expansion) != tracked:
+            kernel_failures.append((part.p, v.level, v.index, "kernel"))
+    check(
+        "vertex_kernels",
+        not kernel_failures,
+        f"failures: {kernel_failures[:3]}"
+        if kernel_failures
+        else f"{len(sampled)} vertices checked ({mode})",
+    )
+
+    for part, diag in diagrams:
+        profile = wedderburn_profile(part)  # raises on census disagreement
+        leaf_counts = Counter(v.field_index for v in diag.leaves)
+        check(
+            f"component_counts_p{part.p}",
+            all(leaf_counts[row.r] == row.census for row in profile.rows),
+            "; ".join(
+                f"r={row.r}: census={row.census} formula={row.formula} "
+                f"variant={row.statement_variant}"
+                for row in profile.rows
+            ),
+        )
+
+    if len(spec.factor_orders) == 1:
+        part, diag = diagrams[0]
+        n = part.classes[0][0]
+        closed = cyclic_rational_pcis(part.p, n)
+        leaves = [rec.element for rec in leaf_records(diag)]
+        check(
+            "cyclic_closed_form",
+            len(closed) == n + 1 and compare_pci_sets(closed, leaves).equal,
+            f"{n + 1} idempotents",
+        )
+        if part.order <= SPLIT_CHECK_LIMIT:
+            sound = _splitting_field_coherent(part, closed)
+            check("splitting_field_coherence", sound, f"modulus {part.order}")
+
+    if alternate_order:
+        alt = [r.element for r in pci_records(spec, alternate_order=True)]
+        alt_ok = compare_pci_sets(alt, oracle_pci_set(spec)).equal
+        check("alternate_order_soundness", alt_ok)
+    return checks
+
+
+def _splitting_field_coherent(part, closed: list[AlgebraElement]) -> bool:
+    """The p^n splitting-field idempotents of C_{p^n} over Q(zeta_{p^n}) are
+    idempotent, pairwise orthogonal and sum to 1; their Galois-orbit sums are
+    the closed-form rational set; and they are the extension children of
+    the idempotents one chain step down."""
+    p, n, m = part.p, part.classes[0][0], part.order
+    splitting = splitting_field_pcis(p, n)
+    sound = all(e * e == e for e in splitting)
+    sound = sound and all(
+        (splitting[i] * splitting[j]).is_zero()
+        for i in range(m)
+        for j in range(i + 1, m)
+    )
+    one = CycloAlgebraElement.one(part, m)
+    sound = sound and sum(splitting[1:], splitting[0]) == one
+    sound = sound and collapse_matches_closed_form(splitting, m, closed)[1]
+    gen = GroupElement(part, (1,))
+    children = [
+        child
+        for eta in splitting_field_pcis(p, n - 1)
+        for child in extension_children(lift_into_extension(eta), gen)
+    ]
+    return sound and Counter(c.reduced() for c in children) == Counter(
+        e.reduced() for e in splitting
+    )

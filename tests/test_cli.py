@@ -167,7 +167,7 @@ def test_bad_backend_variable_exits_2(subcommand, value, monkeypatch, capsys):
 
 
 def test_verify_builds_each_diagram_once(monkeypatch):
-    from pcikit import cli, diagram
+    from pcikit import diagram, verify
 
     builds = []
     original = diagram.build_pci_diagram
@@ -177,12 +177,31 @@ def test_verify_builds_each_diagram_once(monkeypatch):
         return original(part, *args, **kwargs)
 
     monkeypatch.setattr(diagram, "build_pci_diagram", counting)
-    monkeypatch.setattr(cli, "build_pci_diagram", counting)
+    monkeypatch.setattr(verify, "build_pci_diagram", counting)
     for group, primes in (("2:[2,1];3:[1]", [2, 3]), ("3:[2]", [3])):
         builds.clear()
         code, _ = run_json("verify", group)
         assert code == 0
         assert sorted(builds) == primes
+
+
+def assert_refused_quickly(argv):
+    # A separate process with a timeout, so a hang fails instead of stalling.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "pcikit.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=20,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert len(proc.stderr) < 200
 
 
 @pytest.mark.parametrize(
@@ -196,22 +215,15 @@ def test_verify_builds_each_diagram_once(monkeypatch):
         # literals past Python's 4300-digit limit for int()
         pytest.param("7" * 5000 + ":[1]", id="prime-literal-5000-digits"),
         pytest.param("2:[" + "1" * 5000 + "]", id="exponent-literal-5000-digits"),
+        pytest.param("x" * 5000, id="malformed-part-5000-chars"),
     ],
 )
 def test_over_cap_exponent_exits_2_quickly(group):
-    # A separate process with a timeout, so a hang fails instead of stalling.
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+    assert_refused_quickly(["pci", "--group", group])
+
+
+def test_untestable_prime_under_raised_cap_exits_2_quickly():
+    # 2^89 - 1 lies above the range where is_prime is fast; the cap admits it.
+    assert_refused_quickly(
+        ["pci", "--group", "618970019642690137449562111:[1]", "--max-order", "1" + "0" * 27]
     )
-    proc = subprocess.run(
-        [sys.executable, "-m", "pcikit.cli", "pci", "--group", group],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=20,
-    )
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
-    assert len(proc.stderr) < 200

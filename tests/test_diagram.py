@@ -5,7 +5,6 @@ import pytest
 
 from pcikit import (
     AlgebraElement,
-    CapExceededError,
     CycloAlgebraElement,
     GroupElement,
     GroupSpecError,
@@ -79,13 +78,6 @@ def test_trivial_group_diagram():
     diag = build_pci_diagram(PrimaryGroupSpec(3, ()))
     assert diag.level_sizes() == [1]
     assert diag.leaf_expansions() == [AlgebraElement.one(PrimaryGroupSpec(3, ()))]
-
-
-def test_max_order_cap():
-    with pytest.raises(CapExceededError):
-        build_pci_diagram(PrimaryGroupSpec(2, ((3, 1),)), max_order=4)
-    with pytest.raises(CapExceededError):
-        splitting_field_pcis(2, 3, max_order=4)
 
 
 def test_generator_order_validation():

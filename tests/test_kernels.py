@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 
 from pcikit.kernels import Spectra, _convolve_bigint, convolve_ints, transform_plan
 
@@ -46,13 +45,6 @@ def test_spectra_norms_are_exact_beyond_int64():
     assert (s.l1, s.linf, s.nnz, s.vec) == (big + 3, big, 2, None)
     s = Spectra((-(2**63), 1), (2,))
     assert (s.l1, s.linf) == (2**63 + 1, 2**63)
-
-
-def test_unknown_backend_argument_rejected():
-    from pcikit import ConfigError
-
-    with pytest.raises(ConfigError):
-        convolve_ints([1, 0], [0, 1], (2,), backend="fortran")
 
 
 def test_pointwise_checks_use_enough_primes():

@@ -1,0 +1,77 @@
+"""verify must catch a wrong engine result, not only pass a right one.
+
+Each test corrupts what pcikit.verify receives from the engine, then checks
+that the named checks fail and that the CLI exits 1 with status "fail".
+"""
+
+import dataclasses
+import json
+
+import pytest
+
+from pcikit import AlgebraElement, diagram, verify
+from pcikit.cli import main
+
+ENGINE_CHECKS = {
+    "engine_idempotency",
+    "engine_orthogonality",
+    "engine_sum_to_identity",
+    "engine_matches_oracle",
+}
+
+
+def failed_checks(group, capsys) -> set[str]:
+    assert main(["verify", "--group", group]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "fail"
+    return {c["name"] for c in data["checks"] if c["status"] == "fail"}
+
+
+def shift_one_numerator(records):
+    e = records[0].element
+    nums = list(e.nums)
+    nums[0] += 1
+    moved = dataclasses.replace(records[0], element=AlgebraElement(e.spec, nums, e.den))
+    return [moved, *records[1:]]
+
+
+@pytest.mark.parametrize("group", ["2:[2,1]", "2:[1];3:[1]"])
+@pytest.mark.parametrize(
+    "corrupt, expected",
+    [
+        pytest.param(shift_one_numerator, ENGINE_CHECKS, id="shifted-numerator"),
+        pytest.param(
+            lambda records: records[:-1],
+            {"engine_sum_to_identity", "engine_matches_oracle"},
+            id="dropped-leaf",
+        ),
+        pytest.param(
+            lambda records: records + records[:1],
+            {"engine_orthogonality", "engine_sum_to_identity", "engine_matches_oracle"},
+            id="duplicated-leaf",
+        ),
+    ],
+)
+def test_corrupted_engine_records_fail(group, corrupt, expected, monkeypatch, capsys):
+    original = verify.records_from_diagrams
+    monkeypatch.setattr(
+        verify,
+        "records_from_diagrams",
+        lambda spec, diagrams: corrupt(original(spec, diagrams)),
+    )
+    assert expected <= failed_checks(group, capsys)
+
+
+@pytest.mark.parametrize("group", ["2:[2,2]", "3:[2,2]"])
+def test_wrong_split_witness_fails_vertex_kernels(group, monkeypatch, capsys):
+    # u itself is the witness only when u^p lies in the kernel; on these
+    # groups some split needs a scanned coset element instead.
+    original = diagram._split_witness
+
+    def always_u(u, *args):
+        return None if original(u, *args) is None else u
+
+    monkeypatch.setattr(diagram, "_split_witness", always_u)
+    # The wrong children still sum to their parent, so the sum check holds.
+    expected = (ENGINE_CHECKS - {"engine_sum_to_identity"}) | {"vertex_kernels"}
+    assert expected <= failed_checks(group, capsys)
