@@ -8,7 +8,7 @@ fully reduced, so equality is plain tuple comparison with zero tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -19,19 +19,15 @@ from .groups import (
     GroupElement,
     GroupSpec,
     PrimaryGroupSpec,
-    element_from_index,
     element_index,
     elements,
-    identity,
-    subgroup_closure,
-)
-from .kernels import (
-    Spectra,
-    convolve_ints,
     enumeration_tables,
-    primes_needed,
+    identity,
+    index_set,
+    subgroup_closure,
     translate_indices,
 )
+from .kernels import Spectra, convolve_ints, primes_needed
 from .numtheory import euler_phi, prime_power
 
 _KERNEL_BLOCK = 1 << 20  # translated indices per block of kernel_subgroup's tests
@@ -171,17 +167,6 @@ class AlgebraElement(_Lattice):
         nums, den = integer_form(coeffs)
         return cls(spec, nums, den)
 
-    @classmethod
-    def subgroup_average(
-        cls, spec: GroupSpec, subgroup: Iterable[GroupElement]
-    ) -> "AlgebraElement":
-        """The idempotent (1/|H|) * sum of the elements of a subgroup H."""
-        members = list(subgroup)
-        nums = [0] * spec.order
-        for h in members:
-            nums[element_index(h)] += 1
-        return cls(spec, nums, len(members))
-
     # -- accessors ----------------------------------------------------
 
     @property
@@ -295,11 +280,6 @@ class FactoredIdempotent:
     primed: GroupElement | None = None
 
 
-def subgroup_indices(subgroup: Iterable[GroupElement]) -> np.ndarray:
-    """The enumeration indices of a set of elements, as an int64 array."""
-    return np.array([element_index(g) for g in subgroup], dtype=np.int64)
-
-
 def expand_from_subgroup(
     spec: PrimaryGroupSpec,
     kernel: np.ndarray,
@@ -307,7 +287,7 @@ def expand_from_subgroup(
 ) -> AlgebraElement:
     """Expansion of K-average times (1 - (1 + z + ... + z^(p-1))/p) for an
     already-computed subgroup K, given as an array of distinct element
-    indices."""
+    indices; with primed None, the average of K alone."""
     size = len(kernel)
     nums = np.zeros(spec.order, dtype=np.int64)
     if primed is None:
@@ -334,7 +314,7 @@ def expand_factored(f: FactoredIdempotent) -> AlgebraElement:
     the expansion is K-average times (1 - (1 + z + ... + z^(p-1))/p).
     """
     return expand_from_subgroup(
-        f.spec, subgroup_indices(subgroup_closure(f.spec, f.kernel_gens)), f.primed
+        f.spec, subgroup_closure(f.spec, f.kernel_gens), f.primed
     )
 
 
@@ -370,10 +350,11 @@ def fraction_free_rank(rows: Sequence[Sequence[int]]) -> int:
 
 @dataclass(frozen=True)
 class KernelInfo:
-    """Kernel subgroup of an idempotent plus the invariants of the simple
-    component it generates."""
+    """Kernel subgroup of an idempotent, as sorted element indices, plus
+    the invariants of the simple component it generates.  The kernel is
+    left out of == and hash, since arrays do not compare as one value."""
 
-    kernel: frozenset[GroupElement]
+    kernel: np.ndarray = field(compare=False)
     quotient_order: int
     dim: int
 
@@ -386,8 +367,9 @@ class KernelInfo:
         return pp[1] if pp else None
 
 
-def kernel_subgroup(e: AlgebraElement) -> frozenset[GroupElement]:
-    """{g : g*e = e}, by translation tests over the support.
+def kernel_subgroup(e: AlgebraElement) -> np.ndarray:
+    """{g : g*e = e} as sorted element indices, by translation tests over
+    the support.
 
     A translation g fixing e maps the support onto itself keeping values,
     so g*s0 has the value of s0 for the first support index s0; only those
@@ -400,13 +382,13 @@ def kernel_subgroup(e: AlgebraElement) -> frozenset[GroupElement]:
         vals = np.array(e.nums, dtype=object)
     supp = np.flatnonzero(vals)
     if not supp.size:
-        return frozenset(elements(spec))
+        return index_set(np.ones(spec.order, dtype=bool))
     digits, mods, strides = enumeration_tables(spec.factor_orders)
     s0 = supp[0]
     same = supp[vals[supp] == vals[s0]]
     candidates = ((digits[same] - digits[s0]) % mods) @ strides
     rows = max(1, _KERNEL_BLOCK // supp.size)
-    members = []
+    fixed = np.zeros(spec.order, dtype=bool)
     for start in range(0, candidates.size, rows):
         block = candidates[start : start + rows]
         # moved[c, j]: index of block[c] * supp[j], summed one factor at a
@@ -414,8 +396,8 @@ def kernel_subgroup(e: AlgebraElement) -> frozenset[GroupElement]:
         moved = np.zeros((block.size, supp.size), dtype=np.int64)
         for col, m, s in zip(digits.T, mods, strides):
             moved += (col[block][:, None] + col[supp]) % m * s
-        members.extend(block[(vals[moved] == vals[supp]).all(axis=1)].tolist())
-    return frozenset(element_from_index(spec, i) for i in members)
+        fixed[block[(vals[moved] == vals[supp]).all(axis=1)]] = True
+    return index_set(fixed)
 
 
 def kernel_and_field(e: AlgebraElement) -> KernelInfo:
@@ -424,22 +406,13 @@ def kernel_and_field(e: AlgebraElement) -> KernelInfo:
     if not is_idempotent(e):
         raise InvariantError("input is not an idempotent")
     spec = e.spec
-    rows: dict[tuple[int, ...], None] = {}
-    kernel = []
-    for i in range(spec.order):
-        perm = translate_indices(i, spec.factor_orders)
-        moved = [0] * spec.order
-        for j, v in enumerate(e.nums):
-            if v:
-                moved[perm[j]] = v
-        moved = tuple(moved)
-        if moved == e.nums:
-            kernel.append(element_from_index(spec, i))
-        rows.setdefault(moved)
+    # the distinct translates of e span Q[G]e, so their rank is its dimension
+    rows = dict.fromkeys(translate(g, e).nums for g in elements(spec))
+    kernel = kernel_subgroup(e)
     quotient = spec.order // len(kernel)
     dim = fraction_free_rank(list(rows))
     if dim != euler_phi(quotient):
         raise InconsistencyError(
             f"component dimension {dim} != phi({quotient}); input is not primitive"
         )
-    return KernelInfo(frozenset(kernel), quotient, dim)
+    return KernelInfo(kernel, quotient, dim)

@@ -27,8 +27,7 @@ from .algebra import (
     lowest_terms,
 )
 from .errors import InconsistencyError, InvariantError, SpecMismatchError
-from .groups import GroupElement, GroupSpec, element_index
-from .kernels import translate_indices
+from .groups import GroupElement, GroupSpec, element_index, translate_indices
 from .numtheory import cyclotomic_poly, euler_phi, mobius
 
 

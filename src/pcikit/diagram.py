@@ -50,10 +50,11 @@ from .groups import (
     element_index,
     element_order,
     embed_generator,
+    enumeration_tables,
     identity,
+    index_set,
     long_generator_sequence,
 )
-from .kernels import enumeration_tables
 
 
 @dataclass(frozen=True)
@@ -187,9 +188,7 @@ def _coset_span(kernel: np.ndarray, w: int, p: int, tables) -> np.ndarray:
     members = np.zeros(len(tables[0]), dtype=bool)
     members[kernel] = True
     members[_products(tables, shifts[:, None], kernel)] = True
-    span = np.flatnonzero(members)
-    span.setflags(write=False)
-    return span
+    return index_set(members)
 
 
 def build_pci_diagram(

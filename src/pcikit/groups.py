@@ -14,8 +14,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Union
+
+import numpy as np
 
 from .errors import CapExceededError, GroupSpecError, SpecMismatchError
 from .numtheory import MR_LIMIT, is_prime
@@ -181,7 +183,10 @@ def parse_group_spec(text: str, max_order: int | None = None) -> AbelianGroupSpe
         if len(p_text) > len(str(MR_LIMIT)) or int(p_text) >= MR_LIMIT:
             raise GroupSpecError(f"prime of part {n} is beyond the primality test")
         p = int(p_text)
-        exps = sorted(map(int, exp_texts), reverse=True)
+        try:
+            exps = sorted(map(int, exp_texts), reverse=True)
+        except ValueError:  # past the interpreter's digit limit for int()
+            raise GroupSpecError(f"exponent too long in {_shown(chunk)}") from None
         if exps[-1] < 1:
             raise GroupSpecError(f"exponents must be positive in {_shown(chunk)}")
         classes = []
@@ -255,6 +260,44 @@ def identity(spec: GroupSpec) -> GroupElement:
     return _raw_element(spec, (0,) * len(spec.factor_orders))
 
 
+@cache
+def enumeration_tables(orders: tuple[int, ...]):
+    """Digit/modulus/stride tables for the element enumeration.
+
+    Index i enumerates exponent vectors mixed-radix lexicographically
+    (first factor most significant): digits[i] is the exponent vector, and
+    for any two indices the product element sits at
+    ((digits[i] + digits[j]) % mods) @ strides.
+    """
+    k = len(orders)
+    n = math.prod(orders)
+    mods = np.array(orders, dtype=np.int64)
+    strides = np.ones(k, dtype=np.int64)
+    for i in range(k - 2, -1, -1):
+        strides[i] = strides[i + 1] * orders[i + 1]
+    idx = np.arange(n, dtype=np.int64)
+    digits = np.empty((n, k), dtype=np.int64)
+    for i in range(k):
+        digits[:, i] = (idx // strides[i]) % mods[i]
+    for table in (digits, mods, strides):
+        table.setflags(write=False)
+    return digits, mods, strides
+
+
+def translate_indices(i: int, orders: tuple[int, ...]) -> np.ndarray:
+    """Permutation j -> index of (element i) * (element j)."""
+    digits, mods, strides = enumeration_tables(orders)
+    return ((digits[i] + digits) % mods) @ strides
+
+
+def index_set(mask: np.ndarray) -> np.ndarray:
+    """The positions set in a boolean mask over the enumeration, as the one
+    subgroup form: a sorted, read-only int64 array of element indices."""
+    members = np.flatnonzero(mask)
+    members.setflags(write=False)
+    return members
+
+
 def element_index(g: GroupElement) -> int:
     """Position of g in the mixed-radix lexicographic enumeration."""
     idx = 0
@@ -293,26 +336,35 @@ def element_order(g: GroupElement) -> int:
     )
 
 
-def subgroup_closure(
-    spec: GroupSpec, gens: Iterable[GroupElement]
-) -> frozenset[GroupElement]:
-    """Smallest subgroup containing gens (the identity if gens is empty)."""
+def subgroup_closure(spec: GroupSpec, gens: Iterable[GroupElement]) -> np.ndarray:
+    """Smallest subgroup containing gens (the identity if gens is empty), as
+    the sorted, read-only int64 array of its element indices.
+
+    Breadth first on indices: each round multiplies the elements found in
+    the round before by every generator and keeps the products not yet seen.
+
+    >>> C9 = PrimaryGroupSpec(3, ((2, 1),))
+    >>> subgroup_closure(C9, [element(C9, (6,))]).tolist()
+    [0, 3, 6]
+    >>> C4C2 = parse_group_spec("2:[2,1]")
+    >>> subgroup_closure(C4C2, [element(C4C2, (1, 1))]).tolist()
+    [0, 3, 4, 7]
+    """
     gens = list(gens)
-    for g in gens:
-        if g.spec != spec:
-            raise SpecMismatchError("generator from a different group")
-    seen = {identity(spec)}
-    frontier = list(seen)
-    while frontier:
-        fresh = []
-        for h in frontier:
-            for g in gens:
-                w = group_mul(h, g)
-                if w not in seen:
-                    seen.add(w)
-                    fresh.append(w)
-        frontier = fresh
-    return frozenset(seen)
+    if any(g.spec != spec for g in gens):
+        raise SpecMismatchError("generator from a different group")
+    digits, mods, strides = enumeration_tables(spec.factor_orders)
+    steps = digits[[element_index(g) for g in gens]]
+    seen = np.zeros(spec.order, dtype=bool)
+    frontier = np.zeros(1, dtype=np.int64)  # the identity has index 0
+    seen[frontier] = True
+    while frontier.size:
+        fresh = np.zeros(spec.order, dtype=bool)
+        fresh[((digits[frontier][:, None] + steps) % mods) @ strides] = True
+        fresh &= ~seen
+        seen |= fresh
+        frontier = np.flatnonzero(fresh)
+    return index_set(seen)
 
 
 def long_generator_sequence(spec: PrimaryGroupSpec) -> list[LongGenerator]:

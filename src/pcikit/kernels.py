@@ -28,6 +28,7 @@ from functools import cache
 import numpy as np
 
 from .errors import ConfigError
+from .groups import enumeration_tables
 from .numtheory import factorize, is_prime
 
 try:
@@ -58,36 +59,6 @@ def active_backend() -> str:
     if choice == "numba" and numba is None:
         raise ConfigError(f"{BACKEND_ENV_VAR}=numba but numba is not importable")
     return choice
-
-
-@cache
-def enumeration_tables(orders: tuple[int, ...]):
-    """Digit/modulus/stride tables for the element enumeration.
-
-    Index i enumerates exponent vectors lexicographically (first factor most
-    significant): digits[i] is the exponent vector, and for any two indices
-    the product element sits at ((digits[i] + digits[j]) % mods) @ strides.
-    """
-    k = len(orders)
-    n = math.prod(orders)
-    mods = np.array(orders, dtype=np.int64)
-    strides = np.ones(k, dtype=np.int64)
-    for i in range(k - 2, -1, -1):
-        strides[i] = strides[i + 1] * orders[i + 1]
-    idx = np.arange(n, dtype=np.int64)
-    digits = np.empty((n, k), dtype=np.int64)
-    for i in range(k):
-        digits[:, i] = (idx // strides[i]) % mods[i]
-    digits.setflags(write=False)
-    mods.setflags(write=False)
-    strides.setflags(write=False)
-    return digits, mods, strides
-
-
-def translate_indices(i: int, orders: tuple[int, ...]) -> np.ndarray:
-    """Permutation j -> index of (element i) * (element j)."""
-    digits, mods, strides = enumeration_tables(orders)
-    return ((digits[i] + digits) % mods) @ strides
 
 
 # -- transform plan ------------------------------------------------------

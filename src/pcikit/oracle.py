@@ -24,8 +24,7 @@ from .errors import (
     SpecMismatchError,
     VerificationError,
 )
-from .groups import GroupSpec, PrimaryGroupSpec
-from .kernels import enumeration_tables
+from .groups import GroupSpec, PrimaryGroupSpec, enumeration_tables
 from .numtheory import euler_phi
 
 
@@ -75,31 +74,21 @@ def rational_pci_of_character(spec: GroupSpec, chi: CharacterIndex) -> AlgebraEl
     return AlgebraElement(spec, ram[a].tolist(), spec.order)
 
 
-def _tuple_index(t: tuple[int, ...], orders: tuple[int, ...]) -> int:
-    idx = 0
-    for v, d in zip(t, orders):
-        idx = idx * d + v
-    return idx
-
-
 def oracle_pci_set(spec: GroupSpec) -> list[AlgebraElement]:
     """Complete set of primitive central idempotents of Q[G], one per Galois
     orbit of characters; equality of the idempotents within each orbit is
     asserted along the way."""
-    orders = spec.factor_orders
+    digits, mods, strides = enumeration_tables(spec.factor_orders)
     L = spec.exponent
-    units = [k for k in range(1, L + 1) if math.gcd(k, L) == 1]
+    units = np.array([k for k in range(1, L + 1) if math.gcd(k, L) == 1])
     chars = dual_characters(spec)
     pcis = [rational_pci_of_character(spec, chi) for chi in chars]
     out = []
     seen: set[int] = set()
-    for i, chi in enumerate(chars):
+    for i in range(len(chars)):
         if i in seen:
             continue
-        orbit = {
-            _tuple_index(tuple((k * t) % d for t, d in zip(chi.t, orders)), orders)
-            for k in units
-        }
+        orbit = set((((units[:, None] * digits[i]) % mods) @ strides).tolist())
         seen |= orbit
         for j in orbit:
             if pcis[j] != pcis[i]:

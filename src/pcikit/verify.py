@@ -12,16 +12,18 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
+
 from .algebra import (
     AlgebraElement,
     are_orthogonal,
     expand_from_subgroup,
     is_idempotent,
     kernel_subgroup,
-    subgroup_indices,
 )
 from .cyclotomic import CycloAlgebraElement
 from .diagram import (
+    PciVertex,
     build_pci_diagram,
     cyclic_rational_pcis,
     extension_children,
@@ -32,7 +34,7 @@ from .diagram import (
     records_from_diagrams,
     splitting_field_pcis,
 )
-from .groups import AbelianGroupSpec, GroupElement, subgroup_closure
+from .groups import AbelianGroupSpec, GroupElement, PrimaryGroupSpec, subgroup_closure
 from .oracle import compare_pci_sets, oracle_pci_set, wedderburn_profile
 
 FULL_CHECK_LIMIT = 512  # beyond this order, pairwise sweeps are sampled
@@ -124,16 +126,8 @@ def run_checks(spec: AbelianGroupSpec, mode: str, alternate_order: bool) -> list
         all(v.trivial == (v.form.primed is None) for _, v in vertices),
     )
 
-    kernel_failures = []
     sampled = _sample(vertices, mode)
-    for part, v in sampled:
-        tracked = subgroup_closure(part, v.form.kernel_gens)
-        if len(tracked) != v.kernel_order:
-            kernel_failures.append((part.p, v.level, v.index, "size"))
-            continue
-        expansion = expand_from_subgroup(part, subgroup_indices(tracked), v.form.primed)
-        if kernel_subgroup(expansion) != tracked:
-            kernel_failures.append((part.p, v.level, v.index, "kernel"))
+    kernel_failures = vertex_kernel_failures(sampled)
     check(
         "vertex_kernels",
         not kernel_failures,
@@ -174,6 +168,24 @@ def run_checks(spec: AbelianGroupSpec, mode: str, alternate_order: bool) -> list
         alt_ok = compare_pci_sets(alt, oracle_pci_set(spec)).equal
         check("alternate_order_soundness", alt_ok)
     return checks
+
+
+def vertex_kernel_failures(
+    vertices: list[tuple[PrimaryGroupSpec, PciVertex]],
+) -> list[tuple[int, int, int, str]]:
+    """(p, level, index, what) for each (part, vertex) whose kernel
+    generators do not span a subgroup of the recorded order ("size"), or
+    span one that is not the kernel of the vertex's expansion ("kernel")."""
+    failures = []
+    for part, v in vertices:
+        tracked = subgroup_closure(part, v.form.kernel_gens)
+        if len(tracked) != v.kernel_order:
+            failures.append((part.p, v.level, v.index, "size"))
+            continue
+        expansion = expand_from_subgroup(part, tracked, v.form.primed)
+        if not np.array_equal(kernel_subgroup(expansion), tracked):
+            failures.append((part.p, v.level, v.index, "kernel"))
+    return failures
 
 
 def _splitting_field_coherent(part, closed: list[AlgebraElement]) -> bool:

@@ -27,15 +27,14 @@ from pcikit import (
     galois_orbits,
     is_idempotent,
     kernel_and_field,
-    kernel_subgroup,
     lift_into_extension,
     ramanujan_sum,
     ramanujan_sum_direct,
     splitting_field_pcis,
-    subgroup_closure,
     wedderburn_profile,
 )
 from pcikit.cli import RunConfig, run
+from pcikit.verify import vertex_kernel_failures
 from pcikit.numtheory import euler_phi
 
 from conftest import engine_set, full_corpus, oracle_set, primary_corpus
@@ -147,12 +146,9 @@ def test_criterion_7_factored_form_and_kernels():
     with criterion(7, "one primed factor per nontrivial vertex; tracked = algebraic kernel"):
         for spec in primary_corpus():
             diag = build_pci_diagram(spec)
-            for level in diag.levels:
-                for v in level:
-                    assert v.trivial == (v.form.primed is None)
-                    tracked = subgroup_closure(spec, v.form.kernel_gens)
-                    assert len(tracked) == v.kernel_order
-                    assert kernel_subgroup(v.expansion()) == tracked
+            vertices = [(spec, v) for level in diag.levels for v in level]
+            assert all(v.trivial == (v.form.primed is None) for _, v in vertices)
+            assert vertex_kernel_failures(vertices) == [], spec
 
 
 def test_criterion_8_ramanujan_cross_check():

@@ -15,6 +15,7 @@ from pcikit import (
     cross_prime_product,
     cyclic_group_spec,
     cyclic_rational_pcis,
+    element_index,
     emit_dot,
     extension_children,
     galois_orbit_collapse,
@@ -120,7 +121,7 @@ def test_homocyclic_split_uses_coset_witness():
     assert corrected, "expected at least one split via a corrected witness"
     for v in corrected:
         kernel = subgroup_closure(spec, v.form.kernel_gens)
-        assert v.form.primed not in kernel
+        assert element_index(v.form.primed) not in kernel
 
 
 def test_diagram_values_are_shareable_across_threads():
@@ -309,6 +310,7 @@ def test_emit_dot_shape():
 
 def test_build_runs_no_group_multiplication(monkeypatch):
     from pcikit import groups
+    from pcikit.verify import run_checks
 
     calls = []
     original = groups.group_mul
@@ -322,6 +324,10 @@ def test_build_runs_no_group_multiplication(monkeypatch):
         spec = parse_group_spec(text).parts[0]
         diag = build_pci_diagram(spec)
         assert calls == [], text
-        subgroup_closure(spec, diag.generators)
+        diag.generators[0] * diag.generators[-1]
         assert calls, "the counter must see GroupElement products"
         calls.clear()
+    # nor does verify, closures and kernel checks included
+    for text in ("2:[1,1,1,1,1,1]", "3:[2,2]"):
+        checks = run_checks(parse_group_spec(text), "full", False)
+        assert all(c.ok for c in checks) and calls == [], text

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from pcikit import (
@@ -56,6 +57,14 @@ def test_parse_cap_measures_literals_without_leading_zeros():
             parse_group_spec(over, 4096)
     with pytest.raises(GroupSpecError):
         parse_group_spec("2:[1]", 0)
+
+
+def test_parse_without_cap_refuses_giant_exponent_literal():
+    # past Python's 4300-digit limit for int(); refused like any bad part
+    text = "2:[" + "1" * 5000 + "]"
+    with pytest.raises(GroupSpecError) as info:
+        parse_group_spec(text)
+    assert "'2:[1111" in str(info.value) and len(str(info.value)) < 80
 
 def test_long_generator_sequence_c9():
     assert long_generator_sequence(C9) == [
@@ -125,10 +134,18 @@ def test_element_order():
 
 def test_subgroup_closure():
     closure = subgroup_closure(C9, [element(C9, (3,))])
-    assert {g.exps for g in closure} == {(0,), (3,), (6,)}
-    assert subgroup_closure(C9, []) == frozenset([identity(C9)])
+    assert closure.dtype == np.int64 and not closure.flags.writeable
+    assert {element_from_index(C9, i).exps for i in closure} == {(0,), (3,), (6,)}
+    assert subgroup_closure(C9, []).tolist() == [element_index(identity(C9))]
     closure = subgroup_closure(C4C2, [element(C4C2, (1, 1))])
-    assert {g.exps for g in closure} == {(0, 0), (1, 1), (2, 0), (3, 1)}
+    assert [element_from_index(C4C2, i).exps for i in closure] == [
+        (0, 0),
+        (1, 1),
+        (2, 0),
+        (3, 1),
+    ]
+    with pytest.raises(SpecMismatchError):
+        subgroup_closure(C9, [element(C4, (1,))])
 
 
 def test_enumeration_bijection():

@@ -3,6 +3,7 @@ from fractions import Fraction
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import event, example, given, settings, strategies as st
 
@@ -85,17 +86,49 @@ def test_element_order_divides_group_order(data):
     assert a**k == identity(spec)
 
 
-@given(spec_and_elements(2))
+def _closure_reference(spec, gens):
+    """Slow reference: breadth-first closure over GroupElement sets."""
+    seen = {identity(spec)}
+    frontier = list(seen)
+    while frontier:
+        fresh = []
+        for h in frontier:
+            for g in gens:
+                w = group_mul(h, g)
+                if w not in seen:
+                    seen.add(w)
+                    fresh.append(w)
+        frontier = fresh
+    return frozenset(seen)
+
+
+# 0 to 4 generators, so the empty closure and 3 or more generators occur
+spec_and_generators = st.integers(min_value=0, max_value=4).flatmap(spec_and_elements)
+
+
+@given(spec_and_generators)
+@settings(max_examples=80, deadline=None)
+def test_closure_matches_element_set_reference(data):
+    spec, gens = data
+    event(f"{len(gens)} generators")
+    expected = sorted(element_index(g) for g in _closure_reference(spec, gens))
+    assert subgroup_closure(spec, gens).tolist() == expected
+
+
+@given(spec_and_generators)
 @settings(max_examples=40, deadline=None)
 def test_closure_is_subgroup(data):
     spec, gens = data
     sub = subgroup_closure(spec, gens)
+    members = set(sub.tolist())
     assert spec.order % len(sub) == 0
-    assert identity(spec) in sub
-    for g in list(sub)[:5]:
-        assert g.inverse() in sub
-        for h in list(sub)[:5]:
-            assert group_mul(g, h) in sub
+    assert element_index(identity(spec)) in members
+    assert {element_index(g) for g in gens} <= members
+    for i in sub[:5]:
+        g = element_from_index(spec, i)
+        assert element_index(g.inverse()) in members
+        for j in sub[:5]:
+            assert element_index(group_mul(g, element_from_index(spec, j))) in members
 
 
 @given(spec_and_algebra_elements(3))
@@ -436,13 +469,13 @@ def test_diagram_kernels_match_closure_reference(spec, alternate):
     diag = build_pci_diagram(spec, labels)
     for v, kernel in zip(diag.leaves, diag.leaf_kernels):
         closure = subgroup_closure(spec, v.form.kernel_gens)
-        assert len(kernel) == len(closure) == v.kernel_order
-        assert set(kernel.tolist()) == {element_index(g) for g in closure}
+        assert len(kernel) == v.kernel_order
+        assert np.array_equal(kernel, closure)
     assert diag.leaf_expansions() == [expand_factored(v.form) for v in diag.leaves]
 
 
 def _kernel_reference(e):
-    return frozenset(g for g in elements(e.spec) if translate(g, e) == e)
+    return [element_index(g) for g in elements(e.spec) if translate(g, e) == e]
 
 
 @st.composite
@@ -465,4 +498,4 @@ def kernel_inputs(draw):
 @given(kernel_inputs())
 @settings(max_examples=80, deadline=None)
 def test_kernel_subgroup_matches_translation_reference(e):
-    assert kernel_subgroup(e) == _kernel_reference(e)
+    assert kernel_subgroup(e).tolist() == _kernel_reference(e)
