@@ -63,13 +63,20 @@ def integer_form(values: Iterable) -> tuple[list[int], int]:
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
-def fraction_strings(nums: Iterable[int], den: int) -> list[str]:
-    """Each nums[i]/den as an exact "num/den" string in lowest terms."""
-    out = []
-    for v in nums:
+def fraction_strings(nums: Sequence[int], den: int) -> list[str]:
+    """Each nums[i]/den as an exact "num/den" string in lowest terms.  Each
+    distinct numerator is formatted once; equal entries share one string.
+
+    >>> fraction_strings((0, -2, 3, 2**64, 3), 6)
+    ['0/1', '-1/3', '1/2', '9223372036854775808/3', '1/2']
+    >>> fraction_strings((0, 5, -7), 1)
+    ['0/1', '5/1', '-7/1']
+    """
+    text = {}
+    for v in set(nums):
         g = math.gcd(v, den)
-        out.append(f"{v // g}/{den // g}")
-    return out
+        text[v] = f"{v // g}/{den // g}"
+    return list(map(text.__getitem__, nums))
 
 
 class _Lattice:

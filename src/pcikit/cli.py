@@ -52,8 +52,66 @@ def _field_name(d: int) -> str:
     return "Q" if d == 1 else f"Q(zeta_{d})"
 
 
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _json_text(payload) -> str:
+    """json.dumps(payload, indent=2) + "\n", byte for byte.  json's
+    pure-Python indent encoder costs more than computing a large payload, so
+    this writer dispatches on exact types: dict (str keys), list, tuple,
+    str, int, bool and None are written here, a float by json.dumps, and
+    any other type raises TypeError."""
+    out: list[str] = []
+    _write(payload, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(obj, newline: str, out: list[str]) -> None:
+    # newline: a line break and the indent of the line obj starts on.
+    kind = type(obj)
+    if kind is str:
+        out.append(_quote(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
+    elif kind is bool:
+        out.append("true" if obj else "false")
+    elif obj is None:
+        out.append("null")
+    elif kind is float:
+        out.append(json.dumps(obj))
+    elif kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            _write(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        kinds = set(map(type, obj))
+        if kinds == {str} or kinds == {int}:  # one join, no call per item
+            write = _quote if str in kinds else int.__repr__
+            items = ("," + inner).join(map(write, obj))
+            out.append("[" + inner + items + newline + "]")
+            return
+        sep = "[" + inner
+        for item in obj:
+            out.append(sep)
+            _write(item, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _payload(spec, **fields) -> dict:
@@ -236,7 +294,7 @@ def _run_split(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
         chain_length=n,
         modulus=m,
         splitting_pcis=[
-            {"t": t, "coefficients": [c.to_json() for c in e.coeffs]}
+            {"t": t, "coefficients": e.to_json()["coeffs"]}
             for t, e in enumerate(splitting)
         ],
         orbits=orbits,

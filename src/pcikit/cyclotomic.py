@@ -358,7 +358,19 @@ class CycloAlgebraElement(_Lattice):
         )
 
     def to_json(self) -> dict:
-        return {"m": self.m, "coeffs": [c.to_json() for c in self.coeffs]}
+        """{"m": m, "coeffs": [CycloNumber.to_json() of each coefficient]},
+        formatted from the reduced matrix: an entry's lowest terms do not
+        depend on the denominator it is stored over."""
+        den, flat = self.reduced()
+        deg = euler_phi(self.m)
+        strings = fraction_strings(flat, den)
+        return {
+            "m": self.m,
+            "coeffs": [
+                {"m": self.m, "coeffs": strings[i : i + deg]}
+                for i in range(0, len(strings), deg)
+            ],
+        }
 
     def __repr__(self) -> str:
         return f"CycloAlgebraElement({self.spec.spec_text()}, m={self.m})"

@@ -498,10 +498,9 @@ def cross_prime_product(
             if e.spec != part:
                 raise SpecMismatchError("idempotent does not match its primary part")
     out = []
-    for combo in itertools.product(*per_part_sets):
-        nums = [1]
-        den = 1
-        for e in combo:
+    for first, *rest in itertools.product(*per_part_sets):
+        nums, den = first.nums, first.den
+        for e in rest:
             nums = [x * y for x in nums for y in e.nums]
             den *= e.den
         out.append(AlgebraElement(spec, nums, den))

@@ -1,13 +1,16 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcikit import AlgebraElement, are_orthogonal, is_idempotent, parse_group_spec
-from pcikit.cli import RunConfig, build_parser, main, run
+from pcikit.cli import RunConfig, _json_text, build_parser, main, run
 
 
 def run_json(subcommand, group, **kwargs):
@@ -227,3 +230,61 @@ def test_untestable_prime_under_raised_cap_exits_2_quickly():
     assert_refused_quickly(
         ["pci", "--group", "618970019642690137449562111:[1]", "--max-order", "1" + "0" * 27]
     )
+
+
+# Quotes, backslashes, control characters, DEL and non-ASCII text.
+json_text_st = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600'), st.characters())
+)
+json_scalar_st = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, -1]),
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.floats(),
+    json_text_st,
+)
+json_payload_st = st.recursive(
+    json_scalar_st,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.lists(children, max_size=5).map(tuple),
+        st.lists(json_text_st, max_size=5),
+        st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=5),
+        st.dictionaries(json_text_st, children, max_size=5),
+    ),
+    max_leaves=12,
+)
+
+
+@given(json_payload_st)
+@settings(max_examples=100, deadline=None)
+def test_json_writer_matches_json_dumps(payload):
+    assert _json_text(payload) == json.dumps(payload, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "payload", [{"a": {1, 2}}, [b"bytes"], Fraction(1, 2), {1: "int key"}, [object()]]
+)
+def test_json_writer_refuses_other_types(payload):
+    with pytest.raises(TypeError):
+        _json_text(payload)
+
+
+# md5 of the stdout of large outputs: the JSON writer and the coefficient
+# strings must not move a byte of them.
+PINNED_OUTPUT_MD5 = [
+    ("pci", "2:[1,1,1,1,1,1,1,1,1]", "json", "fe666c1e8485e9639974eb5804c714eb"),
+    ("diagram", "2:[1,1,1,1,1,1,1,1,1]", "json", "d3573f65e68bb5e74109823432ef0e04"),
+    ("pci", "2:[1,1,1,1,1];3:[1,1,1]", "json", "dbe5874e5d482aee857cb56621c07855"),
+    ("diagram", "2:[1,1,1,1,1];3:[1,1,1]", "json", "5d265e50388fc50a0bb649eded4395e0"),
+    ("pci", "7:[2,2]", "text", "5112adf3d923c115854f663c0bef2964"),
+    ("split", "2:[6]", "json", "0ce14078ff04436384b961c3bf20b3f3"),
+]
+
+
+@pytest.mark.parametrize("subcommand, group, output_format, md5", PINNED_OUTPUT_MD5)
+def test_large_outputs_are_pinned(subcommand, group, output_format, md5):
+    code, output = run(RunConfig(subcommand, group, output_format=output_format))
+    assert code == 0
+    assert hashlib.md5(output.encode()).hexdigest() == md5

@@ -34,6 +34,7 @@ from pcikit import (
     subgroup_closure,
     translate,
 )
+from pcikit.algebra import fraction_strings
 from pcikit.diagram import alternate_generator_labels
 from pcikit.kernels import Spectra, _convolve_bigint, convolve_ints, primes_needed
 from pcikit.numtheory import cyclotomic_poly
@@ -221,6 +222,13 @@ big_den_st = st.one_of(
 rational_st = st.builds(Fraction, big_int_st, big_den_st)
 
 
+@given(st.lists(big_int_st, max_size=40), big_den_st)
+@settings(max_examples=100, deadline=None)
+def test_fraction_strings_match_fraction_reference(nums, den):
+    expected = [f"{f.numerator}/{f.denominator}" for f in (Fraction(v, den) for v in nums)]
+    assert fraction_strings(nums, den) == expected
+
+
 @st.composite
 def cyclo_pairs(draw):
     """m in 1..30 and two coordinate lists of any length up to m + 4, past
@@ -317,6 +325,7 @@ def test_cyclo_algebra_matches_coefficientwise_field_arithmetic(data):
         assert (x - y).cyclo_coeff(g) == xc[g] - yc[g]
         assert (x * c).cyclo_coeff(g) == xc[g] * c
     assert (x == y) == (xc == yc)
+    assert x.to_json() == {"m": m, "coeffs": [c.to_json() for c in xc]}
     assert (x - x).is_zero() and x - x == CycloAlgebraElement.zero(spec, m)
     # den of either sign reaches the shared normaliser
     assert CycloAlgebraElement(spec, m, [-v for v in x.nums], -x.den) == x
