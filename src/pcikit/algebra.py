@@ -24,13 +24,12 @@ from .groups import (
     enumeration_tables,
     identity,
     index_set,
+    product_indices,
     subgroup_closure,
     translate_indices,
 )
 from .kernels import Spectra, convolve_ints, primes_needed
 from .numtheory import euler_phi, prime_power
-
-_KERNEL_BLOCK = 1 << 20  # translated indices per block of kernel_subgroup's tests
 
 
 def lowest_terms(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
@@ -303,14 +302,13 @@ def expand_from_subgroup(
     z = element_index(primed)
     if (kernel == z).any():
         raise InvariantError("primed element lies in the averaged subgroup")
-    p = spec.p
-    perm = translate_indices(z, spec.factor_orders)
+    p, tables = spec.p, enumeration_tables(spec.factor_orders)
     # common denominator p*|K|: p at kernel positions minus the z-cycle counts
     nums[kernel] = p
     cur = kernel
     for _ in range(p):
         nums[cur] -= 1  # each translate of K has distinct indices
-        cur = perm[cur]
+        cur = product_indices(tables, z, cur)
     return AlgebraElement(spec, nums.tolist(), p * size)
 
 
@@ -375,13 +373,16 @@ class KernelInfo:
 
 
 def kernel_subgroup(e: AlgebraElement) -> np.ndarray:
-    """{g : g*e = e} as sorted element indices, by translation tests over
-    the support.
+    """{g : g*e = e} as sorted element indices, grown as a stabiliser.
 
     A translation g fixing e maps the support onto itself keeping values,
     so g*s0 has the value of s0 for the first support index s0; only those
-    g are tested, each on the whole support (enough, as translation is a
-    bijection).  The zero element is fixed by all of G."""
+    candidates g are tested, each on the whole support (enough, as
+    translation is a bijection).  With S the fixing subgroup found so far,
+    a fixing candidate c grows S to S<c>, at least doubling it; a failing
+    one rules out its whole coset cS, as cs fixes e only if c does.  So
+    the tests number at most the S-cosets among the candidates plus
+    log2|G|.  The zero element is fixed by all of G."""
     spec = e.spec
     try:
         vals = np.array(e.nums, dtype=np.int64)
@@ -390,20 +391,24 @@ def kernel_subgroup(e: AlgebraElement) -> np.ndarray:
     supp = np.flatnonzero(vals)
     if not supp.size:
         return index_set(np.ones(spec.order, dtype=bool))
-    digits, mods, strides = enumeration_tables(spec.factor_orders)
+    tables = enumeration_tables(spec.factor_orders)
+    digits, mods, strides = tables
     s0 = supp[0]
     same = supp[vals[supp] == vals[s0]]
-    candidates = ((digits[same] - digits[s0]) % mods) @ strides
-    rows = max(1, _KERNEL_BLOCK // supp.size)
-    fixed = np.zeros(spec.order, dtype=bool)
-    for start in range(0, candidates.size, rows):
-        block = candidates[start : start + rows]
-        # moved[c, j]: index of block[c] * supp[j], summed one factor at a
-        # time; under half the time of one (c, j, factor) tensor and matmul
-        moved = np.zeros((block.size, supp.size), dtype=np.int64)
-        for col, m, s in zip(digits.T, mods, strides):
-            moved += (col[block][:, None] + col[supp]) % m * s
-        fixed[block[(vals[moved] == vals[supp]).all(axis=1)]] = True
+    undecided = ((digits[same] - digits[s0]) % mods) @ strides
+    fixed = np.zeros(spec.order, dtype=bool)  # S, the identity at index 0
+    fixed[0] = True
+    decided = fixed.copy()  # in S, or in a coset known not to fix e
+    while (undecided := undecided[~decided[undecided]]).size:
+        c, members = undecided[0], np.flatnonzero(fixed)
+        if not (vals[product_indices(tables, c, supp)] == vals[supp]).all():
+            decided[product_indices(tables, c, members)] = True
+            continue
+        power = c
+        while not fixed[power]:  # add the cosets c^k S, up to c^k in S
+            fixed[product_indices(tables, power, members)] = True
+            power = product_indices(tables, power, c)
+        decided |= fixed
     return index_set(fixed)
 
 

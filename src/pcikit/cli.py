@@ -33,7 +33,7 @@ from .groups import AbelianGroupSpec, parse_group_spec
 from .kernels import active_backend
 from .numtheory import euler_phi, prime_power
 from .oracle import wedderburn_profile
-from .verify import FULL_CHECK_LIMIT, collapse_matches_closed_form, run_checks
+from .verify import collapse_matches_closed_form, run_checks
 
 DEFAULT_MAX_ORDER = 4096
 
@@ -44,7 +44,6 @@ class RunConfig:
     group_text: str
     output_format: str = "json"
     max_order: int = DEFAULT_MAX_ORDER
-    check_level: str | None = None  # None: full up to FULL_CHECK_LIMIT, then sampled
     alternate_order: bool = False
 
 
@@ -308,14 +307,13 @@ def _run_split(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
 
 
 def _run_verify(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
-    mode = config.check_level or (
-        "full" if spec.order <= FULL_CHECK_LIMIT else "sampled"
-    )
-    checks = run_checks(spec, mode, config.alternate_order)
+    # verify has one mode; "check level full" stays in both reports for
+    # the programs that read them
+    checks = run_checks(spec, config.alternate_order)
     ok = all(c.ok for c in checks)
     code = 0 if ok else 1
     if config.output_format == "text":
-        lines = [f"{_title(spec)}, check level {mode}"]
+        lines = [f"{_title(spec)}, check level full"]
         for c in checks:
             line = f"{_status(c.ok).upper()} {c.name}"
             if c.detail:
@@ -326,7 +324,7 @@ def _run_verify(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
     rows = [
         {"name": c.name, "status": _status(c.ok), "detail": c.detail} for c in checks
     ]
-    payload = _payload(spec, check_level=mode, checks=rows, status=_status(ok))
+    payload = _payload(spec, check_level="full", checks=rows, status=_status(ok))
     return code, _json_text(payload)
 
 
@@ -383,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("split", help="splitting-field idempotents and orbit collapse"))
     verify = sub.add_parser("verify", help="run the full cross-check suite")
     add_common(verify, alternate=True)
-    verify.add_argument("--check-level", choices=("full", "sampled"), default=None)
     return parser
 
 
@@ -394,7 +391,6 @@ def main(argv=None) -> int:
         group_text=ns.group,
         output_format=ns.format,
         max_order=ns.max_order,
-        check_level=getattr(ns, "check_level", None),
         alternate_order=getattr(ns, "alternate_order", False),
     )
     try:

@@ -54,6 +54,7 @@ from .groups import (
     identity,
     index_set,
     long_generator_sequence,
+    product_indices,
 )
 
 
@@ -136,13 +137,6 @@ def alternate_generator_labels(spec: PrimaryGroupSpec) -> list[LongGenerator]:
     return out
 
 
-def _products(tables, a, b):
-    """Indices of the products of the elements indexed by a and b
-    (broadcast like numpy arrays)."""
-    digits, mods, strides = tables
-    return ((digits[a] + digits[b]) % mods) @ strides
-
-
 def _powers(tables, a, k):
     """Indices of the k-th powers of the elements indexed by a."""
     digits, mods, strides = tables
@@ -173,7 +167,7 @@ def _split_witness(
         return None
     in_kernel = np.zeros(len(tables[0]), dtype=bool)
     in_kernel[kernel] = True
-    coset = _products(tables, u, level)
+    coset = product_indices(tables, u, level)
     hits = np.flatnonzero(in_kernel[_powers(tables, coset, p)])
     if not hits.size:
         raise InconsistencyError("no coset witness despite a non-cyclic quotient")
@@ -187,7 +181,7 @@ def _coset_span(kernel: np.ndarray, w: int, p: int, tables) -> np.ndarray:
     shifts = _powers(tables, w, np.arange(1, p)[:, None])
     members = np.zeros(len(tables[0]), dtype=bool)
     members[kernel] = True
-    members[_products(tables, shifts[:, None], kernel)] = True
+    members[product_indices(tables, shifts[:, None], kernel)] = True
     return index_set(members)
 
 
@@ -273,7 +267,7 @@ def build_pci_diagram(
                 else:
                     zi = element_index(z)
                     for i in range(p):
-                        extra = int(_products(tables, _powers(tables, zi, i), w))
+                        extra = int(product_indices(tables, _powers(tables, zi, i), w))
                         grown = _coset_span(kernel, extra, p, tables)
                         if len(grown) != p * len(kernel) or _contains(grown, zi):
                             raise InconsistencyError(

@@ -284,6 +284,16 @@ def enumeration_tables(orders: tuple[int, ...]):
     return digits, mods, strides
 
 
+def product_indices(tables, a, b):
+    """Indices of the products of the elements indexed by a and b
+    (broadcast like numpy arrays), from enumeration_tables.  Two digits sum
+    to less than twice their modulus, so each factor carries at most once:
+    index(g*h) = index(g) + index(h) - mods*strides summed over the carries,
+    with no division."""
+    digits, mods, strides = tables
+    return a + b - (digits[a] >= mods - digits[b]) @ (mods * strides)
+
+
 def translate_indices(i: int, orders: tuple[int, ...]) -> np.ndarray:
     """Permutation j -> index of (element i) * (element j)."""
     digits, mods, strides = enumeration_tables(orders)
@@ -353,14 +363,14 @@ def subgroup_closure(spec: GroupSpec, gens: Iterable[GroupElement]) -> np.ndarra
     gens = list(gens)
     if any(g.spec != spec for g in gens):
         raise SpecMismatchError("generator from a different group")
-    digits, mods, strides = enumeration_tables(spec.factor_orders)
-    steps = digits[[element_index(g) for g in gens]]
+    tables = enumeration_tables(spec.factor_orders)
+    steps = np.array([element_index(g) for g in gens], dtype=np.int64)
     seen = np.zeros(spec.order, dtype=bool)
     frontier = np.zeros(1, dtype=np.int64)  # the identity has index 0
     seen[frontier] = True
     while frontier.size:
         fresh = np.zeros(spec.order, dtype=bool)
-        fresh[((digits[frontier][:, None] + steps) % mods) @ strides] = True
+        fresh[product_indices(tables, frontier[:, None], steps)] = True
         fresh &= ~seen
         seen |= fresh
         frontier = np.flatnonzero(fresh)

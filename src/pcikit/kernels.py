@@ -33,7 +33,7 @@ from .numtheory import factorize, is_prime
 
 try:
     import numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
+except ImportError:  # numba is an optional extra
     numba = None
 
 BACKEND_ENV_VAR = "PCIKIT_BACKEND"

@@ -8,7 +8,6 @@ them is the CLI's job.
 
 from __future__ import annotations
 
-import random
 from collections import Counter
 from dataclasses import dataclass
 
@@ -16,7 +15,6 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
-    are_orthogonal,
     expand_from_subgroup,
     is_idempotent,
     kernel_subgroup,
@@ -37,9 +35,6 @@ from .diagram import (
 from .groups import AbelianGroupSpec, GroupElement, PrimaryGroupSpec, subgroup_closure
 from .oracle import compare_pci_sets, oracle_pci_set, wedderburn_profile
 
-FULL_CHECK_LIMIT = 512  # beyond this order, pairwise sweeps are sampled
-SAMPLE_SEED = 1729
-SAMPLE_SIZE = 256
 SPLIT_CHECK_LIMIT = 64  # largest cyclic group whose splitting field is checked
 
 
@@ -52,12 +47,20 @@ class Check:
     detail: str | None = None
 
 
-def _sample(items: list, mode: str) -> list:
-    """Every item in full mode; in sampled mode, at most SAMPLE_SIZE of them
-    drawn with the fixed seed, so a run is reproducible."""
-    if mode == "sampled" and len(items) > SAMPLE_SIZE:
-        return random.Random(SAMPLE_SEED).sample(items, SAMPLE_SIZE)
-    return items
+def certify_idempotents(
+    elements: list[AlgebraElement], total: AlgebraElement
+) -> tuple[list[int], bool]:
+    """The indices of the elements that are not idempotent, and whether the
+    elements are idempotents with e_i e_j = 0 for all i != j, given their
+    sum total: one idempotency test per element and one more.
+
+    Q[G] is commutative and semisimple, so its complex characters are ring
+    homomorphisms that together separate elements.  Each maps every
+    idempotent e_i to 0 or 1, so it maps total to the number of e_i it
+    sends to 1.  So total is idempotent iff no character sends two e_i to 1,
+    that is iff e_i e_j = 0 for all i != j."""
+    bad = [i for i, e in enumerate(elements) if not is_idempotent(e)]
+    return bad, not bad and is_idempotent(total)
 
 
 def collapse_matches_closed_form(
@@ -69,12 +72,9 @@ def collapse_matches_closed_form(
     return collapsed, compare_pci_sets(collapsed, closed).equal
 
 
-def run_checks(spec: AbelianGroupSpec, mode: str, alternate_order: bool) -> list[Check]:
-    """Every check of the engine's result for spec, in report order.
-
-    mode is "full" or "sampled"; sampled mode checks a fixed-seed sample
-    of the orthogonality pairs and of the diagram vertices.
-    """
+def run_checks(spec: AbelianGroupSpec, alternate_order: bool) -> list[Check]:
+    """Every check of the engine's result for spec, in report order; each
+    covers every idempotent, every pair of them and every diagram vertex."""
     checks: list[Check] = []
 
     def check(name: str, ok: bool, detail: str | None = None):
@@ -85,28 +85,18 @@ def run_checks(spec: AbelianGroupSpec, mode: str, alternate_order: bool) -> list
     elements = [rec.element for rec in records]
     count = len(elements)
 
-    bad = [i for i, e in enumerate(elements) if not is_idempotent(e)]
+    total = sum(elements, AlgebraElement.zero(spec))
+    bad, orthogonal = certify_idempotents(elements, total)
     check(
         "engine_idempotency",
         not bad,
         f"failures at {bad}" if bad else f"{count} idempotents",
     )
-
-    pairs = sorted(
-        _sample([(i, j) for i in range(count) for j in range(i + 1, count)], mode)
-    )
-    bad_pair = next(
-        ((i, j) for i, j in pairs if not are_orthogonal(elements[i], elements[j])), None
-    )
-    check(
-        "engine_orthogonality",
-        bad_pair is None,
-        f"pair {bad_pair} not orthogonal"
-        if bad_pair
-        else f"{len(pairs)} pairs checked ({mode})",
-    )
-
-    total = sum(elements, AlgebraElement.zero(spec))
+    if orthogonal:
+        detail = f"{count * (count - 1) // 2} pairs checked (full)"
+    else:
+        detail = "not every element is idempotent" if bad else "some pair is not orthogonal"
+    check("engine_orthogonality", orthogonal, detail)
     check("engine_sum_to_identity", total == AlgebraElement.one(spec))
 
     cmp = compare_pci_sets(elements, oracle_pci_set(spec))
@@ -126,14 +116,13 @@ def run_checks(spec: AbelianGroupSpec, mode: str, alternate_order: bool) -> list
         all(v.trivial == (v.form.primed is None) for _, v in vertices),
     )
 
-    sampled = _sample(vertices, mode)
-    kernel_failures = vertex_kernel_failures(sampled)
+    kernel_failures = vertex_kernel_failures(vertices)
     check(
         "vertex_kernels",
         not kernel_failures,
         f"failures: {kernel_failures[:3]}"
         if kernel_failures
-        else f"{len(sampled)} vertices checked ({mode})",
+        else f"{len(vertices)} vertices checked (full)",
     )
 
     for part, diag in diagrams:

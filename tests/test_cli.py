@@ -9,7 +9,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcikit import AlgebraElement, are_orthogonal, is_idempotent, parse_group_spec
+from pcikit import (
+    AlgebraElement,
+    are_orthogonal,
+    build_pci_diagram,
+    is_idempotent,
+    parse_group_spec,
+)
 from pcikit.cli import RunConfig, _json_text, build_parser, main, run
 
 
@@ -105,10 +111,16 @@ def test_verify_alternate_order():
     assert "alternate_order_soundness" in names
 
 
-def test_verify_sampled_mode():
-    code, data = run_json("verify", "2:[2,1]", check_level="sampled")
-    assert code == 0
-    assert data["check_level"] == "sampled"
+def test_verify_checks_every_pair_and_vertex_above_order_512(capsys):
+    assert main(["verify", "--group", "5:[1,1,1,1]"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["order"] == 625 and data["check_level"] == "full"
+    details = {c["name"]: c["detail"] for c in data["checks"]}
+    assert details["engine_idempotency"] == "157 idempotents"
+    assert details["engine_orthogonality"] == "12246 pairs checked (full)"
+    diag = build_pci_diagram(parse_group_spec("5:[1,1,1,1]").parts[0])
+    vertices = sum(diag.level_sizes())
+    assert details["vertex_kernels"] == f"{vertices} vertices checked (full)"
 
 
 def test_output_determinism():

@@ -329,5 +329,5 @@ def test_build_runs_no_group_multiplication(monkeypatch):
         calls.clear()
     # nor does verify, closures and kernel checks included
     for text in ("2:[1,1,1,1,1,1]", "3:[2,2]"):
-        checks = run_checks(parse_group_spec(text), "full", False)
+        checks = run_checks(parse_group_spec(text), False)
         assert all(c.ok for c in checks) and calls == [], text

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
+import itertools
 import math
 import random
 
 import numpy as np
 import pytest
-from hypothesis import event, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from conftest import partitions, spec_from_partition
 from pcikit import (
@@ -36,8 +37,10 @@ from pcikit import (
 )
 from pcikit.algebra import fraction_strings
 from pcikit.diagram import alternate_generator_labels
+from pcikit.groups import enumeration_tables, product_indices
 from pcikit.kernels import Spectra, _convolve_bigint, convolve_ints, primes_needed
 from pcikit.numtheory import cyclotomic_poly
+from pcikit.verify import certify_idempotents
 
 SPECS = [
     PrimaryGroupSpec(2, ((2, 1),)),
@@ -76,6 +79,9 @@ def test_group_laws(data):
     assert group_mul(group_mul(a, b), c) == group_mul(a, group_mul(b, c))
     assert group_mul(a, identity(spec)) == a
     assert group_mul(a, a.inverse()) == identity(spec)
+    tables = enumeration_tables(spec.factor_orders)
+    product = product_indices(tables, element_index(a), element_index(b))
+    assert element_from_index(spec, int(product)) == group_mul(a, b)
 
 
 @given(spec_and_elements(1))
@@ -487,10 +493,35 @@ def _kernel_reference(e):
     return [element_index(g) for g in elements(e.spec) if translate(g, e) == e]
 
 
+# Groups whose stabilisers can need several generators, or can hold the
+# square of an element that is not in them.
+PERIODIC_GROUPS = [
+    parse_group_spec(t)
+    for t in ("2:[2,1]", "2:[2,2]", "2:[3,1]", "2:[1,1,1,1]", "3:[2,1]", "2:[1];3:[1,1]")
+]
+
+
+@st.composite
+def coset_periodic(draw):
+    """Random values constant on the cosets of a random subgroup H: the
+    stabiliser contains H, and is rarely a value class."""
+    spec = draw(st.sampled_from(PERIODIC_GROUPS))
+    index = st.integers(min_value=0, max_value=spec.order - 1)
+    gens = [element_from_index(spec, i) for i in draw(st.lists(index, max_size=3))]
+    sub = subgroup_closure(spec, gens)
+    digits, mods, strides = enumeration_tables(spec.factor_orders)
+    values = draw(st.lists(st.integers(0, 2), min_size=spec.order, max_size=spec.order))
+    # each element takes the value drawn for the least index of its coset
+    least = (((digits[:, None] + digits[sub]) % mods) @ strides).min(axis=1)
+    return AlgebraElement(spec, [values[j] for j in least])
+
+
 @st.composite
 def kernel_inputs(draw):
+    kind = draw(st.sampled_from(["pci", "huge pci", "random", "zero", "coset-periodic"]))
+    if kind == "coset-periodic":
+        return draw(coset_periodic())
     spec = draw(st.sampled_from(SPECS + NEAR_MISS_GROUPS))
-    kind = draw(st.sampled_from(["pci", "huge pci", "random", "zero"]))
     if kind == "zero":
         return AlgebraElement.zero(spec)
     if kind == "random":
@@ -505,6 +536,55 @@ def kernel_inputs(draw):
 
 
 @given(kernel_inputs())
-@settings(max_examples=80, deadline=None)
+# On C_4 x C_2, periodic on {(0,0), (2,0)}: the candidate (1,0) fails, but
+# its square is in the stabiliser, so only the coset of S may be ruled out.
+@example(AlgebraElement(parse_group_spec("2:[2,1]"), [1, 2, 1, 0, 1, 2, 1, 0]))
+@settings(max_examples=150, deadline=None)
 def test_kernel_subgroup_matches_translation_reference(e):
-    assert kernel_subgroup(e).tolist() == _kernel_reference(e)
+    reference = _kernel_reference(e)
+    event(f"stabiliser order {len(reference)}")
+    assert kernel_subgroup(e).tolist() == reference
+
+
+@st.composite
+def idempotent_multisets(draw):
+    """Idempotents of a small group, each a PCI or a sum of two distinct
+    PCIs, repeats allowed."""
+    spec = draw(st.sampled_from(SPECS + NEAR_MISS_GROUPS))
+    pcis = pci_set(spec)
+    index = st.integers(min_value=0, max_value=len(pcis) - 1)
+    picks = draw(
+        st.lists(st.sets(index, min_size=1, max_size=2), min_size=1, max_size=8)
+    )
+    zero = AlgebraElement.zero(spec)
+    return spec, [sum((pcis[i] for i in pick), zero) for pick in picks]
+
+
+@given(idempotent_multisets())
+@settings(max_examples=100, deadline=None)
+def test_orthogonality_by_sum_matches_pairwise_sweep(data):
+    spec, members = data
+    total = sum(members, AlgebraElement.zero(spec))
+    pairwise = all(are_orthogonal(a, b) for a, b in itertools.combinations(members, 2))
+    event(f"orthogonal: {pairwise}")
+    assert certify_idempotents(members, total) == ([], pairwise)
+
+
+@given(st.sampled_from(NEAR_MISS_GROUPS), st.data())
+@settings(max_examples=60, deadline=None)
+def test_orthogonality_by_sum_refuses_non_idempotents(spec, data):
+    # distinct PCIs with e_0 split into e_0 + d and -d: the sum is still an
+    # idempotent, but the members are not all idempotents
+    pcis = pci_set(spec)
+    index = st.integers(min_value=0, max_value=len(pcis) - 1)
+    chosen = data.draw(st.lists(index, min_size=1, unique=True))
+    nums = data.draw(
+        st.lists(st.integers(-2, 2), min_size=spec.order, max_size=spec.order)
+    )
+    d = AlgebraElement(spec, nums, data.draw(st.integers(1, 4)))
+    members = [pcis[i] for i in chosen[1:]] + [pcis[chosen[0]] + d, -d]
+    assume(any(convolve(m, m) != m for m in members))
+    total = sum(members, AlgebraElement.zero(spec))
+    assert is_idempotent(total)
+    bad, orthogonal = certify_idempotents(members, total)
+    assert bad and not orthogonal
