@@ -107,18 +107,10 @@ class _Lattice:
             raise SpecMismatchError("elements belong to different group algebras")
 
     def __add__(self, other):
-        self._check(other)
-        return self._like(
-            (a * other.den + b * self.den for a, b in zip(self.nums, other.nums)),
-            self.den * other.den,
-        )
+        return lattice_sum((self, other))
 
     def __sub__(self, other):
-        self._check(other)
-        return self._like(
-            (a * other.den - b * self.den for a, b in zip(self.nums, other.nums)),
-            self.den * other.den,
-        )
+        return lattice_sum((self, -other))
 
     def __neg__(self):
         return self._like((-v for v in self.nums), self.den)
@@ -141,6 +133,31 @@ class _Lattice:
 
     def __rmul__(self, other):
         return self.scaled(other)
+
+
+def lattice_sum(terms: Iterable[_Lattice]) -> _Lattice:
+    """Exact sum of a nonempty run of elements of one algebra: terms on one
+    denominator are added column-wise, those partial sums are scaled to the
+    least common denominator, and the total is normalised once.
+
+    >>> from pcikit.groups import parse_group_spec
+    >>> spec = parse_group_spec("2:[1]")
+    >>> halves = [AlgebraElement(spec, (1, 1), 2), AlgebraElement(spec, (1, -1), 2)]
+    >>> lattice_sum(halves + [AlgebraElement(spec, (0, 1), 3)]).to_strings()
+    ['1/1', '1/3']
+    """
+    terms = list(terms)
+    if not terms:
+        raise InvariantError("empty sum")
+    by_den: dict[int, list[tuple[int, ...]]] = {}
+    for t in terms:
+        terms[0]._check(t)
+        by_den.setdefault(t.den, []).append(t.nums)
+    den = math.lcm(*by_den)
+    scaled = [
+        [v * (den // d) for v in map(sum, zip(*rows))] for d, rows in by_den.items()
+    ]
+    return terms[0]._like(map(sum, zip(*scaled)), den)
 
 
 class AlgebraElement(_Lattice):

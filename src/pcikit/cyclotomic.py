@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import cache, reduce as _reduce
+from functools import cache
 from typing import Iterable, Sequence
 
 from .algebra import (
@@ -375,10 +375,3 @@ class CycloAlgebraElement(_Lattice):
     def __repr__(self) -> str:
         return f"CycloAlgebraElement({self.spec.spec_text()}, m={self.m})"
 
-
-def cyclo_sum(terms: Iterable[CycloAlgebraElement]) -> CycloAlgebraElement:
-    """Sum of a nonempty sequence of compatible elements."""
-    terms = list(terms)
-    if not terms:
-        raise InvariantError("empty sum")
-    return _reduce(lambda a, b: a + b, terms)

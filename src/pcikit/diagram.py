@@ -33,8 +33,9 @@ from .algebra import (
     FactoredIdempotent,
     expand_factored,
     expand_from_subgroup,
+    lattice_sum,
 )
-from .cyclotomic import CycloAlgebraElement, CycloNumber, cyclo_sum
+from .cyclotomic import CycloAlgebraElement, CycloNumber
 from .errors import (
     GroupSpecError,
     InconsistencyError,
@@ -338,49 +339,46 @@ def _root_average_factor(
 
 
 def splitting_field_pcis(p: int, n: int) -> list[CycloAlgebraElement]:
-    """The p^n primitive idempotents of Q(zeta_{p^n})[C_{p^n}], built as the
-    product of one root-twisted average per chain generator.
-
-    Index t carries the character sending the group generator to
-    zeta^t, so the t-th result equals (1/p^n) * sum_k zeta^(-t*k) x^k.
-    """
+    """The p^n primitive idempotents of Q(zeta_{p^n})[C_{p^n}], from the
+    character formula: index t carries the character sending the group
+    generator x to zeta^t, and the t-th result is
+    (1/p^n) * sum_k zeta^(-t*k) x^k.  extension_children builds the same
+    set along the chain; verify compares the two."""
     spec = cyclic_group_spec(p, n)
     m = spec.order
-    if n == 0:
-        return [CycloAlgebraElement.one(spec, 1)]
-    gen = GroupElement(spec, (1,))
     out = []
     for t in range(m):
-        acc = CycloAlgebraElement.one(spec, m)
-        for j in range(1, n + 1):
-            # Chain generator x_j = gen^(p^(n-j)) paired with a compatible
-            # p^j-th root: the p-th power of each root is the previous one.
-            acc = acc * _root_average_factor(
-                spec, m, gen ** (p ** (n - j)), (-t * p ** (n - j)) % m
-            )
-        out.append(acc)
+        nums = [0] * (m * m)
+        for k in range(m):
+            nums[k * m + (-t * k) % m] = 1
+        out.append(CycloAlgebraElement(spec, m, nums, m))
     return out
+
+
+def _cyclic_spec(eta: CycloAlgebraElement) -> PrimaryGroupSpec:
+    """eta's group, checked to be a cyclic p-group whose order is eta's modulus."""
+    spec = eta.spec
+    if not isinstance(spec, PrimaryGroupSpec) or len(spec.factor_orders) > 1:
+        raise InvariantError("input must live over a cyclic p-power group")
+    if eta.m != spec.order:
+        raise SpecMismatchError("modulus must equal the group order")
+    return spec
 
 
 def lift_into_extension(eta: CycloAlgebraElement) -> CycloAlgebraElement:
     """Reindex a splitting idempotent of C_{p^(n-1)} into C_{p^n}: the small
     group embeds as the subgroup of p-th powers, and zeta_{p^(n-1)} becomes
     the p-th power of the larger root of unity."""
-    small = eta.spec
-    if not isinstance(small, PrimaryGroupSpec) or len(small.factor_orders) > 1:
-        raise InvariantError("input must live over a cyclic p-power group")
-    if eta.m != small.order:
-        raise SpecMismatchError("modulus must equal the group order")
+    small = _cyclic_spec(eta)
     p = small.p
     n_small = small.classes[0][0] if small.classes else 0
     big = cyclic_group_spec(p, n_small + 1)
     m_big = big.order
     nums = [0] * (big.order * m_big)
-    for g in range(small.order):
-        for e in range(eta.m):
-            v = eta.nums[g * eta.m + e]
-            if v:
-                nums[(g * p) * m_big + e * p] = v
+    for i, v in enumerate(eta.nums):
+        if v:
+            g, e = divmod(i, eta.m)
+            nums[(g * p) * m_big + e * p] = v
     return CycloAlgebraElement(big, m_big, nums, eta.den)
 
 
@@ -394,12 +392,7 @@ def extension_children(
     is the new chain generator.  Children multiply eta by the p root-twisted
     averages of top_gen whose roots are the p-th roots of eta's own top root.
     """
-    spec = eta.spec
-    if not isinstance(spec, PrimaryGroupSpec) or len(spec.factor_orders) > 1:
-        raise InvariantError("extension requires a cyclic p-power group")
-    m = eta.m
-    if m != spec.order:
-        raise SpecMismatchError("modulus must equal the group order")
+    spec, m = _cyclic_spec(eta), eta.m
     p = spec.p
     if top_gen.spec != spec or element_order(top_gen) != spec.order:
         raise InvariantError("top generator must generate the whole group")
@@ -445,7 +438,7 @@ def galois_orbit_collapse(
         raise InvariantError("need one splitting idempotent per character index")
     out = []
     for orbit in galois_orbits(m):
-        total = cyclo_sum(splitting[t] for t in orbit)
+        total = lattice_sum(splitting[t] for t in orbit)
         if not total.is_rational():
             raise InconsistencyError(
                 f"orbit {orbit} does not sum to a rational element"

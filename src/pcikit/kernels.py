@@ -343,7 +343,7 @@ def convolve_ints(a, b, orders: tuple[int, ...]):
     l1(b)*max|a|) in absolute value.  B above int64 takes the bigint path.
     The direct path, whose implementation PCIKIT_BACKEND selects, takes
     the products whose sparser operand has at most one nonzero per cyclic
-    axis (the monomial factors of the splitting-field products), and those
+    axis (for p = 2, the root-twisted averages of extension_children), and those
     whose B the plan's primes do not cover (2B >= their product).
     Everything else takes the transform path.
 

@@ -18,6 +18,7 @@ from .algebra import (
     expand_from_subgroup,
     is_idempotent,
     kernel_subgroup,
+    lattice_sum,
 )
 from .cyclotomic import CycloAlgebraElement
 from .diagram import (
@@ -85,7 +86,7 @@ def run_checks(spec: AbelianGroupSpec, alternate_order: bool) -> list[Check]:
     elements = [rec.element for rec in records]
     count = len(elements)
 
-    total = sum(elements, AlgebraElement.zero(spec))
+    total = lattice_sum(elements)
     bad, orthogonal = certify_idempotents(elements, total)
     check(
         "engine_idempotency",
@@ -179,19 +180,14 @@ def vertex_kernel_failures(
 
 def _splitting_field_coherent(part, closed: list[AlgebraElement]) -> bool:
     """The p^n splitting-field idempotents of C_{p^n} over Q(zeta_{p^n}) are
-    idempotent, pairwise orthogonal and sum to 1; their Galois-orbit sums are
-    the closed-form rational set; and they are the extension children of
-    the idempotents one chain step down."""
+    idempotent and sum to 1, so pairwise orthogonal (Q(zeta_{p^n})[G] is
+    commutative and semisimple; see certify_idempotents); their Galois-orbit
+    sums are the closed-form rational set; and they are the extension
+    children of the idempotents one chain step down."""
     p, n, m = part.p, part.classes[0][0], part.order
     splitting = splitting_field_pcis(p, n)
     sound = all(e * e == e for e in splitting)
-    sound = sound and all(
-        (splitting[i] * splitting[j]).is_zero()
-        for i in range(m)
-        for j in range(i + 1, m)
-    )
-    one = CycloAlgebraElement.one(part, m)
-    sound = sound and sum(splitting[1:], splitting[0]) == one
+    sound = sound and lattice_sum(splitting) == CycloAlgebraElement.one(part, m)
     sound = sound and collapse_matches_closed_form(splitting, m, closed)[1]
     gen = GroupElement(part, (1,))
     children = [

@@ -292,6 +292,9 @@ PINNED_OUTPUT_MD5 = [
     ("diagram", "2:[1,1,1,1,1];3:[1,1,1]", "json", "5d265e50388fc50a0bb649eded4395e0"),
     ("pci", "7:[2,2]", "text", "5112adf3d923c115854f663c0bef2964"),
     ("split", "2:[6]", "json", "0ce14078ff04436384b961c3bf20b3f3"),
+    ("split", "2:[7]", "json", "91425f50d9e8ba76cc7b090b7f2654cc"),
+    ("split", "3:[4]", "json", "65565548f9b5236c619b50eb758e259c"),
+    ("split", "5:[3]", "json", "8e43873c96438e5cc2022ec3c0723e68"),
 ]
 
 

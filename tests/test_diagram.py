@@ -195,16 +195,22 @@ def test_splitting_field_pcis_c2():
     assert got == expected
 
 
-def test_splitting_matches_character_formula():
-    # t-th idempotent = (1/m) sum_k zeta^(-tk) x^k
-    for p, n in ((2, 2), (3, 1), (5, 1)):
-        m = p**n
-        spec = cyclic_group_spec(p, n)
-        for t, e in enumerate(splitting_field_pcis(p, n)):
-            nums = [0] * (m * m)
-            for k in range(m):
-                nums[k * m + (-t * k) % m] = 1
-            assert e == CycloAlgebraElement(spec, m, nums, m)
+def test_extension_chain_matches_character_formula():
+    # splitting_field_pcis builds (1/m) sum_k zeta^(-tk) x^k directly; the
+    # paper's chain, lifted and refined one generator at a time from the
+    # trivial group, must reach the same set.
+    for p, n in ((2, 4), (3, 2), (5, 2), (7, 1)):
+        level = splitting_field_pcis(p, 0)
+        for j in range(1, n + 1):
+            gen = GroupElement(cyclic_group_spec(p, j), (1,))
+            level = [
+                child
+                for eta in level
+                for child in extension_children(lift_into_extension(eta), gen)
+            ]
+        assert Counter(e.reduced() for e in level) == Counter(
+            e.reduced() for e in splitting_field_pcis(p, n)
+        )
 
 
 def test_splitting_sum_to_one():

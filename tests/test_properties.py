@@ -1,7 +1,9 @@
 from fractions import Fraction
 
+import functools
 import itertools
 import math
+import operator
 import random
 
 import numpy as np
@@ -13,6 +15,7 @@ from pcikit import (
     AlgebraElement,
     CycloAlgebraElement,
     CycloNumber,
+    InvariantError,
     SpecMismatchError,
     PrimaryGroupSpec,
     are_orthogonal,
@@ -35,7 +38,7 @@ from pcikit import (
     subgroup_closure,
     translate,
 )
-from pcikit.algebra import fraction_strings
+from pcikit.algebra import fraction_strings, integer_form, lattice_sum, lowest_terms
 from pcikit.diagram import alternate_generator_labels
 from pcikit.groups import enumeration_tables, product_indices
 from pcikit.kernels import Spectra, _convolve_bigint, convolve_ints, primes_needed
@@ -357,6 +360,58 @@ def test_lattice_types_do_not_mix():
     ):
         with pytest.raises(SpecMismatchError):
             check()
+
+
+@st.composite
+def lattice_terms(draw):
+    """1-6 elements of one algebra, Q[G] or Q(zeta_m)[G], whose
+    denominators mix small shared values with ones beyond int64."""
+    spec = draw(st.sampled_from(LATTICE_GROUPS))
+    m = draw(st.sampled_from([None, 1, 3, 4, 8]))
+    size = spec.order * (m or 1)
+    nums = st.lists(big_int_st, min_size=size, max_size=size)
+    den = st.one_of(st.sampled_from([1, 2, 3, 4, 6]), big_den_st)
+    count = draw(st.integers(min_value=1, max_value=6))
+    if m is None:
+        terms = [AlgebraElement(spec, draw(nums), draw(den)) for _ in range(count)]
+    else:
+        terms = [
+            CycloAlgebraElement(spec, m, draw(nums), draw(den)) for _ in range(count)
+        ]
+    return terms
+
+
+@given(lattice_terms())
+@settings(max_examples=80, deadline=None)
+def test_lattice_sum_matches_left_fold_and_fractions(terms):
+    total = lattice_sum(terms)
+    assert type(total) is type(terms[0])
+    assert total == functools.reduce(operator.add, terms)
+    # one Fraction per lattice entry, rebuilt without lattice_sum
+    fracs = [
+        sum(Fraction(t.nums[i], t.den) for t in terms) for i in range(len(total.nums))
+    ]
+    nums, den = integer_form(fracs)
+    assert (total.nums, total.den) == lowest_terms(tuple(nums), den)
+
+
+def test_lattice_sum_refuses_empty_and_mixed_input():
+    spec, other = LATTICE_GROUPS[0], LATTICE_GROUPS[1]
+    with pytest.raises(InvariantError):
+        lattice_sum([])
+    with pytest.raises(InvariantError):
+        lattice_sum(iter(()))
+    mixed = [
+        [AlgebraElement.one(spec), AlgebraElement.one(other)],
+        [AlgebraElement.one(spec), CycloAlgebraElement.one(spec, 1)],
+        [CycloAlgebraElement.one(spec, 3), CycloAlgebraElement.one(spec, 4)],
+        [CycloAlgebraElement.one(spec, 3), CycloAlgebraElement.one(other, 3)],
+    ]
+    for terms in mixed:
+        with pytest.raises(SpecMismatchError):
+            lattice_sum(terms)
+        with pytest.raises(SpecMismatchError):
+            lattice_sum(terms[::-1])
 
 
 # Trivial, elementary, mixed and long cyclic axes: (128,) and (3, 81) are

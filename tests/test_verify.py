@@ -77,3 +77,21 @@ def test_wrong_split_witness_fails_vertex_kernels(group, monkeypatch, capsys):
     # The wrong children still sum to their parent, so the sum check holds.
     expected = (ENGINE_CHECKS - {"engine_sum_to_identity"}) | {"vertex_kernels"}
     assert expected <= failed_checks(group, capsys)
+
+
+@pytest.mark.parametrize("group, p, n", [("2:[3]", 2, 3), ("3:[2]", 3, 2)])
+def test_duplicated_splitting_idempotent_fails_coherence(group, p, n, monkeypatch, capsys):
+    # A copy of one splitting idempotent in place of another keeps the count
+    # at m and every element idempotent; only the sum to 1 (and with it
+    # pairwise orthogonality) and the extension-children match break.  The
+    # level below, which the extension children come from, stays intact.
+    original = verify.splitting_field_pcis
+
+    def duplicated(q, k):
+        out = original(q, k)
+        if (q, k) == (p, n):
+            out[1] = out[0]
+        return out
+
+    monkeypatch.setattr(verify, "splitting_field_pcis", duplicated)
+    assert failed_checks(group, capsys) == {"splitting_field_coherence"}
