@@ -18,7 +18,6 @@ from .algebra import (
 from .cyclotomic import (
     CycloAlgebraElement,
     CycloNumber,
-    cyclo_mul,
     galois_apply,
     ramanujan_sum,
     ramanujan_sum_direct,

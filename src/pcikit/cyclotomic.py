@@ -1,14 +1,13 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_m) and in group algebras
 with cyclotomic coefficients.
 
-CycloNumber keeps the canonical reduced form: integer coordinates over the
-power basis 1, zeta, ..., zeta^(phi(m)-1) modulo the m-th cyclotomic
-polynomial, on one common denominator.  CycloAlgebraElement stores an
-integer lattice over (group element, zeta power), also on one common
-denominator, with the arithmetic of algebra's lattice core; products are then
-plain convolutions over the extended abelian group G x C_m (zeta is a formal
-m-th root of unity), and reduction modulo the cyclotomic polynomial happens
-lazily, only for comparisons and output.
+Both live on one integer lattice over (group element, zeta power), on one
+common denominator, with the arithmetic of algebra's lattice core: products
+are plain convolutions over the extended abelian group G x C_m (zeta is a
+formal m-th root of unity), and reduction modulo the m-th cyclotomic
+polynomial happens lazily, only for comparisons and output.
+CycloAlgebraElement is Q(zeta_m)[G]; CycloNumber is Q(zeta_m), the same
+lattice over the trivial group.
 """
 
 from __future__ import annotations
@@ -24,10 +23,11 @@ from .algebra import (
     _Lattice,
     fraction_strings,
     integer_form,
+    lattice_sum,
     lowest_terms,
 )
 from .errors import InconsistencyError, InvariantError, SpecMismatchError
-from .groups import GroupElement, GroupSpec, element_index, translate_indices
+from .groups import AbelianGroupSpec, GroupElement, GroupSpec, element_index
 from .numtheory import cyclotomic_poly, euler_phi, mobius
 
 
@@ -50,11 +50,9 @@ def ramanujan_sum(m: int, t: int) -> int:
 def ramanujan_sum_direct(m: int, t: int) -> "CycloNumber":
     """Same sum evaluated term by term in Q(zeta_m); the independent twin of
     the closed form."""
-    total = CycloNumber.zero(m)
-    for k in range(1, m + 1):
-        if math.gcd(k, m) == 1:
-            total = total + CycloNumber.zeta(m, t * k)
-    return total
+    return lattice_sum(
+        CycloNumber.zeta(m, t * k) for k in range(1, m + 1) if math.gcd(k, m) == 1
+    )
 
 
 @cache
@@ -82,13 +80,89 @@ def _reduce_mod_cyclotomic(coeffs: Sequence[int], m: int) -> list[int]:
     return c[:deg]
 
 
-class CycloNumber:
-    """Element of Q(zeta_m): integer coordinates nums over the reduced power
-    basis 1, zeta, ..., zeta^(phi(m)-1), on one denominator den, in lowest
-    terms.  The constructor takes any rationals (coordinates of any length,
-    reduced modulo the m-th cyclotomic polynomial) over an integer den."""
+_TRIVIAL_GROUP = AbelianGroupSpec(())
 
-    __slots__ = ("m", "nums", "den")
+
+class _CycloLattice(_Lattice):
+    """Exact element of Q(zeta_m)[G] on the integer lattice G x C_m of
+    (group index, zeta power); index = group_index * m + zeta_power.
+    Equality and hashing compare the reduction modulo the m-th cyclotomic
+    polynomial, so this is not a Q[G] element even for m = 1."""
+
+    __slots__ = ("m", "_reduced")
+
+    def __init__(self, spec: GroupSpec, m: int, nums: Iterable[int], den: int = 1):
+        m = int(m)
+        if m < 1:
+            raise InvariantError(f"modulus must be positive, got {m}")
+        object.__setattr__(self, "m", m)
+        super().__init__(spec, nums, den)
+
+    @property
+    def _orders(self) -> tuple[int, ...]:
+        return self.spec.factor_orders + (self.m,)
+
+    def _check(self, other: "_CycloLattice"):
+        super()._check(other)
+        if self.m != other.m:
+            raise SpecMismatchError("cyclotomic moduli differ")
+
+    def reduced(self) -> tuple[int, tuple[int, ...]]:
+        """(den, integer matrix of shape order x phi(m), flattened) with every
+        zeta block reduced modulo the cyclotomic polynomial, in lowest terms."""
+        cached = getattr(self, "_reduced", None)
+        if cached is None:
+            m = self.m
+            flat: list[int] = []
+            for start in range(0, len(self.nums), m):
+                flat.extend(_reduce_mod_cyclotomic(self.nums[start : start + m], m))
+            nums, den = lowest_terms(tuple(flat), self.den)
+            cached = (den, nums)
+            object.__setattr__(self, "_reduced", cached)
+        return cached
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (
+            self.spec == other.spec
+            and self.m == other.m
+            and self.reduced() == other.reduced()
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.reduced()))
+
+    def is_zero(self) -> bool:
+        return not any(self.reduced()[1])
+
+    def is_rational(self) -> bool:
+        """True when every coefficient lies in Q (zeta components vanish)."""
+        den, flat = self.reduced()
+        deg = euler_phi(self.m)
+        for g in range(self.spec.order):
+            if any(flat[g * deg + 1 : (g + 1) * deg]):
+                return False
+        return True
+
+
+class CycloNumber(_CycloLattice):
+    """Element of Q(zeta_m): the cyclotomic lattice over the trivial group,
+    so nums/den are the m coordinates over 1, zeta, ..., zeta^(m-1) and
+    .coeffs the phi(m) coordinates reduced modulo the m-th cyclotomic
+    polynomial.  The constructor takes any rationals, coordinates of any
+    length, and folds them modulo x^m - 1 (exact: Phi_m divides it).
+
+    >>> i = CycloNumber.zeta(4)
+    >>> i * i == CycloNumber.from_rational(4, -1)
+    True
+    >>> (i * i).nums
+    (0, 0, 1, 0)
+    >>> (i * i).coeffs
+    (Fraction(-1, 1), Fraction(0, 1))
+    """
+
+    __slots__ = ()
 
     def __init__(self, m: int, coeffs: Iterable, den: int = 1):
         coeffs = tuple(coeffs)
@@ -98,18 +172,12 @@ class CycloNumber:
             nums, scale = integer_form(coeffs)
             den *= scale
         m = int(m)
-        nums, den = lowest_terms(tuple(_reduce_mod_cyclotomic(nums, m)), den)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "nums", nums)
-        object.__setattr__(self, "den", den)
+        if len(nums) != m:
+            nums = [sum(nums[r::m]) for r in range(m)]
+        super().__init__(_TRIVIAL_GROUP, m, nums, den)
 
-    def __setattr__(self, *args):
-        raise AttributeError("CycloNumber is immutable")
-
-    @property
-    def coeffs(self) -> tuple[Fraction, ...]:
-        """The coordinates as Fractions (a read-only view)."""
-        return tuple(Fraction(v, self.den) for v in self.nums)
+    def _like(self, nums: Iterable[int], den: int) -> "CycloNumber":
+        return CycloNumber(self.m, nums, den)
 
     @classmethod
     def zero(cls, m: int) -> "CycloNumber":
@@ -126,65 +194,23 @@ class CycloNumber:
     @classmethod
     def zeta(cls, m: int, k: int = 1) -> "CycloNumber":
         """The root of unity zeta_m^k."""
-        k %= m
-        return cls(m, (0,) * k + (1,))
+        return cls(m, (0,) * (k % m) + (1,))
 
-    def _check_modulus(self, other: "CycloNumber"):
-        if self.m != other.m:
-            raise SpecMismatchError("cyclotomic moduli differ")
-
-    def __add__(self, other: "CycloNumber") -> "CycloNumber":
-        self._check_modulus(other)
-        return CycloNumber(
-            self.m,
-            [a * other.den + b * self.den for a, b in zip(self.nums, other.nums)],
-            self.den * other.den,
-        )
-
-    def __sub__(self, other: "CycloNumber") -> "CycloNumber":
-        self._check_modulus(other)
-        return CycloNumber(
-            self.m,
-            [a * other.den - b * self.den for a, b in zip(self.nums, other.nums)],
-            self.den * other.den,
-        )
-
-    def __neg__(self) -> "CycloNumber":
-        return CycloNumber(self.m, [-a for a in self.nums], self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, CycloNumber):
-            return cyclo_mul(self, other)
-        if not isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-        return CycloNumber(
-            self.m, [a * other.numerator for a in self.nums], self.den * other.denominator
-        )
-
-    def __rmul__(self, other):
-        return self * other
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CycloNumber)
-            and self.m == other.m
-            and self.den == other.den
-            and self.nums == other.nums
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.den, self.nums))
-
-    def is_rational(self) -> bool:
-        return not any(self.nums[1:])
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The reduced coordinates as Fractions (a read-only view)."""
+        den, flat = self.reduced()
+        return tuple(Fraction(v, den) for v in flat)
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise InvariantError("value is not rational")
-        return Fraction(self.nums[0], self.den)
+        den, flat = self.reduced()
+        return Fraction(flat[0], den)
 
     def to_json(self) -> dict:
-        return {"m": self.m, "coeffs": fraction_strings(self.nums, self.den)}
+        den, flat = self.reduced()
+        return {"m": self.m, "coeffs": fraction_strings(flat, den)}
 
     @classmethod
     def from_json(cls, data: dict) -> "CycloNumber":
@@ -194,53 +220,24 @@ class CycloNumber:
         return f"CycloNumber({self.m}, {[str(c) for c in self.coeffs]})"
 
 
-def cyclo_mul(a: CycloNumber, b: CycloNumber) -> CycloNumber:
-    """Field product: polynomial product reduced modulo the cyclotomic
-    polynomial of the shared modulus."""
-    a._check_modulus(b)
-    out = [0] * (2 * len(a.nums) - 1)
-    for i, ai in enumerate(a.nums):
-        if ai:
-            for j, bj in enumerate(b.nums):
-                if bj:
-                    out[i + j] += ai * bj
-    return CycloNumber(a.m, out, a.den * b.den)
-
-
 def galois_apply(k: int, a: CycloNumber) -> CycloNumber:
-    """Field automorphism zeta -> zeta^k (k coprime to the modulus)."""
+    """Field automorphism zeta -> zeta^k (k coprime to the modulus): a
+    permutation of the lattice entries, as i -> i*k mod m is a bijection."""
     if math.gcd(k, a.m) != 1:
         raise InvariantError(f"{k} is not coprime to the modulus {a.m}")
     out = [0] * a.m
     for i, c in enumerate(a.nums):
-        if c:
-            out[(i * k) % a.m] += c
+        out[i * k % a.m] = c
     return CycloNumber(a.m, out, a.den)
 
 
-class CycloAlgebraElement(_Lattice):
-    """Element of Q(zeta_m)[G] on the integer lattice G x C_m of
-    (group index, zeta power); index = group_index * m + zeta_power.
-    Equality and hashing compare the reduction modulo the cyclotomic
-    polynomial, so this is not a Q[G] element even for m = 1."""
+class CycloAlgebraElement(_CycloLattice):
+    """Element of Q(zeta_m)[G] on the lattice G x C_m (see _CycloLattice)."""
 
-    __slots__ = ("m", "_reduced")
-
-    def __init__(self, spec: GroupSpec, m: int, nums: Iterable[int], den: int = 1):
-        object.__setattr__(self, "m", int(m))
-        super().__init__(spec, nums, den)
-
-    @property
-    def _orders(self) -> tuple[int, ...]:
-        return self.spec.factor_orders + (self.m,)
+    __slots__ = ()
 
     def _like(self, nums: Iterable[int], den: int) -> "CycloAlgebraElement":
         return CycloAlgebraElement(self.spec, self.m, nums, den)
-
-    def _check(self, other: "CycloAlgebraElement"):
-        super()._check(other)
-        if self.m != other.m:
-            raise SpecMismatchError("cyclotomic moduli differ")
 
     # -- constructors -------------------------------------------------
 
@@ -270,83 +267,16 @@ class CycloAlgebraElement(_Lattice):
         nums[element_index(g) * m + zeta_exp % m] = 1
         return cls(spec, m, nums, den)
 
-    # -- canonical form -----------------------------------------------
-
-    def reduced(self) -> tuple[int, tuple[int, ...]]:
-        """(den, integer matrix of shape order x phi(m), flattened) with every
-        zeta block reduced modulo the cyclotomic polynomial, in lowest terms."""
-        cached = getattr(self, "_reduced", None)
-        if cached is None:
-            m = self.m
-            flat: list[int] = []
-            for start in range(0, len(self.nums), m):
-                flat.extend(_reduce_mod_cyclotomic(self.nums[start : start + m], m))
-            nums, den = lowest_terms(tuple(flat), self.den)
-            cached = (den, nums)
-            object.__setattr__(self, "_reduced", cached)
-        return cached
+    # -- coefficients -------------------------------------------------
 
     def cyclo_coeff(self, at) -> CycloNumber:
         idx = element_index(at) if isinstance(at, GroupElement) else int(at)
-        den, flat = self.reduced()
-        deg = euler_phi(self.m)
-        return CycloNumber(self.m, flat[idx * deg : (idx + 1) * deg], den)
+        m = self.m
+        return CycloNumber(m, self.nums[idx * m : (idx + 1) * m], self.den)
 
     @property
     def coeffs(self) -> tuple[CycloNumber, ...]:
         return tuple(self.cyclo_coeff(i) for i in range(self.spec.order))
-
-    # -- arithmetic ---------------------------------------------------
-
-    def zeta_scale(self, k: int) -> "CycloAlgebraElement":
-        """Multiply by the root of unity zeta^k (a rotation of every block)."""
-        k %= self.m
-        nums = [0] * len(self.nums)
-        for g in range(self.spec.order):
-            base = g * self.m
-            for e in range(self.m):
-                v = self.nums[base + e]
-                if v:
-                    nums[base + (e + k) % self.m] = v
-        return self._like(nums, self.den)
-
-    def group_translate(self, g: GroupElement) -> "CycloAlgebraElement":
-        """Left multiplication by the group element g."""
-        if g.spec != self.spec:
-            raise SpecMismatchError("element from a different group")
-        perm = translate_indices(element_index(g), self.spec.factor_orders)
-        nums = [0] * len(self.nums)
-        for j in range(self.spec.order):
-            tgt = int(perm[j]) * self.m
-            src = j * self.m
-            nums[tgt : tgt + self.m] = self.nums[src : src + self.m]
-        return self._like(nums, self.den)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CycloAlgebraElement):
-            return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.m == other.m
-            and self.reduced() == other.reduced()
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.reduced()))
-
-    def is_zero(self) -> bool:
-        return not any(self.reduced()[1])
-
-    # -- rationality --------------------------------------------------
-
-    def is_rational(self) -> bool:
-        """True when every coefficient lies in Q (zeta components vanish)."""
-        den, flat = self.reduced()
-        deg = euler_phi(self.m)
-        for g in range(self.spec.order):
-            if any(flat[g * deg + 1 : (g + 1) * deg]):
-                return False
-        return True
 
     def rational_part(self) -> AlgebraElement:
         if not self.is_rational():

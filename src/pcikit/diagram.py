@@ -403,8 +403,9 @@ def extension_children(
     else:
         sub_order = spec.order // p
         attached = sub_order * eta.cyclo_coeff(element_index(top_gen**p))
-        matches = [e for e in range(m) if CycloNumber.zeta(m, e) == attached]
-        if len(matches) != 1 or matches[0] % p:
+        # only a root exponent divisible by p is accepted, so only those are tried
+        matches = [e for e in range(0, m, p) if CycloNumber.zeta(m, e) == attached]
+        if len(matches) != 1:
             raise InvariantError("input is not a lifted splitting idempotent")
         root_exp = matches[0] // p
     step = m // p

@@ -97,11 +97,13 @@ def test_criterion_4_splitting_field():
             split = splitting_field_pcis(p, n)
             assert len(split) == m
             gen = GroupElement(spec, (1,))
+            x = CycloAlgebraElement.monomial(spec, m, gen, 0)
             total = CycloAlgebraElement.zero(spec, m)
             for t, e in enumerate(split):
                 assert e * e == e
                 # one-dimensional component: x * e is a root-of-unity multiple
-                assert e.group_translate(gen) == e.zeta_scale(t)
+                zeta_t = CycloAlgebraElement.monomial(spec, m, gen**m, t)
+                assert x * e == zeta_t * e
                 total = total + e
             assert total == CycloAlgebraElement.one(spec, m)
             for i, j in itertools.combinations(range(m), 2):

@@ -295,6 +295,10 @@ PINNED_OUTPUT_MD5 = [
     ("split", "2:[7]", "json", "91425f50d9e8ba76cc7b090b7f2654cc"),
     ("split", "3:[4]", "json", "65565548f9b5236c619b50eb758e259c"),
     ("split", "5:[3]", "json", "8e43873c96438e5cc2022ec3c0723e68"),
+    ("split", "7:[2]", "json", "a5f4b879896e7e4de5175ca721722565"),
+    ("split", "7:[2]", "text", "fca1b5f931dbd44ce816915c304a4337"),
+    ("verify", "2:[6]", "json", "bc97de423e29d325e6d3fd1575149ab9"),
+    ("verify", "5:[2]", "text", "4f21b87dbaa53810ee34f30b6966697a"),
 ]
 
 

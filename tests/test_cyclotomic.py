@@ -9,9 +9,10 @@ from pcikit import (
     InvariantError,
     PrimaryGroupSpec,
     SpecMismatchError,
-    cyclo_mul,
+    cyclic_group_spec,
     element,
     galois_apply,
+    identity,
     ramanujan_sum,
     ramanujan_sum_direct,
 )
@@ -36,13 +37,26 @@ def test_cyclotomic_polynomials():
 
 def test_cyclo_mul():
     z4 = CycloNumber.zeta(4)
-    assert cyclo_mul(z4, z4) == CycloNumber.from_rational(4, -1)
-    assert cyclo_mul(CycloNumber.zeta(3), CycloNumber.zeta(3, 2)) == CycloNumber.one(3)
+    assert z4 * z4 == CycloNumber.from_rational(4, -1)
+    assert CycloNumber.zeta(3) * CycloNumber.zeta(3, 2) == CycloNumber.one(3)
     a = CycloNumber.one(5) + CycloNumber.zeta(5)
     b = CycloNumber.one(5) + CycloNumber.zeta(5, 4)
-    assert cyclo_mul(a, b) == CycloNumber(5, (1, 0, -1, -1))
+    assert a * b == CycloNumber(5, (1, 0, -1, -1))
     with pytest.raises(SpecMismatchError):
-        cyclo_mul(CycloNumber.zeta(3), CycloNumber.zeta(4))
+        CycloNumber.zeta(3) * CycloNumber.zeta(4)
+    with pytest.raises(SpecMismatchError):
+        CycloNumber.one(4) * CycloAlgebraElement.one(C4, 4)
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_modulus_must_be_positive(m):
+    spec = cyclic_group_spec(2, 1)
+    with pytest.raises(InvariantError):
+        CycloNumber(m, (1,))
+    with pytest.raises(InvariantError):
+        CycloAlgebraElement(spec, m, [])
+    with pytest.raises(InvariantError):
+        CycloAlgebraElement.zero(spec, m)
 
 
 def test_galois_apply():
@@ -59,9 +73,7 @@ def test_galois_apply_is_ring_homomorphism():
     b = CycloNumber(9, (0, 1, 1, -1, 2, Fraction(-1, 3)))
     for k in (2, 4, 5, 7, 8):
         assert galois_apply(k, a + b) == galois_apply(k, a) + galois_apply(k, b)
-        assert galois_apply(k, cyclo_mul(a, b)) == cyclo_mul(
-            galois_apply(k, a), galois_apply(k, b)
-        )
+        assert galois_apply(k, a * b) == galois_apply(k, a) * galois_apply(k, b)
         assert galois_apply(k, CycloNumber.from_rational(9, Fraction(3, 7))) == (
             CycloNumber.from_rational(9, Fraction(3, 7))
         )
@@ -96,7 +108,7 @@ def test_cyclo_algebra_rationality_and_coeffs():
     assert lifted.rational_part() == a
     assert lifted.cyclo_coeff(1) == CycloNumber.from_rational(4, Fraction(1, 2))
 
-    twisted = lifted.zeta_scale(1)
+    twisted = CycloAlgebraElement.monomial(C4, 4, identity(C4), 1) * lifted
     assert not twisted.is_rational()
     assert twisted.cyclo_coeff(3) == CycloNumber(4, (0, -2))
 
@@ -111,8 +123,11 @@ def test_cyclo_algebra_product_and_translate():
     for _ in range(4):
         acc = acc * z
     assert acc == one
-    moved = one.group_translate(element(C4, (2,)))
-    assert moved == CycloAlgebraElement.monomial(C4, m, element(C4, (2,)), 0)
+    x2 = CycloAlgebraElement.monomial(C4, m, element(C4, (2,)), 0)
+    assert x2 * one == x2
+    # x^2 * (zeta * x) moves every coefficient by x^2
+    assert (x2 * z).cyclo_coeff(3) == CycloNumber.zeta(m)
+    assert (x2 * z).cyclo_coeff(1).is_zero()
 
 
 def test_cyclo_algebra_mixed_modulus_rejected():

@@ -8,6 +8,7 @@ from pcikit import (
     CycloAlgebraElement,
     GroupElement,
     GroupSpecError,
+    InvariantError,
     LongGenerator,
     PrimaryGroupSpec,
     build_pci_diagram,
@@ -250,6 +251,29 @@ def test_extension_children_trivial_base():
     assert Counter(c.reduced() for c in kids) == Counter(
         e.reduced() for e in splitting_field_pcis(p, 1)
     )
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_extension_children_rejects_bad_input(p):
+    spec, small = cyclic_group_spec(p, 2), cyclic_group_spec(p, 1)
+    gen, small_gen = GroupElement(spec, (1,)), GroupElement(small, (1,))
+    eta = lift_into_extension(splitting_field_pcis(p, 1)[1])
+    level0 = lift_into_extension(splitting_field_pcis(p, 0)[0])
+    assert len(extension_children(eta, gen)) == p
+    assert len(extension_children(level0, small_gen)) == p
+    zeta = CycloAlgebraElement.monomial(spec, spec.order, gen**spec.order, 1)
+    not_lifted = "not a lifted splitting idempotent"
+    bad_inputs = [
+        # the root exponent of eta's top coefficient is not a multiple of p
+        (zeta * eta, gen, not_lifted),
+        # the top coefficient 2 * zeta^e is not a root of unity
+        (eta + eta, gen, not_lifted),
+        (level0 + level0, small_gen, "only level-0 idempotent is the identity"),
+        (eta, gen**p, "must generate the whole group"),
+    ]
+    for bad, top_gen, message in bad_inputs:
+        with pytest.raises(InvariantError, match=message):
+            extension_children(bad, top_gen)
 
 
 def test_galois_orbit_collapse_c4():

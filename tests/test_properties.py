@@ -22,7 +22,6 @@ from pcikit import (
     build_pci_diagram,
     compare_pci_sets,
     convolve,
-    cyclo_mul,
     element_from_index,
     element_index,
     element_order,
@@ -170,7 +169,7 @@ cyclo_st = st.builds(
 def test_cyclo_mul_commutes_when_compatible(a, b):
     if a.m != b.m:
         return
-    assert cyclo_mul(a, b) == cyclo_mul(b, a)
+    assert a * b == b * a
 
 
 @given(cyclo_st, st.integers(min_value=1, max_value=30))
@@ -180,9 +179,7 @@ def test_galois_preserves_products(a, k):
 
     if math.gcd(k, a.m) != 1:
         return
-    assert galois_apply(k, cyclo_mul(a, a)) == cyclo_mul(
-        galois_apply(k, a), galois_apply(k, a)
-    )
+    assert galois_apply(k, a * a) == galois_apply(k, a) * galois_apply(k, a)
 
 
 # -- Q(zeta_m) and Q(zeta_m)[G] against a Fraction-tuple reference ------------
@@ -257,7 +254,7 @@ def test_cyclo_number_matches_fraction_reference(pair, c, data):
     assert (a + b).coeffs == tuple(x + y for x, y in zip(ra, rb))
     assert (a - b).coeffs == tuple(x - y for x, y in zip(ra, rb))
     assert (-a).coeffs == tuple(-x for x in ra)
-    assert (a * b).coeffs == cyclo_mul(a, b).coeffs == _ref_mul(m, ra, rb)
+    assert (a * b).coeffs == _ref_mul(m, ra, rb)
     assert (a * c).coeffs == (c * a).coeffs == tuple(x * c for x in ra)
     k = data.draw(st.sampled_from([k for k in range(1, m + 1) if math.gcd(k, m) == 1]))
     assert galois_apply(k, a).coeffs == _ref_galois(m, k, ra)
@@ -328,7 +325,7 @@ def test_cyclo_algebra_matches_coefficientwise_field_arithmetic(data):
         expected = CycloNumber.zero(m)
         for h in range(n):
             k = element_index(group_mul(gel, element_from_index(spec, inverse[h])))
-            expected = expected + cyclo_mul(xc[h], yc[k])
+            expected = expected + xc[h] * yc[k]
         assert (x * y).cyclo_coeff(g) == expected
         assert (x + y).cyclo_coeff(g) == xc[g] + yc[g]
         assert (x - y).cyclo_coeff(g) == xc[g] - yc[g]
