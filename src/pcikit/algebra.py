@@ -21,12 +21,10 @@ from .groups import (
     PrimaryGroupSpec,
     element_index,
     elements,
-    enumeration_tables,
+    enumeration,
     identity,
     index_set,
-    product_indices,
     subgroup_closure,
-    translate_indices,
 )
 from .kernels import Spectra, convolve_ints, primes_needed
 from .numtheory import euler_phi, prime_power
@@ -34,7 +32,8 @@ from .numtheory import euler_phi, prime_power
 
 def lowest_terms(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
     """nums/den in lowest terms: den > 0, gcd(den, *nums) == 1, and den == 1
-    for the zero vector.  Every exact type normalises through this.
+    for the zero vector.  Every exact type normalises through this, or
+    through its int64 twin _Lattice._from_int64.
 
     >>> lowest_terms((2, -4), -6)
     ((-1, 2), 3)
@@ -89,12 +88,38 @@ class _Lattice:
     __slots__ = ("spec", "nums", "den")
 
     def __init__(self, spec: GroupSpec, nums: Iterable[int], den: int = 1):
+        self._assign(spec, *lowest_terms(tuple(map(int, nums)), int(den)))
+
+    def _assign(self, spec: GroupSpec, nums: tuple[int, ...], den: int):
         object.__setattr__(self, "spec", spec)
-        nums, den = lowest_terms(tuple(map(int, nums)), int(den))
         if len(nums) != math.prod(self._orders):
             raise InvariantError("numerator count != lattice size")
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
+
+    @classmethod
+    def _in_lowest_terms(cls, spec: GroupSpec, nums: tuple[int, ...], den: int):
+        """The element nums/den of a lattice whose state is (spec, nums,
+        den), taken as given: nums a tuple of ints already in lowest terms
+        over den (see lowest_terms)."""
+        self = object.__new__(cls)
+        self._assign(spec, nums, den)
+        return self
+
+    @classmethod
+    def _from_int64(cls, spec: GroupSpec, nums: np.ndarray, den: int):
+        """The element nums/den from an int64 array, normalised as
+        lowest_terms does by np.gcd.reduce, which is exact on int64; the
+        entries and their negatives must fit in int64."""
+        den = int(den)
+        if den == 0:
+            raise ZeroDivisionError("zero denominator")
+        if den < 0:
+            nums, den = -nums, -den
+        g = math.gcd(int(np.gcd.reduce(nums)), den)  # == den for the zero vector
+        if g > 1:
+            nums, den = nums // g, den // g
+        return cls._in_lowest_terms(spec, tuple(nums.tolist()), den)
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -284,7 +309,7 @@ def translate(g: GroupElement, a: AlgebraElement) -> AlgebraElement:
     """Left multiplication by the group element g (a basis permutation)."""
     if g.spec != a.spec:
         raise SpecMismatchError("element from a different group")
-    perm = translate_indices(element_index(g), a.spec.factor_orders)
+    perm = enumeration(a.spec.factor_orders).translation(element_index(g))
     nums = [0] * a.spec.order
     for j, v in enumerate(a.nums):
         if v:
@@ -315,18 +340,18 @@ def expand_from_subgroup(
     nums = np.zeros(spec.order, dtype=np.int64)
     if primed is None:
         nums[kernel] = 1
-        return AlgebraElement(spec, nums.tolist(), size)
+        return AlgebraElement._from_int64(spec, nums, size)
     z = element_index(primed)
     if (kernel == z).any():
         raise InvariantError("primed element lies in the averaged subgroup")
-    p, tables = spec.p, enumeration_tables(spec.factor_orders)
+    p, enum = spec.p, enumeration(spec.factor_orders)
     # common denominator p*|K|: p at kernel positions minus the z-cycle counts
     nums[kernel] = p
     cur = kernel
     for _ in range(p):
         nums[cur] -= 1  # each translate of K has distinct indices
-        cur = product_indices(tables, z, cur)
-    return AlgebraElement(spec, nums.tolist(), p * size)
+        cur = enum.product(z, cur)
+    return AlgebraElement._from_int64(spec, nums, p * size)
 
 
 def expand_factored(f: FactoredIdempotent) -> AlgebraElement:
@@ -408,23 +433,22 @@ def kernel_subgroup(e: AlgebraElement) -> np.ndarray:
     supp = np.flatnonzero(vals)
     if not supp.size:
         return index_set(np.ones(spec.order, dtype=bool))
-    tables = enumeration_tables(spec.factor_orders)
-    digits, mods, strides = tables
+    enum = enumeration(spec.factor_orders)
     s0 = supp[0]
     same = supp[vals[supp] == vals[s0]]
-    undecided = ((digits[same] - digits[s0]) % mods) @ strides
+    undecided = enum.product(same, enum.inverse[s0])
     fixed = np.zeros(spec.order, dtype=bool)  # S, the identity at index 0
     fixed[0] = True
     decided = fixed.copy()  # in S, or in a coset known not to fix e
     while (undecided := undecided[~decided[undecided]]).size:
         c, members = undecided[0], np.flatnonzero(fixed)
-        if not (vals[product_indices(tables, c, supp)] == vals[supp]).all():
-            decided[product_indices(tables, c, members)] = True
+        if not (vals[enum.product(c, supp)] == vals[supp]).all():
+            decided[enum.product(c, members)] = True
             continue
         power = c
         while not fixed[power]:  # add the cosets c^k S, up to c^k in S
-            fixed[product_indices(tables, power, members)] = True
-            power = product_indices(tables, power, c)
+            fixed[enum.product(power, members)] = True
+            power = enum.product(power, c)
         decided |= fixed
     return index_set(fixed)
 

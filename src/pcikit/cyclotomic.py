@@ -83,6 +83,14 @@ def _reduce_mod_cyclotomic(coeffs: Sequence[int], m: int) -> list[int]:
 _TRIVIAL_GROUP = AbelianGroupSpec(())
 
 
+def _modulus(m) -> int:
+    """m as an int, checked to be a valid cyclotomic modulus (at least 1)."""
+    m = int(m)
+    if m < 1:
+        raise InvariantError(f"modulus must be positive, got {m}")
+    return m
+
+
 class _CycloLattice(_Lattice):
     """Exact element of Q(zeta_m)[G] on the integer lattice G x C_m of
     (group index, zeta power); index = group_index * m + zeta_power.
@@ -92,10 +100,7 @@ class _CycloLattice(_Lattice):
     __slots__ = ("m", "_reduced")
 
     def __init__(self, spec: GroupSpec, m: int, nums: Iterable[int], den: int = 1):
-        m = int(m)
-        if m < 1:
-            raise InvariantError(f"modulus must be positive, got {m}")
-        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "m", _modulus(m))
         super().__init__(spec, nums, den)
 
     @property
@@ -171,7 +176,7 @@ class CycloNumber(_CycloLattice):
         except TypeError:  # Fraction, str, float, ...
             nums, scale = integer_form(coeffs)
             den *= scale
-        m = int(m)
+        m = _modulus(m)
         if len(nums) != m:
             nums = [sum(nums[r::m]) for r in range(m)]
         super().__init__(_TRIVIAL_GROUP, m, nums, den)
@@ -194,6 +199,7 @@ class CycloNumber(_CycloLattice):
     @classmethod
     def zeta(cls, m: int, k: int = 1) -> "CycloNumber":
         """The root of unity zeta_m^k."""
+        m = _modulus(m)
         return cls(m, (0,) * (k % m) + (1,))
 
     @property

@@ -44,6 +44,7 @@ from .errors import (
 )
 from .groups import (
     AbelianGroupSpec,
+    Enumeration,
     GroupElement,
     LongGenerator,
     PrimaryGroupSpec,
@@ -51,11 +52,10 @@ from .groups import (
     element_index,
     element_order,
     embed_generator,
-    enumeration_tables,
+    enumeration,
     identity,
     index_set,
     long_generator_sequence,
-    product_indices,
 )
 
 
@@ -138,18 +138,12 @@ def alternate_generator_labels(spec: PrimaryGroupSpec) -> list[LongGenerator]:
     return out
 
 
-def _powers(tables, a, k):
-    """Indices of the k-th powers of the elements indexed by a."""
-    digits, mods, strides = tables
-    return ((digits[a] * k) % mods) @ strides
-
-
 def _contains(subgroup: np.ndarray, idx) -> bool:
     return bool((subgroup == idx).any())
 
 
 def _split_witness(
-    u: int, level: np.ndarray, kernel: np.ndarray, p: int, tables
+    u: int, level: np.ndarray, kernel: np.ndarray, p: int, enum: Enumeration
 ) -> int | None:
     """Index of an element w of the coset u*G_l with w^p in K, or None.
 
@@ -160,29 +154,29 @@ def _split_witness(
     <K, z^i w> are the children kernels; w := u when valid, else the first
     hit scanning G_l in enumeration order, for reproducible output.
     """
-    up = _powers(tables, u, p)
+    up = enum.power(u, p)
     if _contains(kernel, up):
         return u
     quotient = len(level) // len(kernel)
-    if not _contains(kernel, _powers(tables, up, quotient // p)):
+    if not _contains(kernel, enum.power(up, quotient // p)):
         return None
-    in_kernel = np.zeros(len(tables[0]), dtype=bool)
+    in_kernel = np.zeros(enum.order, dtype=bool)
     in_kernel[kernel] = True
-    coset = product_indices(tables, u, level)
-    hits = np.flatnonzero(in_kernel[_powers(tables, coset, p)])
+    coset = enum.product(u, level)
+    hits = np.flatnonzero(in_kernel[enum.power(coset, p)])
     if not hits.size:
         raise InconsistencyError("no coset witness despite a non-cyclic quotient")
     return int(coset[hits[0]])
 
 
-def _coset_span(kernel: np.ndarray, w: int, p: int, tables) -> np.ndarray:
+def _coset_span(kernel: np.ndarray, w: int, p: int, enum: Enumeration) -> np.ndarray:
     """The subgroup <K, w> as the sorted union of the cosets K*w^c, valid
     since w^p lies in K; its size is p*|K| exactly when those cosets are
     distinct."""
-    shifts = _powers(tables, w, np.arange(1, p)[:, None])
-    members = np.zeros(len(tables[0]), dtype=bool)
+    shifts = enum.power(w, np.arange(1, p)[:, None])
+    members = np.zeros(enum.order, dtype=bool)
     members[kernel] = True
-    members[product_indices(tables, shifts[:, None], kernel)] = True
+    members[enum.product(shifts[:, None], kernel)] = True
     return index_set(members)
 
 
@@ -204,7 +198,7 @@ def build_pci_diagram(
         _validate_generator_order(spec, labels)
     gens = [embed_generator(spec, lab) for lab in labels]
     p = spec.p
-    tables = enumeration_tables(spec.factor_orders)
+    enum = enumeration(spec.factor_orders)
 
     root = PciVertex(0, 0, FactoredIdempotent(spec, ()), True, 1, 0)
     levels: list[tuple[PciVertex, ...]] = [(root,)]
@@ -215,7 +209,7 @@ def build_pci_diagram(
 
     for l, gen in enumerate(gens):
         u = element_index(gen)
-        next_level = _coset_span(level, u, p, tables)
+        next_level = _coset_span(level, u, p, enum)
         if len(next_level) != p * len(level):
             raise InconsistencyError("chain generator does not extend the subgroup")
         nxt: list[PciVertex] = []
@@ -255,7 +249,7 @@ def build_pci_diagram(
                 )
             else:
                 z = v.form.primed
-                w = _split_witness(u, level, kernel, p, tables)
+                w = _split_witness(u, level, kernel, p, enum)
                 if w is None:
                     # The component stays simple; the vertex carries over.
                     attach(
@@ -268,8 +262,8 @@ def build_pci_diagram(
                 else:
                     zi = element_index(z)
                     for i in range(p):
-                        extra = int(product_indices(tables, _powers(tables, zi, i), w))
-                        grown = _coset_span(kernel, extra, p, tables)
+                        extra = int(enum.product(enum.power(zi, i), w))
+                        grown = _coset_span(kernel, extra, p, enum)
                         if len(grown) != p * len(kernel) or _contains(grown, zi):
                             raise InconsistencyError(
                                 "split produced an invalid child kernel"
@@ -478,13 +472,19 @@ def cross_prime_product(
     """All products of one idempotent per primary part, lifted to Q[G].
 
     The coefficient vector of each product is the tensor product of the
-    per-part vectors (parts occupy disjoint factor blocks)."""
+    per-part vectors (parts occupy disjoint factor blocks).  With one part,
+    each idempotent keeps its numerators and denominator as they are."""
     if len(per_part_sets) != len(spec.parts):
         raise SpecMismatchError("need one idempotent set per primary part")
     for part, pcis in zip(spec.parts, per_part_sets):
         for e in pcis:
             if e.spec != part:
                 raise SpecMismatchError("idempotent does not match its primary part")
+    if len(per_part_sets) == 1:  # each idempotent is already in lowest terms
+        return [
+            AlgebraElement._in_lowest_terms(spec, e.nums, e.den)
+            for e in per_part_sets[0]
+        ]
     out = []
     for first, *rest in itertools.product(*per_part_sets):
         nums, den = first.nums, first.den

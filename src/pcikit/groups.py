@@ -260,44 +260,93 @@ def identity(spec: GroupSpec) -> GroupElement:
     return _raw_element(spec, (0,) * len(spec.factor_orders))
 
 
-@cache
-def enumeration_tables(orders: tuple[int, ...]):
-    """Digit/modulus/stride tables for the element enumeration.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+class Enumeration:
+    """The canonical enumeration of a group with cyclic factor orders
+    `orders`, and all index arithmetic on it.
 
     Index i enumerates exponent vectors mixed-radix lexicographically
-    (first factor most significant): digits[i] is the exponent vector, and
-    for any two indices the product element sits at
-    ((digits[i] + digits[j]) % mods) @ strides.
+    (first factor most significant): digits[i] is the exponent vector, mods
+    holds the factor orders m_j and strides the place values, so
+    i = digits[i] @ strides.
+
+    Products use a carry-free code per element,
+    code[i] = sum_j digits[i][j] * C_j with C_j = prod_{t>j} (2 m_t - 1).
+    Two digits of factor j sum to at most 2 m_j - 2, so adding two codes
+    never carries from one factor into the next, and the product table,
+    over every code sum s, holds
+    table[s] = sum_j ((s // C_j) % (2 m_j - 1) % m_j) * strides[j].
+    So product(a, b) = table[code[a] + code[b]]: one add and one gather.
+    The table has prod_j (2 m_j - 1) <= 2^k |G| entries for k factors.
+    Over every group the default order cap of 4096 admits that is at most
+    3^12 = 531,441 entries (4.25 MB), at C_2^12; an order admitted only by
+    a larger cap grows it as 2^k |G| does.
+
+    >>> C4C2 = Enumeration((4, 2))
+    >>> C4C2.digits[5].tolist(), int(C4C2.product(5, 7)), int(C4C2.inverse[5])
+    ([2, 1], 2, 5)
+    >>> int(C4C2.power(3, 2)), len(C4C2.table)
+    (4, 21)
     """
-    k = len(orders)
-    n = math.prod(orders)
-    mods = np.array(orders, dtype=np.int64)
-    strides = np.ones(k, dtype=np.int64)
-    for i in range(k - 2, -1, -1):
-        strides[i] = strides[i + 1] * orders[i + 1]
-    idx = np.arange(n, dtype=np.int64)
-    digits = np.empty((n, k), dtype=np.int64)
-    for i in range(k):
-        digits[:, i] = (idx // strides[i]) % mods[i]
-    for table in (digits, mods, strides):
-        table.setflags(write=False)
-    return digits, mods, strides
+
+    def __init__(self, orders: tuple[int, ...]):
+        self.orders = orders
+        self.order = math.prod(orders)
+        strides = [math.prod(orders[j + 1 :]) for j in range(len(orders))]
+        self.mods = _read_only(np.array(orders, dtype=np.int64))
+        self.strides = _read_only(np.array(strides, dtype=np.int64))
+        idx = np.arange(self.order, dtype=np.int64)
+        self.digits = _read_only(idx[:, None] // self.strides % self.mods)
+
+    # The code, table and inverse are built on first use, so callers that
+    # only read digits (the oracle's characters, the order census) never
+    # pay for the table.
+
+    @cached_property
+    def code(self) -> np.ndarray:
+        orders = self.orders
+        sum_strides = [  # C_j
+            math.prod(2 * m - 1 for m in orders[j + 1 :]) for j in range(len(orders))
+        ]
+        return _read_only(self.digits @ np.array(sum_strides, dtype=np.int64))
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        # code sums are mixed-radix over the spans 2 m_j - 1, first factor
+        # most significant; a digit sum d of factor j stands for d % m_j
+        table = np.zeros(1, dtype=np.int64)
+        for m, stride in zip(self.orders, self.strides.tolist()):
+            shift = np.arange(2 * m - 1, dtype=np.int64) % m * stride
+            table = (table[:, None] + shift).reshape(-1)
+        return _read_only(table)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        return _read_only((-self.digits % self.mods) @ self.strides)
+
+    def product(self, a, b):
+        """Indices of the products of the elements indexed by a and b,
+        broadcast like numpy arrays."""
+        return self.table[self.code[a] + self.code[b]]
+
+    def translation(self, i):
+        """The permutation j -> index of (element i) * (element j)."""
+        return self.table[self.code[i] + self.code]
+
+    def power(self, a, k):
+        """Indices of the k-th powers of the elements indexed by a; k may
+        be an array that broadcasts against the digit rows digits[a]."""
+        return ((self.digits[a] * k) % self.mods) @ self.strides
 
 
-def product_indices(tables, a, b):
-    """Indices of the products of the elements indexed by a and b
-    (broadcast like numpy arrays), from enumeration_tables.  Two digits sum
-    to less than twice their modulus, so each factor carries at most once:
-    index(g*h) = index(g) + index(h) - mods*strides summed over the carries,
-    with no division."""
-    digits, mods, strides = tables
-    return a + b - (digits[a] >= mods - digits[b]) @ (mods * strides)
-
-
-def translate_indices(i: int, orders: tuple[int, ...]) -> np.ndarray:
-    """Permutation j -> index of (element i) * (element j)."""
-    digits, mods, strides = enumeration_tables(orders)
-    return ((digits[i] + digits) % mods) @ strides
+@cache
+def enumeration(orders: tuple[int, ...]) -> Enumeration:
+    """The Enumeration for these factor orders, built on first use."""
+    return Enumeration(orders)
 
 
 def index_set(mask: np.ndarray) -> np.ndarray:
@@ -363,14 +412,14 @@ def subgroup_closure(spec: GroupSpec, gens: Iterable[GroupElement]) -> np.ndarra
     gens = list(gens)
     if any(g.spec != spec for g in gens):
         raise SpecMismatchError("generator from a different group")
-    tables = enumeration_tables(spec.factor_orders)
+    enum = enumeration(spec.factor_orders)
     steps = np.array([element_index(g) for g in gens], dtype=np.int64)
     seen = np.zeros(spec.order, dtype=bool)
     frontier = np.zeros(1, dtype=np.int64)  # the identity has index 0
     seen[frontier] = True
     while frontier.size:
         fresh = np.zeros(spec.order, dtype=bool)
-        fresh[product_indices(tables, frontier[:, None], steps)] = True
+        fresh[enum.product(frontier[:, None], steps)] = True
         fresh &= ~seen
         seen |= fresh
         frontier = np.flatnonzero(fresh)

@@ -24,7 +24,7 @@ from .errors import (
     SpecMismatchError,
     VerificationError,
 )
-from .groups import GroupSpec, PrimaryGroupSpec, enumeration_tables
+from .groups import GroupSpec, PrimaryGroupSpec, enumeration
 from .numtheory import euler_phi
 
 
@@ -45,7 +45,7 @@ class CharacterIndex:
 
 def dual_characters(spec: GroupSpec) -> list[CharacterIndex]:
     """All |G| characters, in the canonical element enumeration order."""
-    digits, _, _ = enumeration_tables(spec.factor_orders)
+    digits = enumeration(spec.factor_orders).digits
     return [CharacterIndex(spec, tuple(row)) for row in digits.tolist()]
 
 
@@ -61,7 +61,7 @@ def rational_pci_of_character(spec: GroupSpec, chi: CharacterIndex) -> AlgebraEl
         raise SpecMismatchError("character belongs to a different group")
     L = spec.exponent
     m = chi.order
-    digits, _, _ = enumeration_tables(spec.factor_orders)
+    digits = enumeration(spec.factor_orders).digits
     weights = np.array(
         [t * (L // d) for t, d in zip(chi.t, spec.factor_orders)], dtype=np.int64
     )
@@ -71,14 +71,14 @@ def rational_pci_of_character(spec: GroupSpec, chi: CharacterIndex) -> AlgebraEl
         raise InconsistencyError("character value outside its own root lattice")
     a = (-q) % m
     ram = np.array(_ramanujan_table(m), dtype=np.int64)
-    return AlgebraElement(spec, ram[a].tolist(), spec.order)
+    return AlgebraElement._from_int64(spec, ram[a], spec.order)
 
 
 def oracle_pci_set(spec: GroupSpec) -> list[AlgebraElement]:
     """Complete set of primitive central idempotents of Q[G], one per Galois
     orbit of characters; equality of the idempotents within each orbit is
     asserted along the way."""
-    digits, mods, strides = enumeration_tables(spec.factor_orders)
+    enum = enumeration(spec.factor_orders)
     L = spec.exponent
     units = np.array([k for k in range(1, L + 1) if math.gcd(k, L) == 1])
     chars = dual_characters(spec)
@@ -88,7 +88,7 @@ def oracle_pci_set(spec: GroupSpec) -> list[AlgebraElement]:
     for i in range(len(chars)):
         if i in seen:
             continue
-        orbit = set((((units[:, None] * digits[i]) % mods) @ strides).tolist())
+        orbit = set(enum.power(i, units[:, None]).tolist())
         seen |= orbit
         for j in orbit:
             if pcis[j] != pcis[i]:
@@ -102,7 +102,7 @@ def oracle_pci_set(spec: GroupSpec) -> list[AlgebraElement]:
 
 def order_census(spec: PrimaryGroupSpec) -> dict[int, int]:
     """Count elements by exact order, by full enumeration."""
-    digits, _, _ = enumeration_tables(spec.factor_orders)
+    digits = enumeration(spec.factor_orders).digits
     counts: Counter[int] = Counter()
     for row in digits.tolist():
         counts[

@@ -54,6 +54,8 @@ def test_modulus_must_be_positive(m):
     with pytest.raises(InvariantError):
         CycloNumber(m, (1,))
     with pytest.raises(InvariantError):
+        CycloNumber.zeta(m)
+    with pytest.raises(InvariantError):
         CycloAlgebraElement(spec, m, [])
     with pytest.raises(InvariantError):
         CycloAlgebraElement.zero(spec, m)

@@ -1,6 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
-from pcikit.kernels import Spectra, _convolve_bigint, convolve_ints, transform_plan
+from pcikit.groups import enumeration
+from pcikit.kernels import (
+    Spectra,
+    _convolve_bigint,
+    _convolve_direct,
+    _convolve_loop,
+    convolve_ints,
+    transform_plan,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def plan_arrays(plan):
@@ -61,3 +76,31 @@ def test_pointwise_checks_use_enough_primes():
     assert convolve(a, a) != a
     b = AlgebraElement(spec, [q, 0])
     assert not are_orthogonal(AlgebraElement(spec, [3, 0]), b)
+
+
+def test_direct_kernels_match_bigint_reference():
+    # _convolve_loop is the body numba compiles; run here as plain Python.
+    rng = np.random.default_rng(7)
+    for orders in ((), (2, 2, 2), (9, 3), (4, 2), (25,)):
+        n = int(np.prod(orders))
+        a, b = (rng.integers(-5, 6, n) * (rng.random(n) < 0.5) for _ in range(2))
+        expected = _convolve_bigint(a.tolist(), b.tolist(), orders)
+        enum = enumeration(orders)
+        out = np.zeros(n, dtype=np.int64)
+        _convolve_loop(a, b, enum.code, enum.table, out)
+        assert out.tolist() == expected
+        assert _convolve_direct(a, b, orders, "numpy").tolist() == expected
+
+
+def test_kernel_benchmark_script_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(ROOT / "src"), env.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"),
+         "--repeats", "1", "--groups", "2:[1]*3"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr

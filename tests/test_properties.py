@@ -39,9 +39,9 @@ from pcikit import (
 )
 from pcikit.algebra import fraction_strings, integer_form, lattice_sum, lowest_terms
 from pcikit.diagram import alternate_generator_labels
-from pcikit.groups import enumeration_tables, product_indices
+from pcikit.groups import enumeration
 from pcikit.kernels import Spectra, _convolve_bigint, convolve_ints, primes_needed
-from pcikit.numtheory import cyclotomic_poly
+from pcikit.numtheory import cyclotomic_poly, factorize
 from pcikit.verify import certify_idempotents
 
 SPECS = [
@@ -81,9 +81,92 @@ def test_group_laws(data):
     assert group_mul(group_mul(a, b), c) == group_mul(a, group_mul(b, c))
     assert group_mul(a, identity(spec)) == a
     assert group_mul(a, a.inverse()) == identity(spec)
-    tables = enumeration_tables(spec.factor_orders)
-    product = product_indices(tables, element_index(a), element_index(b))
+    enum = enumeration(spec.factor_orders)
+    product = enum.product(element_index(a), element_index(b))
     assert element_from_index(spec, int(product)) == group_mul(a, b)
+
+
+# The enumeration's index arithmetic against GroupElement arithmetic: the
+# small groups above, one large cyclic factor, twelve factors of order 2
+# (the largest product table the default cap admits) and the trivial group.
+ENUMERATION_GROUPS = SPECS + [
+    parse_group_spec("2:[12]"),
+    parse_group_spec("2:[" + ",".join(["1"] * 12) + "]"),
+    PrimaryGroupSpec(2, ()),
+]
+
+
+@given(st.sampled_from(ENUMERATION_GROUPS), st.data())
+@settings(max_examples=120, deadline=None)
+def test_enumeration_matches_group_elements(spec, data):
+    enum = enumeration(spec.factor_orders)
+    index = st.integers(min_value=0, max_value=spec.order - 1)
+    i = data.draw(index)
+    others = data.draw(st.lists(index, min_size=1, max_size=6))
+    bound = 2 * spec.exponent
+    k = data.draw(st.integers(min_value=-bound, max_value=bound))
+    a = element_from_index(spec, i)
+    products = [element_index(a * element_from_index(spec, j)) for j in others]
+    assert enum.product(i, others).tolist() == products
+    assert enum.translation(i)[others].tolist() == products
+    assert element_from_index(spec, int(enum.inverse[i])) == a.inverse()
+    assert element_from_index(spec, int(enum.power(i, k))) == a**k
+
+
+# The cap ladder: C_2^8 to C_2^12, the widest groups of other exponents and
+# primes up to the default cap of 4096, the cyclic 2^12, and the cyclic
+# groups split runs on.
+CAP_LADDER = [
+    "2:[" + ",".join(["1"] * n) + "]" for n in range(8, 13)
+] + ["2:[2,2,2,2,2,2]", "3:[1,1,1,1,1,1,1]", "5:[1,1,1,1,1]", "2:[12]"] + [
+    f"2:[{n}]" for n in range(5, 10)
+]
+
+
+def test_product_table_stays_small_on_the_cap_ladder():
+    for text in CAP_LADDER:
+        orders = parse_group_spec(text).factor_orders
+        table = enumeration(orders).table
+        assert len(table) == math.prod(2 * m - 1 for m in orders)
+        assert len(table) <= 3**12, text
+
+
+def test_product_table_bound_below_the_default_cap():
+    """prod (2 m_j - 1) over the cyclic factors is largest, for a given
+    order, when every factor has prime order, so the largest table of any
+    group of order at most 4096 has prod (2 p - 1)^e entries for some
+    order prod p^e <= 4096: 3^12, at C_2^12."""
+    largest = max(
+        math.prod((2 * p - 1) ** e for p, e in factorize(n).items())
+        for n in range(1, 4097)
+    )
+    assert largest == 3**12
+
+
+@st.composite
+def int64_lattices(draw):
+    """A group with random or zero int64 numerators and a nonzero
+    denominator of either sign, all times a common factor, so that
+    normalising has work to do."""
+    groups = [parse_group_spec("2:[2,1]"), parse_group_spec("3:[1];5:[1]")]
+    spec = draw(st.sampled_from(groups + [PrimaryGroupSpec(2, ())]))
+    entry = st.integers(min_value=-(2**40), max_value=2**40)
+    nums = draw(
+        st.lists(entry, min_size=spec.order, max_size=spec.order)
+        | st.just([0] * spec.order)
+    )
+    scale = draw(st.integers(min_value=1, max_value=12))
+    return spec, [v * scale for v in nums], draw(entry.filter(bool)) * scale
+
+
+@given(int64_lattices())
+@settings(max_examples=120, deadline=None)
+def test_lattice_from_int64_matches_public_constructor(data):
+    spec, nums, den = data
+    fast = AlgebraElement._from_int64(spec, np.array(nums, dtype=np.int64), den)
+    slow = AlgebraElement(spec, nums, den)
+    assert (fast.nums, fast.den) == (slow.nums, slow.den)
+    assert all(type(v) is int for v in fast.nums)
 
 
 @given(spec_and_elements(1))
@@ -561,10 +644,10 @@ def coset_periodic(draw):
     index = st.integers(min_value=0, max_value=spec.order - 1)
     gens = [element_from_index(spec, i) for i in draw(st.lists(index, max_size=3))]
     sub = subgroup_closure(spec, gens)
-    digits, mods, strides = enumeration_tables(spec.factor_orders)
+    enum = enumeration(spec.factor_orders)
     values = draw(st.lists(st.integers(0, 2), min_size=spec.order, max_size=spec.order))
     # each element takes the value drawn for the least index of its coset
-    least = (((digits[:, None] + digits[sub]) % mods) @ strides).min(axis=1)
+    least = enum.product(np.arange(spec.order)[:, None], sub).min(axis=1)
     return AlgebraElement(spec, [values[j] for j in least])
 
 
@@ -591,6 +674,9 @@ def kernel_inputs(draw):
 # On C_4 x C_2, periodic on {(0,0), (2,0)}: the candidate (1,0) fails, but
 # its square is in the stabiliser, so only the coset of S may be ruled out.
 @example(AlgebraElement(parse_group_spec("2:[2,1]"), [1, 2, 1, 0, 1, 2, 1, 0]))
+# On C_9, periodic mod 3 with the first support index s0 = 1: the candidates
+# are the value class times s0^-1 = 8, not times s0.
+@example(AlgebraElement(parse_group_spec("3:[2]"), [0, 1, 2] * 3))
 @settings(max_examples=150, deadline=None)
 def test_kernel_subgroup_matches_translation_reference(e):
     reference = _kernel_reference(e)
