@@ -26,7 +26,7 @@ from .groups import (
     index_set,
     subgroup_closure,
 )
-from .kernels import Spectra, convolve_ints, primes_needed
+from .kernels import convolve_ints, squares_to
 from .numtheory import euler_phi, prime_power
 
 
@@ -188,7 +188,7 @@ def lattice_sum(terms: Iterable[_Lattice]) -> _Lattice:
 class AlgebraElement(_Lattice):
     """Element of Q[G] with exact rational coefficients; the lattice is G."""
 
-    __slots__ = ("_spectra",)
+    __slots__ = ()
 
     @property
     def _orders(self) -> tuple[int, ...]:
@@ -257,56 +257,27 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     return a._product(b)
 
 
-def _spectra(a: AlgebraElement) -> Spectra:
-    """The element's numerators with their norms and transforms, cached in
-    the _spectra slot (unset until the first call)."""
+def _rational(a) -> None:
+    """Raise SpecMismatchError unless a is in Q[G] (no CycloAlgebraElement is)."""
     if not isinstance(a, AlgebraElement):
         raise SpecMismatchError("not an element of Q[G]")
-    s = getattr(a, "_spectra", None)
-    if s is None:
-        s = Spectra(a.nums, a.spec.factor_orders)
-        object.__setattr__(a, "_spectra", s)
-    return s
 
 
 def is_idempotent(a: AlgebraElement) -> bool:
-    """a*a == a, tested pointwise on the transform T(nums) of the
-    numerators: T(nums)^2 == den * T(nums) modulo every prime needed.
-
-    Exactness: with c = nums*nums - den*nums, an integer vector, a is
-    idempotent iff c = 0, and |c| <= B = l1(nums)*max|nums| + den*max|nums|.
-    Each axis length of G divides q - 1, so the transform is invertible mod
-    q, and T(c) = 0 (mod q) gives c = 0 (mod q).  Over primes with product
-    above 2B, c = 0 (mod their product) forces c = 0.  Without such primes
-    the product is formed in full."""
-    s = _spectra(a)
-    count = primes_needed(s.l1 * s.linf + a.den * s.linf, s)
-    if count is None:
-        return convolve(a, a) == a
-    return all(
-        np.array_equal(x * x % q, x * (a.den % q) % q)
-        for q, x in zip(s.plan.primes, s.modulo(count))
-    )
+    """a*a == a, tested pointwise on the transform by kernels.squares_to."""
+    _rational(a)
+    return squares_to(a.nums, a.den, a.spec.factor_orders)
 
 
 def are_orthogonal(a: AlgebraElement, b: AlgebraElement) -> bool:
-    """a*b == 0, tested pointwise on the transforms:
-    T(nums_a) * T(nums_b) == 0 modulo every prime needed.  Exact by the
-    argument of is_idempotent, with c = nums_a * nums_b and
-    B = min(l1(a)*max|b|, l1(b)*max|a|)."""
-    a._check(b)
-    sa, sb = _spectra(a), _spectra(b)
-    count = primes_needed(min(sa.l1 * sb.linf, sb.l1 * sa.linf), sa, sb)
-    if count is None:
-        return convolve(a, b).is_zero()
-    return not any(
-        (x * y % q).any()
-        for q, x, y in zip(sa.plan.primes, sa.modulo(count), sb.modulo(count))
-    )
+    """a*b == 0, by forming the product."""
+    _rational(a)
+    return convolve(a, b).is_zero()
 
 
 def translate(g: GroupElement, a: AlgebraElement) -> AlgebraElement:
     """Left multiplication by the group element g (a basis permutation)."""
+    _rational(a)
     if g.spec != a.spec:
         raise SpecMismatchError("element from a different group")
     perm = enumeration(a.spec.factor_orders).translation(element_index(g))
@@ -425,6 +396,7 @@ def kernel_subgroup(e: AlgebraElement) -> np.ndarray:
     one rules out its whole coset cS, as cs fixes e only if c does.  So
     the tests number at most the S-cosets among the candidates plus
     log2|G|.  The zero element is fixed by all of G."""
+    _rational(e)
     spec = e.spec
     try:
         vals = np.array(e.nums, dtype=np.int64)

@@ -16,6 +16,9 @@ enumeration.  Three kernels compute it, all exactly:
 * the bigint path: arbitrary-precision Python ints, when the bound on the
   result entries does not fit in int64.
 
+squares_to, the idempotency test, runs pointwise on one transform and forms
+no product unless no plan covers its bound.
+
 See benchmarks/bench_kernels.py for a timing of each path.
 """
 
@@ -214,10 +217,10 @@ def transform_plan(orders: tuple[int, ...]) -> TransformPlan | None:
 
 class Spectra:
     """An integer vector with its exact l1 and max norms, its int64 form
-    (None when an entry does not fit) and its transforms modulo the plan
-    primes, each computed on first use."""
+    (None when an entry does not fit) and its transform plan.  It computes
+    and keeps no transform; modulo computes them afresh on each call."""
 
-    __slots__ = ("plan", "vec", "l1", "linf", "nnz", "_mods")
+    __slots__ = ("plan", "vec", "l1", "linf", "nnz")
 
     def __init__(self, values, orders: tuple[int, ...]):
         n = len(values)
@@ -237,13 +240,10 @@ class Spectra:
             self.l1 = sum(map(abs, values))
         self.vec = vec
         self.plan = transform_plan(orders) if vec is not None else None
-        self._mods: list[np.ndarray] = []
 
     def modulo(self, count: int) -> list[np.ndarray]:
-        """Spectra modulo the first `count` plan primes."""
-        for i in range(len(self._mods), count):
-            self._mods.append(self.plan.forward(self.vec, i))
-        return self._mods[:count]
+        """Transforms modulo the first `count` plan primes."""
+        return [self.plan.forward(self.vec, i) for i in range(count)]
 
 
 def primes_needed(bound: int, *operands: Spectra) -> int | None:
@@ -253,6 +253,33 @@ def primes_needed(bound: int, *operands: Spectra) -> int | None:
     if any(s.plan is None for s in operands):
         return None
     return operands[0].plan.primes_for(bound)
+
+
+def squares_to(values, den: int, orders: tuple[int, ...]) -> bool:
+    """Whether x*x == den*x exactly for the integer vector x = values (so
+    whether x/den is idempotent), tested pointwise on the transform T(x) as
+    T(x)^2 == den * T(x) modulo every prime needed.
+
+    Exactness: c = x*x - den*x is an integer vector with
+    |c| <= B = l1(x)*max|x| + den*max|x|.  Each axis length divides q - 1,
+    so the transform is invertible mod q, and T(c) = 0 (mod q) gives
+    c = 0 (mod q).  Over primes with product above 2B, c = 0 (mod their
+    product) forces c = 0.  Without such primes (no plan, or B too large)
+    x*x is formed in full by convolve_ints.
+
+    >>> squares_to((1, 1), 2, (2,))  # (1 + g)/2 in Q[C_2]
+    True
+    >>> squares_to((1, 1), 1, (2,))  # 1 + g: its square is 2 + 2g
+    False
+    """
+    s = Spectra(values, orders)
+    count = primes_needed(s.l1 * s.linf + den * s.linf, s)
+    if count is None:
+        return convolve_ints(values, values, orders) == [den * v for v in values]
+    return all(
+        np.array_equal(x * x % q, x * (den % q) % q)
+        for q, x in zip(s.plan.primes, s.modulo(count))
+    )
 
 
 # -- direct and bigint kernels -------------------------------------------

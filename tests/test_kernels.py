@@ -1,11 +1,12 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-from pcikit.groups import enumeration
+from pcikit.groups import enumeration, parse_group_spec
 from pcikit.kernels import (
     Spectra,
     _convolve_bigint,
@@ -66,7 +67,7 @@ def test_pointwise_checks_use_enough_primes():
     # Elements built so that the integer result is a nonzero multiple of the
     # plan's first prime: one prime alone would wrongly pass them.
     from pcikit import AlgebraElement, are_orthogonal, convolve, is_idempotent
-    from pcikit import PrimaryGroupSpec
+    from pcikit import PrimaryGroupSpec, pci_set
 
     spec = PrimaryGroupSpec(2, ((1, 1),))
     q = transform_plan(spec.factor_orders).primes[0]
@@ -76,6 +77,32 @@ def test_pointwise_checks_use_enough_primes():
     assert convolve(a, a) != a
     b = AlgebraElement(spec, [q, 0])
     assert not are_orthogonal(AlgebraElement(spec, [3, 0]), b)
+    # Where no plan covers the bound the square is formed in full: C_67 has
+    # no plan, and a PCI scaled by 2**70 + 1 has entries beyond int64.
+    c67 = parse_group_spec("67:[1]")
+    assert transform_plan(c67.factor_orders) is None
+    pcis = pci_set(c67)
+    scaled = [e.scaled(2**70 + 1) for e in pcis + pci_set(spec)]
+    for a, idempotent in [(e, True) for e in pcis] + [(e, False) for e in scaled]:
+        assert is_idempotent(a) == (convolve(a, a) == a) == idempotent
+
+
+def test_certify_idempotents_keeps_no_transforms():
+    from pcikit import is_idempotent, pci_set
+    from pcikit.algebra import lattice_sum
+    from pcikit.verify import certify_idempotents
+
+    pcis = pci_set(parse_group_spec("2:[1,1,1,1,1,1,1,1]"))
+    total = lattice_sum(pcis)
+    assert is_idempotent(total)  # builds the plan and its tables
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert certify_idempotents(pcis, total) == ([], True)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
 
 
 def test_direct_kernels_match_bigint_reference():

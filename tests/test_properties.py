@@ -431,10 +431,16 @@ def test_lattice_types_do_not_mix():
     for op in (lambda: a + x, lambda: x + a, lambda: a * x, lambda: x * a):
         with pytest.raises(SpecMismatchError):
             op()
+    c4 = parse_group_spec("2:[2]")
+    g = element_from_index(c4, 3)
     for check in (
         lambda: are_orthogonal(a, x),
         lambda: are_orthogonal(x, x),
         lambda: is_idempotent(x),
+        lambda: translate(identity(spec), x),
+        lambda: translate(g, CycloAlgebraElement.one(c4, 4)),
+        lambda: kernel_subgroup(x),
+        lambda: kernel_subgroup(CycloAlgebraElement.monomial(c4, 4, g, 3)),
         lambda: compare_pci_sets([a], [x]),
         lambda: compare_pci_sets([x], [x]),
     ):
