@@ -1,16 +1,19 @@
-"""Benchmark the exact convolution kernels on dense random operands: the
-transform path, the direct path (numba when it imports, and pure numpy),
-and the bigint path.
+"""Benchmark the exact product kernels and the pointwise idempotency test.
 
-The group-algebra product is the hot loop behind every product the engine
-forms, so these are the numbers that matter.  Run:
+Products of dense random operands go through the direct kernel (numba when
+it imports, and pure numpy) and the bigint kernel.  Dense products are rare
+in the engine: its products are cyclotomic ones in `split` and the
+splitting-field check, and `verify` tests idempotency pointwise without
+forming a product.  So the last row times that test, kernels.squares_to,
+against forming the square with convolve_ints on one primitive central
+idempotent of the last group.  Run:
 
     python benchmarks/bench_kernels.py
     python benchmarks/bench_kernels.py --repeats 9 --groups "2:[1]*10,2:[10]"
 
-The numba column is left out when numba is not importable.  The bigint path
-is the arbitrary-precision safety net; it is expected to be slow and is
-included for scale.
+The numba column is left out when numba is not importable.  The bigint
+kernel is the arbitrary-precision safety net; it is expected to be slow and
+is included for scale.
 """
 
 import argparse
@@ -19,9 +22,9 @@ import time
 
 import numpy as np
 
-from pcikit import parse_group_spec
+from pcikit import parse_group_spec, pci_set
 from pcikit import kernels
-from pcikit.kernels import Spectra, _convolve_bigint, _convolve_direct, primes_needed
+from pcikit.kernels import _convolve_bigint, _convolve_direct, convolve_ints, squares_to
 
 
 def expand_group_text(text):
@@ -34,10 +37,16 @@ def expand_group_text(text):
     return text
 
 
-def transform_product(a, b, orders):
-    sa, sb = Spectra(a, orders), Spectra(b, orders)
-    count = primes_needed(min(sa.l1 * sb.linf, sb.l1 * sa.linf), sa, sb)
-    return sa.plan.product(sa.modulo(count), sb.modulo(count))
+def best_of(run, repeats):
+    """(best wall time of repeats calls after one warm-up call, its result);
+    the warm-up compiles the numba kernel and builds tables and plans."""
+    run()
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        out = run()
+        best = min(best, time.perf_counter() - t0)
+    return best, out
 
 
 def bench(orders, repeats, rng, backends):
@@ -47,25 +56,24 @@ def bench(orders, repeats, rng, backends):
     a = [rng.randrange(-50, 51) for _ in range(n)]
     b = [rng.randrange(-50, 51) for _ in range(n)]
     av, bv = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-    paths = {"transform": lambda: transform_product(a, b, orders)}
-    for backend in backends:
-        paths[backend] = lambda k=backend: _convolve_direct(av, bv, orders, k)
-
-    results = {}
-    for name, run in paths.items():
-        run()  # warm-up: compiles the numba kernel, builds tables and plans
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            out = run()
-            best = min(best, time.perf_counter() - t0)
-        results[name] = (best, out.tolist())
     t0 = time.perf_counter()
     big = _convolve_bigint(a, b, orders)
-    results["bigint"] = (time.perf_counter() - t0, big)
+    times = {"bigint": time.perf_counter() - t0}
+    for backend in backends:
+        seconds, out = best_of(lambda: _convolve_direct(av, bv, orders, backend), repeats)
+        assert out.tolist() == big
+        times[backend] = seconds
+    return n, times
 
-    assert all(out == big for _, out in results.values())
-    return n, {k: v[0] for k, v in results.items()}
+
+def bench_idempotency(spec, repeats):
+    """squares_to and convolve_ints(x, x) on the densest idempotent of spec."""
+    e = max(pci_set(spec), key=lambda e: len(e.support()))
+    orders = spec.factor_orders
+    test_s, verdict = best_of(lambda: squares_to(e.nums, e.den, orders), repeats)
+    square_s, square = best_of(lambda: convolve_ints(e.nums, e.nums, orders), repeats)
+    assert verdict and square == [e.den * v for v in e.nums]
+    return len(e.support()), test_s, square_s
 
 
 def main():
@@ -80,16 +88,24 @@ def main():
     args = parser.parse_args()
 
     backends = ("numba", "numpy") if kernels.numba is not None else ("numpy",)
-    columns = ("transform", *backends, "bigint")
+    columns = (*backends, "bigint")
     rng = random.Random(args.seed)
+    texts = [text.strip() for text in args.groups.split(",")]
     print(f"{'group':>12} {'|G|':>6} " + " ".join(f"{c:>12}" for c in columns))
-    for text in args.groups.split(","):
-        spec = parse_group_spec(expand_group_text(text.strip()))
+    for text in texts:
+        spec = parse_group_spec(expand_group_text(text))
         n, times = bench(spec.factor_orders, args.repeats, rng, backends)
         print(
-            f"{text.strip():>12} {n:>6} "
+            f"{text:>12} {n:>6} "
             + " ".join(f"{times[c] * 1e3:>10.3f}ms" for c in columns)
         )
+    spec = parse_group_spec(expand_group_text(texts[-1]))
+    support, test_s, square_s = bench_idempotency(spec, args.repeats)
+    print(
+        f"idempotency of a PCI of {texts[-1]} ({support} nonzeros): "
+        f"squares_to {test_s * 1e3:.3f}ms, "
+        f"convolve_ints(x, x) {square_s * 1e3:.3f}ms"
+    )
 
 
 if __name__ == "__main__":

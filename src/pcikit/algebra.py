@@ -24,6 +24,7 @@ from .groups import (
     enumeration,
     identity,
     index_set,
+    member_index,
     subgroup_closure,
 )
 from .kernels import convolve_ints, squares_to
@@ -207,7 +208,7 @@ class AlgebraElement(_Lattice):
     @classmethod
     def basis(cls, spec: GroupSpec, g: GroupElement) -> "AlgebraElement":
         nums = [0] * spec.order
-        nums[element_index(g)] = 1
+        nums[member_index(spec, g)] = 1
         return cls(spec, nums)
 
     @classmethod
@@ -278,9 +279,7 @@ def are_orthogonal(a: AlgebraElement, b: AlgebraElement) -> bool:
 def translate(g: GroupElement, a: AlgebraElement) -> AlgebraElement:
     """Left multiplication by the group element g (a basis permutation)."""
     _rational(a)
-    if g.spec != a.spec:
-        raise SpecMismatchError("element from a different group")
-    perm = enumeration(a.spec.factor_orders).translation(element_index(g))
+    perm = enumeration(a.spec.factor_orders).translation(member_index(a.spec, g))
     nums = [0] * a.spec.order
     for j, v in enumerate(a.nums):
         if v:

@@ -13,6 +13,7 @@ lattice over the trivial group.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from fractions import Fraction
 from functools import cache
@@ -27,7 +28,7 @@ from .algebra import (
     lowest_terms,
 )
 from .errors import InconsistencyError, InvariantError, SpecMismatchError
-from .groups import AbelianGroupSpec, GroupElement, GroupSpec, element_index
+from .groups import AbelianGroupSpec, GroupElement, GroupSpec, member_index
 from .numtheory import cyclotomic_poly, euler_phi, mobius
 
 
@@ -270,13 +271,14 @@ class CycloAlgebraElement(_CycloLattice):
     ) -> "CycloAlgebraElement":
         """den^-1 * zeta^zeta_exp * g."""
         nums = [0] * (spec.order * m)
-        nums[element_index(g) * m + zeta_exp % m] = 1
+        nums[member_index(spec, g) * m + zeta_exp % m] = 1
         return cls(spec, m, nums, den)
 
     # -- coefficients -------------------------------------------------
 
     def cyclo_coeff(self, at) -> CycloNumber:
-        idx = element_index(at) if isinstance(at, GroupElement) else int(at)
+        """The Q(zeta_m) coefficient at a group element or an element index."""
+        idx = int(at) if isinstance(at, numbers.Integral) else member_index(self.spec, at)
         m = self.m
         return CycloNumber(m, self.nums[idx * m : (idx + 1) * m], self.den)
 

@@ -486,9 +486,9 @@ def cross_prime_product(
             for e in per_part_sets[0]
         ]
     out = []
-    for first, *rest in itertools.product(*per_part_sets):
-        nums, den = first.nums, first.den
-        for e in rest:
+    for combo in itertools.product(*per_part_sets):
+        nums, den = [1], 1  # the empty product: 1 in Q[C_1]
+        for e in combo:
             nums = [x * y for x in nums for y in e.nums]
             den *= e.den
         out.append(AlgebraElement(spec, nums, den))

@@ -365,6 +365,15 @@ def element_index(g: GroupElement) -> int:
     return idx
 
 
+def member_index(spec: GroupSpec, g) -> int:
+    """element_index(g), once g is checked to be a GroupElement of spec;
+    anything else (an element of another group, an exponent tuple) raises
+    SpecMismatchError."""
+    if not isinstance(g, GroupElement) or (g.spec is not spec and g.spec != spec):
+        raise SpecMismatchError(f"not an element of {spec}")
+    return element_index(g)
+
+
 def element_from_index(spec: GroupSpec, idx: int) -> GroupElement:
     exps = []
     for d in reversed(spec.factor_orders):
@@ -409,11 +418,8 @@ def subgroup_closure(spec: GroupSpec, gens: Iterable[GroupElement]) -> np.ndarra
     >>> subgroup_closure(C4C2, [element(C4C2, (1, 1))]).tolist()
     [0, 3, 4, 7]
     """
-    gens = list(gens)
-    if any(g.spec != spec for g in gens):
-        raise SpecMismatchError("generator from a different group")
+    steps = np.array([member_index(spec, g) for g in gens], dtype=np.int64)
     enum = enumeration(spec.factor_orders)
-    steps = np.array([element_index(g) for g in gens], dtype=np.int64)
     seen = np.zeros(spec.order, dtype=bool)
     frontier = np.zeros(1, dtype=np.int64)  # the identity has index 0
     seen[frontier] = True

@@ -1,25 +1,24 @@
-"""Integer convolution kernels behind the group-algebra product.
+"""Integer convolution kernels behind the group-algebra product, and the
+pointwise idempotency test.
 
 Coefficient vectors are exact integers over a common denominator, so the
 algebra product is an integer convolution over the mixed-radix element
-enumeration.  Three kernels compute it, all exactly:
+enumeration.  Two kernels compute it, both exactly:
 
-* the transform path (the production path): the group DFT over F_q with
-  q = 1 (mod exp G), one small DFT matrix per cyclic axis, a pointwise
-  product and the inverse DFT, run modulo one or two primes and joined by
-  symmetric CRT (Pollard, "The fast Fourier transform in a finite field",
-  Math. Comp. 1971);
-* the direct path: one pass over the nonzeros of the sparser operand,
-  O(nnz * |G|), for sparse operands and for products whose bound the plan's
-  primes do not cover.  PCIKIT_BACKEND picks its implementation: a
-  numba-jitted loop (the default when numba imports) or pure numpy;
-* the bigint path: arbitrary-precision Python ints, when the bound on the
-  result entries does not fit in int64.
+* the direct path: one multiply-add per pair of nonzeros, whenever the
+  bound on the result entries fits in int64.  PCIKIT_BACKEND picks its
+  implementation: a numba-jitted loop (the default when numba imports) or
+  pure numpy;
+* the bigint path: arbitrary-precision Python ints, when that bound does
+  not fit in int64.
 
-squares_to, the idempotency test, runs pointwise on one transform and forms
-no product unless no plan covers its bound.
+squares_to, the idempotency test, forms no product: it compares x*x with
+den*x pointwise on the group DFT of x over F_q with q = 1 (mod exp G), one
+small DFT matrix per cyclic axis, modulo one or two primes (Pollard, "The
+fast Fourier transform in a finite field", Math. Comp. 1971).  Only when no
+transform plan covers its bound does it form the square.
 
-See benchmarks/bench_kernels.py for a timing of each path.
+See benchmarks/bench_kernels.py for a timing of each.
 """
 
 from __future__ import annotations
@@ -92,7 +91,7 @@ def _root_of_unity(q: int, order: int) -> int:
 
 
 class TransformPlan:
-    """Exact group DFT for one tuple of cyclic factor orders.
+    """Exact forward group DFT for one tuple of cyclic factor orders.
 
     The plan holds up to two primes q = 1 (mod lcm(orders)), the largest
     with d * (q-1)^2 < 2^63 for every DFT matrix side d, so an int64 matmul
@@ -100,8 +99,8 @@ class TransformPlan:
     mod q; an axis longer than 64 is split four-step (Cooley-Tukey:
     d = c * rest, a c x c DFT, a twiddle by w_d^(k*m), then the rest), so no
     matrix is larger than 64 x 64 and each twiddle table has d entries.  The
-    spectrum comes out in a permuted order that forward and inverse share,
-    which is all a pointwise product needs.
+    spectrum comes out in a permuted order; a pointwise test needs no
+    particular order.
     """
 
     def __init__(self, orders: tuple[int, ...], axes: list[list[int]]):
@@ -125,22 +124,17 @@ class TransformPlan:
                 self.primes += (k * exponent + 1,)
             k -= 1
         self.forward_steps = []
-        self.inverse_steps = []
         for q in self.primes:
             w = _root_of_unity(q, exponent)
-            fwd, inv = [], []
+            fwd = []
             for shape, tshape, length in steps:
                 c = shape[1]
-                mat, mat_inv = _dft_matrices(q, pow(w, exponent // c, q), c)
-                tw = tw_inv = None
+                mat = _dft_matrix(q, pow(w, exponent // c, q), c)
+                tw = None
                 if tshape is not None:
-                    tw, tw_inv = _twiddles(q, pow(w, exponent // length, q), c, length)
+                    tw = _twiddles(q, pow(w, exponent // length, q), c, length)
                 fwd.append((shape, mat, tshape, tw))
-                inv.append((shape, mat_inv, tshape, tw_inv))
             self.forward_steps.append(fwd)
-            self.inverse_steps.append(inv[::-1])
-        if len(self.primes) == 2:
-            self._crt_inverse = pow(self.primes[0], -1, self.primes[1])
 
     def primes_for(self, bound: int) -> int | None:
         """Fewest plan primes whose product exceeds 2 * bound, or None."""
@@ -161,47 +155,19 @@ class TransformPlan:
                 x = x.reshape(tshape) * tw % q
         return x.reshape(-1)
 
-    def inverse(self, spec: np.ndarray, i: int) -> np.ndarray:
-        """Vector in [0, q) whose spectrum modulo the i-th prime is spec."""
-        q = self.primes[i]
-        x = spec
-        for shape, mat, tshape, tw in self.inverse_steps[i]:
-            if tw is not None:
-                x = x.reshape(tshape) * tw % q
-            x = np.matmul(mat, x.reshape(shape)) % q
-        return x.reshape(-1)
 
-    def product(self, a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
-        """Exact convolution from the spectra of both operands modulo the
-        first len(a) primes, recovered by symmetric CRT; the caller has
-        checked with primes_for that the result entries fit."""
-        res = [
-            self.inverse(x * y % q, i)
-            for i, (q, x, y) in enumerate(zip(self.primes, a, b))
-        ]
-        if len(res) == 1:
-            modulus, r = self.primes[0], res[0]
-        else:
-            q1, q2 = self.primes
-            modulus = q1 * q2
-            r = res[0] + q1 * ((res[1] - res[0]) % q2 * self._crt_inverse % q2)
-        return np.where(r > modulus // 2, r - modulus, r)
-
-
-def _dft_matrices(q: int, w: int, c: int) -> tuple[np.ndarray, np.ndarray]:
-    """The c x c DFT matrix of the c-th root w mod q, and its inverse."""
+def _dft_matrix(q: int, w: int, c: int) -> np.ndarray:
+    """The c x c DFT matrix of the c-th root w mod q."""
     powers = np.array([pow(w, e, q) for e in range(c)], dtype=np.int64)
-    exps = np.outer(np.arange(c), np.arange(c))
-    c_inv = pow(c, -1, q)
-    return powers[exps % c], powers[-exps % c] * c_inv % q
+    return powers[np.outer(np.arange(c), np.arange(c)) % c]
 
 
-def _twiddles(q: int, w: int, c: int, length: int) -> tuple[np.ndarray, ...]:
-    """w^(k*m) and w^(-k*m) for k < c, m < length // c, shaped to broadcast
-    over the trailing axes."""
+def _twiddles(q: int, w: int, c: int, length: int) -> np.ndarray:
+    """w^(k*m) for k < c, m < length // c, shaped to broadcast over the
+    trailing axes."""
     powers = np.array([pow(w, e, q) for e in range(length)], dtype=np.int64)
     exps = np.outer(np.arange(c), np.arange(length // c))
-    return powers[exps % length][..., None], powers[-exps % length][..., None]
+    return powers[exps % length][..., None]
 
 
 @cache
@@ -216,13 +182,12 @@ def transform_plan(orders: tuple[int, ...]) -> TransformPlan | None:
 
 
 class Spectra:
-    """An integer vector with its exact l1 and max norms, its int64 form
-    (None when an entry does not fit) and its transform plan.  It computes
-    and keeps no transform; modulo computes them afresh on each call."""
+    """An integer vector's int64 form (None when an entry does not fit) and
+    its exact l1 and max norms."""
 
-    __slots__ = ("plan", "vec", "l1", "linf", "nnz")
+    __slots__ = ("vec", "l1", "linf")
 
-    def __init__(self, values, orders: tuple[int, ...]):
+    def __init__(self, values):
         n = len(values)
         try:
             vec = np.fromiter(values, dtype=np.int64, count=n)
@@ -230,29 +195,13 @@ class Spectra:
             vec = None
         if vec is None:
             self.linf = max(map(abs, values))
-            self.nnz = n - values.count(0)
         else:
             self.linf = max(int(vec.max()), -int(vec.min()))
-            self.nnz = int(np.count_nonzero(vec))
         if vec is not None and self.linf <= _INT64_MAX // n:
             self.l1 = int(np.abs(vec).sum())
         else:
             self.l1 = sum(map(abs, values))
         self.vec = vec
-        self.plan = transform_plan(orders) if vec is not None else None
-
-    def modulo(self, count: int) -> list[np.ndarray]:
-        """Transforms modulo the first `count` plan primes."""
-        return [self.plan.forward(self.vec, i) for i in range(count)]
-
-
-def primes_needed(bound: int, *operands: Spectra) -> int | None:
-    """Number of plan primes that recover an integer vector whose entries
-    are at most `bound` in absolute value, or None when the transform path
-    cannot (no plan, or the bound exceeds what the plan's primes cover)."""
-    if any(s.plan is None for s in operands):
-        return None
-    return operands[0].plan.primes_for(bound)
 
 
 def squares_to(values, den: int, orders: tuple[int, ...]) -> bool:
@@ -272,13 +221,16 @@ def squares_to(values, den: int, orders: tuple[int, ...]) -> bool:
     >>> squares_to((1, 1), 1, (2,))  # 1 + g: its square is 2 + 2g
     False
     """
-    s = Spectra(values, orders)
-    count = primes_needed(s.l1 * s.linf + den * s.linf, s)
+    s = Spectra(values)
+    plan = transform_plan(orders)
+    # An entry beyond int64 (s.vec is None) puts B beyond every plan's primes.
+    count = plan.primes_for(s.l1 * s.linf + den * s.linf) if plan else None
     if count is None:
         return convolve_ints(values, values, orders) == [den * v for v in values]
+    spectra = (plan.forward(s.vec, i) for i in range(count))
     return all(
         np.array_equal(x * x % q, x * (den % q) % q)
-        for q, x in zip(s.plan.primes, s.modulo(count))
+        for q, x in zip(plan.primes, spectra)
     )
 
 
@@ -308,9 +260,12 @@ def _convolve_numba(a, b, enum):
 
 
 def _convolve_numpy(a, b, enum):
+    # Translate only the nonzeros of b: one gather per pair of nonzeros.
+    cols = np.flatnonzero(b)
+    b_cols, b_codes = b[cols], enum.code[cols]
     out = np.zeros(a.shape[0], dtype=np.int64)
     for i in np.flatnonzero(a):
-        out[enum.translation(i)] += a[i] * b
+        out[enum.table[enum.code[i] + b_codes]] += a[i] * b_cols
     return out
 
 
@@ -342,33 +297,19 @@ def convolve_ints(a, b, orders: tuple[int, ...]):
     """Exact convolution of two integer vectors over the abelian group with
     the given cyclic factor orders.  Returns a list of Python ints.
 
-    Every entry of the result is at most B = min(l1(a)*max|b|,
-    l1(b)*max|a|) in absolute value.  B above int64 takes the bigint path.
-    The direct path, whose implementation PCIKIT_BACKEND selects, takes
-    the products whose sparser operand has at most one nonzero per cyclic
-    axis (for p = 2, the root-twisted averages of extension_children), and those
-    whose B the plan's primes do not cover (2B >= their product).
-    Everything else takes the transform path.
-
-    The direct path makes one add and one gather over all |G| entries per
-    nonzero (the enumeration's carry-free product table); three transforms
-    make a few passes per axis.  Measured with numpy on C_2^6 to
-    C_64 x C_64 (2 vCPUs), the direct path is still the cheaper one at 16
-    nonzeros, so this split is conservative.
+    Every entry of the result, and every partial sum on the way to it, is
+    at most B = min(l1(a)*max|b|, l1(b)*max|a|) in absolute value.  When B
+    fits in int64 the direct kernel computes it, in the implementation
+    PCIKIT_BACKEND selects: one multiply-add per pair of nonzeros, indexed
+    by the enumeration's carry-free product table.  Otherwise the bigint
+    kernel does.
     """
     n = math.prod(orders)
     if len(a) != n or len(b) != n:
         raise ValueError("coefficient vector length does not match the group order")
-    sa, sb = Spectra(a, orders), Spectra(b, orders)
+    sa, sb = Spectra(a), Spectra(b)
     if sa.l1 == 0 or sb.l1 == 0:
         return [0] * n
-    bound = min(sa.l1 * sb.linf, sb.l1 * sa.linf)
-    if bound > _INT64_MAX:
+    if min(sa.l1 * sb.linf, sb.l1 * sa.linf) > _INT64_MAX:
         return _convolve_bigint(a, b, orders)
-    backend = active_backend()
-    count = primes_needed(bound, sa, sb)
-    if count is None or min(sa.nnz, sb.nnz) <= len(orders):
-        out = _convolve_direct(sa.vec, sb.vec, orders, backend)
-    else:
-        out = sa.plan.product(sa.modulo(count), sb.modulo(count))
-    return out.tolist()
+    return _convolve_direct(sa.vec, sb.vec, orders, active_backend()).tolist()

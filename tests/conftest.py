@@ -2,13 +2,8 @@
 
 from functools import cache
 
-from pcikit import (
-    AbelianGroupSpec,
-    PrimaryGroupSpec,
-    oracle_pci_set,
-    parse_group_spec,
-    pci_records,
-)
+from pcikit import AbelianGroupSpec, PrimaryGroupSpec, parse_group_spec, pci_records
+from pcikit.verify import Check, run_checks
 
 
 def partitions(n, largest=None):
@@ -71,5 +66,9 @@ def engine_set(spec):
 
 
 @cache
-def oracle_set(spec):
-    return tuple(oracle_pci_set(spec))
+def verify_checks(spec) -> dict[str, Check]:
+    """verify.run_checks on spec, by check name; a one-prime group is
+    checked as the one part of an AbelianGroupSpec, as the CLI does."""
+    if isinstance(spec, PrimaryGroupSpec):
+        spec = AbelianGroupSpec((spec,))
+    return {c.name: c for c in run_checks(spec, alternate_order=False)}

@@ -34,10 +34,8 @@ from pcikit import (
     wedderburn_profile,
 )
 from pcikit.cli import RunConfig, run
-from pcikit.verify import vertex_kernel_failures
-from pcikit.numtheory import euler_phi
 
-from conftest import engine_set, full_corpus, oracle_set, primary_corpus
+from conftest import engine_set, full_corpus, primary_corpus, verify_checks
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -69,11 +67,17 @@ def test_criterion_1_soundness():
         assert elapsed < 300
 
 
+def assert_checks_pass(spec, *names):
+    """The named checks of verify.run_checks all pass on spec."""
+    checks = verify_checks(spec)
+    for name in names:
+        assert checks[name].ok, (spec, name, checks[name].detail)
+
+
 def test_criterion_2_oracle_equivalence():
     with criterion(2, "engine leaves equal the character oracle as multisets"):
         for spec in full_corpus():
-            report = compare_pci_sets(engine_set(spec), list(oracle_set(spec)))
-            assert report.equal, (spec, report.witness_side)
+            assert_checks_pass(spec, "engine_matches_oracle")
 
 
 def test_criterion_3_cyclic_closed_form():
@@ -125,12 +129,7 @@ def test_criterion_4_splitting_field():
 def test_criterion_5_component_count_formula():
     with criterion(5, "component counts: corrected closed form matches the census"):
         for spec in primary_corpus():
-            profile = wedderburn_profile(spec)  # raises on formula/census mismatch
-            assert all(row.agree for row in profile.rows)
-            assert (
-                sum(row.census * euler_phi(row.cyclotomic_order) for row in profile.rows)
-                == spec.order
-            )
+            assert_checks_pass(spec, f"component_counts_p{spec.p}")
         # the uncorrected-exponent variant is refuted by C_4
         c4 = cyclic_group_spec(2, 2)
         row = wedderburn_profile(c4).rows[2]
@@ -147,10 +146,7 @@ def test_criterion_6_rank_two_exponent_p_level_sizes():
 def test_criterion_7_factored_form_and_kernels():
     with criterion(7, "one primed factor per nontrivial vertex; tracked = algebraic kernel"):
         for spec in primary_corpus():
-            diag = build_pci_diagram(spec)
-            vertices = [(spec, v) for level in diag.levels for v in level]
-            assert all(v.trivial == (v.form.primed is None) for _, v in vertices)
-            assert vertex_kernel_failures(vertices) == [], spec
+            assert_checks_pass(spec, "factored_form_structure", "vertex_kernels")
 
 
 def test_criterion_8_ramanujan_cross_check():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from pcikit import (
+    AbelianGroupSpec,
     AlgebraElement,
     CycloAlgebraElement,
     GroupElement,
@@ -31,6 +32,7 @@ from pcikit import (
     splitting_field_pcis,
     subgroup_closure,
 )
+from pcikit import verify
 from pcikit.diagram import alternate_generator_labels
 from pcikit.numtheory import euler_phi
 
@@ -318,6 +320,17 @@ def test_cross_prime_trivial_factor():
         from pcikit import is_idempotent
 
         assert is_idempotent(e)
+
+
+def test_trivial_group_of_no_parts():
+    spec = AbelianGroupSpec(())
+    one = AlgebraElement.one(spec)
+    assert cross_prime_product(spec, []) == [one]
+    assert pci_set(spec) == oracle_pci_set(spec) == [one]
+    [rec] = pci_records(spec)
+    assert (rec.kernel_order, rec.quotient_order) == (1, 1)
+    checks = verify.run_checks(spec, alternate_order=True)
+    assert checks and all(c.ok for c in checks), checks
 
 
 def test_pci_records_bookkeeping():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from pcikit import (
+    AlgebraElement,
     CapExceededError,
+    CycloAlgebraElement,
     GroupSpecError,
     LongGenerator,
     PrimaryGroupSpec,
@@ -18,6 +20,7 @@ from pcikit import (
     long_generator_sequence,
     parse_group_spec,
     subgroup_closure,
+    translate,
 )
 
 C9 = PrimaryGroupSpec(3, ((2, 1),))
@@ -156,3 +159,22 @@ def test_enumeration_bijection():
             assert element_from_index(spec, i) == g
             seen.add(g.exps)
         assert len(seen) == spec.order
+
+
+def test_group_element_arguments_must_belong_to_the_group():
+    # An element of C_2 x C_2 (whose index is that of x^3 in C_4), or a bare
+    # exponent tuple, is not an element of C_4.
+    c2c2 = PrimaryGroupSpec(2, ((1, 2),))
+    for g in (element(c2c2, (1, 1)), (3,)):
+        for call in (
+            lambda: AlgebraElement.basis(C4, g),
+            lambda: CycloAlgebraElement.monomial(C4, 4, g, 1),
+            lambda: CycloAlgebraElement.one(C4, 4).cyclo_coeff(g),
+            lambda: translate(g, AlgebraElement.one(C4)),
+            lambda: subgroup_closure(C4, [g]),
+        ):
+            with pytest.raises(SpecMismatchError):
+                call()
+    x3 = element(C4, (3,))
+    assert CycloAlgebraElement.one(C4, 4).cyclo_coeff(x3).is_zero()
+    assert AlgebraElement.basis(C4, x3).nums == (0, 0, 0, 1)

@@ -23,7 +23,7 @@ def plan_arrays(plan):
     """Every DFT matrix and twiddle table a plan holds."""
     return [
         a
-        for steps in plan.forward_steps + plan.inverse_steps
+        for steps in plan.forward_steps
         for _, mat, _, tw in steps
         for a in (mat, tw)
         if a is not None
@@ -57,9 +57,9 @@ def test_prime_factor_above_64_has_no_plan():
 
 def test_spectra_norms_are_exact_beyond_int64():
     big = 2**70
-    s = Spectra((big, -3, 0), (3,))
-    assert (s.l1, s.linf, s.nnz, s.vec) == (big + 3, big, 2, None)
-    s = Spectra((-(2**63), 1), (2,))
+    s = Spectra((big, -3, 0))
+    assert (s.l1, s.linf, s.vec) == (big + 3, big, None)
+    s = Spectra((-(2**63), 1))
     assert (s.l1, s.linf) == (2**63 + 1, 2**63)
 
 
@@ -85,6 +85,54 @@ def test_pointwise_checks_use_enough_primes():
     scaled = [e.scaled(2**70 + 1) for e in pcis + pci_set(spec)]
     for a, idempotent in [(e, True) for e in pcis] + [(e, False) for e in scaled]:
         assert is_idempotent(a) == (convolve(a, a) == a) == idempotent
+
+
+def test_squares_to_reaches_one_prime_two_primes_and_the_full_square(monkeypatch):
+    from pcikit import AlgebraElement, PrimaryGroupSpec, convolve, pci_set
+    from pcikit import kernels
+
+    # Record the primes squares_to transforms modulo, and whether it forms
+    # the square; algebra's convolve keeps the unwrapped convolve_ints.
+    reached = []
+    forward, square = kernels.TransformPlan.forward, kernels.convolve_ints
+
+    def spy_forward(plan, vec, i):
+        reached.append(plan.primes[i])
+        return forward(plan, vec, i)
+
+    def spy_square(a, b, orders):
+        reached.append("square")
+        return square(a, b, orders)
+
+    monkeypatch.setattr(kernels.TransformPlan, "forward", spy_forward)
+    monkeypatch.setattr(kernels, "convolve_ints", spy_square)
+
+    c2 = PrimaryGroupSpec(2, ((1, 1),))
+    primes = transform_plan(c2.factor_orders).primes
+    e = pci_set(c2)[1]  # (1 - g)/2
+    k = 2**20
+    e67 = pci_set(parse_group_spec("67:[1]"))[1]
+    cases = [  # numerators, denominator, the element they stand for, path
+        (e.nums, e.den, e, primes[:1]),
+        # the same element over k * den: its bound needs both primes
+        ([k * v for v in e.nums], k * e.den, e, primes),
+        # 3*3 - den*3 = -3 q1: only the second prime tells it from zero
+        ((3, 0), primes[0] + 3, AlgebraElement(c2, [3, 0], primes[0] + 3), primes),
+        # C_67 has no plan; entries beyond int64 exceed every plan's primes
+        (e67.nums, e67.den, e67, ("square",)),
+        *[
+            (a.nums, a.den, a, ("square",))
+            for a in (e.scaled(2**70 + 1), e67.scaled(2**70 + 1))
+        ],
+    ]
+    verdicts = []
+    for nums, den, a, path in cases:
+        reached.clear()
+        verdict = kernels.squares_to(nums, den, a.spec.factor_orders)
+        assert tuple(reached) == tuple(path)
+        assert verdict == (convolve(a, a) == a)
+        verdicts.append(verdict)
+    assert verdicts == [True, True, False, True, False, False]
 
 
 def test_certify_idempotents_keeps_no_transforms():

@@ -40,7 +40,7 @@ from pcikit import (
 from pcikit.algebra import fraction_strings, integer_form, lattice_sum, lowest_terms
 from pcikit.diagram import alternate_generator_labels
 from pcikit.groups import enumeration
-from pcikit.kernels import Spectra, _convolve_bigint, convolve_ints, primes_needed
+from pcikit.kernels import Spectra, _convolve_bigint, convolve_ints
 from pcikit.numtheory import cyclotomic_poly, factorize
 from pcikit.verify import certify_idempotents
 
@@ -514,9 +514,8 @@ def kernel_operands(draw):
     n = math.prod(orders)
 
     def vector():
-        # 2^0 .. 2^40 reaches the one-prime, two-prime, direct-by-bound and
-        # bigint paths; the density covers monomial, sparse and dense
-        # operands.
+        # 2^0 .. 2^40 reaches the direct and bigint paths; the density
+        # covers monomial, sparse and dense operands.
         mag = 2 ** draw(st.integers(min_value=0, max_value=40))
         density = draw(st.sampled_from([0.0, 0.02, 0.2, 1.0]))
         seed = draw(st.integers(min_value=0, max_value=2**32))
@@ -532,16 +531,10 @@ def kernel_operands(draw):
 
 
 def _kernel_path(a, b, orders):
-    sa, sb = Spectra(a, orders), Spectra(b, orders)
+    sa, sb = Spectra(a), Spectra(b)
     if sa.l1 == 0 or sb.l1 == 0:
         return "zero"
-    bound = min(sa.l1 * sb.linf, sb.l1 * sa.linf)
-    if bound >= 2**63:
-        return "bigint"
-    count = primes_needed(bound, sa, sb)
-    if count is None or min(sa.nnz, sb.nnz) <= len(orders):
-        return "direct"
-    return f"transform, {count} prime(s)"
+    return "bigint" if min(sa.l1 * sb.linf, sb.l1 * sa.linf) >= 2**63 else "direct"
 
 
 @given(kernel_operands())
@@ -560,12 +553,7 @@ def test_kernel_magnitudes_reach_every_path():
         b = [mag - 1, 3, -mag, 0, 0, 1, mag, 5]
         seen.add(_kernel_path(a, b, orders))
         assert convolve_ints(a, b, orders) == _convolve_bigint(a, b, orders)
-    assert seen == {
-        "transform, 1 prime(s)",
-        "transform, 2 prime(s)",
-        "direct",
-        "bigint",
-    }
+    assert seen == {"direct", "bigint"}
 
 
 NEAR_MISS_GROUPS = [
