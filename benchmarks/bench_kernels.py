@@ -1,19 +1,17 @@
 """Benchmark the exact product kernels and the pointwise idempotency test.
 
-Products of dense random operands go through the direct kernel (numba when
-it imports, and pure numpy) and the bigint kernel.  Dense products are rare
-in the engine: its products are cyclotomic ones in `split` and the
-splitting-field check, and `verify` tests idempotency pointwise without
-forming a product.  So the last row times that test, kernels.squares_to,
-against forming the square with convolve_ints on one primitive central
-idempotent of the last group.  Run:
+Products of dense random operands go through the direct kernel and the
+bigint kernel.  Dense products are rare in the engine: its products are
+cyclotomic ones in `split` and the splitting-field check, and `verify`
+tests idempotency pointwise without forming a product.  So the last row
+times that test, kernels.squares_to, against forming the square with
+convolve_ints on one primitive central idempotent of the last group.  Run:
 
     python benchmarks/bench_kernels.py
     python benchmarks/bench_kernels.py --repeats 9 --groups "2:[1]*10,2:[10]"
 
-The numba column is left out when numba is not importable.  The bigint
-kernel is the arbitrary-precision safety net; it is expected to be slow and
-is included for scale.
+The bigint kernel is the arbitrary-precision safety net; it is expected to
+be slow and is included for scale.
 """
 
 import argparse
@@ -23,7 +21,6 @@ import time
 import numpy as np
 
 from pcikit import parse_group_spec, pci_set
-from pcikit import kernels
 from pcikit.kernels import _convolve_bigint, _convolve_direct, convolve_ints, squares_to
 
 
@@ -39,7 +36,7 @@ def expand_group_text(text):
 
 def best_of(run, repeats):
     """(best wall time of repeats calls after one warm-up call, its result);
-    the warm-up compiles the numba kernel and builds tables and plans."""
+    the warm-up builds tables and plans."""
     run()
     best = float("inf")
     for _ in range(repeats):
@@ -49,7 +46,7 @@ def best_of(run, repeats):
     return best, out
 
 
-def bench(orders, repeats, rng, backends):
+def bench(orders, repeats, rng):
     n = 1
     for d in orders:
         n *= d
@@ -58,12 +55,10 @@ def bench(orders, repeats, rng, backends):
     av, bv = np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
     t0 = time.perf_counter()
     big = _convolve_bigint(a, b, orders)
-    times = {"bigint": time.perf_counter() - t0}
-    for backend in backends:
-        seconds, out = best_of(lambda: _convolve_direct(av, bv, orders, backend), repeats)
-        assert out.tolist() == big
-        times[backend] = seconds
-    return n, times
+    bigint_s = time.perf_counter() - t0
+    direct_s, out = best_of(lambda: _convolve_direct(av, bv, orders), repeats)
+    assert out.tolist() == big
+    return n, {"direct": direct_s, "bigint": bigint_s}
 
 
 def bench_idempotency(spec, repeats):
@@ -87,14 +82,13 @@ def main():
     parser.add_argument("--seed", type=int, default=20240601)
     args = parser.parse_args()
 
-    backends = ("numba", "numpy") if kernels.numba is not None else ("numpy",)
-    columns = (*backends, "bigint")
+    columns = ("direct", "bigint")
     rng = random.Random(args.seed)
     texts = [text.strip() for text in args.groups.split(",")]
     print(f"{'group':>12} {'|G|':>6} " + " ".join(f"{c:>12}" for c in columns))
     for text in texts:
         spec = parse_group_spec(expand_group_text(text))
-        n, times = bench(spec.factor_orders, args.repeats, rng, backends)
+        n, times = bench(spec.factor_orders, args.repeats, rng)
         print(
             f"{text:>12} {n:>6} "
             + " ".join(f"{times[c] * 1e3:>10.3f}ms" for c in columns)

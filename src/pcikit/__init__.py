@@ -42,7 +42,6 @@ from .diagram import (
 )
 from .errors import (
     CapExceededError,
-    ConfigError,
     GroupSpecError,
     InconsistencyError,
     InvariantError,

@@ -240,7 +240,8 @@ class AlgebraElement(_Lattice):
         return hash((self.den, self.nums))
 
     def __repr__(self) -> str:
-        return f"AlgebraElement({self.spec.spec_text()}, {list(self.to_strings())})"
+        group = self.spec.spec_text() or self.spec  # the trivial group is "C_1"
+        return f"AlgebraElement({group}, {list(self.to_strings())})"
 
     # -- serialization ------------------------------------------------
 

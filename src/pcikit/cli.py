@@ -22,7 +22,6 @@ from .diagram import (
 )
 from .errors import (
     CapExceededError,
-    ConfigError,
     GroupSpecError,
     InconsistencyError,
     InvariantError,
@@ -30,7 +29,6 @@ from .errors import (
     VerificationError,
 )
 from .groups import AbelianGroupSpec, parse_group_spec
-from .kernels import active_backend
 from .numtheory import euler_phi, prime_power
 from .oracle import wedderburn_profile
 from .verify import collapse_matches_closed_form, run_checks
@@ -394,14 +392,12 @@ def main(argv=None) -> int:
         alternate_order=getattr(ns, "alternate_order", False),
     )
     try:
-        active_backend()  # a bad PCIKIT_BACKEND is refused before any work
         code, output = run(config)
     except (
         GroupSpecError,
         CapExceededError,
         SpecMismatchError,
         InvariantError,
-        ConfigError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

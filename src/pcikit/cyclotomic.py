@@ -311,5 +311,6 @@ class CycloAlgebraElement(_CycloLattice):
         }
 
     def __repr__(self) -> str:
-        return f"CycloAlgebraElement({self.spec.spec_text()}, m={self.m})"
+        group = self.spec.spec_text() or self.spec  # the trivial group is "C_1"
+        return f"CycloAlgebraElement({group}, m={self.m})"
 

@@ -27,7 +27,3 @@ class VerificationError(PcikitError, RuntimeError):
 
 class CapExceededError(PcikitError, ValueError):
     """The requested group is larger than the configured order cap."""
-
-
-class ConfigError(PcikitError, ValueError):
-    """The environment selects an unknown or unavailable option."""

@@ -5,11 +5,9 @@ Coefficient vectors are exact integers over a common denominator, so the
 algebra product is an integer convolution over the mixed-radix element
 enumeration.  Two kernels compute it, both exactly:
 
-* the direct path: one multiply-add per pair of nonzeros, whenever the
-  bound on the result entries fits in int64.  PCIKIT_BACKEND picks its
-  implementation: a numba-jitted loop (the default when numba imports) or
-  pure numpy;
-* the bigint path: arbitrary-precision Python ints, when that bound does
+* the direct kernel: numpy int64, one multiply-add per pair of nonzeros,
+  whenever the bound on the result entries fits in int64;
+* the bigint kernel: arbitrary-precision Python ints, when that bound does
   not fit in int64.
 
 squares_to, the idempotency test, forms no product: it compares x*x with
@@ -24,43 +22,27 @@ See benchmarks/bench_kernels.py for a timing of each.
 from __future__ import annotations
 
 import math
-import os
 from functools import cache
 
 import numpy as np
 
-from .errors import ConfigError
 from .groups import enumeration
 from .numtheory import factorize, is_prime
 
+# pcikit does not use numba; perfbench/worker.py reports whether it imports.
 try:
     import numba
-except ImportError:  # numba is an optional extra
+except ImportError:
     numba = None
 
-BACKEND_ENV_VAR = "PCIKIT_BACKEND"
-_BACKENDS = ("numba", "numpy")
 _INT64_MAX = 2**63 - 1
 _MAX_DFT = 64  # largest DFT matrix side; longer cyclic axes are split four-step
 _PLAN_PRIMES = 2
 
-_jitted_convolve = None
-
 
 def active_backend() -> str:
-    """Direct-kernel backend selected by PCIKIT_BACKEND: 'numba' (the
-    default when numba imports) or 'numpy'.  Raises ConfigError for any
-    other value, or for 'numba' when numba is not importable."""
-    choice = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if numba is not None else "numpy"
-    if choice not in _BACKENDS:
-        raise ConfigError(
-            f"{BACKEND_ENV_VAR} must be 'numba' or 'numpy', got {choice!r}"
-        )
-    if choice == "numba" and numba is None:
-        raise ConfigError(f"{BACKEND_ENV_VAR}=numba but numba is not importable")
-    return choice
+    """'numpy', the one direct kernel; perfbench/worker.py records it."""
+    return "numpy"
 
 
 # -- transform plan ------------------------------------------------------
@@ -237,47 +219,19 @@ def squares_to(values, den: int, orders: tuple[int, ...]) -> bool:
 # -- direct and bigint kernels -------------------------------------------
 
 
-def _convolve_loop(a, b, code, table, out):
-    n = a.shape[0]
-    for i in range(n):
-        ai = a[i]
-        if ai == 0:
-            continue
-        ci = code[i]
-        for j in range(n):
-            bj = b[j]
-            if bj != 0:
-                out[table[ci + code[j]]] += ai * bj
-
-
-def _convolve_numba(a, b, enum):
-    global _jitted_convolve
-    if _jitted_convolve is None:
-        _jitted_convolve = numba.njit(cache=True)(_convolve_loop)
-    out = np.zeros(a.shape[0], dtype=np.int64)
-    _jitted_convolve(a, b, enum.code, enum.table, out)
-    return out
-
-
-def _convolve_numpy(a, b, enum):
-    # Translate only the nonzeros of b: one gather per pair of nonzeros.
-    cols = np.flatnonzero(b)
-    b_cols, b_codes = b[cols], enum.code[cols]
-    out = np.zeros(a.shape[0], dtype=np.int64)
-    for i in np.flatnonzero(a):
-        out[enum.table[enum.code[i] + b_codes]] += a[i] * b_cols
-    return out
-
-
-def _convolve_direct(av, bv, orders, backend: str) -> np.ndarray:
+def _convolve_direct(av, bv, orders) -> np.ndarray:
     """Direct int64 product; the caller has checked the int64 bound."""
     enum = enumeration(orders)
-    if backend == "numba":
-        return _convolve_numba(av, bv, enum)
-    # Loop over the sparser operand (the product is commutative).
+    # Loop over the nonzeros of the sparser operand (the product is
+    # commutative); each is one gather over the nonzeros of the other.
     if np.count_nonzero(bv) < np.count_nonzero(av):
         av, bv = bv, av
-    return _convolve_numpy(av, bv, enum)
+    cols = np.flatnonzero(bv)
+    b_cols, b_codes = bv[cols], enum.code[cols]
+    out = np.zeros(av.shape[0], dtype=np.int64)
+    for i in np.flatnonzero(av):
+        out[enum.table[enum.code[i] + b_codes]] += av[i] * b_cols
+    return out
 
 
 def _convolve_bigint(a, b, orders):
@@ -299,10 +253,9 @@ def convolve_ints(a, b, orders: tuple[int, ...]):
 
     Every entry of the result, and every partial sum on the way to it, is
     at most B = min(l1(a)*max|b|, l1(b)*max|a|) in absolute value.  When B
-    fits in int64 the direct kernel computes it, in the implementation
-    PCIKIT_BACKEND selects: one multiply-add per pair of nonzeros, indexed
-    by the enumeration's carry-free product table.  Otherwise the bigint
-    kernel does.
+    fits in int64 the direct kernel computes it: one multiply-add per pair
+    of nonzeros, indexed by the enumeration's carry-free product table.
+    Otherwise the bigint kernel does.
     """
     n = math.prod(orders)
     if len(a) != n or len(b) != n:
@@ -312,4 +265,4 @@ def convolve_ints(a, b, orders: tuple[int, ...]):
         return [0] * n
     if min(sa.l1 * sb.linf, sb.l1 * sa.linf) > _INT64_MAX:
         return _convolve_bigint(a, b, orders)
-    return _convolve_direct(sa.vec, sb.vec, orders, active_backend()).tolist()
+    return _convolve_direct(sa.vec, sb.vec, orders).tolist()

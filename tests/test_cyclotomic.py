@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from pcikit import (
+    AbelianGroupSpec,
     AlgebraElement,
     CycloAlgebraElement,
     CycloNumber,
@@ -13,6 +14,8 @@ from pcikit import (
     element,
     galois_apply,
     identity,
+    parse_group_spec,
+    pci_set,
     ramanujan_sum,
     ramanujan_sum_direct,
 )
@@ -135,3 +138,12 @@ def test_cyclo_algebra_product_and_translate():
 def test_cyclo_algebra_mixed_modulus_rejected():
     with pytest.raises(SpecMismatchError):
         CycloAlgebraElement.one(C4, 4) + CycloAlgebraElement.one(C4, 2)
+
+
+def test_repr_names_every_group():
+    trivial = AbelianGroupSpec(())
+    assert repr(pci_set(trivial)) == "[AlgebraElement(C_1, ['1/1'])]"
+    assert repr(CycloAlgebraElement.one(trivial, 4)) == "CycloAlgebraElement(C_1, m=4)"
+    spec = parse_group_spec("2:[2,1]")
+    assert repr(CycloAlgebraElement.one(spec, 4)) == "CycloAlgebraElement(2:[2,1], m=4)"
+    assert repr(pci_set(spec)[0]).startswith("AlgebraElement(2:[2,1], ['1/8', ")

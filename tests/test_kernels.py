@@ -6,12 +6,11 @@ from pathlib import Path
 
 import numpy as np
 
-from pcikit.groups import enumeration, parse_group_spec
+from pcikit.groups import parse_group_spec
 from pcikit.kernels import (
     Spectra,
     _convolve_bigint,
     _convolve_direct,
-    _convolve_loop,
     convolve_ints,
     transform_plan,
 )
@@ -154,17 +153,12 @@ def test_certify_idempotents_keeps_no_transforms():
 
 
 def test_direct_kernels_match_bigint_reference():
-    # _convolve_loop is the body numba compiles; run here as plain Python.
     rng = np.random.default_rng(7)
     for orders in ((), (2, 2, 2), (9, 3), (4, 2), (25,)):
         n = int(np.prod(orders))
         a, b = (rng.integers(-5, 6, n) * (rng.random(n) < 0.5) for _ in range(2))
         expected = _convolve_bigint(a.tolist(), b.tolist(), orders)
-        enum = enumeration(orders)
-        out = np.zeros(n, dtype=np.int64)
-        _convolve_loop(a, b, enum.code, enum.table, out)
-        assert out.tolist() == expected
-        assert _convolve_direct(a, b, orders, "numpy").tolist() == expected
+        assert _convolve_direct(a, b, orders).tolist() == expected
 
 
 def test_kernel_benchmark_script_runs():
