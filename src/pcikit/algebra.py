@@ -34,7 +34,7 @@ from .numtheory import euler_phi, prime_power
 def lowest_terms(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
     """nums/den in lowest terms: den > 0, gcd(den, *nums) == 1, and den == 1
     for the zero vector.  Every exact type normalises through this, or
-    through its int64 twin _Lattice._from_int64.
+    through its int64 twin lowest_terms_int64.
 
     >>> lowest_terms((2, -4), -6)
     ((-1, 2), 3)
@@ -53,6 +53,20 @@ def lowest_terms(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]
         nums = tuple(v // g for v in nums)
         den //= g
     return nums, den
+
+
+def lowest_terms_int64(nums: np.ndarray, den: int) -> tuple[tuple[int, ...], int]:
+    """lowest_terms of an int64 array, normalised by np.gcd.reduce, which is
+    exact on int64; the entries and their negatives must fit in int64."""
+    den = int(den)
+    if den == 0:
+        raise ZeroDivisionError("zero denominator")
+    if den < 0:
+        nums, den = -nums, -den
+    g = math.gcd(int(np.gcd.reduce(nums)), den)  # == den for the zero vector
+    if g > 1:
+        nums, den = nums // g, den // g
+    return tuple(nums.tolist()), den
 
 
 def integer_form(values: Iterable) -> tuple[list[int], int]:
@@ -109,18 +123,8 @@ class _Lattice:
 
     @classmethod
     def _from_int64(cls, spec: GroupSpec, nums: np.ndarray, den: int):
-        """The element nums/den from an int64 array, normalised as
-        lowest_terms does by np.gcd.reduce, which is exact on int64; the
-        entries and their negatives must fit in int64."""
-        den = int(den)
-        if den == 0:
-            raise ZeroDivisionError("zero denominator")
-        if den < 0:
-            nums, den = -nums, -den
-        g = math.gcd(int(np.gcd.reduce(nums)), den)  # == den for the zero vector
-        if g > 1:
-            nums, den = nums // g, den // g
-        return cls._in_lowest_terms(spec, tuple(nums.tolist()), den)
+        """The element nums/den from an int64 array (see lowest_terms_int64)."""
+        return cls._in_lowest_terms(spec, *lowest_terms_int64(nums, den))
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -34,6 +34,9 @@ from .oracle import wedderburn_profile
 from .verify import collapse_matches_closed_form, run_checks
 
 DEFAULT_MAX_ORDER = 4096
+# split of C_m builds m^2 * phi(m) reduced coefficients (JSON writes them all);
+# C_{2^8}, with 2^23 of them, is the largest cyclic group whose split finishes.
+SPLIT_MAX_COEFFICIENTS = 2**23
 
 
 @dataclasses.dataclass
@@ -86,8 +89,14 @@ def _write(obj, newline: str, out: list[str]) -> None:
         for key, value in obj.items():
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + _quote(key) + ": ")
-            _write(value, inner, out)
+            head = sep + _quote(key) + ": "
+            if type(value) is str:  # scalars inline, no call per value
+                out.append(head + _quote(value))
+            elif type(value) is int:  # not bool: type(True) is bool
+                out.append(head + int.__repr__(value))
+            else:
+                out.append(head)
+                _write(value, inner, out)
             sep = "," + inner
         out.append(newline + "}")
     elif kind is list or kind is tuple:
@@ -261,11 +270,22 @@ def _run_wedderburn(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str
 # -- split --------------------------------------------------------------
 
 
+def split_coefficient_count(m: int) -> int:
+    """The number of reduced coefficients split builds for C_m."""
+    return m * m * euler_phi(m)
+
+
 def _run_split(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
     if len(spec.factor_orders) != 1:
         raise GroupSpecError("split requires a cyclic group of prime-power order")
     part = spec.parts[0]
     p, n, m = part.p, part.classes[0][0], part.order
+    count = split_coefficient_count(m)
+    if count > SPLIT_MAX_COEFFICIENTS:
+        raise CapExceededError(
+            f"split of C_{m} needs {count} coefficients, "
+            f"over the limit {SPLIT_MAX_COEFFICIENTS}"
+        )
     splitting = splitting_field_pcis(p, n)
     orbits = galois_orbits(m)
     collapsed, matches = collapse_matches_closed_form(

@@ -19,6 +19,8 @@ from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .algebra import (
     AlgebraElement,
     _Lattice,
@@ -26,6 +28,7 @@ from .algebra import (
     integer_form,
     lattice_sum,
     lowest_terms,
+    lowest_terms_int64,
 )
 from .errors import InconsistencyError, InvariantError, SpecMismatchError
 from .groups import AbelianGroupSpec, GroupElement, GroupSpec, member_index
@@ -79,6 +82,17 @@ def _reduce_mod_cyclotomic(coeffs: Sequence[int], m: int) -> list[int]:
             for t, a in terms:
                 c[base + t] -= v * a
     return c[:deg]
+
+
+@cache
+def _zeta_rows(m: int) -> np.ndarray:
+    # Row j: the phi(m) reduced coordinates of zeta^j, from the one
+    # reduction above.  Read-only, as every caller shares it.
+    rows = np.array(
+        [_reduce_mod_cyclotomic((0,) * j + (1,), m) for j in range(m)], dtype=np.int64
+    )
+    rows.flags.writeable = False
+    return rows
 
 
 _TRIVIAL_GROUP = AbelianGroupSpec(())
@@ -273,6 +287,35 @@ class CycloAlgebraElement(_CycloLattice):
         nums = [0] * (spec.order * m)
         nums[member_index(spec, g) * m + zeta_exp % m] = 1
         return cls(spec, m, nums, den)
+
+    @classmethod
+    def from_zeta_powers(
+        cls, spec: GroupSpec, m: int, powers: Sequence[int], den: int
+    ) -> "CycloAlgebraElement":
+        """den^-1 * sum_g zeta^powers[g] * g over the group indices g, for
+        den >= 1.  Its numerators, ones over den, are in lowest terms as
+        built, and reduced() is read from the reduced powers of zeta (one
+        table row per group index) instead of reducing every zeta block.
+
+        >>> from pcikit.groups import parse_group_spec
+        >>> c2 = parse_group_spec("2:[1]")
+        >>> e = CycloAlgebraElement.from_zeta_powers(c2, 4, [0, 2], 2)
+        >>> e.nums, e.den, e.reduced()
+        ((1, 0, 0, 0, 0, 0, 1, 0), 2, (2, (1, 0, -1, 0)))
+        """
+        m = _modulus(m)
+        if len(powers) != spec.order or den < 1:
+            raise InvariantError("need one zeta power per group element and den >= 1")
+        powers = [e % m for e in powers]
+        nums = [0] * (spec.order * m)
+        for g, e in enumerate(powers):
+            nums[g * m + e] = 1
+        flat, flat_den = lowest_terms_int64(_zeta_rows(m)[powers].ravel(), den)
+        self = object.__new__(cls)
+        object.__setattr__(self, "m", m)
+        self._assign(spec, tuple(nums), den)
+        object.__setattr__(self, "_reduced", (flat_den, flat))
+        return self
 
     # -- coefficients -------------------------------------------------
 

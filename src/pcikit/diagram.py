@@ -340,13 +340,10 @@ def splitting_field_pcis(p: int, n: int) -> list[CycloAlgebraElement]:
     set along the chain; verify compares the two."""
     spec = cyclic_group_spec(p, n)
     m = spec.order
-    out = []
-    for t in range(m):
-        nums = [0] * (m * m)
-        for k in range(m):
-            nums[k * m + (-t * k) % m] = 1
-        out.append(CycloAlgebraElement(spec, m, nums, m))
-    return out
+    return [
+        CycloAlgebraElement.from_zeta_powers(spec, m, [-t * k for k in range(m)], m)
+        for t in range(m)
+    ]
 
 
 def _cyclic_spec(eta: CycloAlgebraElement) -> PrimaryGroupSpec:

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pcikit import (
     AlgebraElement,
@@ -16,7 +16,15 @@ from pcikit import (
     is_idempotent,
     parse_group_spec,
 )
-from pcikit.cli import RunConfig, _json_text, build_parser, main, run
+from pcikit.cli import (
+    SPLIT_MAX_COEFFICIENTS,
+    RunConfig,
+    _json_text,
+    build_parser,
+    main,
+    run,
+    split_coefficient_count,
+)
 
 
 def run_json(subcommand, group, **kwargs):
@@ -237,6 +245,19 @@ def test_over_cap_exponent_exits_2_quickly(group):
     assert_refused_quickly(["pci", "--group", group])
 
 
+@pytest.mark.parametrize("group", ["2:[9]", "3:[5]", "17:[2]", "211:[1]"])
+def test_split_over_coefficient_limit_exits_2_quickly(group):
+    assert_refused_quickly(["split", "--group", group])
+
+
+def test_split_coefficient_limit_boundary():
+    # C_{2^8}, the largest split that finishes, sits exactly on the limit;
+    # C_199 is the largest prime order under it.
+    assert split_coefficient_count(256) == SPLIT_MAX_COEFFICIENTS
+    assert split_coefficient_count(199) <= SPLIT_MAX_COEFFICIENTS
+    assert split_coefficient_count(211) > SPLIT_MAX_COEFFICIENTS
+
+
 def test_untestable_prime_under_raised_cap_exits_2_quickly():
     # 2^89 - 1 lies above the range where is_prime is fast; the cap admits it.
     assert_refused_quickly(
@@ -269,7 +290,19 @@ json_payload_st = st.recursive(
 )
 
 
+# Dict values of exact type str or int are written inline; bool, None,
+# float and containers go through the recursive writer.
+INLINE_SCALARS = {
+    "t": True, "f": False, "zero": 0, "neg": -5, "empty": "", "e": "\u00e9",
+    "none": None, "x": 1.5,
+}
+
+
 @given(json_payload_st)
+@example(INLINE_SCALARS)
+@example([INLINE_SCALARS, {"a": 1, "b": True}, {"s": "x", "i": -(2**70)}])
+@example({"d": {}, "l": [], "nested": {"d": {}, "l": [], "t": ()}})
+@example([{}, [], {"x": [{}]}])
 @settings(max_examples=100, deadline=None)
 def test_json_writer_matches_json_dumps(payload):
     assert _json_text(payload) == json.dumps(payload, indent=2) + "\n"

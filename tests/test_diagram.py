@@ -198,6 +198,24 @@ def test_splitting_field_pcis_c2():
     assert got == expected
 
 
+@pytest.mark.parametrize(
+    "p, n",
+    [(2, n) for n in range(7)]
+    + [(3, n) for n in range(4)]
+    + [(5, n) for n in range(3)]
+    + [(7, n) for n in range(3)],
+)
+def test_splitting_field_pcis_match_generic_constructor(p, n):
+    # splitting_field_pcis takes its numerators as given and reads reduced()
+    # from the table of reduced zeta powers; the generic constructor
+    # normalises the numerators and reduces every zeta block on demand.
+    for e in splitting_field_pcis(p, n):
+        ref = CycloAlgebraElement(e.spec, e.m, e.nums, e.den)
+        assert (ref.nums, ref.den) == (e.nums, e.den)
+        assert not hasattr(ref, "_reduced")  # computed below, not cached
+        assert ref.reduced() == e.reduced()
+
+
 def test_extension_chain_matches_character_formula():
     # splitting_field_pcis builds (1/m) sum_k zeta^(-tk) x^k directly; the
     # paper's chain, lifted and refined one generator at a time from the

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from pcikit import AlgebraElement, diagram, verify
+from pcikit import AlgebraElement, cyclotomic, diagram, verify
 from pcikit.cli import main
 
 ENGINE_CHECKS = {
@@ -95,3 +95,22 @@ def test_duplicated_splitting_idempotent_fails_coherence(group, p, n, monkeypatc
 
     monkeypatch.setattr(verify, "splitting_field_pcis", duplicated)
     assert failed_checks(group, capsys) == {"splitting_field_coherence"}
+
+
+def test_flipped_zeta_table_entry_fails_coherence(monkeypatch, capsys):
+    # One wrong entry in the table of reduced zeta powers of C_8 leaves every
+    # splitting idempotent's numerators right and its cached reduction wrong.
+    # split's matches_closed_form cannot catch this: the Galois collapse sums
+    # numerators.  splitting_field_coherence and the md5 pins of split's
+    # output are what guard the table.
+    original = cyclotomic._zeta_rows
+
+    def flipped(m):
+        rows = original(m)
+        if m == 8:
+            rows = rows.copy()
+            rows[1, 0] ^= 1
+        return rows
+
+    monkeypatch.setattr(cyclotomic, "_zeta_rows", flipped)
+    assert failed_checks("2:[3]", capsys) == {"splitting_field_coherence"}
