@@ -5,13 +5,10 @@ for every result."""
 from .algebra import (
     AlgebraElement,
     FactoredIdempotent,
-    KernelInfo,
     are_orthogonal,
     convolve,
     expand_factored,
-    fraction_free_rank,
     is_idempotent,
-    kernel_and_field,
     kernel_subgroup,
     translate,
 )

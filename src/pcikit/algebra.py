@@ -8,19 +8,18 @@ fully reduced, so equality is plain tuple comparison with zero tolerance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InconsistencyError, InvariantError, SpecMismatchError
+from .errors import InvariantError, SpecMismatchError
 from .groups import (
     GroupElement,
     GroupSpec,
     PrimaryGroupSpec,
     element_index,
-    elements,
     enumeration,
     identity,
     index_set,
@@ -28,7 +27,6 @@ from .groups import (
     subgroup_closure,
 )
 from .kernels import convolve_ints, squares_to
-from .numtheory import euler_phi, prime_power
 
 
 def lowest_terms(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
@@ -55,9 +53,20 @@ def lowest_terms(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]
     return nums, den
 
 
+def int_array(values) -> np.ndarray:
+    """values as an int64 array, or as an object array of Python ints when
+    one of them does not fit int64.  The dtype is always given: numpy left
+    to itself reads [2**63, 1] as float64."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 def lowest_terms_int64(nums: np.ndarray, den: int) -> tuple[tuple[int, ...], int]:
     """lowest_terms of an int64 array, normalised by np.gcd.reduce, which is
-    exact on int64; the entries and their negatives must fit in int64."""
+    exact on int64 when the entries and their negatives fit in int64, and on
+    an object array of Python ints (see int_array)."""
     den = int(den)
     if den == 0:
         raise ZeroDivisionError("zero denominator")
@@ -76,20 +85,59 @@ def integer_form(values: Iterable) -> tuple[list[int], int]:
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
+class FractionList:
+    """The rationals nums[i]/den as exact "num/den" strings in lowest terms,
+    held as a table of the distinct strings plus, for each entry, the
+    position of its string in that table.  One sort and one binary search
+    find them (np.unique with return_inverse took 2-8 times as long on pci
+    rows), only the distinct numerators are reduced and formatted, and
+    writing the list is one gather and one join.  cli's JSON writer writes
+    it as a list of strings.
+
+    >>> f = FractionList((0, -2, 3, 2**64, 3), 6)
+    >>> f.table, f.index.tolist()
+    (['-1/3', '0/1', '1/2', '9223372036854775808/3'], [1, 0, 2, 3, 2])
+    >>> f.join(", ")
+    '0/1, -1/3, 1/2, 9223372036854775808/3, 1/2'
+    """
+
+    __slots__ = ("table", "index")
+
+    def __init__(self, nums: Sequence[int], den: int):
+        vals = int_array(nums)
+        ordered = np.sort(vals)
+        starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1  # a new value
+        distinct = np.concatenate((ordered[:1], ordered[starts]))
+        den = int(den)
+        table = []
+        for v in distinct.tolist():
+            g = math.gcd(v, den)
+            table.append(f"{v // g}/{den // g}")
+        self.table, self.index = table, np.searchsorted(distinct, vals)
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def strings(self, form=None) -> list[str]:
+        """The strings in entry order, each first passed through form when
+        it is given (once per distinct string)."""
+        table = self.table if form is None else list(map(form, self.table))
+        return np.array(table, dtype=object)[self.index].tolist()
+
+    def join(self, sep: str, form=None) -> str:
+        return sep.join(self.strings(form))
+
+
 def fraction_strings(nums: Sequence[int], den: int) -> list[str]:
-    """Each nums[i]/den as an exact "num/den" string in lowest terms.  Each
-    distinct numerator is formatted once; equal entries share one string.
+    """Each nums[i]/den as an exact "num/den" string in lowest terms (see
+    FractionList).
 
     >>> fraction_strings((0, -2, 3, 2**64, 3), 6)
     ['0/1', '-1/3', '1/2', '9223372036854775808/3', '1/2']
     >>> fraction_strings((0, 5, -7), 1)
     ['0/1', '5/1', '-7/1']
     """
-    text = {}
-    for v in set(nums):
-        g = math.gcd(v, den)
-        text[v] = f"{v // g}/{den // g}"
-    return list(map(text.__getitem__, nums))
+    return FractionList(nums, den).strings()
 
 
 class _Lattice:
@@ -123,7 +171,8 @@ class _Lattice:
 
     @classmethod
     def _from_int64(cls, spec: GroupSpec, nums: np.ndarray, den: int):
-        """The element nums/den from an int64 array (see lowest_terms_int64)."""
+        """The element nums/den from an int64 array, or an object array of
+        Python ints (see lowest_terms_int64)."""
         return cls._in_lowest_terms(spec, *lowest_terms_int64(nums, den))
 
     def __setattr__(self, *args):
@@ -303,19 +352,18 @@ class FactoredIdempotent:
     primed: GroupElement | None = None
 
 
-def expand_from_subgroup(
+def expansion_numerators(
     spec: PrimaryGroupSpec,
     kernel: np.ndarray,
     primed: GroupElement | None,
-) -> AlgebraElement:
-    """Expansion of K-average times (1 - (1 + z + ... + z^(p-1))/p) for an
-    already-computed subgroup K, given as an array of distinct element
-    indices; with primed None, the average of K alone."""
+) -> tuple[np.ndarray, int]:
+    """expand_from_subgroup's element as int64 numerators over a
+    denominator, not yet in lowest terms."""
     size = len(kernel)
     nums = np.zeros(spec.order, dtype=np.int64)
     if primed is None:
         nums[kernel] = 1
-        return AlgebraElement._from_int64(spec, nums, size)
+        return nums, size
     z = element_index(primed)
     if (kernel == z).any():
         raise InvariantError("primed element lies in the averaged subgroup")
@@ -326,7 +374,18 @@ def expand_from_subgroup(
     for _ in range(p):
         nums[cur] -= 1  # each translate of K has distinct indices
         cur = enum.product(z, cur)
-    return AlgebraElement._from_int64(spec, nums, p * size)
+    return nums, p * size
+
+
+def expand_from_subgroup(
+    spec: PrimaryGroupSpec,
+    kernel: np.ndarray,
+    primed: GroupElement | None,
+) -> AlgebraElement:
+    """Expansion of K-average times (1 - (1 + z + ... + z^(p-1))/p) for an
+    already-computed subgroup K, given as an array of distinct element
+    indices; with primed None, the average of K alone."""
+    return AlgebraElement._from_int64(spec, *expansion_numerators(spec, kernel, primed))
 
 
 def expand_factored(f: FactoredIdempotent) -> AlgebraElement:
@@ -340,72 +399,26 @@ def expand_factored(f: FactoredIdempotent) -> AlgebraElement:
     )
 
 
-def fraction_free_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank over Q of an integer matrix, by fraction-free (Bareiss)
-    elimination; all intermediate values stay integral."""
-    m = [list(row) for row in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for col in range(n_cols):
-        pivot_row = None
-        for i in range(rank, n_rows):
-            if m[i][col]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[rank], m[pivot_row] = m[pivot_row], m[rank]
-        pivot = m[rank][col]
-        for i in range(rank + 1, n_rows):
-            factor = m[i][col]
-            for j in range(col, n_cols):
-                m[i][j] = (pivot * m[i][j] - factor * m[rank][j]) // prev
-        prev = pivot
-        rank += 1
-        if rank == n_rows:
-            break
-    return rank
-
-
-@dataclass(frozen=True)
-class KernelInfo:
-    """Kernel subgroup of an idempotent, as sorted element indices, plus
-    the invariants of the simple component it generates.  The kernel is
-    left out of == and hash, since arrays do not compare as one value."""
-
-    kernel: np.ndarray = field(compare=False)
-    quotient_order: int
-    dim: int
-
-    @property
-    def field_index(self) -> int | None:
-        """r with quotient order p^r, or None when it is not a prime power."""
-        if self.quotient_order == 1:
-            return 0
-        pp = prime_power(self.quotient_order)
-        return pp[1] if pp else None
-
-
 def kernel_subgroup(e: AlgebraElement) -> np.ndarray:
-    """{g : g*e = e} as sorted element indices, grown as a stabiliser.
+    """{g : g*e = e} as sorted element indices (see fixing_subgroup).  The
+    zero element is fixed by all of G."""
+    _rational(e)
+    return fixing_subgroup(e.spec, int_array(e.nums))
 
-    A translation g fixing e maps the support onto itself keeping values,
+
+def fixing_subgroup(spec: GroupSpec, vals: np.ndarray) -> np.ndarray:
+    """{g : g*v = v} as sorted element indices, for the coefficient array
+    vals of v over spec's enumeration, grown as a stabiliser.  Scaling vals
+    by a nonzero factor does not change it.
+
+    A translation g fixing v maps the support onto itself keeping values,
     so g*s0 has the value of s0 for the first support index s0; only those
     candidates g are tested, each on the whole support (enough, as
     translation is a bijection).  With S the fixing subgroup found so far,
     a fixing candidate c grows S to S<c>, at least doubling it; a failing
-    one rules out its whole coset cS, as cs fixes e only if c does.  So
+    one rules out its whole coset cS, as cs fixes v only if c does.  So
     the tests number at most the S-cosets among the candidates plus
-    log2|G|.  The zero element is fixed by all of G."""
-    _rational(e)
-    spec = e.spec
-    try:
-        vals = np.array(e.nums, dtype=np.int64)
-    except OverflowError:  # entries beyond int64: compare the exact ints
-        vals = np.array(e.nums, dtype=object)
+    log2|G|."""
     supp = np.flatnonzero(vals)
     if not supp.size:
         return index_set(np.ones(spec.order, dtype=bool))
@@ -427,21 +440,3 @@ def kernel_subgroup(e: AlgebraElement) -> np.ndarray:
             power = enum.product(power, c)
         decided |= fixed
     return index_set(fixed)
-
-
-def kernel_and_field(e: AlgebraElement) -> KernelInfo:
-    """Kernel, cyclic quotient order and exact component dimension of a
-    primitive idempotent; raises if e is not idempotent or not primitive."""
-    if not is_idempotent(e):
-        raise InvariantError("input is not an idempotent")
-    spec = e.spec
-    # the distinct translates of e span Q[G]e, so their rank is its dimension
-    rows = dict.fromkeys(translate(g, e).nums for g in elements(spec))
-    kernel = kernel_subgroup(e)
-    quotient = spec.order // len(kernel)
-    dim = fraction_free_rank(list(rows))
-    if dim != euler_phi(quotient):
-        raise InconsistencyError(
-            f"component dimension {dim} != phi({quotient}); input is not primitive"
-        )
-    return KernelInfo(kernel, quotient, dim)

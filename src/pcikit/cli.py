@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 
+from .algebra import FractionList
 from .diagram import (
     alternate_generator_labels,
     build_pci_diagram,
@@ -59,8 +61,9 @@ def _json_text(payload) -> str:
     """json.dumps(payload, indent=2) + "\n", byte for byte.  json's
     pure-Python indent encoder costs more than computing a large payload, so
     this writer dispatches on exact types: dict (str keys), list, tuple,
-    str, int, bool and None are written here, a float by json.dumps, and
-    any other type raises TypeError."""
+    str, int, bool and None are written here, a FractionList as the list of
+    its strings, a float by json.dumps, and any other type raises
+    TypeError."""
     out: list[str] = []
     _write(payload, "\n", out)
     out.append("\n")
@@ -116,6 +119,12 @@ def _write(obj, newline: str, out: list[str]) -> None:
             _write(item, inner, out)
             sep = "," + inner
         out.append(newline + "]")
+    elif kind is FractionList:  # one join over the quoted distinct strings
+        if not len(obj):
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[" + inner + obj.join("," + inner, _quote) + newline + "]")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -148,7 +157,7 @@ def _run_pci(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
         rows.append(
             {
                 "index": i,
-                "coefficients": rec.element.to_strings(),
+                "coefficients": FractionList(rec.element.nums, rec.element.den),
                 "kernel_order": rec.kernel_order,
                 "quotient_order": d,
                 "field": _field_name(d),
@@ -167,7 +176,7 @@ def _run_pci(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
         for row in rows:
             lines.append(
                 f"[{row['index']}] field {row['field']} dim {row['dimension']} "
-                f"kernel {row['kernel_order']}: " + ", ".join(row["coefficients"])
+                f"kernel {row['kernel_order']}: " + row["coefficients"].join(", ")
             )
         lines.append(f"dimension total {payload['dimension_total']}")
         return 0, "\n".join(lines) + "\n"
@@ -365,6 +374,7 @@ def run(config: RunConfig) -> tuple[int, str]:
     return _HANDLERS[config.subcommand](config, spec)
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcikit",

@@ -33,6 +33,7 @@ from .algebra import (
     FactoredIdempotent,
     expand_factored,
     expand_from_subgroup,
+    int_array,
     lattice_sum,
 )
 from .cyclotomic import CycloAlgebraElement, CycloNumber
@@ -469,8 +470,10 @@ def cross_prime_product(
     """All products of one idempotent per primary part, lifted to Q[G].
 
     The coefficient vector of each product is the tensor product of the
-    per-part vectors (parts occupy disjoint factor blocks).  With one part,
-    each idempotent keeps its numerators and denominator as they are."""
+    per-part vectors (parts occupy disjoint factor blocks), formed by
+    np.multiply.outer in int64 when the product of the parts' largest
+    |numerator| fits, and on Python ints otherwise.  With one part, each
+    idempotent keeps its numerators and denominator as they are."""
     if len(per_part_sets) != len(spec.parts):
         raise SpecMismatchError("need one idempotent set per primary part")
     for part, pcis in zip(spec.parts, per_part_sets):
@@ -482,13 +485,19 @@ def cross_prime_product(
             AlgebraElement._in_lowest_terms(spec, e.nums, e.den)
             for e in per_part_sets[0]
         ]
+    vectors = [
+        [(int_array(e.nums), max(map(abs, e.nums)), e.den) for e in pcis]
+        for pcis in per_part_sets
+    ]
     out = []
-    for combo in itertools.product(*per_part_sets):
-        nums, den = [1], 1  # the empty product: 1 in Q[C_1]
-        for e in combo:
-            nums = [x * y for x in nums for y in e.nums]
-            den *= e.den
-        out.append(AlgebraElement(spec, nums, den))
+    for combo in itertools.product(*vectors):
+        bound = math.prod(top for _, top, _ in combo)
+        dtype = np.int64 if bound < 2**63 else object
+        nums = np.ones(1, dtype=dtype)  # the empty product: 1 in Q[C_1]
+        for vec, _, _ in combo:
+            nums = np.multiply.outer(nums, vec.astype(dtype, copy=False)).ravel()
+        den = math.prod(d for _, _, d in combo)
+        out.append(AlgebraElement._from_int64(spec, nums, den))
     return out
 
 

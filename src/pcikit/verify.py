@@ -15,9 +15,9 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
-    expand_from_subgroup,
+    expansion_numerators,
+    fixing_subgroup,
     is_idempotent,
-    kernel_subgroup,
     lattice_sum,
 )
 from .cyclotomic import CycloAlgebraElement
@@ -172,8 +172,10 @@ def vertex_kernel_failures(
         if len(tracked) != v.kernel_order:
             failures.append((part.p, v.level, v.index, "size"))
             continue
-        expansion = expand_from_subgroup(part, tracked, v.form.primed)
-        if not np.array_equal(kernel_subgroup(expansion), tracked):
+        # the kernel of the expansion, read off its numerators: scaling by
+        # the denominator does not change which translations fix it
+        nums, _ = expansion_numerators(part, tracked, v.form.primed)
+        if not np.array_equal(fixing_subgroup(part, nums), tracked):
             failures.append((part.p, v.level, v.index, "kernel"))
     return failures
 

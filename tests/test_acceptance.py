@@ -26,7 +26,6 @@ from pcikit import (
     galois_orbit_collapse,
     galois_orbits,
     is_idempotent,
-    kernel_and_field,
     lift_into_extension,
     ramanujan_sum,
     ramanujan_sum_direct,
@@ -36,6 +35,7 @@ from pcikit import (
 from pcikit.cli import RunConfig, run
 
 from conftest import engine_set, full_corpus, primary_corpus, verify_checks
+from rank_reference import kernel_and_field
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

@@ -10,22 +10,27 @@ from pcikit import (
     PrimaryGroupSpec,
     SpecMismatchError,
     are_orthogonal,
+    build_pci_diagram,
     convolve,
     cyclic_rational_pcis,
     element,
     element_from_index,
     element_index,
     expand_factored,
-    fraction_free_rank,
     group_mul,
     is_idempotent,
-    kernel_and_field,
     parse_group_spec,
     subgroup_closure,
     translate,
 )
-from pcikit.algebra import expand_from_subgroup
+from pcikit.algebra import (
+    expand_from_subgroup,
+    expansion_numerators,
+    fixing_subgroup,
+    kernel_subgroup,
+)
 from conftest import engine_records
+from rank_reference import fraction_free_rank, kernel_and_field
 
 C2 = PrimaryGroupSpec(2, ((1, 1),))
 C4 = PrimaryGroupSpec(2, ((2, 1),))
@@ -186,6 +191,22 @@ def test_component_dimension_invariant():
             info = kernel_and_field(rec.element)
             assert len(info.kernel) == rec.kernel_order
             assert info.quotient_order == rec.quotient_order
+
+
+def test_fixing_subgroup_reads_the_kernel_off_unreduced_numerators():
+    # verify's vertex_kernels check feeds the int64 numerators of each
+    # expansion, over no denominator, straight to the stabiliser search.
+    for text in ("2:[2,1]", "3:[1,1]", "2:[1,1,1]", "3:[2,1]", "5:[1]"):
+        spec = parse_group_spec(text).parts[0]
+        for level in build_pci_diagram(spec).levels:
+            for v in level:
+                kernel = subgroup_closure(spec, v.form.kernel_gens)
+                nums, den = expansion_numerators(spec, kernel, v.form.primed)
+                e = expand_from_subgroup(spec, kernel, v.form.primed)
+                assert e == AlgebraElement(spec, nums.tolist(), den)
+                assert fixing_subgroup(spec, nums).tolist() == kernel.tolist()
+                assert fixing_subgroup(spec, -3 * nums).tolist() == kernel.tolist()
+                assert kernel_subgroup(e).tolist() == kernel.tolist()
 
 
 def test_fraction_free_rank():

@@ -16,6 +16,7 @@ from pcikit import (
     is_idempotent,
     parse_group_spec,
 )
+from pcikit.algebra import FractionList, fraction_strings
 from pcikit.cli import (
     SPLIT_MAX_COEFFICIENTS,
     RunConfig,
@@ -208,19 +209,46 @@ def test_verify_builds_each_diagram_once(monkeypatch):
         assert sorted(builds) == primes
 
 
-def assert_refused_quickly(argv):
-    # A separate process with a timeout, so a hang fails instead of stalling.
+def fresh_process(argv, timeout=20):
+    """The CLI run in a separate process with a timeout, so a hang fails
+    instead of stalling."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "pcikit.cli", *argv],
         capture_output=True,
         text=True,
         env=env,
-        timeout=20,
+        timeout=timeout,
     )
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    # The parser is built once per process.  A parse error, then calls of
+    # different subcommands, must print what fresh processes print.
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to this width
+    assert build_parser() is build_parser()
+    calls = [
+        ["pci", "--bogus"],
+        ["pci", "--group", "2:[1]"],
+        ["wedderburn", "--group", "3:[1]", "--format", "text"],
+        ["verify", "--group", "2:[1]", "--format", "dot"],
+        ["pci", "--group", "2:[1];3:[1]", "--format", "text"],
+    ]
+    for argv in calls:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = fresh_process(argv, timeout=60)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+
+
+def assert_refused_quickly(argv):
+    proc = fresh_process(argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
@@ -308,6 +336,42 @@ def test_json_writer_matches_json_dumps(payload):
     assert _json_text(payload) == json.dumps(payload, indent=2) + "\n"
 
 
+# Numerators at and past the int64 edges, which FractionList keeps as Python
+# ints; lists drawn from few values repeat them.
+fraction_num_st = st.one_of(
+    st.sampled_from([0, 1, -1, 2**63 - 1, -(2**63), 2**63, 2**64]),
+    st.integers(min_value=-9, max_value=9),
+    st.integers(min_value=-(2**100), max_value=2**100),
+)
+fraction_den_st = st.one_of(
+    st.just(1), st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=2**80)
+)
+
+
+@given(
+    st.lists(fraction_num_st, max_size=30),
+    fraction_den_st,
+    st.lists(st.sampled_from(["dict", "list"]), max_size=3),
+)
+@example([0, 1, -1, 1, 0, 2**63 - 1, -(2**63), 2**63, 2**64, 2**64, -1], 1, [])
+@example([6, 6, -6, 0, 2**64, 2**63], 2**80 + 6, ["dict", "list", "dict"])
+@example([], 5, ["list"])
+@settings(max_examples=150, deadline=None)
+def test_fraction_list_writer_matches_json_dumps(nums, den, nesting):
+    # A FractionList is written as json.dumps writes fraction_strings, at
+    # every depth, and its text join is the join of those strings.
+    strings = fraction_strings(nums, den)
+    assert strings == [f"{f.numerator}/{f.denominator}" for f in (Fraction(v, den) for v in nums)]
+    payload, plain = FractionList(nums, den), strings
+    for kind in nesting:
+        if kind == "dict":
+            payload, plain = {"c": payload, "n": 1}, {"c": plain, "n": 1}
+        else:
+            payload, plain = [payload, "x"], [plain, "x"]
+    assert _json_text(payload) == json.dumps(plain, indent=2) + "\n"
+    assert FractionList(nums, den).join(", ") == ", ".join(strings)
+
+
 @pytest.mark.parametrize(
     "payload", [{"a": {1, 2}}, [b"bytes"], Fraction(1, 2), {1: "int key"}, [object()]]
 )
@@ -316,14 +380,16 @@ def test_json_writer_refuses_other_types(payload):
         _json_text(payload)
 
 
-# md5 of the stdout of large outputs: the JSON writer and the coefficient
-# strings must not move a byte of them.
+# md5 of the stdout of large outputs: the JSON writer, the coefficient
+# strings and the cross-prime product must not move a byte of them.
 PINNED_OUTPUT_MD5 = [
     ("pci", "2:[1,1,1,1,1,1,1,1,1]", "json", "fe666c1e8485e9639974eb5804c714eb"),
     ("diagram", "2:[1,1,1,1,1,1,1,1,1]", "json", "d3573f65e68bb5e74109823432ef0e04"),
     ("pci", "2:[1,1,1,1,1];3:[1,1,1]", "json", "dbe5874e5d482aee857cb56621c07855"),
     ("diagram", "2:[1,1,1,1,1];3:[1,1,1]", "json", "5d265e50388fc50a0bb649eded4395e0"),
     ("pci", "7:[2,2]", "text", "5112adf3d923c115854f663c0bef2964"),
+    ("pci", "2:[3];3:[2];5:[1];7:[1]", "text", "74d57ec9ab090db6aad05b24ea941998"),
+    ("pci", "2:[1,1,1,1,1];3:[1,1,1]", "text", "abc478922bbf8ae5e812fc2b4e9cc1ec"),
     ("split", "2:[6]", "json", "0ce14078ff04436384b961c3bf20b3f3"),
     ("split", "2:[7]", "json", "91425f50d9e8ba76cc7b090b7f2654cc"),
     ("split", "3:[4]", "json", "65565548f9b5236c619b50eb758e259c"),

@@ -22,7 +22,6 @@ from pcikit import (
     extension_children,
     galois_orbit_collapse,
     galois_orbits,
-    kernel_and_field,
     lift_into_extension,
     lift_to_product,
     oracle_pci_set,
@@ -35,6 +34,7 @@ from pcikit import (
 from pcikit import verify
 from pcikit.diagram import alternate_generator_labels
 from pcikit.numtheory import euler_phi
+from rank_reference import kernel_and_field
 
 
 def test_level_sizes_c3c3():

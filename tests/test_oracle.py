@@ -9,7 +9,6 @@ from pcikit import (
     compare_pci_sets,
     dual_characters,
     is_idempotent,
-    kernel_and_field,
     oracle_pci_set,
     order_census,
     parse_group_spec,
@@ -17,6 +16,7 @@ from pcikit import (
     wedderburn_profile,
 )
 from pcikit.numtheory import euler_phi
+from rank_reference import kernel_and_field
 
 C2 = PrimaryGroupSpec(2, ((1, 1),))
 C4 = PrimaryGroupSpec(2, ((2, 1),))

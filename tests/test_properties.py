@@ -12,6 +12,7 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 
 from conftest import partitions, spec_from_partition
 from pcikit import (
+    AbelianGroupSpec,
     AlgebraElement,
     CycloAlgebraElement,
     CycloNumber,
@@ -38,7 +39,7 @@ from pcikit import (
     translate,
 )
 from pcikit.algebra import fraction_strings, integer_form, lattice_sum, lowest_terms
-from pcikit.diagram import alternate_generator_labels
+from pcikit.diagram import alternate_generator_labels, cross_prime_product
 from pcikit.groups import enumeration
 from pcikit.kernels import Spectra, _convolve_bigint, convolve_ints
 from pcikit.numtheory import cyclotomic_poly, factorize
@@ -167,6 +168,73 @@ def test_lattice_from_int64_matches_public_constructor(data):
     slow = AlgebraElement(spec, nums, den)
     assert (fast.nums, fast.den) == (slow.nums, slow.den)
     assert all(type(v) is int for v in fast.nums)
+
+
+def _cross_prime_product_reference(spec, per_part_sets):
+    """The tensor product on Python ints, one list comprehension per part,
+    normalised by the public constructor."""
+    out = []
+    for combo in itertools.product(*per_part_sets):
+        nums, den = [1], 1  # the empty product: 1 in Q[C_1]
+        for e in combo:
+            nums = [x * y for x in nums for y in e.nums]
+            den *= e.den
+        out.append(AlgebraElement(spec, nums, den))
+    return out
+
+
+MULTI_PRIME_SPECS = [
+    parse_group_spec("2:[1];3:[1]"),
+    parse_group_spec("2:[1,1];3:[1]"),
+    parse_group_spec("2:[1];3:[1];5:[1]"),
+]
+
+
+@st.composite
+def per_part_sets(draw):
+    """A multi-prime group and one to three elements per primary part, with
+    numerators whose products stay in int64, reach its edge or pass it."""
+    spec = draw(st.sampled_from(MULTI_PRIME_SPECS))
+    value = st.one_of(
+        st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=-(2**40), max_value=2**40),
+        st.sampled_from([2**31, -(2**31), 2**32 - 1, 2**63 - 1, -(2**63), 2**64]),
+    )
+    sets = []
+    for part in spec.parts:
+        element = st.builds(
+            lambda nums, den, part=part: AlgebraElement(part, nums, den),
+            st.lists(value, min_size=part.order, max_size=part.order),
+            st.one_of(st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=2**40)),
+        )
+        sets.append(draw(st.lists(element, min_size=1, max_size=3)))
+    return spec, sets
+
+
+def _c6_sets(top2, top3):
+    spec = MULTI_PRIME_SPECS[0]
+    c2, c3 = spec.parts
+    return spec, [[AlgebraElement(c2, [top2, -1])], [AlgebraElement(c3, [top3, 1, 0], 3)]]
+
+
+@given(per_part_sets())
+# products of the largest |numerator| just under, at and past 2^63
+@example(_c6_sets(2**32 - 1, 2**31))
+@example(_c6_sets(2**32, 2**31))
+@example(_c6_sets(2**63 - 1, 1))
+@example(_c6_sets(2**40, 2**40))
+@settings(max_examples=120, deadline=None)
+def test_cross_prime_product_matches_python_reference(data):
+    spec, sets = data
+    fast = cross_prime_product(spec, sets)
+    slow = _cross_prime_product_reference(spec, sets)
+    assert [(e.nums, e.den) for e in fast] == [(e.nums, e.den) for e in slow]
+    assert all(type(v) is int for e in fast for v in e.nums)
+
+
+def test_cross_prime_product_of_no_parts_matches_python_reference():
+    trivial = AbelianGroupSpec(())
+    assert cross_prime_product(trivial, []) == _cross_prime_product_reference(trivial, [])
 
 
 @given(spec_and_elements(1))
