@@ -13,6 +13,7 @@ import json
 import sys
 
 from .algebra import FractionList
+from .cyclotomic import CoefficientRows
 from .diagram import (
     alternate_generator_labels,
     build_pci_diagram,
@@ -39,6 +40,9 @@ DEFAULT_MAX_ORDER = 4096
 # split of C_m builds m^2 * phi(m) reduced coefficients (JSON writes them all);
 # C_{2^8}, with 2^23 of them, is the largest cyclic group whose split finishes.
 SPLIT_MAX_COEFFICIENTS = 2**23
+# pci and verify hold |G| idempotents of |G| coefficients each; C_2^12, the
+# largest order the default cap admits, sits exactly on the limit.
+DENSE_MAX_COEFFICIENTS = 2**24
 
 
 @dataclasses.dataclass
@@ -62,8 +66,9 @@ def _json_text(payload) -> str:
     pure-Python indent encoder costs more than computing a large payload, so
     this writer dispatches on exact types: dict (str keys), list, tuple,
     str, int, bool and None are written here, a FractionList as the list of
-    its strings, a float by json.dumps, and any other type raises
-    TypeError."""
+    its strings, CoefficientRows as the list of {"m", "coeffs"} dicts of
+    CycloAlgebraElement.to_json()["coeffs"], a float by json.dumps, and any
+    other type raises TypeError."""
     out: list[str] = []
     _write(payload, "\n", out)
     out.append("\n")
@@ -125,6 +130,14 @@ def _write(obj, newline: str, out: list[str]) -> None:
             return
         inner = newline + "  "
         out.append("[" + inner + obj.join("," + inner, _quote) + newline + "]")
+    elif kind is CoefficientRows:  # one join per row, no dict per row
+        inner = newline + "  "
+        key = inner + "  "
+        item = key + "  "
+        head = "{" + key + f'"m": {obj.m},' + key + '"coeffs": [' + item
+        tail = key + "]" + inner + "}"
+        rows = obj.join("," + item, tail + "," + inner + head, _quote)
+        out.append("[" + inner + head + rows + tail + newline + "]")
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -145,10 +158,20 @@ def _title(spec) -> str:
     return f"group {spec} ({spec.spec_text()}), order {spec.order}"
 
 
+def _refuse_over(limit: int, count: int, what: str) -> None:
+    """Raise CapExceededError, before any work, when what needs more than
+    limit coefficients."""
+    if count > limit:
+        raise CapExceededError(
+            f"{what} needs {count} coefficients, over the limit {limit}"
+        )
+
+
 # -- pci ----------------------------------------------------------------
 
 
 def _run_pci(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
+    _refuse_over(DENSE_MAX_COEFFICIENTS, spec.order**2, f"pci of order {spec.order}")
     records = pci_records(spec, alternate_order=config.alternate_order)
     rows = []
     for i, rec in enumerate(records):
@@ -289,12 +312,7 @@ def _run_split(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
         raise GroupSpecError("split requires a cyclic group of prime-power order")
     part = spec.parts[0]
     p, n, m = part.p, part.classes[0][0], part.order
-    count = split_coefficient_count(m)
-    if count > SPLIT_MAX_COEFFICIENTS:
-        raise CapExceededError(
-            f"split of C_{m} needs {count} coefficients, "
-            f"over the limit {SPLIT_MAX_COEFFICIENTS}"
-        )
+    _refuse_over(SPLIT_MAX_COEFFICIENTS, split_coefficient_count(m), f"split of C_{m}")
     splitting = splitting_field_pcis(p, n)
     orbits = galois_orbits(m)
     collapsed, matches = collapse_matches_closed_form(
@@ -320,7 +338,7 @@ def _run_split(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
         chain_length=n,
         modulus=m,
         splitting_pcis=[
-            {"t": t, "coefficients": e.to_json()["coeffs"]}
+            {"t": t, "coefficients": e.coefficient_rows()}
             for t, e in enumerate(splitting)
         ],
         orbits=orbits,
@@ -336,6 +354,7 @@ def _run_split(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
 def _run_verify(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
     # verify has one mode; "check level full" stays in both reports for
     # the programs that read them
+    _refuse_over(DENSE_MAX_COEFFICIENTS, spec.order**2, f"verify of order {spec.order}")
     checks = run_checks(spec, config.alternate_order)
     ok = all(c.ok for c in checks)
     code = 0 if ok else 1

@@ -23,6 +23,7 @@ import numpy as np
 
 from .algebra import (
     AlgebraElement,
+    FractionList,
     _Lattice,
     fraction_strings,
     integer_form,
@@ -338,6 +339,12 @@ class CycloAlgebraElement(_CycloLattice):
             self.spec, (flat[g * deg] for g in range(self.spec.order)), den
         )
 
+    def coefficient_rows(self) -> "CoefficientRows":
+        """to_json()["coeffs"] as one FractionList over the reduced matrix,
+        for cli's JSON writer."""
+        den, flat = self.reduced()
+        return CoefficientRows(self.m, euler_phi(self.m), FractionList(flat, den))
+
     def to_json(self) -> dict:
         """{"m": m, "coeffs": [CycloNumber.to_json() of each coefficient]},
         formatted from the reduced matrix: an entry's lowest terms do not
@@ -357,3 +364,31 @@ class CycloAlgebraElement(_CycloLattice):
         group = self.spec.spec_text() or self.spec  # the trivial group is "C_1"
         return f"CycloAlgebraElement({group}, m={self.m})"
 
+
+class CoefficientRows:
+    """The reduced (order x phi(m)) matrix of a CycloAlgebraElement as rows
+    of "num/den" strings: row g is the coordinates of the coefficient at
+    group index g, that is to_json()["coeffs"][g]["coeffs"].  The matrix is
+    one FractionList, so each distinct value is formatted once, and writing
+    the rows is one gather and one join per row.  cli's JSON writer writes
+    it as to_json()["coeffs"], with no dict per row.
+
+    >>> from pcikit.groups import parse_group_spec
+    >>> c2 = parse_group_spec("2:[1]")
+    >>> rows = CycloAlgebraElement.from_zeta_powers(c2, 4, [0, 1], 2).coefficient_rows()
+    >>> rows.m, rows.join(", ", " | ")
+    (4, '1/2, 0/1 | 0/1, 1/2')
+    """
+
+    __slots__ = ("m", "width", "fractions")
+
+    def __init__(self, m: int, width: int, fractions: FractionList):
+        self.m, self.width, self.fractions = m, width, fractions
+
+    def join(self, sep: str, row_sep: str, form=None) -> str:
+        """Each row's strings joined by sep, the rows joined by row_sep;
+        form, when given, is applied once per distinct string."""
+        strings, w = self.fractions.strings(form), self.width
+        return row_sep.join(
+            sep.join(strings[i : i + w]) for i in range(0, len(strings), w)
+        )

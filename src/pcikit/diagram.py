@@ -34,7 +34,6 @@ from .algebra import (
     expand_factored,
     expand_from_subgroup,
     int_array,
-    lattice_sum,
 )
 from .cyclotomic import CycloAlgebraElement, CycloNumber
 from .errors import (
@@ -58,6 +57,7 @@ from .groups import (
     index_set,
     long_generator_sequence,
 )
+from .numtheory import euler_phi
 
 
 @dataclass(frozen=True)
@@ -426,17 +426,36 @@ def galois_orbit_collapse(
 ) -> list[AlgebraElement]:
     """Sum the splitting idempotents over each unit-multiplication orbit of
     the character index; every sum is rational and the results are exactly
-    the rational primitive central idempotents."""
+    the rational primitive central idempotents.
+
+    Each sum is taken on the members' reduced (order x phi(m)) matrices,
+    the coordinates split prints, over their least common denominator: in
+    int64 when max|entry| * scale * orbit size and that denominator are
+    below 2^63, on Python ints otherwise.  A sum is rational when every
+    coordinate but the constant one is zero."""
     if len(splitting) != m:
         raise InvariantError("need one splitting idempotent per character index")
+    spec = splitting[0].spec
+    for e in splitting:
+        if e.spec != spec or e.m != m:
+            raise SpecMismatchError("splitting idempotents of different algebras")
+    width = euler_phi(m)
+    reduced = [(den, int_array(flat)) for den, flat in (e.reduced() for e in splitting)]
     out = []
     for orbit in galois_orbits(m):
-        total = lattice_sum(splitting[t] for t in orbit)
-        if not total.is_rational():
+        members = [reduced[t] for t in orbit]
+        den = math.lcm(*(d for d, _ in members))
+        # an entry outside int64 (an object array) makes top at least 2^63;
+        # a zero member's scale must fit as well
+        top = max(max(int(v.max()), -int(v.min())) * (den // d) for d, v in members)
+        dtype = np.int64 if max(top * len(orbit), den) < 2**63 else object
+        total = sum(v.astype(dtype, copy=False) * (den // d) for d, v in members)
+        total = total.reshape(spec.order, width)
+        if total[:, 1:].any():
             raise InconsistencyError(
                 f"orbit {orbit} does not sum to a rational element"
             )
-        out.append(total.rational_part())
+        out.append(AlgebraElement._from_int64(spec, total[:, 0], den))
     return out
 
 
@@ -471,9 +490,10 @@ def cross_prime_product(
 
     The coefficient vector of each product is the tensor product of the
     per-part vectors (parts occupy disjoint factor blocks), formed by
-    np.multiply.outer in int64 when the product of the parts' largest
-    |numerator| fits, and on Python ints otherwise.  With one part, each
-    idempotent keeps its numerators and denominator as they are."""
+    np.multiply.outer in int64 when every part's numerators fit int64 and
+    the product of the parts' largest |numerator| does too, and on Python
+    ints otherwise.  With one part, each idempotent keeps its numerators
+    and denominator as they are."""
     if len(per_part_sets) != len(spec.parts):
         raise SpecMismatchError("need one idempotent set per primary part")
     for part, pcis in zip(spec.parts, per_part_sets):
@@ -491,8 +511,10 @@ def cross_prime_product(
     ]
     out = []
     for combo in itertools.product(*vectors):
+        # a zero top makes the bound 0 even when another part is an object vector
         bound = math.prod(top for _, top, _ in combo)
-        dtype = np.int64 if bound < 2**63 else object
+        fits = bound < 2**63 and all(vec.dtype != object for vec, _, _ in combo)
+        dtype = np.int64 if fits else object
         nums = np.ones(1, dtype=dtype)  # the empty product: 1 in Q[C_1]
         for vec, _, _ in combo:
             nums = np.multiply.outer(nums, vec.astype(dtype, copy=False)).ravel()

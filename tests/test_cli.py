@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,13 +12,18 @@ from hypothesis import example, given, settings, strategies as st
 
 from pcikit import (
     AlgebraElement,
+    CapExceededError,
+    CycloAlgebraElement,
     are_orthogonal,
     build_pci_diagram,
     is_idempotent,
     parse_group_spec,
 )
+from pcikit import cli
 from pcikit.algebra import FractionList, fraction_strings
 from pcikit.cli import (
+    DEFAULT_MAX_ORDER,
+    DENSE_MAX_COEFFICIENTS,
     SPLIT_MAX_COEFFICIENTS,
     RunConfig,
     _json_text,
@@ -286,6 +292,33 @@ def test_split_coefficient_limit_boundary():
     assert split_coefficient_count(211) > SPLIT_MAX_COEFFICIENTS
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pci", "--group", "2:[40]", "--max-order", str(2**40)],
+        ["verify", "--group", "2:[13]", "--max-order", str(2**13)],
+    ],
+)
+def test_dense_work_over_coefficient_limit_exits_2_quickly(argv):
+    # |G| records of |G| coefficients each are refused before any work.
+    assert_refused_quickly(argv)
+    config = RunConfig(argv[0], argv[2], max_order=int(argv[4]))
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="over the limit"):
+        run(config)
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("subcommand", ["pci", "verify"])
+@pytest.mark.parametrize("group", ["2:[1,1,1,1,1,1,1,1,1,1,1,1]", "2:[6];3:[2];7:[1]"])
+def test_dense_coefficient_limit_boundary(subcommand, group, monkeypatch):
+    # Every order the default cap admits passes the limit; C_2^12 sits on it.
+    assert DENSE_MAX_COEFFICIENTS == DEFAULT_MAX_ORDER**2
+    monkeypatch.setattr(cli, "pci_records", lambda spec, alternate_order: [])
+    monkeypatch.setattr(cli, "run_checks", lambda spec, alternate_order: [])
+    assert run(RunConfig(subcommand, group))[0] == 0
+
+
 def test_untestable_prime_under_raised_cap_exits_2_quickly():
     # 2^89 - 1 lies above the range where is_prime is fast; the cap admits it.
     assert_refused_quickly(
@@ -372,6 +405,34 @@ def test_fraction_list_writer_matches_json_dumps(nums, den, nesting):
     assert FractionList(nums, den).join(", ") == ", ".join(strings)
 
 
+# Splitting-field moduli m = p^n <= 64 (and m = 1) over small groups, with
+# numerators at the int64 edges, so FractionList keeps some as Python ints.
+@st.composite
+def cyclo_elements(draw):
+    spec = parse_group_spec(draw(st.sampled_from(["2:[1]", "3:[1]", "2:[1,1]"])))
+    m = draw(st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64]))
+    size = spec.order * m
+    value = st.sampled_from([0, 0, 1, -1, 2**63 - 1, 2**64])
+    nums = draw(st.lists(value, min_size=size, max_size=size))
+    den = draw(
+        st.one_of(st.integers(min_value=2, max_value=12), st.integers(min_value=2, max_value=2**70))
+    )
+    return CycloAlgebraElement(spec, m, nums, den)
+
+
+@given(cyclo_elements())
+@example(CycloAlgebraElement(parse_group_spec("2:[1]"), 1, [2**64, -1], 3))
+@settings(max_examples=80, deadline=None)
+def test_coefficient_rows_writer_matches_json_dumps(e):
+    # The rows are written as json.dumps writes to_json()["coeffs"], at the
+    # top level and at split's depth.
+    rows, plain = e.coefficient_rows(), e.to_json()["coeffs"]
+    assert _json_text(rows) == json.dumps(plain, indent=2) + "\n"
+    payload = {"splitting_pcis": [{"t": 0, "coefficients": rows}]}
+    expected = {"splitting_pcis": [{"t": 0, "coefficients": plain}]}
+    assert _json_text(payload) == json.dumps(expected, indent=2) + "\n"
+
+
 @pytest.mark.parametrize(
     "payload", [{"a": {1, 2}}, [b"bytes"], Fraction(1, 2), {1: "int key"}, [object()]]
 )
@@ -392,6 +453,7 @@ PINNED_OUTPUT_MD5 = [
     ("pci", "2:[1,1,1,1,1];3:[1,1,1]", "text", "abc478922bbf8ae5e812fc2b4e9cc1ec"),
     ("split", "2:[6]", "json", "0ce14078ff04436384b961c3bf20b3f3"),
     ("split", "2:[7]", "json", "91425f50d9e8ba76cc7b090b7f2654cc"),
+    ("split", "2:[8]", "json", "fa0b004b16c7e43b7d85c97beccc2a67"),
     ("split", "3:[4]", "json", "65565548f9b5236c619b50eb758e259c"),
     ("split", "5:[3]", "json", "8e43873c96438e5cc2022ec3c0723e68"),
     ("split", "7:[2]", "json", "a5f4b879896e7e4de5175ca721722565"),

@@ -2,6 +2,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pcikit import (
     AbelianGroupSpec,
@@ -9,9 +10,11 @@ from pcikit import (
     CycloAlgebraElement,
     GroupElement,
     GroupSpecError,
+    InconsistencyError,
     InvariantError,
     LongGenerator,
     PrimaryGroupSpec,
+    SpecMismatchError,
     build_pci_diagram,
     compare_pci_sets,
     cross_prime_product,
@@ -32,8 +35,9 @@ from pcikit import (
     subgroup_closure,
 )
 from pcikit import verify
+from pcikit.algebra import lattice_sum
 from pcikit.diagram import alternate_generator_labels
-from pcikit.numtheory import euler_phi
+from pcikit.numtheory import euler_phi, is_prime
 from rank_reference import kernel_and_field
 
 
@@ -304,6 +308,98 @@ def test_galois_orbit_collapse_c4():
     # orbit {0} is the full-group average
     spec = cyclic_group_spec(2, 2)
     assert collapsed[0] == AlgebraElement.from_coeffs(spec, [Fraction(1, 4)] * 4)
+
+
+def _galois_orbit_collapse_reference(splitting, m):
+    """Slow reference: each orbit summed on the full numerator lattice by
+    lattice_sum, then tested and read through the reduction of the sum."""
+    out = []
+    for orbit in galois_orbits(m):
+        total = lattice_sum(splitting[t] for t in orbit)
+        if not total.is_rational():
+            raise InconsistencyError(f"orbit {orbit} does not sum to a rational element")
+        out.append(total.rational_part())
+    return out
+
+
+PRIME_POWERS_TO_64 = [
+    (p, n) for p in range(2, 65) if is_prime(p) for n in range(1, 7) if p**n <= 64
+]
+
+
+@pytest.mark.parametrize("p, n", PRIME_POWERS_TO_64)
+def test_galois_orbit_collapse_matches_lattice_sum_reference(p, n):
+    split, m = splitting_field_pcis(p, n), p**n
+    collapsed = galois_orbit_collapse(split, m)
+    assert collapsed == _galois_orbit_collapse_reference(split, m)
+    assert all(type(v) is int for e in collapsed for v in e.nums)
+
+
+def _shifted_splitting(p, n, shifts):
+    """The splitting idempotents of C_{p^n}, each plus a rational element
+    (nums, den) lifted to Q(zeta_m)[G]: every orbit still sums to a
+    rational element, now over members of unequal denominators."""
+    spec, m = cyclic_group_spec(p, n), p**n
+    return m, [
+        e + CycloAlgebraElement.from_rational_element(AlgebraElement(spec, nums, den), m)
+        for e, (nums, den) in zip(splitting_field_pcis(p, n), shifts)
+    ]
+
+
+@st.composite
+def shifted_splittings(draw):
+    p, n = draw(st.sampled_from([(2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (7, 1)]))
+    m = p**n
+    value = st.one_of(
+        st.integers(min_value=-9, max_value=9),
+        st.integers(min_value=2**62 - 9, max_value=2**62 + 9),
+        st.sampled_from([-(2**62), 2**63 - 1, -(2**63)]),
+    )
+    den = st.one_of(
+        st.integers(min_value=1, max_value=12), st.integers(min_value=1, max_value=2**40)
+    )
+    shift = st.tuples(st.lists(value, min_size=m, max_size=m), den)
+    return _shifted_splitting(p, n, draw(st.lists(shift, min_size=m, max_size=m)))
+
+
+@given(shifted_splittings())
+# orbit [1, 3] of C_4: reduced entries near 2^62 on one denominator,
+# whose int64 sum would overflow; then the same on unequal denominators
+@example(_shifted_splitting(2, 2, [([2**62 - 1] * 4, 4)] * 4))
+@example(_shifted_splitting(2, 2, [([2**62 - 1] * 4, 4 * (t + 1)) for t in range(4)]))
+# orbit [1, 3] of C_4 as a zero element plus a rational one over 2^70: the
+# zero member's scale does not fit int64
+@example(
+    (4, [
+        splitting_field_pcis(2, 2)[0],
+        CycloAlgebraElement.zero(cyclic_group_spec(2, 2), 4),
+        splitting_field_pcis(2, 2)[2],
+        CycloAlgebraElement.from_rational_element(
+            AlgebraElement(cyclic_group_spec(2, 2), [1, 0, 0, 0], 2**70), 4
+        ),
+    ])
+)
+@settings(max_examples=60, deadline=None)
+def test_galois_orbit_collapse_matches_reference_on_large_entries(data):
+    m, splitting = data
+    collapsed = galois_orbit_collapse(splitting, m)
+    assert collapsed == _galois_orbit_collapse_reference(splitting, m)
+    assert all(type(v) is int for e in collapsed for v in e.nums)
+
+
+def test_galois_orbit_collapse_refuses_an_irrational_orbit_sum():
+    split = splitting_field_pcis(2, 2)
+    split[1] = split[1] + split[1]  # 2 e_1 + e_3 has irrational coefficients
+    for collapse in (galois_orbit_collapse, _galois_orbit_collapse_reference):
+        with pytest.raises(InconsistencyError, match=r"orbit \[1, 3\]"):
+            collapse(split, 4)
+
+
+def test_galois_orbit_collapse_refuses_mixed_algebras():
+    split = splitting_field_pcis(2, 2)
+    split[3] = CycloAlgebraElement.one(cyclic_group_spec(2, 2), 8)
+    with pytest.raises(SpecMismatchError):
+        galois_orbit_collapse(split, 4)
 
 
 def test_orbit_count_is_chain_length_plus_one():

@@ -217,7 +217,15 @@ def _c6_sets(top2, top3):
     return spec, [[AlgebraElement(c2, [top2, -1])], [AlgebraElement(c3, [top3, 1, 0], 3)]]
 
 
+def _c6_sets_with_zero_part():
+    # one part needs Python ints, the other is zero: the bound product is 0
+    spec = MULTI_PRIME_SPECS[0]
+    c2, c3 = spec.parts
+    return spec, [[AlgebraElement(c2, [0, 2**64])], [AlgebraElement(c3, [0, 0, 0])]]
+
+
 @given(per_part_sets())
+@example(_c6_sets_with_zero_part())
 # products of the largest |numerator| just under, at and past 2^63
 @example(_c6_sets(2**32 - 1, 2**31))
 @example(_c6_sets(2**32, 2**31))

@@ -97,12 +97,9 @@ def test_duplicated_splitting_idempotent_fails_coherence(group, p, n, monkeypatc
     assert failed_checks(group, capsys) == {"splitting_field_coherence"}
 
 
-def test_flipped_zeta_table_entry_fails_coherence(monkeypatch, capsys):
-    # One wrong entry in the table of reduced zeta powers of C_8 leaves every
-    # splitting idempotent's numerators right and its cached reduction wrong.
-    # split's matches_closed_form cannot catch this: the Galois collapse sums
-    # numerators.  splitting_field_coherence and the md5 pins of split's
-    # output are what guard the table.
+def flip_c8_zeta_table_entry(monkeypatch):
+    """Flip entry [1, 0] of the table of reduced zeta powers of C_8: zeta
+    reads as 1 + zeta in every reduction taken from the table."""
     original = cyclotomic._zeta_rows
 
     def flipped(m):
@@ -113,4 +110,20 @@ def test_flipped_zeta_table_entry_fails_coherence(monkeypatch, capsys):
         return rows
 
     monkeypatch.setattr(cyclotomic, "_zeta_rows", flipped)
+
+
+def test_flipped_zeta_table_entry_fails_coherence(monkeypatch, capsys):
+    # One wrong entry in the table of reduced zeta powers of C_8 leaves every
+    # splitting idempotent's numerators right and its cached reduction wrong.
+    # The Galois collapse sums those reductions, so its orbit sums stay
+    # rational (only constant coordinates moved) but miss the closed form.
+    flip_c8_zeta_table_entry(monkeypatch)
     assert failed_checks("2:[3]", capsys) == {"splitting_field_coherence"}
+
+
+def test_flipped_zeta_table_entry_fails_split(monkeypatch, capsys):
+    # split's collapse reads the reduced coordinates it prints, so it sees
+    # the wrong entry too.
+    flip_c8_zeta_table_entry(monkeypatch)
+    assert main(["split", "--group", "2:[3]"]) == 1
+    assert json.loads(capsys.readouterr().out)["matches_closed_form"] is False
