@@ -92,7 +92,8 @@ class FractionList:
     find them (np.unique with return_inverse took 2-8 times as long on pci
     rows), only the distinct numerators are reduced and formatted, and
     writing the list is one gather and one join.  cli's JSON writer writes
-    it as a list of strings.
+    it as a list of strings.  nums may be an int64 or object array (see
+    int_array), which is read as it is, with no copy.
 
     >>> f = FractionList((0, -2, 3, 2**64, 3), 6)
     >>> f.table, f.index.tolist()
@@ -103,8 +104,8 @@ class FractionList:
 
     __slots__ = ("table", "index")
 
-    def __init__(self, nums: Sequence[int], den: int):
-        vals = int_array(nums)
+    def __init__(self, nums: Sequence[int] | np.ndarray, den: int):
+        vals = nums if isinstance(nums, np.ndarray) else int_array(nums)
         ordered = np.sort(vals)
         starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1  # a new value
         distinct = np.concatenate((ordered[:1], ordered[starts]))

@@ -15,12 +15,11 @@ import sys
 from .algebra import FractionList
 from .cyclotomic import CoefficientRows
 from .diagram import (
-    alternate_generator_labels,
-    build_pci_diagram,
     cyclic_rational_pcis,
     emit_dot,
     galois_orbits,
-    pci_records,
+    part_diagrams,
+    record_arrays,
     splitting_field_pcis,
 )
 from .errors import (
@@ -43,6 +42,10 @@ SPLIT_MAX_COEFFICIENTS = 2**23
 # pci and verify hold |G| idempotents of |G| coefficients each; C_2^12, the
 # largest order the default cap admits, sits exactly on the limit.
 DENSE_MAX_COEFFICIENTS = 2**24
+# wedderburn's census enumerates every element of each primary part.  On
+# C_2^20, the costliest census the limit admits, that took 8-9 s and 423 MB
+# peak as one process on 2 vCPUs: about 8 us and 20 int64 digits an element.
+WEDDERBURN_MAX_ELEMENTS = 2**20
 
 
 @dataclasses.dataclass
@@ -68,27 +71,67 @@ def _json_text(payload) -> str:
     str, int, bool and None are written here, a FractionList as the list of
     its strings, CoefficientRows as the list of {"m", "coeffs"} dicts of
     CycloAlgebraElement.to_json()["coeffs"], a float by json.dumps, and any
-    other type raises TypeError."""
+    other type raises TypeError.  Dict values and list items that _inline
+    writes in one piece take no recursive call."""
     out: list[str] = []
-    _write(payload, "\n", out)
+    _write(payload, "\n", out, {})
     out.append("\n")
     return "".join(out)
 
 
-def _write(obj, newline: str, out: list[str]) -> None:
-    # newline: a line break and the indent of the line obj starts on.
+_INT = frozenset((int,))
+
+
+def _int_tuple(t: tuple, newline: str, memo: dict) -> str | None:
+    """The text of the tuple t when its items are all of exact type int (so
+    no bool), else None.  The item types are checked before the memo is
+    read, since (1, 2) == (True, 2) == (1.0, 2) as dict keys; the text of
+    each distinct tuple at each indent is then built once per memo."""
+    if not set(map(type, t)) <= _INT:
+        return None
+    key = (t, newline)
+    text = memo.get(key)
+    if text is None:
+        inner = newline + "  "
+        items = ("," + inner).join(map(int.__repr__, t))
+        text = memo[key] = ("[" + inner + items + newline + "]") if t else "[]"
+    return text
+
+
+def _inline(obj, newline: str, memo: dict) -> str | None:
+    """The text of obj when it is written in one piece: a str, int, bool,
+    None, tuple of ints (see _int_tuple), or list or tuple of int tuples
+    (one join); None for anything else."""
     kind = type(obj)
     if kind is str:
-        out.append(_quote(obj))
-    elif kind is int:
-        out.append(int.__repr__(obj))
-    elif kind is bool:
-        out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
-    elif kind is float:
-        out.append(json.dumps(obj))
-    elif kind is dict:
+        return _quote(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    if kind is bool:
+        return "true" if obj else "false"
+    if obj is None:
+        return "null"
+    if kind is tuple:
+        text = _int_tuple(obj, newline, memo)
+        if text is not None:
+            return text
+    elif kind is not list or not obj:
+        return None
+    inner = newline + "  "
+    texts = []
+    for item in obj:
+        text = _int_tuple(item, inner, memo) if type(item) is tuple else None
+        if text is None:
+            return None
+        texts.append(text)
+    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+
+
+def _write(obj, newline: str, out: list[str], memo: dict) -> None:
+    # newline: a line break and the indent of the line obj starts on; memo:
+    # the texts of _int_tuple, one dict per _json_text call.
+    kind = type(obj)
+    if kind is dict:
         if not obj:
             out.append("{}")
             return
@@ -98,13 +141,12 @@ def _write(obj, newline: str, out: list[str]) -> None:
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             head = sep + _quote(key) + ": "
-            if type(value) is str:  # scalars inline, no call per value
-                out.append(head + _quote(value))
-            elif type(value) is int:  # not bool: type(True) is bool
-                out.append(head + int.__repr__(value))
-            else:
+            text = _inline(value, inner, memo)
+            if text is None:
                 out.append(head)
-                _write(value, inner, out)
+                _write(value, inner, out, memo)
+            else:
+                out.append(head + text)
             sep = "," + inner
         out.append(newline + "}")
     elif kind is list or kind is tuple:
@@ -120,8 +162,12 @@ def _write(obj, newline: str, out: list[str]) -> None:
             return
         sep = "[" + inner
         for item in obj:
-            out.append(sep)
-            _write(item, inner, out)
+            text = _inline(item, inner, memo)
+            if text is None:
+                out.append(sep)
+                _write(item, inner, out, memo)
+            else:
+                out.append(sep + text)
             sep = "," + inner
         out.append(newline + "]")
     elif kind is FractionList:  # one join over the quoted distinct strings
@@ -138,6 +184,10 @@ def _write(obj, newline: str, out: list[str]) -> None:
         tail = key + "]" + inner + "}"
         rows = obj.join("," + item, tail + "," + inner + head, _quote)
         out.append("[" + inner + head + rows + tail + newline + "]")
+    elif kind is float:
+        out.append(json.dumps(obj))
+    elif (text := _inline(obj, newline, memo)) is not None:
+        out.append(text)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
@@ -158,13 +208,11 @@ def _title(spec) -> str:
     return f"group {spec} ({spec.spec_text()}), order {spec.order}"
 
 
-def _refuse_over(limit: int, count: int, what: str) -> None:
+def _refuse_over(limit: int, count: int, what: str, unit: str = "coefficients") -> None:
     """Raise CapExceededError, before any work, when what needs more than
-    limit coefficients."""
+    limit units."""
     if count > limit:
-        raise CapExceededError(
-            f"{what} needs {count} coefficients, over the limit {limit}"
-        )
+        raise CapExceededError(f"{what} needs {count} {unit}, over the limit {limit}")
 
 
 # -- pci ----------------------------------------------------------------
@@ -172,7 +220,7 @@ def _refuse_over(limit: int, count: int, what: str) -> None:
 
 def _run_pci(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
     _refuse_over(DENSE_MAX_COEFFICIENTS, spec.order**2, f"pci of order {spec.order}")
-    records = pci_records(spec, alternate_order=config.alternate_order)
+    records = record_arrays(part_diagrams(spec, config.alternate_order))
     rows = []
     for i, rec in enumerate(records):
         d = rec.quotient_order
@@ -180,7 +228,7 @@ def _run_pci(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
         rows.append(
             {
                 "index": i,
-                "coefficients": FractionList(rec.element.nums, rec.element.den),
+                "coefficients": FractionList(rec.nums, rec.den),
                 "kernel_order": rec.kernel_order,
                 "quotient_order": d,
                 "field": _field_name(d),
@@ -210,24 +258,20 @@ def _run_pci(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
 
 
 def _vertex_json(v) -> dict:
+    # exps tuples, not fresh lists: _json_text writes each one from its memo
     return {
         "level": v.level,
         "index": v.index,
         "trivial": v.trivial,
-        "kernel_generators": [list(g.exps) for g in v.form.kernel_gens],
-        "primed": list(v.form.primed.exps) if v.form.primed is not None else None,
+        "kernel_generators": [g.exps for g in v.form.kernel_gens],
+        "primed": v.form.primed.exps if v.form.primed is not None else None,
         "kernel_order": v.kernel_order,
         "field_index": v.field_index,
     }
 
 
 def _run_diagram(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
-    diagrams = [
-        build_pci_diagram(
-            part, alternate_generator_labels(part) if config.alternate_order else None
-        )
-        for part in spec.parts
-    ]
+    diagrams = part_diagrams(spec, config.alternate_order)
     if config.output_format == "dot":
         return 0, emit_dot(diagrams)
     parts = []
@@ -236,14 +280,12 @@ def _run_diagram(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
             {
                 "p": part.p,
                 "generators": [
-                    {"place": list(lab.place), "power": lab.power}
+                    {"place": lab.place, "power": lab.power}
                     for lab in diag.generator_labels
                 ],
                 "level_sizes": diag.level_sizes(),
                 "levels": [[_vertex_json(v) for v in level] for level in diag.levels],
-                "edges": [
-                    [[pl, pi], [cl, ci]] for (pl, pi), (cl, ci) in diag.edges
-                ],
+                "edges": diag.edges,
             }
         )
     if config.output_format == "text":
@@ -272,6 +314,12 @@ def _run_diagram(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
 
 
 def _run_wedderburn(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
+    _refuse_over(
+        WEDDERBURN_MAX_ELEMENTS,
+        sum(part.order for part in spec.parts),
+        f"wedderburn of order {spec.order}",
+        "census elements",
+    )
     parts = []
     for part in spec.parts:
         profile = wedderburn_profile(part)

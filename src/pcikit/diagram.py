@@ -21,10 +21,11 @@ orbits collapses back to the rational set.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .algebra import (
     FactoredIdempotent,
     expand_factored,
     expand_from_subgroup,
+    expansion_numerators,
     int_array,
 )
 from .cyclotomic import CycloAlgebraElement, CycloNumber
@@ -468,6 +470,19 @@ class PciRecord:
     quotient_order: int
 
 
+class RecordArrays(NamedTuple):
+    """A primitive central idempotent as it leaves the engine: numerators
+    nums over den, not necessarily in lowest terms, in an int64 array, or
+    an object array of Python ints when one does not fit, with its
+    component bookkeeping.  PciRecord is the same idempotent as an
+    AlgebraElement."""
+
+    nums: np.ndarray
+    den: int
+    kernel_order: int
+    quotient_order: int
+
+
 def lift_to_product(
     spec: AbelianGroupSpec, part_index: int, a: AlgebraElement
 ) -> AlgebraElement:
@@ -483,34 +498,21 @@ def lift_to_product(
     return AlgebraElement(spec, nums, a.den)
 
 
-def cross_prime_product(
-    spec: AbelianGroupSpec, per_part_sets: Sequence[Sequence[AlgebraElement]]
-) -> list[AlgebraElement]:
-    """All products of one idempotent per primary part, lifted to Q[G].
-
-    The coefficient vector of each product is the tensor product of the
-    per-part vectors (parts occupy disjoint factor blocks), formed by
-    np.multiply.outer in int64 when every part's numerators fit int64 and
-    the product of the parts' largest |numerator| does too, and on Python
-    ints otherwise.  With one part, each idempotent keeps its numerators
-    and denominator as they are."""
-    if len(per_part_sets) != len(spec.parts):
-        raise SpecMismatchError("need one idempotent set per primary part")
-    for part, pcis in zip(spec.parts, per_part_sets):
-        for e in pcis:
-            if e.spec != part:
-                raise SpecMismatchError("idempotent does not match its primary part")
-    if len(per_part_sets) == 1:  # each idempotent is already in lowest terms
-        return [
-            AlgebraElement._in_lowest_terms(spec, e.nums, e.den)
-            for e in per_part_sets[0]
-        ]
-    vectors = [
-        [(int_array(e.nums), max(map(abs, e.nums)), e.den) for e in pcis]
-        for pcis in per_part_sets
+def _tensor_products(
+    per_part: Sequence[Sequence[tuple[np.ndarray, int]]],
+) -> list[tuple[np.ndarray, int]]:
+    """For each choice of one (numerators, denominator) per part, in
+    itertools.product order, the numerators of their tensor product (parts
+    occupy disjoint factor blocks) over the product of the denominators.
+    Each is one np.multiply.outer per part, in int64 when every chosen
+    array is int64 and the product of their largest |numerator| fits, and
+    on Python ints otherwise."""
+    tops = [
+        [(vec, max(int(vec.max()), -int(vec.min())), den) for vec, den in vectors]
+        for vectors in per_part
     ]
     out = []
-    for combo in itertools.product(*vectors):
+    for combo in itertools.product(*tops):
         # a zero top makes the bound 0 even when another part is an object vector
         bound = math.prod(top for _, top, _ in combo)
         fits = bound < 2**63 and all(vec.dtype != object for vec, _, _ in combo)
@@ -518,51 +520,92 @@ def cross_prime_product(
         nums = np.ones(1, dtype=dtype)  # the empty product: 1 in Q[C_1]
         for vec, _, _ in combo:
             nums = np.multiply.outer(nums, vec.astype(dtype, copy=False)).ravel()
-        den = math.prod(d for _, _, d in combo)
-        out.append(AlgebraElement._from_int64(spec, nums, den))
+        out.append((nums, math.prod(den for _, _, den in combo)))
     return out
+
+
+def cross_prime_product(
+    spec: AbelianGroupSpec, per_part_sets: Sequence[Sequence[AlgebraElement]]
+) -> list[AlgebraElement]:
+    """All products of one idempotent per primary part, lifted to Q[G]:
+    the tensor products of the per-part coefficient vectors (see
+    _tensor_products)."""
+    if len(per_part_sets) != len(spec.parts):
+        raise SpecMismatchError("need one idempotent set per primary part")
+    for part, pcis in zip(spec.parts, per_part_sets):
+        for e in pcis:
+            if e.spec != part:
+                raise SpecMismatchError("idempotent does not match its primary part")
+    products = _tensor_products(
+        [[(int_array(e.nums), e.den) for e in pcis] for pcis in per_part_sets]
+    )
+    return [AlgebraElement._from_int64(spec, nums, den) for nums, den in products]
+
+
+def part_diagrams(spec, alternate_order: bool = False) -> list[PciDiagram]:
+    """The diagram of each primary part of spec, in order; a primary group
+    is its own one part."""
+    parts = (spec,) if isinstance(spec, PrimaryGroupSpec) else spec.parts
+    return [
+        build_pci_diagram(
+            part, alternate_generator_labels(part) if alternate_order else None
+        )
+        for part in parts
+    ]
+
+
+def record_arrays(diagrams: Sequence[PciDiagram]) -> list[RecordArrays]:
+    """The records of Q[G] from already-built diagrams, one per primary
+    part of G in order: the products of one leaf per part, each straight
+    from the leaf expansion's int64 numerators (expansion_numerators) or
+    from the cross-prime tensor product of those."""
+    parts = [
+        [
+            RecordArrays(
+                *expansion_numerators(d.spec, kernel, v.form.primed),
+                v.kernel_order,
+                d.spec.p**v.field_index,
+            )
+            for v, kernel in zip(d.leaves, d.leaf_kernels)
+        ]
+        for d in diagrams
+    ]
+    if len(parts) == 1:
+        return parts[0]
+    products = _tensor_products([[(r.nums, r.den) for r in recs] for recs in parts])
+    return [
+        RecordArrays(
+            nums,
+            den,
+            math.prod(r.kernel_order for r in combo),
+            math.prod(r.quotient_order for r in combo),
+        )
+        for (nums, den), combo in zip(products, itertools.product(*parts))
+    ]
 
 
 def pci_records(spec, alternate_order: bool = False) -> list[PciRecord]:
     """Engine-side primitive central idempotents of Q[G] with component
     bookkeeping; primary groups come from the diagram leaves, multi-prime
     groups from the product of the per-part leaf sets."""
-    if isinstance(spec, PrimaryGroupSpec):
-        labels = alternate_generator_labels(spec) if alternate_order else None
-        return leaf_records(build_pci_diagram(spec, labels))
-    diagrams = [
-        build_pci_diagram(
-            part, alternate_generator_labels(part) if alternate_order else None
-        )
-        for part in spec.parts
-    ]
-    return records_from_diagrams(spec, diagrams)
+    return records_from_diagrams(spec, part_diagrams(spec, alternate_order))
 
 
 def leaf_records(diagram: PciDiagram) -> list[PciRecord]:
     """The records of a primary group, one per leaf of its diagram."""
-    p = diagram.spec.p
+    return records_from_diagrams(diagram.spec, [diagram])
+
+
+def records_from_diagrams(spec, diagrams: Sequence[PciDiagram]) -> list[PciRecord]:
+    """record_arrays, each idempotent an element of Q[spec] in lowest terms."""
     return [
-        PciRecord(expansion, v.kernel_order, p**v.field_index)
-        for v, expansion in zip(diagram.leaves, diagram.leaf_expansions())
+        PciRecord(
+            AlgebraElement._from_int64(spec, r.nums, r.den),
+            r.kernel_order,
+            r.quotient_order,
+        )
+        for r in record_arrays(diagrams)
     ]
-
-
-def records_from_diagrams(
-    spec: AbelianGroupSpec, diagrams: Sequence[PciDiagram]
-) -> list[PciRecord]:
-    """The records of Q[G] from already-built diagrams, one per primary
-    part in order: the products of one leaf per part."""
-    part_records = [leaf_records(d) for d in diagrams]
-    elements = cross_prime_product(
-        spec, [[r.element for r in records] for records in part_records]
-    )
-    out = []
-    for pos, combo in enumerate(itertools.product(*part_records)):
-        kernel_order = math.prod(r.kernel_order for r in combo)
-        quotient = math.prod(r.quotient_order for r in combo)
-        out.append(PciRecord(elements[pos], kernel_order, quotient))
-    return out
 
 
 def pci_set(spec, alternate_order: bool = False):
@@ -570,12 +613,13 @@ def pci_set(spec, alternate_order: bool = False):
     return [r.element for r in pci_records(spec, alternate_order)]
 
 
-def _vertex_label(spec: PrimaryGroupSpec, v: PciVertex, is_leaf: bool) -> str:
+def _vertex_label(spec: PrimaryGroupSpec, v: PciVertex, is_leaf: bool, name) -> str:
+    # name: str of an element, formatted once per emit_dot call
     if v.trivial:
         label = "trivial"
     else:
-        gens = ",".join(str(g) for g in v.form.kernel_gens)
-        label = f"K=<{gens}>; z={v.form.primed}"
+        gens = ",".join(map(name, v.form.kernel_gens))
+        label = f"K=<{gens}>; z={name(v.form.primed)}"
     if is_leaf:
         label += f"\\nQ(zeta_{spec.p ** v.field_index})"
     return label
@@ -585,6 +629,7 @@ def emit_dot(diagrams: Sequence[PciDiagram]) -> str:
     """Graphviz rendering: one rank per level, factored-form labels, leaves
     annotated with their component field."""
     lines = ["digraph pci_diagram {", "  node [shape=box];"]
+    name = functools.cache(str)  # each distinct element is formatted once per call
     clustered = len(diagrams) > 1
     for diagram in diagrams:
         p = diagram.spec.p
@@ -598,7 +643,7 @@ def emit_dot(diagrams: Sequence[PciDiagram]) -> str:
             names = " ".join(f"p{p}_v{l}_{v.index};" for v in level)
             lines.append(f"{indent}{{ rank=same; {names} }}")
             for v in level:
-                label = _vertex_label(diagram.spec, v, l == last)
+                label = _vertex_label(diagram.spec, v, l == last, name)
                 lines.append(f'{indent}p{p}_v{l}_{v.index} [label="{label}"];')
         if clustered:
             lines.append("  }")

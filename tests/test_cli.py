@@ -19,12 +19,13 @@ from pcikit import (
     is_idempotent,
     parse_group_spec,
 )
-from pcikit import cli
+from pcikit import WedderburnProfile, cli
 from pcikit.algebra import FractionList, fraction_strings
 from pcikit.cli import (
     DEFAULT_MAX_ORDER,
     DENSE_MAX_COEFFICIENTS,
     SPLIT_MAX_COEFFICIENTS,
+    WEDDERBURN_MAX_ELEMENTS,
     RunConfig,
     _json_text,
     build_parser,
@@ -314,9 +315,39 @@ def test_dense_work_over_coefficient_limit_exits_2_quickly(argv):
 def test_dense_coefficient_limit_boundary(subcommand, group, monkeypatch):
     # Every order the default cap admits passes the limit; C_2^12 sits on it.
     assert DENSE_MAX_COEFFICIENTS == DEFAULT_MAX_ORDER**2
-    monkeypatch.setattr(cli, "pci_records", lambda spec, alternate_order: [])
+    monkeypatch.setattr(cli, "part_diagrams", lambda spec, alternate_order: [])
     monkeypatch.setattr(cli, "run_checks", lambda spec, alternate_order: [])
     assert run(RunConfig(subcommand, group))[0] == 0
+
+
+def _elementary(p, rank):
+    return f"{p}:[{','.join(['1'] * rank)}]"
+
+
+@pytest.mark.parametrize(
+    "group",
+    ["2:[60]", "2:[30]", "2:[21]", _elementary(2, 21), _elementary(2, 20) + ";3:[1]"],
+)
+def test_wedderburn_over_census_limit_exits_2_quickly(group):
+    # The census enumerates every element; a raised cap no longer lets it
+    # end in a numpy ValueError or MemoryError.
+    argv = ["wedderburn", "--group", group, "--max-order", str(2**62)]
+    assert_refused_quickly(argv)
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="census elements, over the limit"):
+        run(RunConfig("wedderburn", group, max_order=2**62))
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "group", ["2:[20]", _elementary(2, 20), _elementary(2, 19) + ";3:[1]", "2:[12]"]
+)
+def test_wedderburn_census_limit_boundary(group, monkeypatch):
+    # Every order the default cap admits passes the limit, far below it;
+    # C_2^20 sits exactly on it.
+    assert DEFAULT_MAX_ORDER < WEDDERBURN_MAX_ELEMENTS == 2**20
+    monkeypatch.setattr(cli, "wedderburn_profile", lambda part: WedderburnProfile(part.p, 0, ()))
+    assert run(RunConfig("wedderburn", group, max_order=2**62))[0] == 0
 
 
 def test_untestable_prime_under_raised_cap_exits_2_quickly():
@@ -338,24 +369,52 @@ json_scalar_st = st.one_of(
     st.floats(),
     json_text_st,
 )
+# Int tuples, possibly empty, drawn from few values so that they repeat;
+# tuples that mix in bools and floats equal to ints must not be taken for
+# int tuples.
+int_tuple_st = st.lists(
+    st.one_of(st.sampled_from([0, 1, -1]), st.integers(min_value=-(2**70), max_value=2**70)),
+    max_size=4,
+).map(tuple)
+int_like_tuple_st = st.lists(
+    st.one_of(st.sampled_from([0, 1, -1, True, False, 1.0, 0.0]), st.integers()), max_size=3
+).map(tuple)
+int_rows_st = st.one_of(
+    st.lists(int_tuple_st, max_size=4), st.lists(int_tuple_st, max_size=4).map(tuple)
+)
+inline_value_st = st.one_of(
+    st.booleans(), st.none(), int_tuple_st, int_like_tuple_st, int_rows_st
+)
 json_payload_st = st.recursive(
-    json_scalar_st,
+    st.one_of(json_scalar_st, int_tuple_st, int_like_tuple_st, int_rows_st),
     lambda children: st.one_of(
         st.lists(children, max_size=5),
         st.lists(children, max_size=5).map(tuple),
         st.lists(json_text_st, max_size=5),
         st.lists(st.integers(min_value=-(2**70), max_value=2**70), max_size=5),
         st.dictionaries(json_text_st, children, max_size=5),
+        st.dictionaries(json_text_st, inline_value_st, max_size=5),
     ),
     max_leaves=12,
 )
 
 
-# Dict values of exact type str or int are written inline; bool, None,
-# float and containers go through the recursive writer.
+# Dict values and list items that are a str, int, bool, None, int tuple or
+# list or tuple of int tuples are written inline; float and other
+# containers go through the recursive writer.
 INLINE_SCALARS = {
     "t": True, "f": False, "zero": 0, "neg": -5, "empty": "", "e": "\u00e9",
     "none": None, "x": 1.5,
+}
+# Equal as dict keys, so the writer's memo of int tuple texts must check the
+# item types first.
+EQUAL_KEY_TUPLES = {"a": (1, 2), "b": (True, 2), "c": (1.0, 2)}
+# One int tuple at several depths: the memo keys on the indent as well.
+TUPLE_AT_DEPTHS = {
+    "t": (1, 2),
+    "rows": [(1, 2), (), (True, 2), (1, 2)],
+    "nested": {"t": (1, 2), "rows": ((1, 2), (3,)), "e": ()},
+    "list": [(1, 2), [(1, 2)], {"t": (1, 2)}, ((1, 2), (1.0, 2))],
 }
 
 
@@ -364,6 +423,10 @@ INLINE_SCALARS = {
 @example([INLINE_SCALARS, {"a": 1, "b": True}, {"s": "x", "i": -(2**70)}])
 @example({"d": {}, "l": [], "nested": {"d": {}, "l": [], "t": ()}})
 @example([{}, [], {"x": [{}]}])
+@example(EQUAL_KEY_TUPLES)
+@example([EQUAL_KEY_TUPLES, (1, 2), [(True, 2), (1, 2)]])
+@example(TUPLE_AT_DEPTHS)
+@example([(1, 2), ((1, 2),), [[(1, 2)]]])
 @settings(max_examples=100, deadline=None)
 def test_json_writer_matches_json_dumps(payload):
     assert _json_text(payload) == json.dumps(payload, indent=2) + "\n"
@@ -444,27 +507,47 @@ def test_json_writer_refuses_other_types(payload):
 # md5 of the stdout of large outputs: the JSON writer, the coefficient
 # strings and the cross-prime product must not move a byte of them.
 PINNED_OUTPUT_MD5 = [
-    ("pci", "2:[1,1,1,1,1,1,1,1,1]", "json", "fe666c1e8485e9639974eb5804c714eb"),
-    ("diagram", "2:[1,1,1,1,1,1,1,1,1]", "json", "d3573f65e68bb5e74109823432ef0e04"),
-    ("pci", "2:[1,1,1,1,1];3:[1,1,1]", "json", "dbe5874e5d482aee857cb56621c07855"),
-    ("diagram", "2:[1,1,1,1,1];3:[1,1,1]", "json", "5d265e50388fc50a0bb649eded4395e0"),
-    ("pci", "7:[2,2]", "text", "5112adf3d923c115854f663c0bef2964"),
-    ("pci", "2:[3];3:[2];5:[1];7:[1]", "text", "74d57ec9ab090db6aad05b24ea941998"),
-    ("pci", "2:[1,1,1,1,1];3:[1,1,1]", "text", "abc478922bbf8ae5e812fc2b4e9cc1ec"),
-    ("split", "2:[6]", "json", "0ce14078ff04436384b961c3bf20b3f3"),
-    ("split", "2:[7]", "json", "91425f50d9e8ba76cc7b090b7f2654cc"),
-    ("split", "2:[8]", "json", "fa0b004b16c7e43b7d85c97beccc2a67"),
-    ("split", "3:[4]", "json", "65565548f9b5236c619b50eb758e259c"),
-    ("split", "5:[3]", "json", "8e43873c96438e5cc2022ec3c0723e68"),
-    ("split", "7:[2]", "json", "a5f4b879896e7e4de5175ca721722565"),
-    ("split", "7:[2]", "text", "fca1b5f931dbd44ce816915c304a4337"),
-    ("verify", "2:[6]", "json", "bc97de423e29d325e6d3fd1575149ab9"),
-    ("verify", "5:[2]", "text", "4f21b87dbaa53810ee34f30b6966697a"),
+    ("pci", "2:[1,1,1,1,1,1,1,1,1]", "json", False, "fe666c1e8485e9639974eb5804c714eb"),
+    ("diagram", "2:[1,1,1,1,1,1,1,1,1]", "json", False, "d3573f65e68bb5e74109823432ef0e04"),
+    ("pci", "2:[1,1,1,1,1];3:[1,1,1]", "json", False, "dbe5874e5d482aee857cb56621c07855"),
+    ("diagram", "2:[1,1,1,1,1];3:[1,1,1]", "json", False, "5d265e50388fc50a0bb649eded4395e0"),
+    ("pci", "7:[2,2]", "text", False, "5112adf3d923c115854f663c0bef2964"),
+    ("pci", "2:[3];3:[2];5:[1];7:[1]", "text", False, "74d57ec9ab090db6aad05b24ea941998"),
+    ("pci", "2:[1,1,1,1,1];3:[1,1,1]", "text", False, "abc478922bbf8ae5e812fc2b4e9cc1ec"),
+    ("split", "2:[6]", "json", False, "0ce14078ff04436384b961c3bf20b3f3"),
+    ("split", "2:[7]", "json", False, "91425f50d9e8ba76cc7b090b7f2654cc"),
+    ("split", "2:[8]", "json", False, "fa0b004b16c7e43b7d85c97beccc2a67"),
+    ("split", "3:[4]", "json", False, "65565548f9b5236c619b50eb758e259c"),
+    ("split", "5:[3]", "json", False, "8e43873c96438e5cc2022ec3c0723e68"),
+    ("split", "7:[2]", "json", False, "a5f4b879896e7e4de5175ca721722565"),
+    ("split", "7:[2]", "text", False, "fca1b5f931dbd44ce816915c304a4337"),
+    ("verify", "2:[6]", "json", False, "bc97de423e29d325e6d3fd1575149ab9"),
+    ("verify", "5:[2]", "text", False, "4f21b87dbaa53810ee34f30b6966697a"),
+    ("pci", "2:[1,1,1,1,1,1,1,1,1]", "json", True, "e9bf00898469db21b79b4f621618fe56"),
+    ("pci", "7:[2,2]", "json", False, "581c33fd589d331cf96b118e91202004"),
+    ("pci", "3:[3,2,1]", "json", False, "5dc78c008b4e11ef5914de637d4a5dde"),
+    ("diagram", "2:[1,1,1,1,1,1,1,1,1]", "dot", False, "ab8bb09fdf139c06322dbbc79bb512e2"),
+    ("diagram", "2:[1,1,1,1,1,1,1,1,1]", "text", False, "11fbdf65bc966729041ad9738184ee12"),
+    ("diagram", "2:[1,1,1,1,1];3:[1,1,1]", "dot", False, "7ab45e97c341b7d1eef592934e8815e1"),
+    ("diagram", "2:[1,1,1,1,1];3:[1,1,1]", "text", False, "7cb6fa90caf9f63818989a99a8370598"),
 ]
 
 
-@pytest.mark.parametrize("subcommand, group, output_format, md5", PINNED_OUTPUT_MD5)
-def test_large_outputs_are_pinned(subcommand, group, output_format, md5):
-    code, output = run(RunConfig(subcommand, group, output_format=output_format))
+def _pin_id(subcommand, group, output_format, alternate_order, md5):
+    # the ids the pins had before the alternate_order column
+    flags = ["alternate-order"] if alternate_order else []
+    return "-".join([subcommand, group, output_format, *flags, md5])
+
+
+@pytest.mark.parametrize(
+    "subcommand, group, output_format, alternate_order, md5",
+    PINNED_OUTPUT_MD5,
+    ids=[_pin_id(*pin) for pin in PINNED_OUTPUT_MD5],
+)
+def test_large_outputs_are_pinned(subcommand, group, output_format, alternate_order, md5):
+    config = RunConfig(
+        subcommand, group, output_format=output_format, alternate_order=alternate_order
+    )
+    code, output = run(config)
     assert code == 0
     assert hashlib.md5(output.encode()).hexdigest() == md5
