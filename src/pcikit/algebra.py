@@ -74,6 +74,8 @@ def lowest_terms_int64(nums: np.ndarray, den: int) -> tuple[tuple[int, ...], int
         nums, den = -nums, -den
     g = math.gcd(int(np.gcd.reduce(nums)), den)  # == den for the zero vector
     if g > 1:
+        if g >= 2**63:  # only the zero vector of an int64 array gets here
+            nums = nums.astype(object)
         nums, den = nums // g, den // g
     return tuple(nums.tolist()), den
 

@@ -42,9 +42,13 @@ SPLIT_MAX_COEFFICIENTS = 2**23
 # pci and verify hold |G| idempotents of |G| coefficients each; C_2^12, the
 # largest order the default cap admits, sits exactly on the limit.
 DENSE_MAX_COEFFICIENTS = 2**24
+# diagram holds the vertex kernels of each primary part P: at its last level
+# about |P|^2 / p element indices (C_2^12: 4095 kernels of 2048).  C_2^12,
+# the largest part the default cap admits, sits exactly on the limit.
+DIAGRAM_MAX_ENTRIES = 2**24
 # wedderburn's census enumerates every element of each primary part.  On
-# C_2^20, the costliest census the limit admits, that took 8-9 s and 423 MB
-# peak as one process on 2 vCPUs: about 8 us and 20 int64 digits an element.
+# C_2^20, the costliest census the limit admits, that takes about 1 s and
+# 358 MB peak as one process on 2 vCPUs, mostly 20 int64 digits an element.
 WEDDERBURN_MAX_ELEMENTS = 2**20
 
 
@@ -271,6 +275,12 @@ def _vertex_json(v) -> dict:
 
 
 def _run_diagram(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
+    _refuse_over(
+        DIAGRAM_MAX_ENTRIES,
+        sum(part.order**2 for part in spec.parts),
+        f"diagram of order {spec.order}",
+        "kernel entries",
+    )
     diagrams = part_diagrams(spec, config.alternate_order)
     if config.output_format == "dot":
         return 0, emit_dot(diagrams)

@@ -50,13 +50,12 @@ from .groups import (
     GroupElement,
     LongGenerator,
     PrimaryGroupSpec,
-    element_from_index,
     element_index,
     element_order,
+    elements_from_indices,
     embed_generator,
     enumeration,
     identity,
-    index_set,
     long_generator_sequence,
 )
 from .numtheory import euler_phi
@@ -141,46 +140,91 @@ def alternate_generator_labels(spec: PrimaryGroupSpec) -> list[LongGenerator]:
     return out
 
 
-def _contains(subgroup: np.ndarray, idx) -> bool:
-    return bool((subgroup == idx).any())
+# Cells of the boolean mask one chunk of _grown_kernels scatters into; the
+# chunk's int64 temporaries hold at most as many entries each.
+_SCATTER_CELLS = 2**18
 
 
-def _split_witness(
-    u: int, level: np.ndarray, kernel: np.ndarray, p: int, enum: Enumeration
-) -> int | None:
-    """Index of an element w of the coset u*G_l with w^p in K, or None.
+def _split_witnesses(
+    gen: GroupElement, level: np.ndarray, kernels: np.ndarray, enum: Enumeration
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of kernels (the sorted kernels K of one order below |G_l|)
+    whose vertex splits, and for each the index of an element w of the
+    coset u*G_l with w^p in K, where u is the chain generator gen.
 
-    Elements are indices of the canonical enumeration; level (G_l) is
-    sorted.  None means G_{l+1}/K stays cyclic and the vertex persists;
-    that holds exactly when u^p generates the cyclic G_l/K, a single
-    powering test.  Otherwise a witness exists and the p subgroups
-    <K, z^i w> are the children kernels; w := u when valid, else the first
-    hit scanning G_l in enumeration order, for reproducible output.
+    A vertex persists when G_{l+1}/K stays cyclic, which holds exactly
+    when u^p generates the cyclic G_l/K, that is when u^|G_l/K| lies
+    outside K (it lies in K whenever u^p does).
+    Otherwise a witness exists and the p subgroups <K, z^i w> are the
+    children kernels; w := u when u^p lies in K, else the first hit
+    scanning the coset in the order of level, for reproducible output.
+    One lookup per power tests it in every row, and one 2-D lookup over
+    the coset serves every row that needs the scan.
     """
-    up = enum.power(u, p)
-    if _contains(kernel, up):
-        return u
-    quotient = len(level) // len(kernel)
-    if not _contains(kernel, enum.power(up, quotient // p)):
-        return None
-    in_kernel = np.zeros(enum.order, dtype=bool)
-    in_kernel[kernel] = True
-    coset = enum.product(u, level)
-    hits = np.flatnonzero(in_kernel[enum.power(coset, p)])
-    if not hits.size:
-        raise InconsistencyError("no coset witness despite a non-cyclic quotient")
-    return int(coset[hits[0]])
+    p, u = gen.spec.p, element_index(gen)
+    probe = element_index(gen ** (len(level) // kernels.shape[1]))
+    split = (kernels == probe).any(axis=1).nonzero()[0]
+    if not split.size:
+        return split, split
+    witnesses = np.full(split.size, u)
+    scan = (~(kernels == element_index(gen**p)).any(axis=1)[split]).nonzero()[0]
+    if scan.size:
+        rows = np.arange(scan.size)
+        in_kernel = np.zeros((scan.size, enum.order), dtype=bool)
+        in_kernel[rows[:, None], kernels[split[scan]]] = True
+        coset = enum.product(u, level)
+        hits = in_kernel[:, enum.power(coset, p)]
+        first = hits.argmax(axis=1)
+        if not hits[rows, first].all():
+            raise InconsistencyError("no coset witness despite a non-cyclic quotient")
+        witnesses[scan] = coset[first]
+    return split, witnesses
 
 
-def _coset_span(kernel: np.ndarray, w: int, p: int, enum: Enumeration) -> np.ndarray:
-    """The subgroup <K, w> as the sorted union of the cosets K*w^c, valid
-    since w^p lies in K; its size is p*|K| exactly when those cosets are
-    distinct."""
-    shifts = enum.power(w, np.arange(1, p)[:, None])
-    members = np.zeros(enum.order, dtype=bool)
-    members[kernel] = True
-    members[enum.product(shifts[:, None], kernel)] = True
-    return index_set(members)
+def _grown_kernels(
+    kernels: np.ndarray,
+    parents: np.ndarray,
+    extras: np.ndarray,
+    outside: np.ndarray,
+    p: int,
+    enum: Enumeration,
+) -> np.ndarray:
+    """The subgroups <K, e> for each parent row K = kernels[parents[j]] and
+    each e in extras[j] (p of them), as the rows of one sorted, read-only
+    int64 array, parent-major; each <K, e> is the union of the cosets
+    K*e^c, c < p, valid since e^p lies in K.  Raises InconsistencyError
+    when some union is not p*|K| elements (its cosets are not distinct)
+    or holds outside[j].
+
+    Chunks of parents scatter into a (rows x |G|) boolean mask that is read
+    back row-major, so every row comes out sorted without a sort."""
+    n, k, order = len(parents), kernels.shape[1], enum.order
+    width = p * k
+    out = np.empty((n * p, width), dtype=np.int64)
+    step = max(1, _SCATTER_CELLS // (p * order))
+    shifts = np.arange(1, p)[:, None]
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        rows = (stop - start) * p
+        offsets = np.arange(0, rows * order, order).reshape(-1, p, 1)
+        kernel = kernels[parents[start:stop]]
+        mask = np.zeros(rows * order, dtype=bool)
+        mask[offsets + kernel[:, None]] = True  # c = 0
+        sums = enum.code[enum.power(extras[start:stop, :, None], shifts)][..., None]
+        members = enum.table[sums + enum.code[kernel][:, None, None]]
+        members += offsets[..., None]
+        mask[members] = True
+        found = mask.nonzero()[0]
+        holds_outside = mask[offsets[..., 0] + outside[start:stop, None]].any()
+        if found.size != rows * width or holds_outside:
+            raise InconsistencyError("split produced an invalid child kernel")
+        np.subtract(
+            found.reshape(rows, width),
+            offsets.reshape(rows, 1),
+            out=out[start * p : stop * p],
+        )
+    out.setflags(write=False)
+    return out
 
 
 def build_pci_diagram(
@@ -192,7 +236,9 @@ def build_pci_diagram(
     The leaves are the complete primitive central idempotent set of Q[G].
     The level subgroups and vertex kernels are held as sorted arrays of
     element indices (see groups.element_index); only the factored forms
-    carry GroupElements.
+    carry GroupElements.  Each level is one batch per kernel order: one
+    _split_witnesses call, one (n, p) product for the children's extra
+    generators and one _grown_kernels call for their kernels.
     """
     if generator_labels is None:
         labels = long_generator_sequence(spec)
@@ -202,100 +248,126 @@ def build_pci_diagram(
     gens = [embed_generator(spec, lab) for lab in labels]
     p = spec.p
     enum = enumeration(spec.factor_orders)
+    # chain[t] is the product of gens[i]^(digit i of t in base p, least
+    # significant first), so its first p^l entries are the level G_l.  In a
+    # power-monotone order the generators of one cyclic factor add distinct
+    # base-p digits to its exponent, so the index of a product is the sum of
+    # the indices of its factors.
+    us = np.array([element_index(g) for g in gens], dtype=np.int64)
+    chain = (np.arange(enum.order)[:, None] // p ** np.arange(len(us)) % p) @ us
+    in_level = np.zeros(enum.order, dtype=bool)
 
     root = PciVertex(0, 0, FactoredIdempotent(spec, ()), True, 1, 0)
     levels: list[tuple[PciVertex, ...]] = [(root,)]
     edges: list[tuple[tuple[int, int], tuple[int, int]]] = []
     level = np.zeros(1, dtype=np.int64)  # the identity has index 0
     level.setflags(write=False)
-    kernels: dict[int, np.ndarray] = {0: level}
+    # per vertex of the current level: its kernel and the index of its
+    # primed element (the trivial vertex, always first, has none)
+    kernels: list[np.ndarray | None] = [level]
+    primed = [-1]
 
-    for l, gen in enumerate(gens):
-        u = element_index(gen)
-        next_level = _coset_span(level, u, p, enum)
+    for l in range(len(gens)):
+        in_level[chain[: p ** (l + 1)]] = True
+        next_level = in_level.nonzero()[0]  # sorted
         if len(next_level) != p * len(level):
             raise InconsistencyError("chain generator does not extend the subgroup")
-        nxt: list[PciVertex] = []
-        next_kernels: dict[int, np.ndarray] = {}
-
-        def attach(parent: PciVertex, vertex: PciVertex, kernel):
-            nxt.append(vertex)
-            next_kernels[vertex.index] = kernel
-            edges.append(((l, parent.index), (l + 1, vertex.index)))
-
-        for v in levels[l]:
-            kernel = kernels[v.index]
-            if v.trivial:
-                attach(
-                    v,
-                    PciVertex(
-                        l + 1,
-                        len(nxt),
-                        FactoredIdempotent(spec, tuple(gens[: l + 1])),
-                        True,
-                        v.kernel_order * p,
-                        0,
-                    ),
-                    next_level,
-                )
-                attach(
-                    v,
-                    PciVertex(
-                        l + 1,
-                        len(nxt),
-                        FactoredIdempotent(spec, v.form.kernel_gens, gen),
-                        False,
-                        v.kernel_order,
-                        1,
-                    ),
-                    kernel,
-                )
-            else:
-                z = v.form.primed
-                w = _split_witness(u, level, kernel, p, enum)
-                if w is None:
-                    # The component stays simple; the vertex carries over.
-                    attach(
-                        v,
-                        PciVertex(
-                            l + 1, len(nxt), v.form, False, v.kernel_order, v.field_index + 1
-                        ),
-                        kernel,
-                    )
-                else:
-                    zi = element_index(z)
-                    for i in range(p):
-                        extra = int(enum.product(enum.power(zi, i), w))
-                        grown = _coset_span(kernel, extra, p, enum)
-                        if len(grown) != p * len(kernel) or _contains(grown, zi):
-                            raise InconsistencyError(
-                                "split produced an invalid child kernel"
-                            )
-                        attach(
-                            v,
-                            PciVertex(
-                                l + 1,
-                                len(nxt),
-                                FactoredIdempotent(
-                                    spec,
-                                    v.form.kernel_gens
-                                    + (element_from_index(spec, extra),),
-                                    z,
-                                ),
-                                False,
-                                v.kernel_order * p,
-                                v.field_index,
-                            ),
-                            grown,
-                        )
-        levels.append(tuple(nxt))
+        next_level.setflags(write=False)
+        vertices, kernels, primed = _next_level(
+            l, gens, levels[l], kernels, primed, level, next_level, edges, enum
+        )
+        levels.append(vertices)
         level = next_level
-        kernels = next_kernels
 
-    leaf_kernels = tuple(kernels[i] for i in range(len(levels[-1])))
     return PciDiagram(
-        spec, tuple(gens), tuple(labels), tuple(levels), tuple(edges), leaf_kernels
+        spec, tuple(gens), tuple(labels), tuple(levels), tuple(edges), tuple(kernels)
     )
+
+
+def _next_level(
+    l: int,
+    gens: Sequence[GroupElement],
+    current: tuple[PciVertex, ...],
+    kernels: list,
+    primed: list[int],
+    level: np.ndarray,
+    next_level: np.ndarray,
+    edges: list,
+    enum: Enumeration,
+) -> tuple[tuple[PciVertex, ...], list, list[int]]:
+    """Level l+1 of the diagram from level l (the vertices current, with
+    the kernel and primed element index of each, which it consumes): its
+    vertices, their kernels and primed element indices; appends the edges
+    into level l+1 to edges.  Every array this makes dies on return except
+    the kernels of level l+1."""
+    gen = gens[l]
+    spec, u = gen.spec, element_index(gen)
+    p = spec.p
+    powers = np.arange(p)[:, None]
+    by_order: dict[int, list[int]] = {}
+    for i in range(1, len(current)):  # index 0 is the trivial vertex
+        by_order.setdefault(current[i].kernel_order, []).append(i)
+    # per nontrivial vertex: its children's kernels, and their new kernel
+    # generators when it splits (None when it carries over)
+    children: list = [None] * len(current)
+    for members in by_order.values():
+        stacked = np.array([kernels[i] for i in members])
+        for i in members:
+            kernels[i] = None  # the stacked copy replaces them
+        split, witnesses = _split_witnesses(gen, level, stacked, enum)
+        if split.size:
+            # the children of a split are the subgroups <K, z^i w>, i < p
+            z = np.array([primed[members[j]] for j in split.tolist()])
+            extras = enum.product(enum.power(z[:, None], powers), witnesses[:, None])
+            grown = _grown_kernels(stacked, split, extras, z, p, enum)
+            new_gens = elements_from_indices(spec, extras.ravel())
+            for j, s in enumerate(split.tolist()):
+                block = slice(j * p, (j + 1) * p)
+                children[members[s]] = (grown[block], new_gens[block])
+        if split.size < len(members):
+            if split.size:  # keep only the carried rows
+                carried = np.ones(len(members), dtype=bool)
+                carried[split] = False
+                stacked = stacked[carried]
+            stacked.setflags(write=False)
+            kept = iter(stacked)
+            for i in members:
+                if children[i] is None:
+                    children[i] = ((next(kept),), None)
+
+    nxt: list[PciVertex] = []
+    next_kernels: list[np.ndarray] = []
+    next_primed: list[int] = []
+
+    def attach(parent: int, vertex: PciVertex, kernel, z: int):
+        nxt.append(vertex)
+        next_kernels.append(kernel)
+        next_primed.append(z)
+        edges.append(((l, parent), (l + 1, vertex.index)))
+
+    trivial = current[0]
+    form = FactoredIdempotent(spec, tuple(gens[: l + 1]))
+    vertex = PciVertex(l + 1, 0, form, True, trivial.kernel_order * p, 0)
+    attach(0, vertex, next_level, -1)
+    form = FactoredIdempotent(spec, trivial.form.kernel_gens, gen)
+    attach(0, PciVertex(l + 1, 1, form, False, trivial.kernel_order, 1), level, u)
+    for i in range(1, len(current)):
+        v = current[i]
+        rows, new_gens = children[i]
+        if new_gens is None:
+            # The component stays simple; the vertex carries over.
+            vertex = PciVertex(
+                l + 1, len(nxt), v.form, False, v.kernel_order, v.field_index + 1
+            )
+            attach(i, vertex, rows[0], primed[i])
+            continue
+        for row, g in zip(rows, new_gens):
+            form = FactoredIdempotent(spec, v.form.kernel_gens + (g,), v.form.primed)
+            vertex = PciVertex(
+                l + 1, len(nxt), form, False, v.kernel_order * p, v.field_index
+            )
+            attach(i, vertex, row, primed[i])
+    return tuple(nxt), next_kernels, next_primed
 
 
 def cyclic_rational_pcis(p: int, n: int) -> list[AlgebraElement]:

@@ -101,14 +101,16 @@ def oracle_pci_set(spec: GroupSpec) -> list[AlgebraElement]:
 
 
 def order_census(spec: PrimaryGroupSpec) -> dict[int, int]:
-    """Count elements by exact order, by full enumeration."""
+    """Count elements by exact order, by full enumeration: the order of an
+    element is the lcm over its digits e, one per cyclic factor of order
+    d, of d // gcd(e, d), formed one digit column at a time."""
     digits = enumeration(spec.factor_orders).digits
-    counts: Counter[int] = Counter()
-    for row in digits.tolist():
-        counts[
-            math.lcm(*(d // math.gcd(e, d) for e, d in zip(row, spec.factor_orders)), 1)
-        ] += 1
-    return dict(sorted(counts.items()))
+    orders = np.ones(len(digits), dtype=np.int64)
+    for column, d in zip(digits.T, spec.factor_orders):
+        orders = np.lcm(orders, d // np.gcd(column, d))
+    counts = np.bincount(orders)
+    values = counts.nonzero()[0]
+    return dict(zip(values.tolist(), counts[values].tolist()))
 
 
 @dataclass(frozen=True)

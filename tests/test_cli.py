@@ -24,6 +24,7 @@ from pcikit.algebra import FractionList, fraction_strings
 from pcikit.cli import (
     DEFAULT_MAX_ORDER,
     DENSE_MAX_COEFFICIENTS,
+    DIAGRAM_MAX_ENTRIES,
     SPLIT_MAX_COEFFICIENTS,
     WEDDERBURN_MAX_ELEMENTS,
     RunConfig,
@@ -322,6 +323,29 @@ def test_dense_coefficient_limit_boundary(subcommand, group, monkeypatch):
 
 def _elementary(p, rank):
     return f"{p}:[{','.join(['1'] * rank)}]"
+
+
+@pytest.mark.parametrize("group", [_elementary(2, 15), "2:[13]", "2:[12];3:[1]"])
+def test_diagram_over_entry_limit_exits_2_quickly(group):
+    # The kernels of each part are refused before any work; C_2^15 used to
+    # end in a MemoryError traceback.  "2:[12];3:[1]" is 9 entries over.
+    argv = ["diagram", "--group", group, "--max-order", str(2**62)]
+    assert_refused_quickly(argv)
+    start = time.perf_counter()
+    with pytest.raises(CapExceededError, match="kernel entries, over the limit"):
+        run(RunConfig("diagram", group, max_order=2**62))
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize(
+    "group", [_elementary(2, 12), "2:[12]", "2:[6];3:[2];7:[1]", "2:[6];3:[6]"]
+)
+def test_diagram_entry_limit_boundary(group, monkeypatch):
+    # Every order the default cap admits passes the limit; a part of order
+    # 4096 sits exactly on it.
+    assert DIAGRAM_MAX_ENTRIES == DEFAULT_MAX_ORDER**2
+    monkeypatch.setattr(cli, "part_diagrams", lambda spec, alternate_order: [])
+    assert run(RunConfig("diagram", group, max_order=2**62))[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,10 @@
+import importlib.util
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -38,6 +42,8 @@ from pcikit import verify
 from pcikit.algebra import lattice_sum
 from pcikit.diagram import alternate_generator_labels
 from pcikit.numtheory import euler_phi, is_prime
+from conftest import partitions, spec_from_partition
+from diagram_reference import reference_diagram
 from rank_reference import kernel_and_field
 
 
@@ -129,6 +135,45 @@ def test_homocyclic_split_uses_coset_witness():
     for v in corrected:
         kernel = subgroup_closure(spec, v.form.kernel_gens)
         assert element_index(v.form.primed) not in kernel
+
+
+def assert_matches_reference(spec, labels):
+    built, reference = build_pci_diagram(spec, labels), reference_diagram(spec, labels)
+    assert built.levels == reference.levels
+    assert built.edges == reference.edges
+    assert len(built.leaf_kernels) == len(reference.leaf_kernels)
+    for kernel, expected in zip(built.leaf_kernels, reference.leaf_kernels):
+        assert kernel.dtype == np.int64 and not kernel.flags.writeable
+        assert np.array_equal(kernel, expected)
+
+
+@pytest.mark.parametrize("p", [p for p in range(2, 257) if is_prime(p)])
+def test_batched_build_matches_per_vertex_reference(p):
+    # Every p-group of order <= 256, the trivial one included, in both
+    # generator orders.
+    n = 0
+    while p**n <= 256:
+        for part in partitions(n):
+            spec = spec_from_partition(p, part)
+            assert_matches_reference(spec, None)
+            assert_matches_reference(spec, alternate_generator_labels(spec))
+        n += 1
+
+
+def _wide_build_parts():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    parts = {p for g in workloads.WIDE_BUILD_GROUPS for p in parse_group_spec(g).parts}
+    return sorted(parts, key=lambda part: (part.p, part.classes))
+
+
+@pytest.mark.parametrize("part", _wide_build_parts(), ids=PrimaryGroupSpec.spec_text)
+def test_batched_build_matches_reference_on_wide_build_parts(part):
+    assert_matches_reference(part, None)
+    assert_matches_reference(part, alternate_generator_labels(part))
 
 
 def test_diagram_values_are_shareable_across_threads():

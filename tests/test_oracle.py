@@ -1,6 +1,10 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
+from conftest import partitions, primary_corpus, spec_from_partition
 from pcikit import (
     AlgebraElement,
     CharacterIndex,
@@ -15,6 +19,7 @@ from pcikit import (
     rational_pci_of_character,
     wedderburn_profile,
 )
+from pcikit.groups import enumeration
 from pcikit.numtheory import euler_phi
 from rank_reference import kernel_and_field
 
@@ -124,6 +129,44 @@ def test_dimension_sum_identity():
             sum(row.census * euler_phi(row.cyclotomic_order) for row in profile.rows)
             == spec.order
         )
+
+
+def order_census_reference(spec):
+    """order_census as the loop over the digit rows that it replaced."""
+    counts = Counter()
+    for row in enumeration(spec.factor_orders).digits.tolist():
+        counts[
+            math.lcm(*(d // math.gcd(e, d) for e, d in zip(row, spec.factor_orders)), 1)
+        ] += 1
+    return dict(sorted(counts.items()))
+
+
+def assert_census_matches_reference(spec):
+    census = order_census(spec)
+    assert census == order_census_reference(spec)
+    assert list(census) == sorted(census)
+    assert all(type(k) is int and type(v) is int for k, v in census.items())
+
+
+def test_order_census_matches_loop_on_acceptance_corpus():
+    for spec in primary_corpus():
+        assert_census_matches_reference(spec)
+
+
+# Every p-group of order <= 4096 for p <= 11, the trivial ones included.
+P_GROUPS = [
+    spec_from_partition(p, part)
+    for p in (2, 3, 5, 7, 11)
+    for n in range(13)
+    if p**n <= 4096
+    for part in partitions(n)
+]
+
+
+@given(st.sampled_from(P_GROUPS))
+@settings(max_examples=60, deadline=None)
+def test_order_census_matches_loop(spec):
+    assert_census_matches_reference(spec)
 
 
 def test_engine_component_census_matches_profile():

@@ -40,7 +40,7 @@ from pcikit import (
 )
 from pcikit.algebra import fraction_strings, integer_form, lattice_sum, lowest_terms
 from pcikit.diagram import alternate_generator_labels, cross_prime_product
-from pcikit.groups import enumeration
+from pcikit.groups import elements_from_indices, enumeration
 from pcikit.kernels import Spectra, _convolve_bigint, convolve_ints
 from pcikit.numtheory import cyclotomic_poly, factorize
 from pcikit.verify import certify_idempotents
@@ -112,6 +112,8 @@ def test_enumeration_matches_group_elements(spec, data):
     assert enum.translation(i)[others].tolist() == products
     assert element_from_index(spec, int(enum.inverse[i])) == a.inverse()
     assert element_from_index(spec, int(enum.power(i, k))) == a**k
+    batch = elements_from_indices(spec, np.array(others, dtype=np.int64))
+    assert batch == [element_from_index(spec, j) for j in others]
 
 
 # The cap ladder: C_2^8 to C_2^12, the widest groups of other exponents and
@@ -224,8 +226,20 @@ def _c6_sets_with_zero_part():
     return spec, [[AlgebraElement(c2, [0, 2**64])], [AlgebraElement(c3, [0, 0, 0])]]
 
 
+def _c30_zero_over_a_wide_denominator():
+    # int64 numerators, all zero, over a denominator past 2^63
+    spec = MULTI_PRIME_SPECS[2]
+    c2, c3, c5 = spec.parts
+    return spec, [
+        [AlgebraElement(c2, [0, 1], 2**40 + 1)],
+        [AlgebraElement(c3, [0, 0, 1], 2**40 + 1)],
+        [AlgebraElement(c5, [0] * 5)],
+    ]
+
+
 @given(per_part_sets())
 @example(_c6_sets_with_zero_part())
+@example(_c30_zero_over_a_wide_denominator())
 # products of the largest |numerator| just under, at and past 2^63
 @example(_c6_sets(2**32 - 1, 2**31))
 @example(_c6_sets(2**32, 2**31))

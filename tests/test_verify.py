@@ -7,10 +7,12 @@ that the named checks fail and that the CLI exits 1 with status "fail".
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from pcikit import AlgebraElement, cyclotomic, diagram, verify
 from pcikit.cli import main
+from pcikit.groups import element_index
 
 ENGINE_CHECKS = {
     "engine_idempotency",
@@ -68,12 +70,13 @@ def test_corrupted_engine_records_fail(group, corrupt, expected, monkeypatch, ca
 def test_wrong_split_witness_fails_vertex_kernels(group, monkeypatch, capsys):
     # u itself is the witness only when u^p lies in the kernel; on these
     # groups some split needs a scanned coset element instead.
-    original = diagram._split_witness
+    original = diagram._split_witnesses
 
-    def always_u(u, *args):
-        return None if original(u, *args) is None else u
+    def always_u(gen, *args):
+        split, witnesses = original(gen, *args)
+        return split, np.full_like(witnesses, element_index(gen))
 
-    monkeypatch.setattr(diagram, "_split_witness", always_u)
+    monkeypatch.setattr(diagram, "_split_witnesses", always_u)
     # The wrong children still sum to their parent, so the sum check holds.
     expected = (ENGINE_CHECKS - {"engine_sum_to_identity"}) | {"vertex_kernels"}
     assert expected <= failed_checks(group, capsys)
