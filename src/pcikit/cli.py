@@ -42,13 +42,15 @@ SPLIT_MAX_COEFFICIENTS = 2**23
 # pci and verify hold |G| idempotents of |G| coefficients each; C_2^12, the
 # largest order the default cap admits, sits exactly on the limit.
 DENSE_MAX_COEFFICIENTS = 2**24
-# diagram holds the vertex kernels of each primary part P: at its last level
-# about |P|^2 / p element indices (C_2^12: 4095 kernels of 2048).  C_2^12,
-# the largest part the default cap admits, sits exactly on the limit.
+# diagram holds one character row per vertex; its largest array is one
+# level's witness scan, |G_l| entries per vertex that scans, below
+# |P|^2 / p^2 for a primary part P (1,015,808 on 2:[2,2,2,2,2,2]; none on
+# C_2^12).  A part of order 4096, the largest the default cap admits, sits
+# exactly on the limit.
 DIAGRAM_MAX_ENTRIES = 2**24
 # wedderburn's census enumerates every element of each primary part.  On
 # C_2^20, the costliest census the limit admits, that takes about 1 s and
-# 358 MB peak as one process on 2 vCPUs, mostly 20 int64 digits an element.
+# 214 MB peak as one process on 2 vCPUs, mostly 20 int64 digits an element.
 WEDDERBURN_MAX_ELEMENTS = 2**20
 
 

@@ -25,7 +25,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .algebra import (
     FactoredIdempotent,
     expand_factored,
     expand_from_subgroup,
-    expansion_numerators,
     int_array,
 )
 from .cyclotomic import CycloAlgebraElement, CycloNumber
@@ -56,6 +55,7 @@ from .groups import (
     embed_generator,
     enumeration,
     identity,
+    index_set,
     long_generator_sequence,
 )
 from .numtheory import euler_phi
@@ -86,18 +86,53 @@ class PciDiagram:
     generator_labels: tuple[LongGenerator, ...]
     levels: tuple[tuple[PciVertex, ...], ...]
     edges: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
-    # Sorted element indices of each leaf's kernel.  Left out of == and
-    # hash: they follow from the levels, and arrays do not compare as one
-    # value.
-    leaf_kernels: tuple[np.ndarray, ...] = field(compare=False)
+    # Row g: the digits c_i < p with element g = prod generators[i]^c_i.
+    chain_digits: np.ndarray = field(compare=False)
+    # Row i - 1 for each nontrivial leaf i (leaf 0 is the trivial one): the
+    # character of G whose kernel is the leaf's kernel, by its values on the
+    # generators (see build_pci_diagram).  Neither array takes part in ==
+    # and hash: they follow from the generators and the levels, and arrays
+    # do not compare as one value.
+    characters: np.ndarray = field(compare=False)
 
     @property
     def leaves(self) -> tuple[PciVertex, ...]:
         return self.levels[-1]
 
+    def _leaf_values(self) -> Iterator[np.ndarray]:
+        """phi(g) mod E = exp G over the enumeration of G, for the character
+        phi of each nontrivial leaf in turn: the chain digits of g times
+        phi's values on the chain generators, so a row that is not a
+        character shows in the result.  A digit is below p and a value below
+        E <= |G|, so with N generators each sum is below p*E*N."""
+        for row in self.characters:
+            yield self.chain_digits @ row % self.spec.exponent
+
+    @functools.cached_property
+    def leaf_kernels(self) -> tuple[np.ndarray, ...]:
+        """Sorted element indices of each leaf's kernel (see index_set)."""
+        whole = index_set(np.ones(self.spec.order, dtype=bool))
+        return (whole,) + tuple(index_set(phi == 0) for phi in self._leaf_values())
+
+    def leaf_numerators(self) -> list[tuple[np.ndarray, int]]:
+        """Each leaf's expansion as int64 numerators over a denominator, not
+        yet in lowest terms, as algebra.expansion_numerators gives it, read
+        off the leaf's character phi.  With z the primed element, phi(z) =
+        E/p for E = exp G, so K = {phi = 0} and <K, z> = {phi in (E/p)Z}:
+        the numerators over p|K| are p on K minus 1 on <K, z>."""
+        spec = self.spec
+        out = [(np.ones(spec.order, dtype=np.int64), spec.order)]  # the trivial leaf
+        if len(self.leaves) == 1:
+            return out
+        p, exponent = spec.p, spec.exponent
+        numerator = np.zeros(exponent, dtype=np.int64)  # by the value of phi
+        numerator[:: exponent // p] = -1
+        numerator[0] = p - 1
+        for v, phi in zip(self.leaves[1:], self._leaf_values()):
+            out.append((numerator[phi], p * v.kernel_order))
+        return out
+
     def leaf_expansions(self) -> list[AlgebraElement]:
-        # Kernel subgroups were accumulated during the build; reusing them
-        # here skips one closure computation per leaf.
         return [
             expand_from_subgroup(self.spec, kernel, v.form.primed)
             for v, kernel in zip(self.leaves, self.leaf_kernels)
@@ -140,91 +175,63 @@ def alternate_generator_labels(spec: PrimaryGroupSpec) -> list[LongGenerator]:
     return out
 
 
-# Cells of the boolean mask one chunk of _grown_kernels scatters into; the
-# chunk's int64 temporaries hold at most as many entries each.
-_SCATTER_CELLS = 2**18
+def _chain_digits(spec: PrimaryGroupSpec, gens: Sequence[GroupElement]) -> np.ndarray:
+    """Row g holds the digits c_i < p with element g = prod gens[i]^c_i,
+    for gens in a power-monotone chain order; so the level G_l is where the
+    digits from l on are zero.  The generators of one cyclic factor add
+    distinct base-p digits to its exponent, so the index of such a product
+    is the sum of c_i * index(gens[i]).  Raises InconsistencyError when the
+    products do not cover G."""
+    p = spec.p
+    t = np.arange(spec.order, dtype=np.int64)
+    digits = t[:, None] // p ** np.arange(len(gens), dtype=np.int64)
+    np.remainder(digits, p, out=digits)
+    chain = digits @ np.array([element_index(g) for g in gens], dtype=np.int64)
+    covered = np.zeros(spec.order, dtype=bool)
+    covered[chain] = True
+    if not covered.all():
+        raise InconsistencyError("chain generator does not extend the subgroup")
+    by_index = np.empty_like(digits)
+    by_index[chain] = digits
+    by_index.setflags(write=False)
+    return by_index
 
 
 def _split_witnesses(
-    gen: GroupElement, level: np.ndarray, kernels: np.ndarray, enum: Enumeration
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rows of kernels (the sorted kernels K of one order below |G_l|)
-    whose vertex splits, and for each the index of an element w of the
-    coset u*G_l with w^p in K, where u is the chain generator gen.
-
-    A vertex persists when G_{l+1}/K stays cyclic, which holds exactly
-    when u^p generates the cyclic G_l/K, that is when u^|G_l/K| lies
-    outside K (it lies in K whenever u^p does).
-    Otherwise a witness exists and the p subgroups <K, z^i w> are the
-    children kernels; w := u when u^p lies in K, else the first hit
-    scanning the coset in the order of level, for reproducible output.
-    One lookup per power tests it in every row, and one 2-D lookup over
-    the coset serves every row that needs the scan.
-    """
-    p, u = gen.spec.p, element_index(gen)
-    probe = element_index(gen ** (len(level) // kernels.shape[1]))
-    split = (kernels == probe).any(axis=1).nonzero()[0]
-    if not split.size:
-        return split, split
-    witnesses = np.full(split.size, u)
-    scan = (~(kernels == element_index(gen**p)).any(axis=1)[split]).nonzero()[0]
-    if scan.size:
-        rows = np.arange(scan.size)
-        in_kernel = np.zeros((scan.size, enum.order), dtype=bool)
-        in_kernel[rows[:, None], kernels[split[scan]]] = True
-        coset = enum.product(u, level)
-        hits = in_kernel[:, enum.power(coset, p)]
-        first = hits.argmax(axis=1)
-        if not hits[rows, first].all():
-            raise InconsistencyError("no coset witness despite a non-cyclic quotient")
-        witnesses[scan] = coset[first]
-    return split, witnesses
-
-
-def _grown_kernels(
-    kernels: np.ndarray,
-    parents: np.ndarray,
-    extras: np.ndarray,
-    outside: np.ndarray,
+    u: int,
+    up: np.ndarray,
+    rows: np.ndarray,
+    digits: np.ndarray,
     p: int,
-    enum: Enumeration,
-) -> np.ndarray:
-    """The subgroups <K, e> for each parent row K = kernels[parents[j]] and
-    each e in extras[j] (p of them), as the rows of one sorted, read-only
-    int64 array, parent-major; each <K, e> is the union of the cosets
-    K*e^c, c < p, valid since e^p lies in K.  Raises InconsistencyError
-    when some union is not p*|K| elements (its cosets are not distinct)
-    or holds outside[j].
+    exponent: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """For each row phi of rows (the values of the character of a vertex
+    of level l that splits on the l generators of G_l, with up its value
+    phi(u^p), u the index of the next chain generator) the index of an
+    element w = u*g of the coset u*G_l with w^p in K = ker phi, and phi(g).
 
-    Chunks of parents scatter into a (rows x |G|) boolean mask that is read
-    back row-major, so every row comes out sorted without a sort."""
-    n, k, order = len(parents), kernels.shape[1], enum.order
-    width = p * k
-    out = np.empty((n * p, width), dtype=np.int64)
-    step = max(1, _SCATTER_CELLS // (p * order))
-    shifts = np.arange(1, p)[:, None]
-    for start in range(0, n, step):
-        stop = min(start + step, n)
-        rows = (stop - start) * p
-        offsets = np.arange(0, rows * order, order).reshape(-1, p, 1)
-        kernel = kernels[parents[start:stop]]
-        mask = np.zeros(rows * order, dtype=bool)
-        mask[offsets + kernel[:, None]] = True  # c = 0
-        sums = enum.code[enum.power(extras[start:stop, :, None], shifts)][..., None]
-        members = enum.table[sums + enum.code[kernel][:, None, None]]
-        members += offsets[..., None]
-        mask[members] = True
-        found = mask.nonzero()[0]
-        holds_outside = mask[offsets[..., 0] + outside[start:stop, None]].any()
-        if found.size != rows * width or holds_outside:
-            raise InconsistencyError("split produced an invalid child kernel")
-        np.subtract(
-            found.reshape(rows, width),
-            offsets.reshape(rows, 1),
-            out=out[start * p : stop * p],
-        )
-    out.setflags(write=False)
-    return out
+    w^p = u^p g^p lies in K exactly when p*phi(g) + phi(u^p) = 0 mod exp G.
+    w := u (g = 1) when u^p lies in K, else the first hit scanning g over
+    G_l in index order, as the per-vertex build does, for reproducible
+    output.  G_l is where the chain digits (digits, see _chain_digits) from
+    l on are zero, and u adds digit l, so u*g has index u + index(g).  One
+    (|G_l| x rows) table serves every row that scans."""
+    witnesses = np.full(len(rows), u, dtype=np.int64)
+    phi_g = np.zeros(len(rows), dtype=np.int64)
+    scan = up.nonzero()[0]
+    if scan.size:
+        l = rows.shape[1]
+        level = np.flatnonzero(~digits[:, l:].any(axis=1))
+        phi = digits[level, :l] @ rows[scan].T
+        phi %= exponent
+        hits = (p * phi + up[scan]) % exponent == 0
+        first = hits.argmax(axis=0)
+        cols = np.arange(scan.size)
+        if not hits[first, cols].all():
+            raise InconsistencyError("no coset witness despite a non-cyclic quotient")
+        witnesses[scan] = u + level[first]
+        phi_g[scan] = phi[first, cols]
+    return witnesses, phi_g
 
 
 def build_pci_diagram(
@@ -234,11 +241,12 @@ def build_pci_diagram(
     """Build the full refinement diagram for an abelian p-group.
 
     The leaves are the complete primitive central idempotent set of Q[G].
-    The level subgroups and vertex kernels are held as sorted arrays of
-    element indices (see groups.element_index); only the factored forms
-    carry GroupElements.  Each level is one batch per kernel order: one
-    _split_witnesses call, one (n, p) product for the children's extra
-    generators and one _grown_kernels call for their kernels.
+    A subgroup K with G_l/K cyclic is the kernel of a character phi of G_l
+    into Z/E, E = exp G, and a nontrivial vertex of level l is held as one
+    int64 row: phi's values mod E on the chain generators (0 on those
+    outside G_l), scaled so that phi(z) = E/p for its primed element z.
+    Each level is one batch over all its vertices (see _next_level); only
+    the factored forms carry GroupElements.
     """
     if generator_labels is None:
         labels = long_generator_sequence(spec)
@@ -246,128 +254,103 @@ def build_pci_diagram(
         labels = list(generator_labels)
         _validate_generator_order(spec, labels)
     gens = [embed_generator(spec, lab) for lab in labels]
-    p = spec.p
+    digits = _chain_digits(spec, gens)
     enum = enumeration(spec.factor_orders)
-    # chain[t] is the product of gens[i]^(digit i of t in base p, least
-    # significant first), so its first p^l entries are the level G_l.  In a
-    # power-monotone order the generators of one cyclic factor add distinct
-    # base-p digits to its exponent, so the index of a product is the sum of
-    # the indices of its factors.
-    us = np.array([element_index(g) for g in gens], dtype=np.int64)
-    chain = (np.arange(enum.order)[:, None] // p ** np.arange(len(us)) % p) @ us
-    in_level = np.zeros(enum.order, dtype=bool)
+    column = {lab: i for i, lab in enumerate(labels)}
+    # the column of each generator's p-th power, the generator below it in
+    # its factor, or None when that power is the identity
+    below = [column.get(LongGenerator(lab.place, lab.power - 1)) for lab in labels]
 
     root = PciVertex(0, 0, FactoredIdempotent(spec, ()), True, 1, 0)
     levels: list[tuple[PciVertex, ...]] = [(root,)]
     edges: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    level = np.zeros(1, dtype=np.int64)  # the identity has index 0
-    level.setflags(write=False)
-    # per vertex of the current level: its kernel and the index of its
-    # primed element (the trivial vertex, always first, has none)
-    kernels: list[np.ndarray | None] = [level]
-    primed = [-1]
-
+    # per nontrivial vertex of the current level: its character row and the
+    # index of its primed element
+    rows = np.zeros((0, len(gens)), dtype=np.int64)
+    primed = np.zeros(0, dtype=np.int64)
     for l in range(len(gens)):
-        in_level[chain[: p ** (l + 1)]] = True
-        next_level = in_level.nonzero()[0]  # sorted
-        if len(next_level) != p * len(level):
-            raise InconsistencyError("chain generator does not extend the subgroup")
-        next_level.setflags(write=False)
-        vertices, kernels, primed = _next_level(
-            l, gens, levels[l], kernels, primed, level, next_level, edges, enum
+        vertices, rows, primed = _next_level(
+            l, gens, below[l], levels[l], rows, primed, digits, edges, enum
         )
         levels.append(vertices)
-        level = next_level
-
     return PciDiagram(
-        spec, tuple(gens), tuple(labels), tuple(levels), tuple(edges), tuple(kernels)
+        spec, tuple(gens), tuple(labels), tuple(levels), tuple(edges), digits, rows
     )
 
 
 def _next_level(
     l: int,
     gens: Sequence[GroupElement],
+    below: int | None,
     current: tuple[PciVertex, ...],
-    kernels: list,
-    primed: list[int],
-    level: np.ndarray,
-    next_level: np.ndarray,
+    rows: np.ndarray,
+    primed: np.ndarray,
+    digits: np.ndarray,
     edges: list,
     enum: Enumeration,
-) -> tuple[tuple[PciVertex, ...], list, list[int]]:
+) -> tuple[tuple[PciVertex, ...], np.ndarray, np.ndarray]:
     """Level l+1 of the diagram from level l (the vertices current, with
-    the kernel and primed element index of each, which it consumes): its
-    vertices, their kernels and primed element indices; appends the edges
-    into level l+1 to edges.  Every array this makes dies on return except
-    the kernels of level l+1."""
+    the character row and primed element index of each nontrivial one):
+    its vertices, their rows and primed element indices; appends the edges
+    into level l+1 to edges.  below is the column of u^p, u = gens[l]."""
     gen = gens[l]
     spec, u = gen.spec, element_index(gen)
-    p = spec.p
-    powers = np.arange(p)[:, None]
-    by_order: dict[int, list[int]] = {}
-    for i in range(1, len(current)):  # index 0 is the trivial vertex
-        by_order.setdefault(current[i].kernel_order, []).append(i)
-    # per nontrivial vertex: its children's kernels, and their new kernel
-    # generators when it splits (None when it carries over)
-    children: list = [None] * len(current)
-    for members in by_order.values():
-        stacked = np.array([kernels[i] for i in members])
-        for i in members:
-            kernels[i] = None  # the stacked copy replaces them
-        split, witnesses = _split_witnesses(gen, level, stacked, enum)
-        if split.size:
-            # the children of a split are the subgroups <K, z^i w>, i < p
-            z = np.array([primed[members[j]] for j in split.tolist()])
-            extras = enum.product(enum.power(z[:, None], powers), witnesses[:, None])
-            grown = _grown_kernels(stacked, split, extras, z, p, enum)
-            new_gens = elements_from_indices(spec, extras.ravel())
-            for j, s in enumerate(split.tolist()):
-                block = slice(j * p, (j + 1) * p)
-                children[members[s]] = (grown[block], new_gens[block])
-        if split.size < len(members):
-            if split.size:  # keep only the carried rows
-                carried = np.ones(len(members), dtype=bool)
-                carried[split] = False
-                stacked = stacked[carried]
-            stacked.setflags(write=False)
-            kept = iter(stacked)
-            for i in members:
-                if children[i] is None:
-                    children[i] = ((next(kept),), None)
+    p, exponent = spec.p, spec.exponent
+    up = rows[:, below] if below is not None else np.zeros(len(rows), dtype=np.int64)
+    # |G_l/K| = p^field_index; the vertex splits when u^|G_l/K| lies in K
+    quotients = p ** np.array([v.field_index for v in current[1:]], dtype=np.int64)
+    split = quotients // p * up % exponent == 0
+    if (up[~split] % p).any():
+        raise InconsistencyError("phi(u^p) of a carried vertex is not divisible by p")
+    witnesses, phi_g = _split_witnesses(
+        u, up[split], rows[split, :l], digits, p, exponent
+    )
+    counts = np.where(split, p, 1)
+    # phi on G_{l+1} keeps phi on G_l: a carried vertex takes phi(u) =
+    # phi(u^p)/p, split child i takes phi(u) = -(i*E/p + phi(g)), so that
+    # phi(z^i w) = 0 for w = u*g
+    grown = np.repeat(up // p, counts)
+    starts = (np.cumsum(counts) - counts)[split]
+    steps = np.arange(p) * (exponent // p)
+    grown[starts[:, None] + np.arange(p)] = -(steps + phi_g[:, None]) % exponent
+    next_rows = np.zeros((1 + len(grown), rows.shape[1]), dtype=np.int64)
+    next_rows[1:] = np.repeat(rows, counts, axis=0)
+    next_rows[1:, l] = grown
+    next_rows[0, l] = exponent // p  # the new vertex: kernel G_l, primed u
+    next_primed = np.concatenate(([u], np.repeat(primed, counts)))
+    # the children of a split are the subgroups <K, z^i w>, i < p
+    z = primed[split][:, None]
+    extras = enum.product(enum.power(z, np.arange(p)[:, None]), witnesses[:, None])
+    new_gens = iter(elements_from_indices(spec, extras.ravel()))
 
     nxt: list[PciVertex] = []
-    next_kernels: list[np.ndarray] = []
-    next_primed: list[int] = []
 
-    def attach(parent: int, vertex: PciVertex, kernel, z: int):
+    def attach(parent: int, vertex: PciVertex):
         nxt.append(vertex)
-        next_kernels.append(kernel)
-        next_primed.append(z)
         edges.append(((l, parent), (l + 1, vertex.index)))
 
     trivial = current[0]
     form = FactoredIdempotent(spec, tuple(gens[: l + 1]))
-    vertex = PciVertex(l + 1, 0, form, True, trivial.kernel_order * p, 0)
-    attach(0, vertex, next_level, -1)
+    attach(0, PciVertex(l + 1, 0, form, True, trivial.kernel_order * p, 0))
     form = FactoredIdempotent(spec, trivial.form.kernel_gens, gen)
-    attach(0, PciVertex(l + 1, 1, form, False, trivial.kernel_order, 1), level, u)
-    for i in range(1, len(current)):
+    attach(0, PciVertex(l + 1, 1, form, False, trivial.kernel_order, 1))
+    for i, splits in enumerate(split.tolist(), 1):
         v = current[i]
-        rows, new_gens = children[i]
-        if new_gens is None:
+        if not splits:
             # The component stays simple; the vertex carries over.
             vertex = PciVertex(
                 l + 1, len(nxt), v.form, False, v.kernel_order, v.field_index + 1
             )
-            attach(i, vertex, rows[0], primed[i])
+            attach(i, vertex)
             continue
-        for row, g in zip(rows, new_gens):
-            form = FactoredIdempotent(spec, v.form.kernel_gens + (g,), v.form.primed)
+        for _ in range(p):
+            gens_i = v.form.kernel_gens + (next(new_gens),)
+            form = FactoredIdempotent(spec, gens_i, v.form.primed)
             vertex = PciVertex(
                 l + 1, len(nxt), form, False, v.kernel_order * p, v.field_index
             )
-            attach(i, vertex, row, primed[i])
-    return tuple(nxt), next_kernels, next_primed
+            attach(i, vertex)
+    return tuple(nxt), next_rows, next_primed
 
 
 def cyclic_rational_pcis(p: int, n: int) -> list[AlgebraElement]:
@@ -629,16 +612,12 @@ def part_diagrams(spec, alternate_order: bool = False) -> list[PciDiagram]:
 def record_arrays(diagrams: Sequence[PciDiagram]) -> list[RecordArrays]:
     """The records of Q[G] from already-built diagrams, one per primary
     part of G in order: the products of one leaf per part, each straight
-    from the leaf expansion's int64 numerators (expansion_numerators) or
-    from the cross-prime tensor product of those."""
+    from the leaf's int64 numerators (PciDiagram.leaf_numerators) or from
+    the cross-prime tensor product of those."""
     parts = [
         [
-            RecordArrays(
-                *expansion_numerators(d.spec, kernel, v.form.primed),
-                v.kernel_order,
-                d.spec.p**v.field_index,
-            )
-            for v, kernel in zip(d.leaves, d.leaf_kernels)
+            RecordArrays(nums, den, v.kernel_order, d.spec.p**v.field_index)
+            for v, (nums, den) in zip(d.leaves, d.leaf_numerators())
         ]
         for d in diagrams
     ]
@@ -661,11 +640,6 @@ def pci_records(spec, alternate_order: bool = False) -> list[PciRecord]:
     bookkeeping; primary groups come from the diagram leaves, multi-prime
     groups from the product of the per-part leaf sets."""
     return records_from_diagrams(spec, part_diagrams(spec, alternate_order))
-
-
-def leaf_records(diagram: PciDiagram) -> list[PciRecord]:
-    """The records of a primary group, one per leaf of its diagram."""
-    return records_from_diagrams(diagram.spec, [diagram])
 
 
 def records_from_diagrams(spec, diagrams: Sequence[PciDiagram]) -> list[PciRecord]:

@@ -300,7 +300,9 @@ class Enumeration:
         self.mods = _read_only(np.array(orders, dtype=np.int64))
         self.strides = _read_only(np.array(strides, dtype=np.int64))
         idx = np.arange(self.order, dtype=np.int64)
-        self.digits = _read_only(idx[:, None] // self.strides % self.mods)
+        digits = idx[:, None] // self.strides
+        np.remainder(digits, self.mods, out=digits)  # no second full-size temporary
+        self.digits = _read_only(digits)
 
     # The code, table and inverse are built on first use, so callers that
     # only read digits (the oracle's characters, the order census) never

@@ -23,12 +23,11 @@ from .algebra import (
 from .cyclotomic import CycloAlgebraElement
 from .diagram import (
     PciVertex,
-    build_pci_diagram,
     cyclic_rational_pcis,
     extension_children,
     galois_orbit_collapse,
-    leaf_records,
     lift_into_extension,
+    part_diagrams,
     pci_records,
     records_from_diagrams,
     splitting_field_pcis,
@@ -81,8 +80,8 @@ def run_checks(spec: AbelianGroupSpec, alternate_order: bool) -> list[Check]:
     def check(name: str, ok: bool, detail: str | None = None):
         checks.append(Check(name, ok, detail))
 
-    diagrams = [(part, build_pci_diagram(part)) for part in spec.parts]
-    records = records_from_diagrams(spec, [diag for _, diag in diagrams])
+    diagrams = part_diagrams(spec)
+    records = records_from_diagrams(spec, diagrams)
     elements = [rec.element for rec in records]
     count = len(elements)
 
@@ -110,7 +109,7 @@ def run_checks(spec: AbelianGroupSpec, alternate_order: bool) -> list[Check]:
     )
 
     vertices = [
-        (part, v) for part, diag in diagrams for level in diag.levels for v in level
+        (diag.spec, v) for diag in diagrams for level in diag.levels for v in level
     ]
     check(
         "factored_form_structure",
@@ -126,7 +125,7 @@ def run_checks(spec: AbelianGroupSpec, alternate_order: bool) -> list[Check]:
         else f"{len(vertices)} vertices checked (full)",
     )
 
-    for part, diag in diagrams:
+    for part, diag in zip(spec.parts, diagrams):
         profile = wedderburn_profile(part)  # raises on census disagreement
         leaf_counts = Counter(v.field_index for v in diag.leaves)
         check(
@@ -140,10 +139,13 @@ def run_checks(spec: AbelianGroupSpec, alternate_order: bool) -> list[Check]:
         )
 
     if len(spec.factor_orders) == 1:
-        part, diag = diagrams[0]
+        part = spec.parts[0]
         n = part.classes[0][0]
         closed = cyclic_rational_pcis(part.p, n)
-        leaves = [rec.element for rec in leaf_records(diag)]
+        # the records of a cyclic group, re-homed onto its one part
+        leaves = [
+            AlgebraElement._in_lowest_terms(part, e.nums, e.den) for e in elements
+        ]
         check(
             "cyclic_closed_form",
             len(closed) == n + 1 and compare_pci_sets(closed, leaves).equal,

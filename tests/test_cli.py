@@ -81,6 +81,23 @@ def test_diagram_dot_c3c3():
     assert output.count("rank=same") == 3
 
 
+@pytest.mark.parametrize("fmt", ["json", "text", "dot"])
+def test_diagram_forms_no_leaf_kernel_or_numerators(fmt, monkeypatch):
+    # diagram prints the factored forms only; the leaf kernels and the
+    # numerators read off the characters are for pci, verify and the tests.
+    from pcikit.diagram import PciDiagram
+
+    def refuse(diagram):
+        raise AssertionError("a leaf was expanded")
+
+    monkeypatch.setattr(PciDiagram, "leaf_kernels", property(refuse))
+    monkeypatch.setattr(PciDiagram, "leaf_numerators", refuse)
+    group = "2:[2,2];3:[1]"  # one split of C_4 x C_4 scans for its witness
+    assert run(RunConfig("diagram", group, output_format=fmt))[0] == 0
+    with pytest.raises(AssertionError, match="a leaf was expanded"):
+        run(RunConfig("pci", group))
+
+
 def test_diagram_json_levels():
     code, data = run_json("diagram", "3:[1,1]")
     assert code == 0
@@ -199,7 +216,7 @@ def test_backend_variable_is_ignored(subcommand, value, monkeypatch, capsys):
 
 
 def test_verify_builds_each_diagram_once(monkeypatch):
-    from pcikit import diagram, verify
+    from pcikit import diagram
 
     builds = []
     original = diagram.build_pci_diagram
@@ -209,7 +226,6 @@ def test_verify_builds_each_diagram_once(monkeypatch):
         return original(part, *args, **kwargs)
 
     monkeypatch.setattr(diagram, "build_pci_diagram", counting)
-    monkeypatch.setattr(verify, "build_pci_diagram", counting)
     for group, primes in (("2:[2,1];3:[1]", [2, 3]), ("3:[2]", [3])):
         builds.clear()
         code, _ = run_json("verify", group)

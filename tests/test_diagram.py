@@ -39,7 +39,7 @@ from pcikit import (
     subgroup_closure,
 )
 from pcikit import verify
-from pcikit.algebra import lattice_sum
+from pcikit.algebra import expansion_numerators, lattice_sum
 from pcikit.diagram import alternate_generator_labels
 from pcikit.numtheory import euler_phi, is_prime
 from conftest import partitions, spec_from_partition
@@ -145,6 +145,14 @@ def assert_matches_reference(spec, labels):
     for kernel, expected in zip(built.leaf_kernels, reference.leaf_kernels):
         assert kernel.dtype == np.int64 and not kernel.flags.writeable
         assert np.array_equal(kernel, expected)
+    # the records' numerators, read off the characters, against the
+    # expansions of the reference kernels
+    for v, (nums, den), kernel in zip(
+        built.leaves, built.leaf_numerators(), reference.leaf_kernels
+    ):
+        expected_nums, expected_den = expansion_numerators(spec, kernel, v.form.primed)
+        assert nums.dtype == np.int64 and np.array_equal(nums, expected_nums)
+        assert den == expected_den
 
 
 @pytest.mark.parametrize("p", [p for p in range(2, 257) if is_prime(p)])
@@ -158,6 +166,20 @@ def test_batched_build_matches_per_vertex_reference(p):
             assert_matches_reference(spec, None)
             assert_matches_reference(spec, alternate_generator_labels(spec))
         n += 1
+
+
+# The largest exponent of 2 and of 3, the largest prime and two mixed
+# exponent patterns that the default cap admits.  A chain digit is below p
+# and a character value below E = exp G <= |G|, so with N chain generators
+# every sum phi(g) is below p*E*N: far inside int64 at any order that can
+# be enumerated.
+@pytest.mark.parametrize(
+    "text", ["2:[12]", "3:[7]", "2:[6,6]", "4093:[1]", "2:[4,2,1]"]
+)
+def test_build_matches_reference_at_the_cap(text):
+    part = parse_group_spec(text).parts[0]
+    assert_matches_reference(part, None)
+    assert_matches_reference(part, alternate_generator_labels(part))
 
 
 def _wide_build_parts():
