@@ -145,10 +145,10 @@ def fraction_strings(nums: Sequence[int], den: int) -> list[str]:
 
 class _Lattice:
     """Exact element on an integer lattice: numerators nums, indexed
-    mixed-radix over the cyclic orders _orders, on one denominator den, kept
-    in lowest terms.  Sums, scaling and the convolution product are exact
-    integer operations.  Subclasses give _orders and their own equality,
-    and override _like when their constructor takes more than
+    mixed-radix over the cyclic orders lattice_orders, on one denominator
+    den, kept in lowest terms.  Sums, scaling and the convolution product
+    are exact integer operations.  Subclasses give lattice_orders and their
+    own equality, and override _like when their constructor takes more than
     (spec, nums, den)."""
 
     __slots__ = ("spec", "nums", "den")
@@ -158,7 +158,7 @@ class _Lattice:
 
     def _assign(self, spec: GroupSpec, nums: tuple[int, ...], den: int):
         object.__setattr__(self, "spec", spec)
-        if len(nums) != math.prod(self._orders):
+        if len(nums) != math.prod(self.lattice_orders):
             raise InvariantError("numerator count != lattice size")
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
@@ -205,7 +205,7 @@ class _Lattice:
     def _product(self, other):
         """Convolution over the lattice's cyclic orders."""
         self._check(other)
-        nums = convolve_ints(self.nums, other.nums, self._orders)
+        nums = convolve_ints(self.nums, other.nums, self.lattice_orders)
         return self._like(nums, self.den * other.den)
 
     def __mul__(self, other):
@@ -248,7 +248,7 @@ class AlgebraElement(_Lattice):
     __slots__ = ()
 
     @property
-    def _orders(self) -> tuple[int, ...]:
+    def lattice_orders(self) -> tuple[int, ...]:
         return self.spec.factor_orders
 
     # -- constructors -------------------------------------------------

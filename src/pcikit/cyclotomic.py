@@ -120,7 +120,7 @@ class _CycloLattice(_Lattice):
         super().__init__(spec, nums, den)
 
     @property
-    def _orders(self) -> tuple[int, ...]:
+    def lattice_orders(self) -> tuple[int, ...]:
         return self.spec.factor_orders + (self.m,)
 
     def _check(self, other: "_CycloLattice"):

@@ -413,12 +413,38 @@ def element_order(g: GroupElement) -> int:
     )
 
 
+def in_subgroup(sub: np.ndarray, indices):
+    """Whether each element index lies in the subgroup sub, given in the one
+    subgroup form (see index_set); broadcast like numpy arrays."""
+    at = np.searchsorted(sub, indices)
+    return sub[np.minimum(at, len(sub) - 1)] == indices
+
+
+def extend_subgroup(spec: GroupSpec, sub: np.ndarray, g: GroupElement) -> np.ndarray:
+    """The subgroup <S, g>, for a subgroup S given in the one subgroup form
+    (see index_set), in that form.
+
+    With k the least c >= 1 such that g^c lies in S, <S, g> is the disjoint
+    union of the cosets g^c S, c < k: one run of powers of g, cut at k, and
+    one product of those powers with S.
+
+    >>> C4C2 = parse_group_spec("2:[2,1]")
+    >>> extend_subgroup(C4C2, np.array([0, 4]), element(C4C2, (1, 0))).tolist()
+    [0, 2, 4, 6]
+    """
+    enum = enumeration(spec.factor_orders)
+    powers = enum.power(member_index(spec, g), np.arange(spec.exponent)[:, None])
+    inside = in_subgroup(sub, powers[1:])
+    k = 1 + int(inside.argmax()) if inside.any() else spec.exponent
+    span = np.sort(enum.product(powers[:k, None], sub), axis=None)
+    span.setflags(write=False)
+    return span
+
+
 def subgroup_closure(spec: GroupSpec, gens: Iterable[GroupElement]) -> np.ndarray:
     """Smallest subgroup containing gens (the identity if gens is empty), as
-    the sorted, read-only int64 array of its element indices.
-
-    Breadth first on indices: each round multiplies the elements found in
-    the round before by every generator and keeps the products not yet seen.
+    the sorted, read-only int64 array of its element indices: the trivial
+    subgroup extended by each generator in turn (see extend_subgroup).
 
     >>> C9 = PrimaryGroupSpec(3, ((2, 1),))
     >>> subgroup_closure(C9, [element(C9, (6,))]).tolist()
@@ -427,18 +453,10 @@ def subgroup_closure(spec: GroupSpec, gens: Iterable[GroupElement]) -> np.ndarra
     >>> subgroup_closure(C4C2, [element(C4C2, (1, 1))]).tolist()
     [0, 3, 4, 7]
     """
-    steps = np.array([member_index(spec, g) for g in gens], dtype=np.int64)
-    enum = enumeration(spec.factor_orders)
-    seen = np.zeros(spec.order, dtype=bool)
-    frontier = np.zeros(1, dtype=np.int64)  # the identity has index 0
-    seen[frontier] = True
-    while frontier.size:
-        fresh = np.zeros(spec.order, dtype=bool)
-        fresh[enum.product(frontier[:, None], steps)] = True
-        fresh &= ~seen
-        seen |= fresh
-        frontier = np.flatnonzero(fresh)
-    return index_set(seen)
+    span = index_set(np.arange(spec.order) == 0)  # the identity has index 0
+    for g in gens:
+        span = extend_subgroup(spec, span, g)
+    return span
 
 
 def long_generator_sequence(spec: PrimaryGroupSpec) -> list[LongGenerator]:

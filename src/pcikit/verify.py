@@ -13,13 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import (
-    AlgebraElement,
-    expansion_numerators,
-    fixing_subgroup,
-    is_idempotent,
-    lattice_sum,
-)
+from .algebra import AlgebraElement, is_idempotent, lattice_sum
 from .cyclotomic import CycloAlgebraElement
 from .diagram import (
     PciVertex,
@@ -32,7 +26,16 @@ from .diagram import (
     records_from_diagrams,
     splitting_field_pcis,
 )
-from .groups import AbelianGroupSpec, GroupElement, PrimaryGroupSpec, subgroup_closure
+from .groups import (
+    AbelianGroupSpec,
+    GroupElement,
+    PrimaryGroupSpec,
+    element_index,
+    extend_subgroup,
+    in_subgroup,
+    subgroup_closure,
+)
+from .kernels import squares_to
 from .oracle import compare_pci_sets, oracle_pci_set, wedderburn_profile
 
 SPLIT_CHECK_LIMIT = 64  # largest cyclic group whose splitting field is checked
@@ -167,17 +170,43 @@ def vertex_kernel_failures(
 ) -> list[tuple[int, int, int, str]]:
     """(p, level, index, what) for each (part, vertex) whose kernel
     generators do not span a subgroup of the recorded order ("size"), or
-    span one that is not the kernel of the vertex's expansion ("kernel")."""
+    span one that is not the kernel of the vertex's expansion ("kernel"),
+    for vertices listed part by part and level by level.
+
+    The span K is the kernel of the expansion e exactly when the primed
+    element z lies outside K (or there is none; then e is the average of
+    K).  For z outside K, the numerators of e over p|K| are
+    p 1_K - sum_{c<p} 1_{z^c K}: at least 1 on K, as zK != K, and at most
+    0 off K.  A translation fixes e only if it keeps e(1), so
+    K <= Stab(e) <= {g : e(g) = e(1)} = K.  For z in K there is no such
+    expansion.
+
+    A vertex's generators are its parent's, or those plus one, so each
+    span is looked up among the previous level's spans and, failing that,
+    grown from its prefix's span by one coset walk (see extend_subgroup);
+    a tuple with no known prefix is closed from scratch.  Only two levels
+    of spans are held at once, and the leaves' spans are not kept."""
     failures = []
+    spans: dict[tuple, np.ndarray] = {}  # this level's, by generator tuple
+    last: dict[tuple, np.ndarray] = {}  # the previous level's
+    where = None
     for part, v in vertices:
-        tracked = subgroup_closure(part, v.form.kernel_gens)
+        if (part, v.level) != where:
+            where, last, spans = (part, v.level), spans, {}
+        gens = v.form.kernel_gens
+        tracked = last.get(gens)
+        if tracked is None:
+            prefix = last.get(gens[:-1]) if gens else None
+            if prefix is None:
+                tracked = subgroup_closure(part, gens)
+            else:
+                tracked = extend_subgroup(part, prefix, gens[-1])
+        if v.level < part.num_generators:  # no level follows the leaves
+            spans[gens] = tracked
+        primed = v.form.primed
         if len(tracked) != v.kernel_order:
             failures.append((part.p, v.level, v.index, "size"))
-            continue
-        # the kernel of the expansion, read off its numerators: scaling by
-        # the denominator does not change which translations fix it
-        nums, _ = expansion_numerators(part, tracked, v.form.primed)
-        if not np.array_equal(fixing_subgroup(part, nums), tracked):
+        elif primed is not None and in_subgroup(tracked, element_index(primed)):
             failures.append((part.p, v.level, v.index, "kernel"))
     return failures
 
@@ -187,10 +216,18 @@ def _splitting_field_coherent(part, closed: list[AlgebraElement]) -> bool:
     idempotent and sum to 1, so pairwise orthogonal (Q(zeta_{p^n})[G] is
     commutative and semisimple; see certify_idempotents); their Galois-orbit
     sums are the closed-form rational set; and they are the extension
-    children of the idempotents one chain step down."""
+    children of the idempotents one chain step down.
+
+    Each e is first tested for e*e == e on the lattice Q[G x C_m] it is
+    held on, by squares_to.  Equality there implies equality modulo the
+    m-th cyclotomic polynomial, so a pass is exact; a failure may still be
+    equality in Q(zeta_m)[G], so then the product is formed and compared
+    reduced."""
     p, n, m = part.p, part.classes[0][0], part.order
     splitting = splitting_field_pcis(p, n)
-    sound = all(e * e == e for e in splitting)
+    sound = all(
+        squares_to(e.nums, e.den, e.lattice_orders) or e * e == e for e in splitting
+    )
     sound = sound and lattice_sum(splitting) == CycloAlgebraElement.one(part, m)
     sound = sound and collapse_matches_closed_form(splitting, m, closed)[1]
     gen = GroupElement(part, (1,))

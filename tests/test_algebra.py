@@ -194,8 +194,10 @@ def test_component_dimension_invariant():
 
 
 def test_fixing_subgroup_reads_the_kernel_off_unreduced_numerators():
-    # verify's vertex_kernels check feeds the int64 numerators of each
-    # expansion, over no denominator, straight to the stabiliser search.
+    # The vertex-kernel reference (verify_reference.py) feeds the int64
+    # numerators of each expansion, over no denominator, straight to the
+    # stabiliser search; verify's vertex_kernels check relies on the lemma
+    # that the search returns the span (see vertex_kernel_failures).
     for text in ("2:[2,1]", "3:[1,1]", "2:[1,1,1]", "3:[2,1]", "5:[1]"):
         spec = parse_group_spec(text).parts[0]
         for level in build_pci_diagram(spec).levels:

@@ -38,9 +38,16 @@ from pcikit import (
     subgroup_closure,
     translate,
 )
-from pcikit.algebra import fraction_strings, integer_form, lattice_sum, lowest_terms
+from pcikit.algebra import (
+    expansion_numerators,
+    fixing_subgroup,
+    fraction_strings,
+    integer_form,
+    lattice_sum,
+    lowest_terms,
+)
 from pcikit.diagram import alternate_generator_labels, cross_prime_product
-from pcikit.groups import elements_from_indices, enumeration
+from pcikit.groups import elements_from_indices, enumeration, extend_subgroup
 from pcikit.kernels import Spectra, _convolve_bigint, convolve_ints
 from pcikit.numtheory import cyclotomic_poly, factorize
 from pcikit.verify import certify_idempotents
@@ -311,6 +318,25 @@ def test_closure_is_subgroup(data):
         assert element_index(g.inverse()) in members
         for j in sub[:5]:
             assert element_index(group_mul(g, element_from_index(spec, j))) in members
+
+
+# extend_subgroup on the small groups, one large cyclic 2-group and one
+# large cyclic group of prime order, where a generator's powers run long.
+EXTEND_GROUPS = SPECS + [parse_group_spec("2:[12]"), parse_group_spec("4093:[1]")]
+
+
+@given(st.sampled_from(EXTEND_GROUPS), st.data())
+@settings(max_examples=80, deadline=None)
+def test_extend_subgroup_matches_closure(spec, data):
+    index = st.integers(min_value=0, max_value=spec.order - 1)
+    gens = [element_from_index(spec, i) for i in data.draw(st.lists(index, max_size=3))]
+    g = element_from_index(spec, data.draw(index))
+    grown = extend_subgroup(spec, subgroup_closure(spec, gens), g)
+    # the fold in another order, and the element-set closure
+    assert grown.tolist() == subgroup_closure(spec, [g, *gens]).tolist()
+    expected = sorted(element_index(h) for h in _closure_reference(spec, [g, *gens]))
+    assert grown.tolist() == expected
+    assert not grown.flags.writeable
 
 
 @given(spec_and_algebra_elements(3))
@@ -706,6 +732,33 @@ def test_diagram_kernels_match_closure_reference(spec, alternate):
         assert len(kernel) == v.kernel_order
         assert np.array_equal(kernel, closure)
     assert diag.leaf_expansions() == [expand_factored(v.form) for v in diag.leaves]
+
+
+@st.composite
+def subgroup_and_outside_element(draw):
+    """A small p-group, a proper subgroup K with random generators and a
+    random z outside K."""
+    spec = draw(st.sampled_from([g for g in SMALL_P_GROUPS if g.order > 1]))
+    index = st.integers(min_value=0, max_value=spec.order - 1)
+    gens = [element_from_index(spec, i) for i in draw(st.lists(index, max_size=3))]
+    kernel = subgroup_closure(spec, gens)
+    assume(len(kernel) < spec.order)
+    outside = np.setdiff1d(np.arange(spec.order), kernel)
+    z = element_from_index(spec, int(draw(st.sampled_from(outside.tolist()))))
+    return spec, kernel, z
+
+
+@given(subgroup_and_outside_element())
+@settings(max_examples=80, deadline=None)
+def test_expansion_kernel_is_the_span_for_z_outside(data):
+    # The lemma behind verify's vertex_kernels check: for z outside K the
+    # expansion's numerators are p on K less the z^c K counts, at least 1
+    # on K and at most 0 off K, so its stabiliser is K.
+    spec, kernel, z = data
+    nums, _ = expansion_numerators(spec, kernel, z)
+    assert fixing_subgroup(spec, nums).tolist() == kernel.tolist()
+    assert nums[kernel].min() >= 1
+    assert np.delete(nums, kernel).max(initial=0) <= 0
 
 
 def _kernel_reference(e):

@@ -9,9 +9,24 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
-from pcikit import AlgebraElement, cyclotomic, diagram, verify
+import verify_reference
+from conftest import full_corpus
+from pcikit import (
+    AlgebraElement,
+    CycloAlgebraElement,
+    InvariantError,
+    cyclotomic,
+    diagram,
+    element_from_index,
+    parse_group_spec,
+    splitting_field_pcis,
+    verify,
+)
 from pcikit.cli import main
+from pcikit.kernels import squares_to
+from pcikit.numtheory import cyclotomic_poly
 
 ENGINE_CHECKS = {
     "engine_idempotency",
@@ -65,10 +80,10 @@ def test_corrupted_engine_records_fail(group, corrupt, expected, monkeypatch, ca
     assert failed_checks(group, capsys) == expected
 
 
-@pytest.mark.parametrize("group", ["2:[2,2]", "3:[2,2]"])
-def test_wrong_split_witness_fails_vertex_kernels(group, monkeypatch, capsys):
-    # u itself is the witness only when u^p lies in the kernel; on these
-    # groups some split needs a scanned coset element instead.
+def split_witness_always_u(monkeypatch):
+    """Make every split take u itself as its witness.  u is the witness
+    only when u^p lies in the kernel; on 2:[2,2] and 3:[2,2] some split
+    needs a scanned coset element instead."""
     original = diagram._split_witnesses
 
     def always_u(u, *args):
@@ -76,9 +91,128 @@ def test_wrong_split_witness_fails_vertex_kernels(group, monkeypatch, capsys):
         return np.full_like(witnesses, u), np.zeros_like(phi_g)
 
     monkeypatch.setattr(diagram, "_split_witnesses", always_u)
+
+
+@pytest.mark.parametrize("group", ["2:[2,2]", "3:[2,2]"])
+def test_wrong_split_witness_fails_vertex_kernels(group, monkeypatch, capsys):
+    split_witness_always_u(monkeypatch)
     # The wrong children still sum to their parent, so the sum check holds.
     expected = (ENGINE_CHECKS - {"engine_sum_to_identity"}) | {"vertex_kernels"}
     assert failed_checks(group, capsys) == expected
+
+
+def primed_in_first_kernel(diagrams):
+    """The diagrams with the first nontrivial leaf that has kernel
+    generators given its first kernel generator as primed element."""
+    diag, *rest = diagrams
+    leaves = list(diag.leaves)
+    i = next(i for i, v in enumerate(leaves) if v.form.primed and v.form.kernel_gens)
+    form = dataclasses.replace(leaves[i].form, primed=leaves[i].form.kernel_gens[0])
+    leaves[i] = dataclasses.replace(leaves[i], form=form)
+    levels = diag.levels[:-1] + (tuple(leaves),)
+    return [dataclasses.replace(diag, levels=levels), *rest]
+
+
+@pytest.mark.parametrize("group", ["2:[2,1]", "3:[2,2]"])
+def test_primed_element_in_kernel_fails_vertex_kernels(group, monkeypatch, capsys):
+    # Such a vertex has no expansion.  That is an engine fault, so verify
+    # reports a failed check and exits 1, not 2 as for bad input.  The
+    # records come from the leaves' characters, so only this check sees it.
+    original = verify.part_diagrams
+    monkeypatch.setattr(
+        verify, "part_diagrams", lambda spec: primed_in_first_kernel(original(spec))
+    )
+    assert main(["verify", "--group", group]) == 1
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    failed = {c["name"]: c["detail"] for c in checks if c["status"] == "fail"}
+    assert list(failed) == ["vertex_kernels"]
+    assert "'kernel')" in failed["vertex_kernels"]
+
+
+def diagram_vertices(spec):
+    return [
+        (diag.spec, v)
+        for diag in diagram.part_diagrams(spec)
+        for level in diag.levels
+        for v in level
+    ]
+
+
+def test_vertex_kernels_match_reference_on_corpus():
+    for spec in full_corpus():
+        vertices = diagram_vertices(spec)
+        assert verify.vertex_kernel_failures(vertices) == []
+        assert verify_reference.vertex_kernel_failures(vertices) == []
+
+
+@pytest.mark.parametrize("group", ["2:[2,2]", "3:[2,2]", "2:[3,2,1]"])
+def test_vertex_kernels_match_reference_under_wrong_witness(group, monkeypatch):
+    split_witness_always_u(monkeypatch)
+    vertices = diagram_vertices(parse_group_spec(group))
+    failures = verify.vertex_kernel_failures(vertices)
+    assert failures
+    assert failures == verify_reference.vertex_kernel_failures(vertices)
+
+
+MUTATED_GROUPS = [
+    parse_group_spec(t).parts[0]
+    for t in ("2:[2,1]", "2:[2,2]", "2:[1,1,1]", "3:[2,1]", "2:[3,1]", "5:[1,1]")
+]
+
+
+@st.composite
+def mutated_vertices(draw):
+    """The vertices of a small group's diagram, one of them with a kernel
+    generator dropped, added or replaced, or its primed element moved."""
+    spec = draw(st.sampled_from(MUTATED_GROUPS))
+    vertices = diagram_vertices(spec)
+    at = draw(st.integers(0, len(vertices) - 1))
+    v = vertices[at][1]
+    gens = list(v.form.kernel_gens)
+    g = element_from_index(spec, draw(st.integers(0, spec.order - 1)))
+    kinds = ["add"] + (["drop", "replace"] if gens else [])
+    kinds += ["move primed"] if v.form.primed is not None else []
+    kind = draw(st.sampled_from(kinds))
+    i = draw(st.integers(0, len(gens)))
+    if kind == "add":
+        gens.insert(i, g)
+    elif kind == "drop":
+        del gens[min(i, len(gens) - 1)]
+    elif kind == "replace":
+        gens[min(i, len(gens) - 1)] = g
+    form = dataclasses.replace(v.form, kernel_gens=tuple(gens))
+    if kind == "move primed":
+        form = dataclasses.replace(v.form, primed=g)
+    vertices[at] = (spec, dataclasses.replace(v, form=form))
+    event(kind)
+    return vertices
+
+
+@given(mutated_vertices())
+@settings(max_examples=150, deadline=None)
+def test_vertex_kernels_match_reference_on_mutated_vertices(vertices):
+    expected = []
+    for part, v in vertices:
+        try:
+            expected += verify_reference.vertex_kernel_failures([(part, v)])
+        except InvariantError:  # the primed element lies in the span
+            expected.append((part.p, v.level, v.index, "kernel"))
+    event(f"failures: {[what for *_, what in expected]}")
+    assert verify.vertex_kernel_failures(vertices) == expected
+
+
+def replace_splitting_idempotent(monkeypatch, p, n, change):
+    """Make verify see change(out) in place of the splitting idempotent of
+    index 1 of C_{p^n}, out being the list of all of them."""
+    original = verify.splitting_field_pcis
+
+    def replaced(q, k):
+        out = original(q, k)
+        if (q, k) == (p, n):
+            out[1] = change(out)
+        return out
+
+    monkeypatch.setattr(verify, "splitting_field_pcis", replaced)
 
 
 @pytest.mark.parametrize("group, p, n", [("2:[3]", 2, 3), ("3:[2]", 3, 2)])
@@ -87,15 +221,38 @@ def test_duplicated_splitting_idempotent_fails_coherence(group, p, n, monkeypatc
     # at m and every element idempotent; only the sum to 1 (and with it
     # pairwise orthogonality) and the extension-children match break.  The
     # level below, which the extension children come from, stays intact.
-    original = verify.splitting_field_pcis
+    replace_splitting_idempotent(monkeypatch, p, n, lambda out: out[0])
+    assert failed_checks(group, capsys) == {"splitting_field_coherence"}
 
-    def duplicated(q, k):
-        out = original(q, k)
-        if (q, k) == (p, n):
-            out[1] = out[0]
-        return out
 
-    monkeypatch.setattr(verify, "splitting_field_pcis", duplicated)
+def plus_phi_m(e):
+    """e with den * Phi_m added to the zeta block of group index 1: the
+    same element of Q(zeta_m)[G] on other lattice numerators."""
+    nums, m = list(e.nums), e.m
+    for i, c in enumerate(cyclotomic_poly(m)):
+        nums[m + i] += c * e.den
+    return CycloAlgebraElement(e.spec, m, nums, e.den)
+
+
+@pytest.mark.parametrize("group, p, n", [("2:[3]", 2, 3), ("3:[2]", 3, 2)])
+def test_splitting_idempotent_off_the_lattice_passes_by_product(
+    group, p, n, monkeypatch, capsys
+):
+    # squares_to tests e*e == e on the lattice Q[G x C_m], where the added
+    # multiple of Phi_m does not vanish; the product, compared reduced,
+    # decides, and every check passes.
+    e = splitting_field_pcis(p, n)[1]
+    moved = plus_phi_m(e)
+    assert moved == e and moved.nums != e.nums
+    assert not squares_to(moved.nums, moved.den, moved.lattice_orders)
+    replace_splitting_idempotent(monkeypatch, p, n, lambda out: plus_phi_m(out[1]))
+    assert main(["verify", "--group", group]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+
+
+@pytest.mark.parametrize("group, p, n", [("2:[3]", 2, 3), ("3:[2]", 3, 2)])
+def test_scaled_splitting_idempotent_fails_coherence(group, p, n, monkeypatch, capsys):
+    replace_splitting_idempotent(monkeypatch, p, n, lambda out: out[1].scaled(2))
     assert failed_checks(group, capsys) == {"splitting_field_coherence"}
 
 
