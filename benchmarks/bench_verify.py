@@ -1,11 +1,12 @@
 """Benchmark the checks of `pcikit verify`, one stage at a time.
 
-For each group this prints the best wall time of: the vertex-kernel check
-(verify.vertex_kernel_failures over every diagram vertex), the idempotency
-and orthogonality certificate (verify.certify_idempotents), the
-splitting-field check (verify._splitting_field_coherent, cyclic groups of
-order at most verify.SPLIT_CHECK_LIMIT only) and the whole of
-verify.run_checks.  Run:
+For each group this prints the best wall time of: the records and their
+elements (diagram.record_arrays, then PciRecord.element of each), the
+vertex-kernel check (verify.vertex_kernel_failures over every diagram
+vertex), the idempotency and orthogonality certificate
+(verify.certify_idempotents), the splitting-field check
+(verify._splitting_field_coherent, cyclic groups of order at most
+verify.SPLIT_CHECK_LIMIT only) and the whole of verify.run_checks.  Run:
 
     python benchmarks/bench_verify.py
     python benchmarks/bench_verify.py --repeats 1 --groups "2:[1]*6,2:[5]"
@@ -20,7 +21,7 @@ from bench_kernels import best_of, expand_group_text
 
 from pcikit import parse_group_spec
 from pcikit.algebra import lattice_sum
-from pcikit.diagram import cyclic_rational_pcis, part_diagrams, records_from_diagrams
+from pcikit.diagram import cyclic_rational_pcis, part_diagrams, record_arrays
 from pcikit.verify import (
     SPLIT_CHECK_LIMIT,
     _splitting_field_coherent,
@@ -29,7 +30,7 @@ from pcikit.verify import (
     vertex_kernel_failures,
 )
 
-COLUMNS = ("vertex_kernels", "certify", "splitting", "run_checks")
+COLUMNS = ("records", "vertex_kernels", "certify", "splitting", "run_checks")
 
 
 def bench(spec, repeats):
@@ -37,9 +38,11 @@ def bench(spec, repeats):
     the number of diagram vertices."""
     diagrams = part_diagrams(spec)
     vertices = [(d.spec, v) for d in diagrams for level in d.levels for v in level]
-    elements = [rec.element for rec in records_from_diagrams(spec, diagrams)]
-    total = lattice_sum(elements)
     times = {}
+    times["records"], elements = best_of(
+        lambda: [rec.element for rec in record_arrays(spec, diagrams)], repeats
+    )
+    total = lattice_sum(elements)
     times["vertex_kernels"], failures = best_of(
         lambda: vertex_kernel_failures(vertices), repeats
     )

@@ -226,7 +226,7 @@ def _refuse_over(limit: int, count: int, what: str, unit: str = "coefficients") 
 
 def _run_pci(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
     _refuse_over(DENSE_MAX_COEFFICIENTS, spec.order**2, f"pci of order {spec.order}")
-    records = record_arrays(part_diagrams(spec, config.alternate_order))
+    records = record_arrays(spec, part_diagrams(spec, config.alternate_order))
     rows = []
     for i, rec in enumerate(records):
         d = rec.quotient_order

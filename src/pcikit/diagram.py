@@ -25,7 +25,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .algebra import (
     AlgebraElement,
     FactoredIdempotent,
     expand_factored,
-    expand_from_subgroup,
     int_array,
 )
 from .cyclotomic import CycloAlgebraElement, CycloNumber
@@ -55,7 +54,6 @@ from .groups import (
     embed_generator,
     enumeration,
     identity,
-    index_set,
     long_generator_sequence,
 )
 from .numtheory import euler_phi
@@ -99,27 +97,16 @@ class PciDiagram:
     def leaves(self) -> tuple[PciVertex, ...]:
         return self.levels[-1]
 
-    def _leaf_values(self) -> Iterator[np.ndarray]:
-        """phi(g) mod E = exp G over the enumeration of G, for the character
-        phi of each nontrivial leaf in turn: the chain digits of g times
-        phi's values on the chain generators, so a row that is not a
-        character shows in the result.  A digit is below p and a value below
-        E <= |G|, so with N generators each sum is below p*E*N."""
-        for row in self.characters:
-            yield self.chain_digits @ row % self.spec.exponent
-
-    @functools.cached_property
-    def leaf_kernels(self) -> tuple[np.ndarray, ...]:
-        """Sorted element indices of each leaf's kernel (see index_set)."""
-        whole = index_set(np.ones(self.spec.order, dtype=bool))
-        return (whole,) + tuple(index_set(phi == 0) for phi in self._leaf_values())
-
     def leaf_numerators(self) -> list[tuple[np.ndarray, int]]:
         """Each leaf's expansion as int64 numerators over a denominator, not
         yet in lowest terms, as algebra.expansion_numerators gives it, read
-        off the leaf's character phi.  With z the primed element, phi(z) =
-        E/p for E = exp G, so K = {phi = 0} and <K, z> = {phi in (E/p)Z}:
-        the numerators over p|K| are p on K minus 1 on <K, z>."""
+        off the leaf's character phi.  phi(g) mod E = exp G over the
+        enumeration of G is the chain digits of g times phi's values on the
+        chain generators, so a row that is not a character shows in the
+        result.  A digit is below p and a value below E <= |G|, so with N
+        generators each sum is below p*E*N.  With z the primed element,
+        phi(z) = E/p, so K = {phi = 0} and <K, z> = {phi in (E/p)Z}: the
+        numerators over p|K| are p on K minus 1 on <K, z>."""
         spec = self.spec
         out = [(np.ones(spec.order, dtype=np.int64), spec.order)]  # the trivial leaf
         if len(self.leaves) == 1:
@@ -128,14 +115,15 @@ class PciDiagram:
         numerator = np.zeros(exponent, dtype=np.int64)  # by the value of phi
         numerator[:: exponent // p] = -1
         numerator[0] = p - 1
-        for v, phi in zip(self.leaves[1:], self._leaf_values()):
+        for v, row in zip(self.leaves[1:], self.characters):
+            phi = self.chain_digits @ row % exponent
             out.append((numerator[phi], p * v.kernel_order))
         return out
 
     def leaf_expansions(self) -> list[AlgebraElement]:
         return [
-            expand_from_subgroup(self.spec, kernel, v.form.primed)
-            for v, kernel in zip(self.leaves, self.leaf_kernels)
+            AlgebraElement._from_int64(self.spec, nums, den)
+            for nums, den in self.leaf_numerators()
         ]
 
     def level_sizes(self) -> list[int]:
@@ -516,41 +504,32 @@ def galois_orbit_collapse(
     return out
 
 
-@dataclass(frozen=True)
-class PciRecord:
-    """A primitive central idempotent with its component bookkeeping."""
+class PciRecord(NamedTuple):
+    """A primitive central idempotent of Q[spec], nums/den with nums an int64
+    array (an object array when a value does not fit) and den not always in
+    lowest terms, with its bookkeeping.  Holding an array, a record has no
+    value equality or hash: compare the elements."""
 
-    element: AlgebraElement
-    kernel_order: int
-    quotient_order: int
-
-
-class RecordArrays(NamedTuple):
-    """A primitive central idempotent as it leaves the engine: numerators
-    nums over den, not necessarily in lowest terms, in an int64 array, or
-    an object array of Python ints when one does not fit, with its
-    component bookkeeping.  PciRecord is the same idempotent as an
-    AlgebraElement."""
-
+    spec: AbelianGroupSpec | PrimaryGroupSpec
     nums: np.ndarray
     den: int
     kernel_order: int
     quotient_order: int
 
+    @property
+    def element(self) -> AlgebraElement:
+        """The idempotent in lowest terms, built anew on each access."""
+        return AlgebraElement._from_int64(self.spec, self.nums, self.den)
+
 
 def lift_to_product(
     spec: AbelianGroupSpec, part_index: int, a: AlgebraElement
 ) -> AlgebraElement:
-    """Embed an element of one primary part's algebra into Q[G]."""
-    part = spec.parts[part_index]
-    if a.spec != part:
-        raise SpecMismatchError("element does not belong to the given part")
-    after = math.prod(q.order for q in spec.parts[part_index + 1 :])
-    nums = [0] * spec.order
-    for idx, v in enumerate(a.nums):
-        if v:
-            nums[idx * after] = v
-    return AlgebraElement(spec, nums, a.den)
+    """Embed an element of one primary part's algebra into Q[G]: its tensor
+    product with the identity of every other part."""
+    sets = [[AlgebraElement.one(q)] for q in spec.parts]
+    sets[part_index] = [a]
+    return cross_prime_product(spec, sets)[0]
 
 
 def _tensor_products(
@@ -609,14 +588,14 @@ def part_diagrams(spec, alternate_order: bool = False) -> list[PciDiagram]:
     ]
 
 
-def record_arrays(diagrams: Sequence[PciDiagram]) -> list[RecordArrays]:
-    """The records of Q[G] from already-built diagrams, one per primary
-    part of G in order: the products of one leaf per part, each straight
-    from the leaf's int64 numerators (PciDiagram.leaf_numerators) or from
-    the cross-prime tensor product of those."""
+def record_arrays(spec, diagrams: Sequence[PciDiagram]) -> list[PciRecord]:
+    """The records of Q[spec] from already-built diagrams, one per primary
+    part of spec in order: each leaf's int64 numerators (see
+    PciDiagram.leaf_numerators), or the tensor products of one per part."""
+    # with several parts, only the numerators and orders of these are read
     parts = [
         [
-            RecordArrays(nums, den, v.kernel_order, d.spec.p**v.field_index)
+            PciRecord(spec, nums, den, v.kernel_order, d.spec.p**v.field_index)
             for v, (nums, den) in zip(d.leaves, d.leaf_numerators())
         ]
         for d in diagrams
@@ -625,7 +604,8 @@ def record_arrays(diagrams: Sequence[PciDiagram]) -> list[RecordArrays]:
         return parts[0]
     products = _tensor_products([[(r.nums, r.den) for r in recs] for recs in parts])
     return [
-        RecordArrays(
+        PciRecord(
+            spec,
             nums,
             den,
             math.prod(r.kernel_order for r in combo),
@@ -636,22 +616,15 @@ def record_arrays(diagrams: Sequence[PciDiagram]) -> list[RecordArrays]:
 
 
 def pci_records(spec, alternate_order: bool = False) -> list[PciRecord]:
-    """Engine-side primitive central idempotents of Q[G] with component
-    bookkeeping; primary groups come from the diagram leaves, multi-prime
-    groups from the product of the per-part leaf sets."""
-    return records_from_diagrams(spec, part_diagrams(spec, alternate_order))
+    """The primitive central idempotents of Q[spec] with their bookkeeping
+    (see record_arrays), from the diagram of each primary part.
 
-
-def records_from_diagrams(spec, diagrams: Sequence[PciDiagram]) -> list[PciRecord]:
-    """record_arrays, each idempotent an element of Q[spec] in lowest terms."""
-    return [
-        PciRecord(
-            AlgebraElement._from_int64(spec, r.nums, r.den),
-            r.kernel_order,
-            r.quotient_order,
-        )
-        for r in record_arrays(diagrams)
-    ]
+    >>> from pcikit import parse_group_spec
+    >>> *_, rec = pci_records(parse_group_spec("2:[2,1]"))
+    >>> rec.element.to_strings(), rec.kernel_order, rec.quotient_order, rec.den
+    (['1/4', '-1/4', '0/1', '0/1', '-1/4', '1/4', '0/1', '0/1'], 2, 4, 4)
+    """
+    return record_arrays(spec, part_diagrams(spec, alternate_order))
 
 
 def pci_set(spec, alternate_order: bool = False):

@@ -23,7 +23,7 @@ from .diagram import (
     lift_into_extension,
     part_diagrams,
     pci_records,
-    records_from_diagrams,
+    record_arrays,
     splitting_field_pcis,
 )
 from .groups import (
@@ -84,8 +84,7 @@ def run_checks(spec: AbelianGroupSpec, alternate_order: bool) -> list[Check]:
         checks.append(Check(name, ok, detail))
 
     diagrams = part_diagrams(spec)
-    records = records_from_diagrams(spec, diagrams)
-    elements = [rec.element for rec in records]
+    elements = [rec.element for rec in record_arrays(spec, diagrams)]
     count = len(elements)
 
     total = lattice_sum(elements)

@@ -83,14 +83,13 @@ def test_diagram_dot_c3c3():
 
 @pytest.mark.parametrize("fmt", ["json", "text", "dot"])
 def test_diagram_forms_no_leaf_kernel_or_numerators(fmt, monkeypatch):
-    # diagram prints the factored forms only; the leaf kernels and the
-    # numerators read off the characters are for pci, verify and the tests.
+    # diagram prints the factored forms only; the numerators read off the
+    # leaf characters are for pci, verify and the tests.
     from pcikit.diagram import PciDiagram
 
     def refuse(diagram):
         raise AssertionError("a leaf was expanded")
 
-    monkeypatch.setattr(PciDiagram, "leaf_kernels", property(refuse))
     monkeypatch.setattr(PciDiagram, "leaf_numerators", refuse)
     group = "2:[2,2];3:[1]"  # one split of C_4 x C_4 scans for its witness
     assert run(RunConfig("diagram", group, output_format=fmt))[0] == 0

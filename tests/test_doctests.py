@@ -2,6 +2,7 @@ import doctest
 
 import pcikit.algebra
 import pcikit.cyclotomic
+import pcikit.diagram
 import pcikit.groups
 import pcikit.kernels
 import pcikit.numtheory
@@ -14,6 +15,7 @@ def test_module_doctests():
         pcikit.kernels,
         pcikit.cyclotomic,
         pcikit.algebra,
+        pcikit.diagram,
     ):
         result = doctest.testmod(module)
         assert result.failed == 0, module.__name__
