@@ -2,12 +2,15 @@
 
 Elements are dense coefficient vectors over the canonical element
 enumeration, stored as integer numerators on one common denominator and
-fully reduced, so equality is plain tuple comparison with zero tolerance.
+fully reduced: one read-only array (see kernels.int_array), built by the
+one normaliser lowest_terms, so equality is a comparison of the arrays with
+zero tolerance.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -26,58 +29,62 @@ from .groups import (
     member_index,
     subgroup_closure,
 )
-from .kernels import convolve_ints, squares_to
+from .kernels import convolve_ints, int_array, max_abs, squares_to
 
 
-def lowest_terms(nums: tuple[int, ...], den: int) -> tuple[tuple[int, ...], int]:
-    """nums/den in lowest terms: den > 0, gcd(den, *nums) == 1, and den == 1
-    for the zero vector.  Every exact type normalises through this, or
-    through its int64 twin lowest_terms_int64.
+def lowest_terms(nums, den: int) -> tuple[np.ndarray, int]:
+    """nums/den in lowest terms: the numerators as one read-only array (see
+    int_array), den > 0, gcd(den, *nums) == 1, and den == 1 for the zero
+    vector.  nums may be any integers: an iterable, an int64 array or an
+    object array.  Every exact type normalises through this.
 
-    >>> lowest_terms((2, -4), -6)
-    ((-1, 2), 3)
-    >>> lowest_terms((6, 9), 12)
-    ((2, 3), 4)
-    >>> lowest_terms((0, 0), 5)
-    ((0, 0), 1)
+    >>> nums, den = lowest_terms((2, -4), -6); nums.tolist(), den
+    ([-1, 2], 3)
+    >>> nums, den = lowest_terms((6, 9), 12); nums.tolist(), den
+    ([2, 3], 4)
+    >>> nums, den = lowest_terms((0, 0), 5); nums.tolist(), den
+    ([0, 0], 1)
     """
+    den = operator.index(den)
     if den == 0:
         raise ZeroDivisionError("zero denominator")
+    arr = int_array(nums)
     if den < 0:
-        nums = tuple(-v for v in nums)
-        den = -den
-    g = math.gcd(den, *nums)  # == den for the zero vector
-    if g > 1:
-        nums = tuple(v // g for v in nums)
-        den //= g
-    return nums, den
+        arr, den = -arr, -den
+    if den > 1:
+        g = math.gcd(int(np.gcd.reduce(arr)), den)  # == den for the zero vector
+        if g > 1:
+            den //= g
+            if arr.dtype == object:
+                arr = int_array(arr // g)  # the quotients may fit int64
+            elif g < 2**63:  # else arr is zero, as g divides every entry
+                arr = arr // g
+    if arr is nums and arr.flags.writeable:
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr, den
 
 
-def int_array(values) -> np.ndarray:
-    """values as an int64 array, or as an object array of Python ints when
-    one of them does not fit int64.  The dtype is always given: numpy left
-    to itself reads [2**63, 1] as float64."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
-
-
-def lowest_terms_int64(nums: np.ndarray, den: int) -> tuple[tuple[int, ...], int]:
-    """lowest_terms of an int64 array, normalised by np.gcd.reduce, which is
-    exact on int64 when the entries and their negatives fit in int64, and on
-    an object array of Python ints (see int_array)."""
-    den = int(den)
-    if den == 0:
-        raise ZeroDivisionError("zero denominator")
-    if den < 0:
-        nums, den = -nums, -den
-    g = math.gcd(int(np.gcd.reduce(nums)), den)  # == den for the zero vector
-    if g > 1:
-        if g >= 2**63:  # only the zero vector of an int64 array gets here
-            nums = nums.astype(object)
-        nums, den = nums // g, den // g
-    return tuple(nums.tolist()), den
+def exact_sum(terms: Sequence[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]:
+    """The sum of the nonempty run of rationals nums/den, each nums an
+    integer array (see int_array) of one length, as numerators over the
+    least common denominator, not yet in lowest terms.  It is formed in
+    int64 when the sum over the terms of max|nums| * (lcm / den) is below
+    2^63, which bounds every partial sum, and on Python ints otherwise."""
+    den = math.lcm(*(d for _, d in terms))
+    tops = [max_abs(v) for v, _ in terms]
+    bound = sum(top * (den // d) for top, (_, d) in zip(tops, terms))
+    dtype = np.int64 if bound < 2**63 else object
+    by_den: dict[int, np.ndarray] = {}  # terms on one denominator, added first
+    for top, (v, d) in zip(tops, terms):
+        if d in by_den:
+            by_den[d] += v
+        elif top:  # a zero term's scale need not fit int64
+            by_den[d] = v.astype(dtype)
+    total = np.zeros(len(terms[0][0]), dtype=dtype)
+    for d, part in by_den.items():
+        total += part if d == den else part * (den // d)
+    return total, den
 
 
 def integer_form(values: Iterable) -> tuple[list[int], int]:
@@ -143,40 +150,31 @@ def fraction_strings(nums: Sequence[int], den: int) -> list[str]:
     return FractionList(nums, den).strings()
 
 
+def _numerator_key(arr: np.ndarray):
+    """A hashable value that two canonical numerator arrays of one length
+    share exactly when they are equal: the bytes of an int64 array, the
+    tuple of an object one (see int_array)."""
+    return tuple(arr.tolist()) if arr.dtype == object else arr.tobytes()
+
+
 class _Lattice:
     """Exact element on an integer lattice: numerators nums, indexed
     mixed-radix over the cyclic orders lattice_orders, on one denominator
-    den, kept in lowest terms.  Sums, scaling and the convolution product
-    are exact integer operations.  Subclasses give lattice_orders and their
-    own equality, and override _like when their constructor takes more than
+    den, kept in lowest terms (see lowest_terms).  Sums, scaling and the
+    convolution product are exact integer operations.  Subclasses give
+    lattice_orders, override _value when equality compares another form,
+    and override _like when their constructor takes more than
     (spec, nums, den)."""
 
-    __slots__ = ("spec", "nums", "den")
+    __slots__ = ("spec", "nums", "den", "_hash")
 
     def __init__(self, spec: GroupSpec, nums: Iterable[int], den: int = 1):
-        self._assign(spec, *lowest_terms(tuple(map(int, nums)), int(den)))
-
-    def _assign(self, spec: GroupSpec, nums: tuple[int, ...], den: int):
+        nums, den = lowest_terms(nums, den)
         object.__setattr__(self, "spec", spec)
-        if len(nums) != math.prod(self.lattice_orders):
+        if nums.shape != (math.prod(self.lattice_orders),):
             raise InvariantError("numerator count != lattice size")
         object.__setattr__(self, "nums", nums)
         object.__setattr__(self, "den", den)
-
-    @classmethod
-    def _in_lowest_terms(cls, spec: GroupSpec, nums: tuple[int, ...], den: int):
-        """The element nums/den of a lattice whose state is (spec, nums,
-        den), taken as given: nums a tuple of ints already in lowest terms
-        over den (see lowest_terms)."""
-        self = object.__new__(cls)
-        self._assign(spec, nums, den)
-        return self
-
-    @classmethod
-    def _from_int64(cls, spec: GroupSpec, nums: np.ndarray, den: int):
-        """The element nums/den from an int64 array, or an object array of
-        Python ints (see lowest_terms_int64)."""
-        return cls._in_lowest_terms(spec, *lowest_terms_int64(nums, den))
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -188,6 +186,32 @@ class _Lattice:
         if type(other) is not type(self) or self.spec != other.spec:
             raise SpecMismatchError("elements belong to different group algebras")
 
+    def _value(self) -> tuple:
+        """What == and hash compare besides the group: a hashable head and a
+        numerator array (see _numerator_key); here den and nums."""
+        return self.den, self.nums
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        (head, nums), (other_head, other_nums) = self._value(), other._value()
+        return (
+            head == other_head
+            and (self.spec is other.spec or self.spec == other.spec)
+            and _numerator_key(nums) == _numerator_key(other_nums)
+        )
+
+    def __hash__(self) -> int:
+        cached = getattr(self, "_hash", None)
+        if cached is None:
+            head, nums = self._value()
+            cached = hash((head, _numerator_key(nums)))
+            object.__setattr__(self, "_hash", cached)
+        return cached
+
+    def is_zero(self) -> bool:
+        return not self._value()[1].any()
+
     def __add__(self, other):
         return lattice_sum((self, other))
 
@@ -195,17 +219,22 @@ class _Lattice:
         return lattice_sum((self, -other))
 
     def __neg__(self):
-        return self._like((-v for v in self.nums), self.den)
+        return self._like(-self.nums, self.den)
 
     def scaled(self, c):
         if not isinstance(c, (int, Fraction)):
             c = Fraction(c)
-        return self._like((v * c.numerator for v in self.nums), self.den * c.denominator)
+        nums = self.nums
+        if max(max_abs(nums), 1) * abs(c.numerator) >= 2**63:
+            nums = nums.astype(object)
+        return self._like(nums * c.numerator, self.den * c.denominator)
 
     def _product(self, other):
         """Convolution over the lattice's cyclic orders."""
         self._check(other)
-        nums = convolve_ints(self.nums, other.nums, self.lattice_orders)
+        # as lists: perfbench's tracer counts the nonzeros of convolve_ints'
+        # arguments with list.count
+        nums = convolve_ints(self.nums.tolist(), other.nums.tolist(), self.lattice_orders)
         return self._like(nums, self.den * other.den)
 
     def __mul__(self, other):
@@ -218,9 +247,8 @@ class _Lattice:
 
 
 def lattice_sum(terms: Iterable[_Lattice]) -> _Lattice:
-    """Exact sum of a nonempty run of elements of one algebra: terms on one
-    denominator are added column-wise, those partial sums are scaled to the
-    least common denominator, and the total is normalised once.
+    """Exact sum of a nonempty run of elements of one algebra (see
+    exact_sum), normalised once.
 
     >>> from pcikit.groups import parse_group_spec
     >>> spec = parse_group_spec("2:[1]")
@@ -231,15 +259,9 @@ def lattice_sum(terms: Iterable[_Lattice]) -> _Lattice:
     terms = list(terms)
     if not terms:
         raise InvariantError("empty sum")
-    by_den: dict[int, list[tuple[int, ...]]] = {}
     for t in terms:
         terms[0]._check(t)
-        by_den.setdefault(t.den, []).append(t.nums)
-    den = math.lcm(*by_den)
-    scaled = [
-        [v * (den // d) for v in map(sum, zip(*rows))] for d, rows in by_den.items()
-    ]
-    return terms[0]._like(map(sum, zip(*scaled)), den)
+    return terms[0]._like(*exact_sum([(t.nums, t.den) for t in terms]))
 
 
 class AlgebraElement(_Lattice):
@@ -255,7 +277,7 @@ class AlgebraElement(_Lattice):
 
     @classmethod
     def zero(cls, spec: GroupSpec) -> "AlgebraElement":
-        return cls(spec, (0,) * spec.order)
+        return cls(spec, np.zeros(spec.order, dtype=np.int64))
 
     @classmethod
     def one(cls, spec: GroupSpec) -> "AlgebraElement":
@@ -263,7 +285,7 @@ class AlgebraElement(_Lattice):
 
     @classmethod
     def basis(cls, spec: GroupSpec, g: GroupElement) -> "AlgebraElement":
-        nums = [0] * spec.order
+        nums = np.zeros(spec.order, dtype=np.int64)
         nums[member_index(spec, g)] = 1
         return cls(spec, nums)
 
@@ -276,24 +298,10 @@ class AlgebraElement(_Lattice):
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(v, self.den) for v in self.nums)
+        return tuple(Fraction(v, self.den) for v in self.nums.tolist())
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.nums) if v)
-
-    def is_zero(self) -> bool:
-        return not any(self.nums)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.spec == other.spec
-            and self.den == other.den
-            and self.nums == other.nums
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.den, self.nums))
+        return tuple(np.flatnonzero(self.nums).tolist())
 
     def __repr__(self) -> str:
         group = self.spec.spec_text() or self.spec  # the trivial group is "C_1"
@@ -337,10 +345,8 @@ def translate(g: GroupElement, a: AlgebraElement) -> AlgebraElement:
     """Left multiplication by the group element g (a basis permutation)."""
     _rational(a)
     perm = enumeration(a.spec.factor_orders).translation(member_index(a.spec, g))
-    nums = [0] * a.spec.order
-    for j, v in enumerate(a.nums):
-        if v:
-            nums[perm[j]] = v
+    nums = np.empty_like(a.nums)
+    nums[perm] = a.nums
     return AlgebraElement(a.spec, nums, a.den)
 
 
@@ -388,7 +394,7 @@ def expand_from_subgroup(
     """Expansion of K-average times (1 - (1 + z + ... + z^(p-1))/p) for an
     already-computed subgroup K, given as an array of distinct element
     indices; with primed None, the average of K alone."""
-    return AlgebraElement._from_int64(spec, *expansion_numerators(spec, kernel, primed))
+    return AlgebraElement(spec, *expansion_numerators(spec, kernel, primed))
 
 
 def expand_factored(f: FactoredIdempotent) -> AlgebraElement:
@@ -406,7 +412,7 @@ def kernel_subgroup(e: AlgebraElement) -> np.ndarray:
     """{g : g*e = e} as sorted element indices (see fixing_subgroup).  The
     zero element is fixed by all of G."""
     _rational(e)
-    return fixing_subgroup(e.spec, int_array(e.nums))
+    return fixing_subgroup(e.spec, e.nums)
 
 
 def fixing_subgroup(spec: GroupSpec, vals: np.ndarray) -> np.ndarray:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import operator
 from fractions import Fraction
 from functools import cache
 from typing import Iterable, Sequence
@@ -29,10 +28,10 @@ from .algebra import (
     integer_form,
     lattice_sum,
     lowest_terms,
-    lowest_terms_int64,
 )
 from .errors import InconsistencyError, InvariantError, SpecMismatchError
 from .groups import AbelianGroupSpec, GroupElement, GroupSpec, member_index
+from .kernels import int_array, max_abs
 from .numtheory import cyclotomic_poly, euler_phi, mobius
 
 
@@ -61,39 +60,26 @@ def ramanujan_sum_direct(m: int, t: int) -> "CycloNumber":
 
 
 @cache
-def _cyclotomic_terms(m: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    # phi(m) and the nonzero (power, coefficient) terms of the m-th
-    # cyclotomic polynomial below its leading 1.
-    phi_poly = cyclotomic_poly(m)
-    deg = len(phi_poly) - 1
-    return deg, tuple((t, a) for t, a in enumerate(phi_poly[:deg]) if a)
-
-
-def _reduce_mod_cyclotomic(coeffs: Sequence[int], m: int) -> list[int]:
-    # Integer polynomial remainder modulo the (monic) m-th cyclotomic
-    # polynomial: the phi(m) reduced power-basis coordinates.
-    deg, terms = _cyclotomic_terms(m)
-    c = list(coeffs)
-    if len(c) < deg:
-        c += [0] * (deg - len(c))
-    for j in range(len(c) - 1, deg - 1, -1):
-        v = c[j]
-        if v:
-            base = j - deg
-            for t, a in terms:
-                c[base + t] -= v * a
-    return c[:deg]
+def _zeta_rows(m: int) -> np.ndarray:
+    # Row j: the phi(m) coordinates of zeta^j over 1, zeta, zeta^2, ...:
+    # row j + 1 is row j times zeta, with zeta^phi(m) written as minus the
+    # lower terms of the m-th cyclotomic polynomial.  Read-only, as every
+    # caller shares it.
+    low = [-a for a in cyclotomic_poly(m)[:-1]]
+    row = [1] + [0] * (len(low) - 1)
+    rows = []
+    for _ in range(m):
+        rows.append(row)
+        row = [s + row[-1] * a for s, a in zip([0] + row[:-1], low)]
+    rows = np.array(rows, dtype=np.int64)
+    rows.flags.writeable = False
+    return rows
 
 
 @cache
-def _zeta_rows(m: int) -> np.ndarray:
-    # Row j: the phi(m) reduced coordinates of zeta^j, from the one
-    # reduction above.  Read-only, as every caller shares it.
-    rows = np.array(
-        [_reduce_mod_cyclotomic((0,) * j + (1,), m) for j in range(m)], dtype=np.int64
-    )
-    rows.flags.writeable = False
-    return rows
+def _zeta_top(m: int) -> int:
+    # max |entry| of _zeta_rows(m), for the int64 bound in reduced()
+    return max_abs(_zeta_rows(m))
 
 
 _TRIVIAL_GROUP = AbelianGroupSpec(())
@@ -105,6 +91,11 @@ def _modulus(m) -> int:
     if m < 1:
         raise InvariantError(f"modulus must be positive, got {m}")
     return m
+
+
+def _zeros(spec: GroupSpec, m, dtype=np.int64) -> np.ndarray:
+    """Zero numerators on the lattice G x C_m, for a checked modulus m."""
+    return np.zeros(spec.order * _modulus(m), dtype=dtype)
 
 
 class _CycloLattice(_Lattice):
@@ -128,57 +119,50 @@ class _CycloLattice(_Lattice):
         if self.m != other.m:
             raise SpecMismatchError("cyclotomic moduli differ")
 
-    def reduced(self) -> tuple[int, tuple[int, ...]]:
-        """(den, integer matrix of shape order x phi(m), flattened) with every
-        zeta block reduced modulo the cyclotomic polynomial, in lowest terms."""
+    def reduced(self) -> tuple[int, np.ndarray]:
+        """(den, read-only integer matrix of shape order x phi(m), flattened)
+        with every zeta block reduced modulo the cyclotomic polynomial, in
+        lowest terms: each nonzero numerator times the reduced coordinates
+        of its power of zeta (see _zeta_rows), added into its group's row."""
         cached = getattr(self, "_reduced", None)
         if cached is None:
-            m = self.m
-            flat: list[int] = []
-            for start in range(0, len(self.nums), m):
-                flat.extend(_reduce_mod_cyclotomic(self.nums[start : start + m], m))
-            nums, den = lowest_terms(tuple(flat), self.den)
+            table = _zeta_rows(self.m)
+            at = np.flatnonzero(self.nums)
+            group, power = np.divmod(at, self.m)
+            vals, rows = self.nums[at], table[power]
+            # a group's row sums at most len(at) products
+            if max_abs(vals) * _zeta_top(self.m) * len(at) >= 2**63:
+                vals, rows = vals.astype(object), rows.astype(object)
+            out = np.zeros((self.spec.order, table.shape[1]), dtype=vals.dtype)
+            np.add.at(out, group, vals[:, None] * rows)
+            nums, den = lowest_terms(out.ravel(), self.den)
             cached = (den, nums)
             object.__setattr__(self, "_reduced", cached)
         return cached
 
-    def __eq__(self, other) -> bool:
-        if type(other) is not type(self):
-            return NotImplemented
-        return (
-            self.spec == other.spec
-            and self.m == other.m
-            and self.reduced() == other.reduced()
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.reduced()))
-
-    def is_zero(self) -> bool:
-        return not any(self.reduced()[1])
+    def _value(self) -> tuple:
+        den, nums = self.reduced()
+        return (self.m, den), nums
 
     def is_rational(self) -> bool:
         """True when every coefficient lies in Q (zeta components vanish)."""
-        den, flat = self.reduced()
-        deg = euler_phi(self.m)
-        for g in range(self.spec.order):
-            if any(flat[g * deg + 1 : (g + 1) * deg]):
-                return False
-        return True
+        flat = self.reduced()[1]
+        return not flat.reshape(self.spec.order, -1)[:, 1:].any()
 
 
 class CycloNumber(_CycloLattice):
     """Element of Q(zeta_m): the cyclotomic lattice over the trivial group,
     so nums/den are the m coordinates over 1, zeta, ..., zeta^(m-1) and
     .coeffs the phi(m) coordinates reduced modulo the m-th cyclotomic
-    polynomial.  The constructor takes any rationals, coordinates of any
-    length, and folds them modulo x^m - 1 (exact: Phi_m divides it).
+    polynomial.  The constructor takes any rationals (an array must hold
+    integers), coordinates of any length, and folds them modulo x^m - 1
+    (exact: Phi_m divides it).
 
     >>> i = CycloNumber.zeta(4)
     >>> i * i == CycloNumber.from_rational(4, -1)
     True
-    >>> (i * i).nums
-    (0, 0, 1, 0)
+    >>> (i * i).nums.tolist()
+    [0, 0, 1, 0]
     >>> (i * i).coeffs
     (Fraction(-1, 1), Fraction(0, 1))
     """
@@ -186,15 +170,21 @@ class CycloNumber(_CycloLattice):
     __slots__ = ()
 
     def __init__(self, m: int, coeffs: Iterable, den: int = 1):
-        coeffs = tuple(coeffs)
-        try:
-            nums = list(map(operator.index, coeffs))
-        except TypeError:  # Fraction, str, float, ...
-            nums, scale = integer_form(coeffs)
-            den *= scale
+        if isinstance(coeffs, np.ndarray):
+            nums = coeffs  # integers, checked by the normaliser
+        else:
+            coeffs = tuple(coeffs)
+            try:
+                nums = int_array(coeffs)
+            except TypeError:  # Fraction, str, float, ...
+                nums, scale = integer_form(coeffs)
+                nums, den = int_array(nums), den * scale
         m = _modulus(m)
-        if len(nums) != m:
-            nums = [sum(nums[r::m]) for r in range(m)]
+        if len(nums) < m:
+            nums = np.concatenate((nums, np.zeros(m - len(nums), dtype=nums.dtype)))
+        elif len(nums) > m:
+            vals = nums.tolist()
+            nums = [sum(vals[r::m]) for r in range(m)]
         super().__init__(_TRIVIAL_GROUP, m, nums, den)
 
     def _like(self, nums: Iterable[int], den: int) -> "CycloNumber":
@@ -222,13 +212,13 @@ class CycloNumber(_CycloLattice):
     def coeffs(self) -> tuple[Fraction, ...]:
         """The reduced coordinates as Fractions (a read-only view)."""
         den, flat = self.reduced()
-        return tuple(Fraction(v, den) for v in flat)
+        return tuple(Fraction(v, den) for v in flat.tolist())
 
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise InvariantError("value is not rational")
         den, flat = self.reduced()
-        return Fraction(flat[0], den)
+        return Fraction(int(flat[0]), den)
 
     def to_json(self) -> dict:
         den, flat = self.reduced()
@@ -245,11 +235,12 @@ class CycloNumber(_CycloLattice):
 def galois_apply(k: int, a: CycloNumber) -> CycloNumber:
     """Field automorphism zeta -> zeta^k (k coprime to the modulus): a
     permutation of the lattice entries, as i -> i*k mod m is a bijection."""
+    if not isinstance(a, CycloNumber):
+        raise SpecMismatchError("not an element of Q(zeta_m)")
     if math.gcd(k, a.m) != 1:
         raise InvariantError(f"{k} is not coprime to the modulus {a.m}")
-    out = [0] * a.m
-    for i, c in enumerate(a.nums):
-        out[i * k % a.m] = c
+    out = np.empty_like(a.nums)
+    out[np.arange(a.m) * (k % a.m) % a.m] = a.nums
     return CycloNumber(a.m, out, a.den)
 
 
@@ -265,19 +256,18 @@ class CycloAlgebraElement(_CycloLattice):
 
     @classmethod
     def zero(cls, spec: GroupSpec, m: int) -> "CycloAlgebraElement":
-        return cls(spec, m, (0,) * (spec.order * m))
+        return cls(spec, m, _zeros(spec, m))
 
     @classmethod
     def one(cls, spec: GroupSpec, m: int) -> "CycloAlgebraElement":
-        nums = [0] * (spec.order * m)
+        nums = _zeros(spec, m)
         nums[0] = 1
         return cls(spec, m, nums)
 
     @classmethod
     def from_rational_element(cls, a: AlgebraElement, m: int) -> "CycloAlgebraElement":
-        nums = [0] * (a.spec.order * m)
-        for g, v in enumerate(a.nums):
-            nums[g * m] = v
+        nums = _zeros(a.spec, m, a.nums.dtype)
+        nums[::m] = a.nums
         return cls(a.spec, m, nums, a.den)
 
     @classmethod
@@ -285,7 +275,7 @@ class CycloAlgebraElement(_CycloLattice):
         cls, spec: GroupSpec, m: int, g: GroupElement, zeta_exp: int, den: int = 1
     ) -> "CycloAlgebraElement":
         """den^-1 * zeta^zeta_exp * g."""
-        nums = [0] * (spec.order * m)
+        nums = _zeros(spec, m)
         nums[member_index(spec, g) * m + zeta_exp % m] = 1
         return cls(spec, m, nums, den)
 
@@ -294,35 +284,29 @@ class CycloAlgebraElement(_CycloLattice):
         cls, spec: GroupSpec, m: int, powers: Sequence[int], den: int
     ) -> "CycloAlgebraElement":
         """den^-1 * sum_g zeta^powers[g] * g over the group indices g, for
-        den >= 1.  Its numerators, ones over den, are in lowest terms as
-        built, and reduced() is read from the reduced powers of zeta (one
-        table row per group index) instead of reducing every zeta block.
+        den >= 1.
 
         >>> from pcikit.groups import parse_group_spec
         >>> c2 = parse_group_spec("2:[1]")
         >>> e = CycloAlgebraElement.from_zeta_powers(c2, 4, [0, 2], 2)
-        >>> e.nums, e.den, e.reduced()
-        ((1, 0, 0, 0, 0, 0, 1, 0), 2, (2, (1, 0, -1, 0)))
+        >>> den, flat = e.reduced()
+        >>> e.nums.tolist(), e.den, den, flat.tolist()
+        ([1, 0, 0, 0, 0, 0, 1, 0], 2, 2, [1, 0, -1, 0])
         """
         m = _modulus(m)
         if len(powers) != spec.order or den < 1:
             raise InvariantError("need one zeta power per group element and den >= 1")
-        powers = [e % m for e in powers]
-        nums = [0] * (spec.order * m)
-        for g, e in enumerate(powers):
-            nums[g * m + e] = 1
-        flat, flat_den = lowest_terms_int64(_zeta_rows(m)[powers].ravel(), den)
-        self = object.__new__(cls)
-        object.__setattr__(self, "m", m)
-        self._assign(spec, tuple(nums), den)
-        object.__setattr__(self, "_reduced", (flat_den, flat))
-        return self
+        nums = _zeros(spec, m)
+        nums[np.arange(spec.order) * m + np.array(powers, dtype=np.int64) % m] = 1
+        return cls(spec, m, nums, den)
 
     # -- coefficients -------------------------------------------------
 
     def cyclo_coeff(self, at) -> CycloNumber:
         """The Q(zeta_m) coefficient at a group element or an element index."""
         idx = int(at) if isinstance(at, numbers.Integral) else member_index(self.spec, at)
+        if not 0 <= idx < self.spec.order:
+            raise InvariantError(f"element index {idx} is outside range({self.spec.order})")
         m = self.m
         return CycloNumber(m, self.nums[idx * m : (idx + 1) * m], self.den)
 
@@ -334,10 +318,7 @@ class CycloAlgebraElement(_CycloLattice):
         if not self.is_rational():
             raise InconsistencyError("element has irrational coefficients")
         den, flat = self.reduced()
-        deg = euler_phi(self.m)
-        return AlgebraElement(
-            self.spec, (flat[g * deg] for g in range(self.spec.order)), den
-        )
+        return AlgebraElement(self.spec, flat.reshape(self.spec.order, -1)[:, 0], den)
 
     def coefficient_rows(self) -> "CoefficientRows":
         """to_json()["coeffs"] as one FractionList over the reduced matrix,

@@ -29,12 +29,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .algebra import (
-    AlgebraElement,
-    FactoredIdempotent,
-    expand_factored,
-    int_array,
-)
+from .algebra import AlgebraElement, FactoredIdempotent, exact_sum, expand_factored
 from .cyclotomic import CycloAlgebraElement, CycloNumber
 from .errors import (
     GroupSpecError,
@@ -56,6 +51,7 @@ from .groups import (
     identity,
     long_generator_sequence,
 )
+from .kernels import max_abs
 from .numtheory import euler_phi
 
 
@@ -121,10 +117,7 @@ class PciDiagram:
         return out
 
     def leaf_expansions(self) -> list[AlgebraElement]:
-        return [
-            AlgebraElement._from_int64(self.spec, nums, den)
-            for nums, den in self.leaf_numerators()
-        ]
+        return [AlgebraElement(self.spec, nums, den) for nums, den in self.leaf_numerators()]
 
     def level_sizes(self) -> list[int]:
         return [len(level) for level in self.levels]
@@ -352,10 +345,8 @@ def cyclic_rational_pcis(p: int, n: int) -> list[AlgebraElement]:
 
     def chain_average(i: int) -> AlgebraElement:
         # Average over the subgroup of order p^i.
-        step = p ** (n - i)
-        nums = [0] * order
-        for j in range(0, order, step):
-            nums[j] = 1
+        nums = np.zeros(order, dtype=np.int64)
+        nums[:: p ** (n - i)] = 1
         return AlgebraElement(spec, nums, p**i)
 
     return [chain_average(n)] + [
@@ -368,7 +359,7 @@ def _root_average_factor(
 ) -> CycloAlgebraElement:
     """(1/p) * sum over c < p of (zeta^root_exp * g)^c."""
     p = spec.p
-    nums = [0] * (spec.order * m)
+    nums = np.zeros(spec.order * m, dtype=np.int64)
     w = identity(spec)
     e = 0
     for _ in range(p):
@@ -411,11 +402,10 @@ def lift_into_extension(eta: CycloAlgebraElement) -> CycloAlgebraElement:
     n_small = small.classes[0][0] if small.classes else 0
     big = cyclic_group_spec(p, n_small + 1)
     m_big = big.order
-    nums = [0] * (big.order * m_big)
-    for i, v in enumerate(eta.nums):
-        if v:
-            g, e = divmod(i, eta.m)
-            nums[(g * p) * m_big + e * p] = v
+    nums = np.zeros(big.order * m_big, dtype=eta.nums.dtype)
+    at = np.flatnonzero(eta.nums)
+    g, e = np.divmod(at, eta.m)
+    nums[g * p * m_big + e * p] = eta.nums[at]
     return CycloAlgebraElement(big, m_big, nums, eta.den)
 
 
@@ -474,33 +464,24 @@ def galois_orbit_collapse(
     the rational primitive central idempotents.
 
     Each sum is taken on the members' reduced (order x phi(m)) matrices,
-    the coordinates split prints, over their least common denominator: in
-    int64 when max|entry| * scale * orbit size and that denominator are
-    below 2^63, on Python ints otherwise.  A sum is rational when every
-    coordinate but the constant one is zero."""
+    the coordinates split prints (see algebra.exact_sum).  A sum is
+    rational when every coordinate but the constant one is zero."""
     if len(splitting) != m:
         raise InvariantError("need one splitting idempotent per character index")
     spec = splitting[0].spec
     for e in splitting:
         if e.spec != spec or e.m != m:
             raise SpecMismatchError("splitting idempotents of different algebras")
-    width = euler_phi(m)
-    reduced = [(den, int_array(flat)) for den, flat in (e.reduced() for e in splitting)]
+    reduced = [e.reduced() for e in splitting]
     out = []
     for orbit in galois_orbits(m):
-        members = [reduced[t] for t in orbit]
-        den = math.lcm(*(d for d, _ in members))
-        # an entry outside int64 (an object array) makes top at least 2^63;
-        # a zero member's scale must fit as well
-        top = max(max(int(v.max()), -int(v.min())) * (den // d) for d, v in members)
-        dtype = np.int64 if max(top * len(orbit), den) < 2**63 else object
-        total = sum(v.astype(dtype, copy=False) * (den // d) for d, v in members)
-        total = total.reshape(spec.order, width)
+        total, den = exact_sum([reduced[t][::-1] for t in orbit])
+        total = total.reshape(spec.order, euler_phi(m))
         if total[:, 1:].any():
             raise InconsistencyError(
                 f"orbit {orbit} does not sum to a rational element"
             )
-        out.append(AlgebraElement._from_int64(spec, total[:, 0], den))
+        out.append(AlgebraElement(spec, total[:, 0], den))
     return out
 
 
@@ -519,7 +500,7 @@ class PciRecord(NamedTuple):
     @property
     def element(self) -> AlgebraElement:
         """The idempotent in lowest terms, built anew on each access."""
-        return AlgebraElement._from_int64(self.spec, self.nums, self.den)
+        return AlgebraElement(self.spec, self.nums, self.den)
 
 
 def lift_to_product(
@@ -541,10 +522,7 @@ def _tensor_products(
     Each is one np.multiply.outer per part, in int64 when every chosen
     array is int64 and the product of their largest |numerator| fits, and
     on Python ints otherwise."""
-    tops = [
-        [(vec, max(int(vec.max()), -int(vec.min())), den) for vec, den in vectors]
-        for vectors in per_part
-    ]
+    tops = [[(vec, max_abs(vec), den) for vec, den in vectors] for vectors in per_part]
     out = []
     for combo in itertools.product(*tops):
         # a zero top makes the bound 0 even when another part is an object vector
@@ -570,10 +548,8 @@ def cross_prime_product(
         for e in pcis:
             if e.spec != part:
                 raise SpecMismatchError("idempotent does not match its primary part")
-    products = _tensor_products(
-        [[(int_array(e.nums), e.den) for e in pcis] for pcis in per_part_sets]
-    )
-    return [AlgebraElement._from_int64(spec, nums, den) for nums, den in products]
+    products = _tensor_products([[(e.nums, e.den) for e in pcis] for pcis in per_part_sets])
+    return [AlgebraElement(spec, nums, den) for nums, den in products]
 
 
 def part_diagrams(spec, alternate_order: bool = False) -> list[PciDiagram]:

@@ -1,9 +1,10 @@
 """Integer convolution kernels behind the group-algebra product, and the
 pointwise idempotency test.
 
-Coefficient vectors are exact integers over a common denominator, so the
-algebra product is an integer convolution over the mixed-radix element
-enumeration.  Two kernels compute it, both exactly:
+Coefficient vectors are exact integers over a common denominator, held
+as one integer array each (see int_array), so the algebra product is an
+integer convolution over the mixed-radix element enumeration.  Two kernels
+compute it, both exactly, and return an array:
 
 * the direct kernel: numpy int64, one multiply-add per pair of nonzeros,
   whenever the bound on the result entries fits in int64;
@@ -22,6 +23,7 @@ See benchmarks/bench_kernels.py for a timing of each.
 from __future__ import annotations
 
 import math
+import operator
 from functools import cache
 
 import numpy as np
@@ -163,27 +165,48 @@ def transform_plan(orders: tuple[int, ...]) -> TransformPlan | None:
     return plan if plan.primes else None
 
 
-class Spectra:
-    """An integer vector's int64 form (None when an entry does not fit) and
-    its exact l1 and max norms."""
+def int_array(values) -> np.ndarray:
+    """values as the one numerator form: a 1-D int64 array when every
+    |v| < 2^63, an object array of Python ints otherwise.  -2^63 counts as
+    not fitting, so negating an int64 array and np.gcd on it stay exact, and
+    equal values always give the same dtype.  Any other int64 array is
+    returned as it is.  Each value must be an integer (operator.index): a
+    float, Fraction or string raises TypeError.
 
-    __slots__ = ("vec", "l1", "linf")
-
-    def __init__(self, values):
-        n = len(values)
+    >>> int_array([3, -1]).dtype, int_array([2**63, 1]).dtype
+    (dtype('int64'), dtype('O'))
+    >>> int_array(np.array([5, 2**63], dtype=object)[:1]).dtype
+    dtype('int64')
+    """
+    if isinstance(values, np.ndarray):
+        arr = values
+    else:
+        values = values if isinstance(values, (list, tuple)) else list(values)
+        arr = np.array(values)  # int64 when every value is an int that fits
+    if arr.dtype != np.int64:  # uint64, float64, object, ...: check each value
+        exact = list(map(operator.index, values))
         try:
-            vec = np.fromiter(values, dtype=np.int64, count=n)
+            arr = np.array(exact, dtype=np.int64)
         except OverflowError:
-            vec = None
-        if vec is None:
-            self.linf = max(map(abs, values))
-        else:
-            self.linf = max(int(vec.max()), -int(vec.min()))
-        if vec is not None and self.linf <= _INT64_MAX // n:
-            self.l1 = int(np.abs(vec).sum())
-        else:
-            self.l1 = sum(map(abs, values))
-        self.vec = vec
+            return np.array(exact, dtype=object)
+    if arr.size and arr.min() == -(2**63):
+        return arr.astype(object)
+    return arr
+
+
+def max_abs(vec: np.ndarray) -> int:
+    """max |v| over an integer array in the form int_array gives (so no
+    int64 entry is -2^63), 0 when it is empty."""
+    return int(np.abs(vec).max()) if vec.size else 0
+
+
+def _norms(vec: np.ndarray) -> tuple[int, int]:
+    """The exact l1 and max norms of an integer array (see int_array)."""
+    mags = np.abs(vec)
+    linf = int(mags.max()) if vec.size else 0
+    if vec.dtype != object and linf <= _INT64_MAX // max(len(vec), 1):
+        return int(mags.sum()), linf
+    return sum(mags.tolist()), linf
 
 
 def squares_to(values, den: int, orders: tuple[int, ...]) -> bool:
@@ -203,13 +226,15 @@ def squares_to(values, den: int, orders: tuple[int, ...]) -> bool:
     >>> squares_to((1, 1), 1, (2,))  # 1 + g: its square is 2 + 2g
     False
     """
-    s = Spectra(values)
+    vec = int_array(values)
+    l1, linf = _norms(vec)
     plan = transform_plan(orders)
-    # An entry beyond int64 (s.vec is None) puts B beyond every plan's primes.
-    count = plan.primes_for(s.l1 * s.linf + den * s.linf) if plan else None
+    # An entry beyond int64 (an object array) puts B beyond every plan's primes.
+    count = plan.primes_for(l1 * linf + den * linf) if plan else None
     if count is None:
-        return convolve_ints(values, values, orders) == [den * v for v in values]
-    spectra = (plan.forward(s.vec, i) for i in range(count))
+        vals = vec.tolist()
+        return convolve_ints(vals, vals, orders).tolist() == [den * v for v in vals]
+    spectra = (plan.forward(vec, i) for i in range(count))
     return all(
         np.array_equal(x * x % q, x * (den % q) % q)
         for q, x in zip(plan.primes, spectra)
@@ -234,8 +259,9 @@ def _convolve_direct(av, bv, orders) -> np.ndarray:
     return out
 
 
-def _convolve_bigint(a, b, orders):
-    # Arbitrary-precision fallback; only reached when int64 bounds fail.
+def _convolve_bigint(a, b, orders) -> np.ndarray:
+    # Arbitrary-precision fallback on lists of Python ints; only reached
+    # when int64 bounds fail.
     enum = enumeration(orders)
     cols = np.array([j for j, bj in enumerate(b) if bj], dtype=np.int64)
     b_cols = [b[j] for j in cols.tolist()]
@@ -244,12 +270,14 @@ def _convolve_bigint(a, b, orders):
         if ai:
             for k, bj in zip(enum.product(i, cols).tolist(), b_cols):
                 out[k] += ai * bj
-    return out
+    return np.array(out, dtype=object)
 
 
-def convolve_ints(a, b, orders: tuple[int, ...]):
-    """Exact convolution of two integer vectors over the abelian group with
-    the given cyclic factor orders.  Returns a list of Python ints.
+def convolve_ints(a, b, orders: tuple[int, ...]) -> np.ndarray:
+    """Exact convolution of two integer vectors (sequences or arrays, see
+    int_array) over the abelian group with the given cyclic factor orders:
+    an int64 array from the direct kernel, an object array of Python ints
+    from the bigint kernel.
 
     Every entry of the result, and every partial sum on the way to it, is
     at most B = min(l1(a)*max|b|, l1(b)*max|a|) in absolute value.  When B
@@ -258,11 +286,12 @@ def convolve_ints(a, b, orders: tuple[int, ...]):
     Otherwise the bigint kernel does.
     """
     n = math.prod(orders)
-    if len(a) != n or len(b) != n:
+    av, bv = int_array(a), int_array(b)
+    if len(av) != n or len(bv) != n:
         raise ValueError("coefficient vector length does not match the group order")
-    sa, sb = Spectra(a), Spectra(b)
-    if sa.l1 == 0 or sb.l1 == 0:
-        return [0] * n
-    if min(sa.l1 * sb.linf, sb.l1 * sa.linf) > _INT64_MAX:
-        return _convolve_bigint(a, b, orders)
-    return _convolve_direct(sa.vec, sb.vec, orders).tolist()
+    (a1, a_inf), (b1, b_inf) = _norms(av), _norms(bv)
+    if a1 == 0 or b1 == 0:
+        return np.zeros(n, dtype=np.int64)
+    if min(a1 * b_inf, b1 * a_inf) > _INT64_MAX:
+        return _convolve_bigint(av.tolist(), bv.tolist(), orders)
+    return _convolve_direct(av, bv, orders)

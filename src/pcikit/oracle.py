@@ -50,13 +50,21 @@ def dual_characters(spec: GroupSpec) -> list[CharacterIndex]:
 
 
 @cache
-def _ramanujan_table(m: int) -> tuple[int, ...]:
-    return tuple(ramanujan_sum(m, j) for j in range(m))
+def _ramanujan_table(m: int) -> np.ndarray:
+    # c_m(j) for j < m; read-only, as every caller shares it
+    table = np.array([ramanujan_sum(m, j) for j in range(m)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
 
 
 def rational_pci_of_character(spec: GroupSpec, chi: CharacterIndex) -> AlgebraElement:
     """The rational idempotent attached to chi: coefficient of g is the
     Ramanujan sum c_m(a) / |G| where chi(g^-1) = zeta_m^a and m = ord(chi)."""
+    return AlgebraElement(spec, _character_numerators(spec, chi), spec.order)
+
+
+def _character_numerators(spec: GroupSpec, chi: CharacterIndex) -> np.ndarray:
+    """rational_pci_of_character's numerators over |G|, not in lowest terms."""
     if chi.spec != spec:
         raise SpecMismatchError("character belongs to a different group")
     L = spec.exponent
@@ -69,20 +77,18 @@ def rational_pci_of_character(spec: GroupSpec, chi: CharacterIndex) -> AlgebraEl
     q, rem = np.divmod(w, L // m)
     if rem.any():
         raise InconsistencyError("character value outside its own root lattice")
-    a = (-q) % m
-    ram = np.array(_ramanujan_table(m), dtype=np.int64)
-    return AlgebraElement._from_int64(spec, ram[a], spec.order)
+    return _ramanujan_table(m)[(-q) % m]
 
 
 def oracle_pci_set(spec: GroupSpec) -> list[AlgebraElement]:
     """Complete set of primitive central idempotents of Q[G], one per Galois
     orbit of characters; equality of the idempotents within each orbit is
-    asserted along the way."""
+    asserted along the way, on their numerators over the one denominator
+    |G|."""
     enum = enumeration(spec.factor_orders)
     L = spec.exponent
     units = np.array([k for k in range(1, L + 1) if math.gcd(k, L) == 1])
     chars = dual_characters(spec)
-    pcis = [rational_pci_of_character(spec, chi) for chi in chars]
     out = []
     seen: set[int] = set()
     for i in range(len(chars)):
@@ -90,13 +96,14 @@ def oracle_pci_set(spec: GroupSpec) -> list[AlgebraElement]:
             continue
         orbit = set(enum.power(i, units[:, None]).tolist())
         seen |= orbit
-        for j in orbit:
-            if pcis[j] != pcis[i]:
+        row = _character_numerators(spec, chars[i])
+        for j in orbit - {i}:
+            if _character_numerators(spec, chars[j]).tobytes() != row.tobytes():
                 raise InconsistencyError(
                     f"characters {chars[i].t} and {chars[j].t} share a Galois orbit "
                     "but produced different idempotents"
                 )
-        out.append(pcis[i])
+        out.append(AlgebraElement(spec, row, spec.order))
     return out
 
 
@@ -202,19 +209,17 @@ class PciSetComparison:
 def compare_pci_sets(
     left: list[AlgebraElement], right: list[AlgebraElement]
 ) -> PciSetComparison:
-    """Multiset comparison of canonical coefficient vectors; on failure the
-    witness is an element present more often on the named side."""
+    """Multiset comparison of the elements; on failure the witness is the
+    first element, by (den, numerators), present more often on the named
+    side."""
     both = left + right
     for e in both:
         if not isinstance(e, AlgebraElement) or e.spec != both[0].spec:
             raise SpecMismatchError("sets of Q[G] elements over different groups")
-    lc = Counter((e.den, e.nums) for e in left)
-    rc = Counter((e.den, e.nums) for e in right)
+    lc, rc = Counter(left), Counter(right)
     if lc == rc:
         return PciSetComparison(True)
-    spec = (left or right)[0].spec
-    for key in sorted(lc.keys() | rc.keys()):
-        if lc[key] != rc[key]:
-            side = "left" if lc[key] > rc[key] else "right"
-            return PciSetComparison(False, AlgebraElement(spec, key[1], key[0]), side)
+    for e in sorted(lc.keys() | rc.keys(), key=lambda e: (e.den, e.nums.tolist())):
+        if lc[e] != rc[e]:
+            return PciSetComparison(False, e, "left" if lc[e] > rc[e] else "right")
     raise AssertionError("unreachable")

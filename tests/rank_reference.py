@@ -72,7 +72,7 @@ def kernel_and_field(e: AlgebraElement) -> KernelInfo:
         raise InvariantError("input is not an idempotent")
     spec = e.spec
     # the distinct translates of e span Q[G]e, so their rank is its dimension
-    rows = dict.fromkeys(translate(g, e).nums for g in elements(spec))
+    rows = dict.fromkeys(tuple(translate(g, e).nums.tolist()) for g in elements(spec))
     kernel = kernel_subgroup(e)
     quotient = spec.order // len(kernel)
     dim = fraction_free_rank(list(rows))

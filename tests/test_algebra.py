@@ -1,9 +1,11 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from pcikit import (
     AlgebraElement,
+    CycloAlgebraElement,
     FactoredIdempotent,
     InconsistencyError,
     InvariantError,
@@ -235,6 +237,30 @@ def test_scalar_arithmetic():
     assert -a + a == AlgebraElement.zero(C2)
 
 
+@pytest.mark.parametrize(
+    "bad", [2.5, np.float64(0.9), Fraction(1, 2), "1"], ids=["float", "float64", "Fraction", "str"]
+)
+def test_non_integral_numerators_and_denominators_are_refused(bad):
+    for build in (
+        lambda: AlgebraElement(C2, [bad, 1]),
+        lambda: AlgebraElement(C2, [1, 1], bad),
+        lambda: CycloAlgebraElement(C2, 2, [bad, 0, 0, 1]),
+        lambda: CycloAlgebraElement(C2, 2, [1, 0, 0, 1], bad),
+    ):
+        with pytest.raises(TypeError):
+            build()
+
+
+def test_element_numerators_are_read_only_and_unshared():
+    # the normaliser copies a writeable array it would otherwise keep
+    buf = np.array([1, 3])
+    a = AlgebraElement(C2, buf)
+    buf[0] = 5
+    assert a.nums.tolist() == [1, 3] and not a.nums.flags.writeable
+    with pytest.raises(ValueError):
+        a.nums[0] = 2
+
+
 def test_to_strings_matches_fraction_formatting():
     import random
 
@@ -245,7 +271,7 @@ def test_to_strings_matches_fraction_formatting():
         nums = [rng.choice([0, rng.randint(-(10**9), 10**9)]) for _ in range(spec.order)]
         a = AlgebraElement(spec, nums, den)
         expected = []
-        for v in a.nums:
+        for v in a.nums.tolist():
             f = Fraction(v, a.den)
             expected.append(f"{f.numerator}/{f.denominator}")
         assert a.to_strings() == expected

@@ -71,6 +71,8 @@ def test_galois_apply():
     assert galois_apply(3, galois_apply(2, a)) == galois_apply(6, a)
     with pytest.raises(InvariantError):
         galois_apply(2, CycloNumber.zeta(4))
+    with pytest.raises(SpecMismatchError):
+        galois_apply(3, CycloAlgebraElement.one(C4, 4))
 
 
 def test_galois_apply_is_ring_homomorphism():
@@ -133,6 +135,13 @@ def test_cyclo_algebra_product_and_translate():
     # x^2 * (zeta * x) moves every coefficient by x^2
     assert (x2 * z).cyclo_coeff(3) == CycloNumber.zeta(m)
     assert (x2 * z).cyclo_coeff(1).is_zero()
+
+
+def test_cyclo_coeff_refuses_an_index_outside_the_group():
+    e = CycloAlgebraElement.one(C4, 4)
+    for idx in (-1, 4, 10):
+        with pytest.raises(InvariantError):
+            e.cyclo_coeff(idx)
 
 
 def test_cyclo_algebra_mixed_modulus_rejected():

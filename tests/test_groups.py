@@ -177,4 +177,4 @@ def test_group_element_arguments_must_belong_to_the_group():
                 call()
     x3 = element(C4, (3,))
     assert CycloAlgebraElement.one(C4, 4).cyclo_coeff(x3).is_zero()
-    assert AlgebraElement.basis(C4, x3).nums == (0, 0, 0, 1)
+    assert AlgebraElement.basis(C4, x3).nums.tolist() == [0, 0, 0, 1]

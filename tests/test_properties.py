@@ -48,7 +48,7 @@ from pcikit.algebra import (
 )
 from pcikit.diagram import alternate_generator_labels, cross_prime_product
 from pcikit.groups import elements_from_indices, enumeration, extend_subgroup
-from pcikit.kernels import Spectra, _convolve_bigint, convolve_ints
+from pcikit.kernels import _convolve_bigint, _norms, convolve_ints, int_array
 from pcikit.numtheory import cyclotomic_poly, factorize
 from pcikit.verify import certify_idempotents
 
@@ -173,10 +173,11 @@ def int64_lattices(draw):
 @settings(max_examples=120, deadline=None)
 def test_lattice_from_int64_matches_public_constructor(data):
     spec, nums, den = data
-    fast = AlgebraElement._from_int64(spec, np.array(nums, dtype=np.int64), den)
+    fast = AlgebraElement(spec, np.array(nums, dtype=np.int64), den)
     slow = AlgebraElement(spec, nums, den)
-    assert (fast.nums, fast.den) == (slow.nums, slow.den)
-    assert all(type(v) is int for v in fast.nums)
+    assert fast == slow and hash(fast) == hash(slow)
+    assert (fast.nums.tolist(), fast.den) == (slow.nums.tolist(), slow.den)
+    assert fast.nums.dtype == slow.nums.dtype == np.int64
 
 
 def _cross_prime_product_reference(spec, per_part_sets):
@@ -186,7 +187,7 @@ def _cross_prime_product_reference(spec, per_part_sets):
     for combo in itertools.product(*per_part_sets):
         nums, den = [1], 1  # the empty product: 1 in Q[C_1]
         for e in combo:
-            nums = [x * y for x in nums for y in e.nums]
+            nums = [x * y for x in nums for y in e.nums.tolist()]
             den *= e.den
         out.append(AlgebraElement(spec, nums, den))
     return out
@@ -257,8 +258,10 @@ def test_cross_prime_product_matches_python_reference(data):
     spec, sets = data
     fast = cross_prime_product(spec, sets)
     slow = _cross_prime_product_reference(spec, sets)
-    assert [(e.nums, e.den) for e in fast] == [(e.nums, e.den) for e in slow]
-    assert all(type(v) is int for e in fast for v in e.nums)
+    assert [(e.nums.tolist(), e.den) for e in fast] == [
+        (e.nums.tolist(), e.den) for e in slow
+    ]
+    assert [e.nums.dtype for e in fast] == [e.nums.dtype for e in slow]
 
 
 def test_cross_prime_product_of_no_parts_matches_python_reference():
@@ -427,6 +430,60 @@ big_den_st = st.one_of(
 rational_st = st.builds(Fraction, big_int_st, big_den_st)
 
 
+# Values at the int64 edges, where the one numerator form switches dtype:
+# -2^63 fits int64 but counts as not fitting.
+edge_int_st = st.one_of(
+    st.integers(min_value=-9, max_value=9),
+    st.sampled_from([0, 2**63 - 1, 2**63, 2**63 + 1, -(2**63) + 1, -(2**63), -(2**63) - 1]),
+    st.sampled_from([2**70, -(2**70)]),
+)
+
+
+@given(st.lists(edge_int_st, min_size=1, max_size=8), edge_int_st.filter(bool))
+@example([-(2**63), 2], -2)
+@example([0, 0], 2**70)
+@settings(max_examples=150, deadline=None)
+def test_lowest_terms_matches_fraction_reference(nums, den):
+    fracs = [Fraction(v, den) for v in nums]
+    ref_den = math.lcm(1, *(f.denominator for f in fracs))
+    ref = [f.numerator * (ref_den // f.denominator) for f in fracs]
+    dtype = np.int64 if all(abs(v) < 2**63 for v in ref) else object
+    inputs = [nums, np.array(nums, dtype=object)]
+    if all(-(2**63) <= v < 2**63 for v in nums):
+        inputs.append(np.array(nums, dtype=np.int64))
+    for given_nums in inputs:
+        arr, d = lowest_terms(given_nums, den)
+        assert (arr.tolist(), d) == (ref, ref_den)
+        assert arr.dtype == dtype and not arr.flags.writeable
+
+
+def test_one_value_has_one_numerator_form():
+    # The same element from Python ints, an int64 array, an object array,
+    # a sum and a product has one dtype, one == and one hash.
+    spec = parse_group_spec("2:[1,1]")
+    one = AlgebraElement.one(spec)
+    for vals, den in (
+        ([1, -2, 3, 0], 6),
+        ([2**63 - 1, 0, 1, -1], 3),
+        ([2**64, -(2**63), 0, 2], 7),
+    ):
+        ref = AlgebraElement(spec, vals, den)
+        forms = [
+            AlgebraElement(spec, np.array(vals, dtype=object), den),
+            AlgebraElement(spec, [3 * v for v in vals], 3 * den),
+            lattice_sum([AlgebraElement(spec, vals, 2 * den)] * 2),
+            ref * one,
+            one * ref,
+        ]
+        if all(-(2**63) <= v < 2**63 for v in vals):
+            forms.append(AlgebraElement(spec, np.array(vals, dtype=np.int64), den))
+        for e in forms:
+            assert e == ref and hash(e) == hash(ref)
+            assert (e.nums.dtype, e.nums.tolist(), e.den) == (
+                ref.nums.dtype, ref.nums.tolist(), ref.den
+            )
+
+
 @given(st.lists(big_int_st, max_size=40), big_den_st)
 @settings(max_examples=100, deadline=None)
 def test_fraction_strings_match_fraction_reference(nums, den):
@@ -590,11 +647,11 @@ def test_lattice_sum_matches_left_fold_and_fractions(terms):
     assert type(total) is type(terms[0])
     assert total == functools.reduce(operator.add, terms)
     # one Fraction per lattice entry, rebuilt without lattice_sum
-    fracs = [
-        sum(Fraction(t.nums[i], t.den) for t in terms) for i in range(len(total.nums))
-    ]
-    nums, den = integer_form(fracs)
-    assert (total.nums, total.den) == lowest_terms(tuple(nums), den)
+    rows = [(t.nums.tolist(), t.den) for t in terms]
+    fracs = [sum(Fraction(nums[i], den) for nums, den in rows) for i in range(len(total.nums))]
+    nums, den = lowest_terms(*integer_form(fracs))
+    assert (total.nums.tolist(), total.den) == (nums.tolist(), den)
+    assert total.nums.dtype == nums.dtype
 
 
 def test_lattice_sum_refuses_empty_and_mixed_input():
@@ -647,10 +704,10 @@ def kernel_operands(draw):
 
 
 def _kernel_path(a, b, orders):
-    sa, sb = Spectra(a), Spectra(b)
-    if sa.l1 == 0 or sb.l1 == 0:
+    (a1, a_inf), (b1, b_inf) = _norms(int_array(a)), _norms(int_array(b))
+    if a1 == 0 or b1 == 0:
         return "zero"
-    return "bigint" if min(sa.l1 * sb.linf, sb.l1 * sa.linf) >= 2**63 else "direct"
+    return "bigint" if min(a1 * b_inf, b1 * a_inf) >= 2**63 else "direct"
 
 
 @given(kernel_operands())
@@ -658,7 +715,7 @@ def _kernel_path(a, b, orders):
 def test_convolve_ints_matches_bigint_reference(data):
     orders, a, b = data
     event(_kernel_path(a, b, orders))
-    assert convolve_ints(a, b, orders) == _convolve_bigint(a, b, orders)
+    assert convolve_ints(a, b, orders).tolist() == _convolve_bigint(a, b, orders).tolist()
 
 
 def test_kernel_magnitudes_reach_every_path():
@@ -668,7 +725,7 @@ def test_kernel_magnitudes_reach_every_path():
         a = [mag, -mag, 0, mag, 1, 0, 2, -1]
         b = [mag - 1, 3, -mag, 0, 0, 1, mag, 5]
         seen.add(_kernel_path(a, b, orders))
-        assert convolve_ints(a, b, orders) == _convolve_bigint(a, b, orders)
+        assert convolve_ints(a, b, orders).tolist() == _convolve_bigint(a, b, orders).tolist()
     assert seen == {"direct", "bigint"}
 
 
@@ -686,7 +743,7 @@ def pci_near_misses(draw):
     pos = draw(st.integers(min_value=0, max_value=spec.order - 1))
     step = draw(st.sampled_from([-1, 1]))
     e = pcis[i]
-    nums = list(e.nums)
+    nums = e.nums.tolist()
     nums[pos] += step
     return pcis[i], pcis[j], AlgebraElement(spec, nums, e.den), i == j
 
