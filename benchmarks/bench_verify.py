@@ -9,7 +9,7 @@ vertex), the idempotency and orthogonality certificate
 verify.SPLIT_CHECK_LIMIT only) and the whole of verify.run_checks.  Run:
 
     python benchmarks/bench_verify.py
-    python benchmarks/bench_verify.py --repeats 1 --groups "2:[1]*6,2:[5]"
+    python benchmarks/bench_verify.py --repeats 1 --groups "2:[1]*6,2:[5],3:[3],7:[2]"
 
 Each time is the best of --repeats calls after one warm-up call.
 """
@@ -67,7 +67,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--groups",
-        default="2:[1]*6,2:[2,2,2],2:[5],2:[6,6],2:[1]*12",
+        default="2:[1]*6,2:[2,2,2],2:[5],3:[3],7:[2],2:[6,6],2:[1]*12",
         help="comma-separated group descriptions; '2:[1]*6' repeats the exponent",
     )
     parser.add_argument("--repeats", type=int, default=3)

@@ -78,11 +78,41 @@ def _zeta_rows(m: int) -> np.ndarray:
 
 @cache
 def _zeta_top(m: int) -> int:
-    # max |entry| of _zeta_rows(m), for the int64 bound in reduced()
+    # max |entry| of _zeta_rows(m), for the int64 bound in reduce_rows
     return max_abs(_zeta_rows(m))
 
 
 _TRIVIAL_GROUP = AbelianGroupSpec(())
+
+
+def reduce_rows(matrix: np.ndarray, m: int) -> np.ndarray:
+    """Each row of a matrix of numerators on a lattice G x C_m reduced
+    modulo the m-th cyclotomic polynomial: row i of the result is the
+    (order x phi(m)) matrix, flattened, that adds each nonzero numerator of
+    row i times the reduced coordinates of its power of zeta (see
+    _zeta_rows) into its group's row, all rows in one np.add.at.  The
+    result is not in lowest terms.  It is int64 when every group's row
+    fits, that is when max|numerator| * max|table entry| times the most
+    nonzeros in one matrix row is below 2^63, and Python ints otherwise.
+    matrix is a 2-D integer array (see int_array).
+
+    >>> reduce_rows(np.array([[1, 0, 0, 1], [0, 0, 2, 0]]), 4).tolist()  # zeta^2 = -1
+    [[1, -1], [-2, 0]]
+    """
+    table = _zeta_rows(m)
+    flat = np.flatnonzero(matrix)
+    cell, power = np.divmod(flat, m)  # cell: matrix row * order + group index
+    vals, coords = matrix.reshape(-1)[flat], table[power]
+    # a group's row sums at most the nonzeros of its matrix row, and so at
+    # most len(flat); count per matrix row only when that bound is too loose
+    top = max_abs(vals) * _zeta_top(m)
+    if top * len(flat) >= 2**63:
+        most = int(np.bincount(cell // (matrix.shape[1] // m)).max())
+        if top * most >= 2**63:
+            vals, coords = vals.astype(object), coords.astype(object)
+    out = np.zeros((matrix.size // m, table.shape[1]), dtype=vals.dtype)
+    np.add.at(out, cell, vals[:, None] * coords)
+    return out.reshape(len(matrix), -1)
 
 
 def _modulus(m) -> int:
@@ -122,20 +152,10 @@ class _CycloLattice(_Lattice):
     def reduced(self) -> tuple[int, np.ndarray]:
         """(den, read-only integer matrix of shape order x phi(m), flattened)
         with every zeta block reduced modulo the cyclotomic polynomial, in
-        lowest terms: each nonzero numerator times the reduced coordinates
-        of its power of zeta (see _zeta_rows), added into its group's row."""
+        lowest terms: the one-row case of reduce_rows."""
         cached = getattr(self, "_reduced", None)
         if cached is None:
-            table = _zeta_rows(self.m)
-            at = np.flatnonzero(self.nums)
-            group, power = np.divmod(at, self.m)
-            vals, rows = self.nums[at], table[power]
-            # a group's row sums at most len(at) products
-            if max_abs(vals) * _zeta_top(self.m) * len(at) >= 2**63:
-                vals, rows = vals.astype(object), rows.astype(object)
-            out = np.zeros((self.spec.order, table.shape[1]), dtype=vals.dtype)
-            np.add.at(out, group, vals[:, None] * rows)
-            nums, den = lowest_terms(out.ravel(), self.den)
+            nums, den = lowest_terms(reduce_rows(self.nums[None], self.m)[0], self.den)
             cached = (den, nums)
             object.__setattr__(self, "_reduced", cached)
         return cached

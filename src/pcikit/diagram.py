@@ -30,7 +30,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .algebra import AlgebraElement, FactoredIdempotent, exact_sum, expand_factored
-from .cyclotomic import CycloAlgebraElement, CycloNumber
+from . import cyclotomic
+from .cyclotomic import CycloAlgebraElement, reduce_rows
 from .errors import (
     GroupSpecError,
     InconsistencyError,
@@ -48,7 +49,6 @@ from .groups import (
     elements_from_indices,
     embed_generator,
     enumeration,
-    identity,
     long_generator_sequence,
 )
 from .kernels import max_abs
@@ -354,21 +354,6 @@ def cyclic_rational_pcis(p: int, n: int) -> list[AlgebraElement]:
     ]
 
 
-def _root_average_factor(
-    spec: PrimaryGroupSpec, m: int, g: GroupElement, root_exp: int
-) -> CycloAlgebraElement:
-    """(1/p) * sum over c < p of (zeta^root_exp * g)^c."""
-    p = spec.p
-    nums = np.zeros(spec.order * m, dtype=np.int64)
-    w = identity(spec)
-    e = 0
-    for _ in range(p):
-        nums[element_index(w) * m + e] += 1
-        w = w * g
-        e = (e + root_exp) % m
-    return CycloAlgebraElement(spec, m, nums, p)
-
-
 def splitting_field_pcis(p: int, n: int) -> list[CycloAlgebraElement]:
     """The p^n primitive idempotents of Q(zeta_{p^n})[C_{p^n}], from the
     character formula: index t carries the character sending the group
@@ -417,7 +402,9 @@ def extension_children(
     eta must be a splitting idempotent of the index-p subgroup, already
     lifted into the big group's algebra (see lift_into_extension); top_gen
     is the new chain generator.  Children multiply eta by the p root-twisted
-    averages of top_gen whose roots are the p-th roots of eta's own top root.
+    averages (1/p) sum_{c<p} (zeta^r * top_gen)^c whose roots zeta^r are the
+    p-th roots of eta's own top root.  Each product adds up p index shifts
+    of eta's (group, zeta power) numerator array, one per term.
     """
     spec, m = _cyclic_spec(eta), eta.m
     p = spec.p
@@ -428,17 +415,31 @@ def extension_children(
             raise InvariantError("the only level-0 idempotent is the identity")
         root_exp = 0
     else:
-        sub_order = spec.order // p
-        attached = sub_order * eta.cyclo_coeff(element_index(top_gen**p))
-        # only a root exponent divisible by p is accepted, so only those are tried
-        matches = [e for e in range(0, m, p) if CycloNumber.zeta(m, e) == attached]
+        # The coefficient at top_gen^p times |G|/p must be zeta^e for exactly
+        # one e, and only an e divisible by p is accepted: compare its
+        # reduced row, in Python ints, with those of zeta^0, zeta^p, ...
+        at = element_index(top_gen**p)
+        block = eta.nums[at * m : (at + 1) * m][None]
+        attached = reduce_rows(block, m).astype(object) * (spec.order // p)
+        # the table reduce_rows reads, looked up the same way
+        roots = cyclotomic._zeta_rows(m)[::p].astype(object) * eta.den
+        matches = np.flatnonzero((roots == attached).all(axis=1))
         if len(matches) != 1:
             raise InvariantError("input is not a lifted splitting idempotent")
-        root_exp = matches[0] // p
-    step = m // p
+        root_exp = int(matches[0])
+    # child i at (h, z) sums eta at (h - top_gen^c, z - c * r_i) over c < p,
+    # r_i = root_exp + i * m / p: one gather of p * p shifted copies
+    grid = eta.nums.reshape(spec.order, m)
+    if max_abs(grid) * p >= 2**63:
+        grid = grid.astype(object)
+    c = np.arange(p)
+    moves = [element_index(top_gen**k) for k in range(p)]
+    rows = (np.arange(spec.order) - np.array(moves)[:, None]) % spec.order
+    twists = c[:, None] * (root_exp + c * (m // p))  # [c, i]
+    cols = (np.arange(m) - twists[..., None]) % m
+    summed = grid[rows[:, None, :, None], cols[:, :, None, :]].sum(axis=0)
     return [
-        eta * _root_average_factor(spec, m, top_gen, (root_exp + i * step) % m)
-        for i in range(p)
+        CycloAlgebraElement(spec, m, nums.ravel(), eta.den * p) for nums in summed
     ]
 
 
@@ -472,10 +473,19 @@ def galois_orbit_collapse(
     for e in splitting:
         if e.spec != spec or e.m != m:
             raise SpecMismatchError("splitting idempotents of different algebras")
-    reduced = [e.reduced() for e in splitting]
+    return galois_orbit_sums(spec, m, [e.reduced()[::-1] for e in splitting])
+
+
+def galois_orbit_sums(
+    spec: PrimaryGroupSpec, m: int, reduced: Sequence[tuple[np.ndarray, int]]
+) -> list[AlgebraElement]:
+    """galois_orbit_collapse on the splitting idempotents' reduced
+    coordinates: reduced[t] is the t-th one's (order x phi(m)) numerator
+    matrix, flattened, and its denominator, not necessarily in lowest
+    terms (see cyclotomic.reduce_rows)."""
     out = []
     for orbit in galois_orbits(m):
-        total, den = exact_sum([reduced[t][::-1] for t in orbit])
+        total, den = exact_sum([reduced[t] for t in orbit])
         total = total.reshape(spec.order, euler_phi(m))
         if total[:, 1:].any():
             raise InconsistencyError(

@@ -11,11 +11,14 @@ compute it, both exactly, and return an array:
 * the bigint kernel: arbitrary-precision Python ints, when that bound does
   not fit in int64.
 
-squares_to, the idempotency test, forms no product: it compares x*x with
-den*x pointwise on the group DFT of x over F_q with q = 1 (mod exp G), one
-small DFT matrix per cyclic axis, modulo one or two primes (Pollard, "The
-fast Fourier transform in a finite field", Math. Comp. 1971).  Only when no
-transform plan covers its bound does it form the square.
+squares_to_rows, the idempotency test, forms no product: for each row x
+of a stack it compares x*x with den*x pointwise on the group DFT of x over
+F_q with q = 1 (mod exp G), one small DFT matrix per cyclic axis, modulo
+one or two primes (Pollard, "The fast Fourier transform in a finite
+field", Math. Comp. 1971).  Rows are transformed in blocks of a bounded
+number of entries, the batch as the leading axis, and each row takes as
+many primes as its own bound needs.  Only a row whose bound no transform
+plan covers forms its square.  squares_to is its one-row case.
 
 See benchmarks/bench_kernels.py for a timing of each.
 """
@@ -40,6 +43,7 @@ except ImportError:
 _INT64_MAX = 2**63 - 1
 _MAX_DFT = 64  # largest DFT matrix side; longer cyclic axes are split four-step
 _PLAN_PRIMES = 2
+_BLOCK_CELLS = 2**18  # most matrix entries squares_to_rows transforms at once
 
 
 def active_backend() -> str:
@@ -129,15 +133,19 @@ class TransformPlan:
                 return count
         return None
 
-    def forward(self, vec: np.ndarray, i: int) -> np.ndarray:
-        """Spectrum of an int64 vector modulo the i-th prime."""
+    def forward(self, rows: np.ndarray, i: int) -> np.ndarray:
+        """Spectrum of each row of an int64 matrix modulo the i-th prime.
+        The rows are a leading batch axis: each step's matmul and twiddle
+        broadcast over it."""
         q = self.primes[i]
-        x = vec % q
-        for shape, mat, tshape, tw in self.forward_steps[i]:
-            x = np.matmul(mat, x.reshape(shape)) % q
+        x = rows % q
+        for (_, c, post), mat, tshape, tw in self.forward_steps[i]:
+            x = np.matmul(mat, x.reshape(-1, c, post))
+            x %= q
             if tw is not None:
-                x = x.reshape(tshape) * tw % q
-        return x.reshape(-1)
+                x = x.reshape(-1, *tshape[1:]) * tw
+                x %= q
+        return x.reshape(len(rows), -1)
 
 
 def _dft_matrix(q: int, w: int, c: int) -> np.ndarray:
@@ -200,45 +208,89 @@ def max_abs(vec: np.ndarray) -> int:
     return int(np.abs(vec).max()) if vec.size else 0
 
 
+def _row_norms(block: np.ndarray) -> tuple[list[int], list[int]]:
+    """The exact l1 and max norms of each row of a 2-D integer array whose
+    rows are in the form int_array gives."""
+    mags = np.abs(block)
+    linf = mags.max(axis=1)
+    if block.dtype != object and int(linf.max()) > _INT64_MAX // block.shape[1]:
+        mags = mags.astype(object)
+    return mags.sum(axis=1).tolist(), linf.tolist()
+
+
 def _norms(vec: np.ndarray) -> tuple[int, int]:
-    """The exact l1 and max norms of an integer array (see int_array)."""
-    mags = np.abs(vec)
-    linf = int(mags.max()) if vec.size else 0
-    if vec.dtype != object and linf <= _INT64_MAX // max(len(vec), 1):
-        return int(mags.sum()), linf
-    return sum(mags.tolist()), linf
+    """The exact l1 and max norms of a nonempty integer array (see
+    int_array): the one-row case of _row_norms."""
+    (l1,), (linf,) = _row_norms(vec[None])
+    return l1, linf
 
 
-def squares_to(values, den: int, orders: tuple[int, ...]) -> bool:
-    """Whether x*x == den*x exactly for the integer vector x = values (so
-    whether x/den is idempotent), tested pointwise on the transform T(x) as
-    T(x)^2 == den * T(x) modulo every prime needed.
+def squares_to_rows(matrix, dens, orders: tuple[int, ...]) -> np.ndarray:
+    """For each row x of matrix, over its denominator dens[i], whether
+    x*x == den*x exactly (so whether x/den is idempotent), as a bool array.
+    matrix is a 2-D integer array or a sequence of 1-D ones (see int_array),
+    each of length prod(orders).  Rows are tested in blocks of at most
+    _BLOCK_CELLS entries, stacked and transformed at once: each row is
+    tested pointwise on its transform T(x) as T(x)^2 == den * T(x) modulo
+    as many primes as its own bound needs, the second prime only for rows
+    the first passed.
 
     Exactness: c = x*x - den*x is an integer vector with
     |c| <= B = l1(x)*max|x| + den*max|x|.  Each axis length divides q - 1,
     so the transform is invertible mod q, and T(c) = 0 (mod q) gives
     c = 0 (mod q).  Over primes with product above 2B, c = 0 (mod their
-    product) forces c = 0.  Without such primes (no plan, or B too large)
-    x*x is formed in full by convolve_ints.
+    product) forces c = 0.  For a row without such primes (no plan, or B
+    too large) x*x is formed in full by convolve_ints.
+
+    >>> squares_to_rows([[1, 1], [1, 1], [0, 0]], [2, 1, 5], (2,)).tolist()
+    [True, False, True]
+    """
+    n = math.prod(orders)
+    plan = transform_plan(orders)
+    ok = np.ones(len(dens), dtype=bool)
+    step = max(1, _BLOCK_CELLS // n)
+    for start in range(0, len(dens), step):
+        block = np.asarray(matrix[start : start + step])
+        if block.shape[1:] != (n,):
+            raise ValueError("coefficient vector length does not match the group order")
+        block_dens = dens[start : start + step]
+        # An entry beyond int64 puts B beyond every plan's primes.
+        counts = [
+            plan.primes_for(l1 * top + den * top) if plan else None
+            for l1, top, den in zip(*_row_norms(block), block_dens)
+        ]
+        for r, count in enumerate(counts):
+            if count is None:
+                vals = block[r].tolist()
+                square = convolve_ints(vals, vals, orders).tolist()
+                ok[start + r] = square == [block_dens[r] * v for v in vals]
+        for i, q in enumerate(plan.primes if plan else ()):
+            sel = [
+                r for r, count in enumerate(counts)
+                if count is not None and count > i and ok[start + r]
+            ]
+            if not sel:
+                break
+            rows = block if len(sel) == len(block) else block[sel]
+            x = plan.forward(rows.astype(np.int64, copy=False), i)
+            square = x * x
+            square %= q
+            x *= np.array([block_dens[r] % q for r in sel], dtype=np.int64)[:, None]
+            x %= q
+            ok[start + np.array(sel)] = (square == x).all(axis=1)
+    return ok
+
+
+def squares_to(values, den: int, orders: tuple[int, ...]) -> bool:
+    """Whether x*x == den*x exactly for the integer vector x = values: the
+    one-row case of squares_to_rows.
 
     >>> squares_to((1, 1), 2, (2,))  # (1 + g)/2 in Q[C_2]
     True
     >>> squares_to((1, 1), 1, (2,))  # 1 + g: its square is 2 + 2g
     False
     """
-    vec = int_array(values)
-    l1, linf = _norms(vec)
-    plan = transform_plan(orders)
-    # An entry beyond int64 (an object array) puts B beyond every plan's primes.
-    count = plan.primes_for(l1 * linf + den * linf) if plan else None
-    if count is None:
-        vals = vec.tolist()
-        return convolve_ints(vals, vals, orders).tolist() == [den * v for v in vals]
-    spectra = (plan.forward(vec, i) for i in range(count))
-    return all(
-        np.array_equal(x * x % q, x * (den % q) % q)
-        for q, x in zip(plan.primes, spectra)
-    )
+    return bool(squares_to_rows([int_array(values)], [den], orders)[0])
 
 
 # -- direct and bigint kernels -------------------------------------------

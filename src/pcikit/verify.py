@@ -13,13 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraElement, is_idempotent, lattice_sum
-from .cyclotomic import CycloAlgebraElement
+from .algebra import AlgebraElement, exact_sum, lattice_sum
+from .cyclotomic import CycloAlgebraElement, reduce_rows
 from .diagram import (
     PciVertex,
     cyclic_rational_pcis,
     extension_children,
     galois_orbit_collapse,
+    galois_orbit_sums,
     lift_into_extension,
     part_diagrams,
     pci_records,
@@ -35,7 +36,8 @@ from .groups import (
     in_subgroup,
     subgroup_closure,
 )
-from .kernels import squares_to
+from .errors import InconsistencyError, InvariantError
+from .kernels import int_array, squares_to_rows
 from .oracle import compare_pci_sets, oracle_pci_set, wedderburn_profile
 
 SPLIT_CHECK_LIMIT = 64  # largest cyclic group whose splitting field is checked
@@ -55,15 +57,21 @@ def certify_idempotents(
 ) -> tuple[list[int], bool]:
     """The indices of the elements that are not idempotent, and whether the
     elements are idempotents with e_i e_j = 0 for all i != j, given their
-    sum total: one idempotency test per element and one more.
+    sum total: one idempotency test per element and one more, all as one
+    stack of rows (see kernels.squares_to_rows).
 
     Q[G] is commutative and semisimple, so its complex characters are ring
     homomorphisms that together separate elements.  Each maps every
     idempotent e_i to 0 or 1, so it maps total to the number of e_i it
     sends to 1.  So total is idempotent iff no character sends two e_i to 1,
     that is iff e_i e_j = 0 for all i != j."""
-    bad = [i for i, e in enumerate(elements) if not is_idempotent(e)]
-    return bad, not bad and is_idempotent(total)
+    ok = squares_to_rows(
+        [e.nums for e in elements] + [total.nums],
+        [e.den for e in elements] + [total.den],
+        total.spec.factor_orders,
+    )
+    bad = np.flatnonzero(~ok[:-1]).tolist()
+    return bad, not bad and bool(ok[-1])
 
 
 def collapse_matches_closed_form(
@@ -215,22 +223,68 @@ def _splitting_field_coherent(part, closed: list[AlgebraElement]) -> bool:
     sums are the closed-form rational set; and they are the extension
     children of the idempotents one chain step down.
 
-    Each e is first tested for e*e == e on the lattice Q[G x C_m] it is
-    held on, by squares_to.  Equality there implies equality modulo the
-    m-th cyclotomic polynomial, so a pass is exact; a failure may still be
-    equality in Q(zeta_m)[G], so then the product is formed and compared
-    reduced."""
+    The idempotents are checked as one stack of lattice numerator rows.
+    Each row is tested for e*e == e on the lattice Q[G x C_m] it is held
+    on, all at once by squares_to_rows.  Equality there implies equality
+    modulo the m-th cyclotomic polynomial, so a pass is exact; a failure
+    may still be equality in Q(zeta_m)[G], so for that row alone the
+    product is formed and compared reduced.  Every row is then reduced
+    modulo the cyclotomic polynomial in one step (reduce_rows): the sum,
+    the orbit sums and the match with the children all read those rows.
+    A level below whose idempotents are not lifted splitting idempotents,
+    or an orbit sum that is not rational, fails the check."""
     p, n, m = part.p, part.classes[0][0], part.order
-    splitting = splitting_field_pcis(p, n)
-    sound = all(
-        squares_to(e.nums, e.den, e.lattice_orders) or e * e == e for e in splitting
-    )
-    sound = sound and lattice_sum(splitting) == CycloAlgebraElement.one(part, m)
-    sound = sound and collapse_matches_closed_form(splitting, m, closed)[1]
+    reduced = _reduced_idempotent_rows(splitting_field_pcis(p, n), m)
+    if reduced is None:
+        return False
+    total, den = exact_sum(reduced)
+    if total[0] != den or total[1:].any():  # the sum is not 1
+        return False
     gen = GroupElement(part, (1,))
-    children = [
-        child
-        for eta in splitting_field_pcis(p, n - 1)
-        for child in extension_children(lift_into_extension(eta), gen)
-    ]
-    return sound and Counter(children) == Counter(splitting)
+    try:
+        collapsed = galois_orbit_sums(part, m, reduced)
+        children = [
+            child
+            for eta in splitting_field_pcis(p, n - 1)
+            for child in extension_children(lift_into_extension(eta), gen)
+        ]
+    except (InconsistencyError, InvariantError):
+        return False
+    if not compare_pci_sets(collapsed, closed).equal:
+        return False
+    kids = reduce_rows(np.stack([c.nums for c in children]), m)
+    kids_reduced = zip(kids, [c.den for c in children])
+    return np.array_equal(
+        _sorted_lowest_terms(reduced), _sorted_lowest_terms(kids_reduced)
+    )
+
+
+def _reduced_idempotent_rows(
+    elements: list[CycloAlgebraElement], m: int
+) -> list[tuple[np.ndarray, int]] | None:
+    """Each element's reduced numerator row (see reduce_rows) and its
+    denominator, or None when some element is not idempotent.  The
+    elements are tested as one stack by squares_to_rows, and an element
+    that fails there forms its product (see _splitting_field_coherent)."""
+    stack, dens = np.stack([e.nums for e in elements]), [e.den for e in elements]
+    passed = squares_to_rows(stack, dens, elements[0].lattice_orders)
+    failed = [elements[i] for i in np.flatnonzero(~passed)]
+    if not all(e * e == e for e in failed):
+        return None
+    return list(zip(reduce_rows(stack, m), dens))
+
+
+def _sorted_lowest_terms(reduced) -> np.ndarray:
+    """The (den, numerators...) rows of these (numerators, den) pairs in
+    lowest terms, lexsorted: two runs give equal matrices exactly when they
+    hold the same rationals equally often."""
+    nums, dens = zip(*reduced)
+    keys = np.column_stack((int_array(dens), np.stack(nums)))
+    keys //= np.gcd.reduce(keys, axis=1)[:, None]
+    keys = int_array(keys.ravel()).reshape(keys.shape)  # int64 whenever it fits
+    if keys.dtype == object:
+        return keys[np.lexsort(keys.T)]
+    # any total order will do: sort int64 rows as byte strings, in one step
+    # where lexsort takes one pass per column
+    rows = np.dtype((np.void, keys.itemsize * keys.shape[1]))
+    return np.sort(keys.view(rows).ravel())

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from pcikit import (
     AbelianGroupSpec,
@@ -19,7 +21,9 @@ from pcikit import (
     ramanujan_sum,
     ramanujan_sum_direct,
 )
-from pcikit.numtheory import cyclotomic_poly, divisors, euler_phi, poly_mul
+from pcikit.cyclotomic import reduce_rows
+from pcikit.kernels import int_array
+from pcikit.numtheory import cyclotomic_poly, divisors, euler_phi, poly_divmod, poly_mul
 
 C4 = PrimaryGroupSpec(2, ((2, 1),))
 
@@ -156,3 +160,29 @@ def test_repr_names_every_group():
     spec = parse_group_spec("2:[2,1]")
     assert repr(CycloAlgebraElement.one(spec, 4)) == "CycloAlgebraElement(2:[2,1], m=4)"
     assert repr(pci_set(spec)[0]).startswith("AlgebraElement(2:[2,1], ['1/8', ")
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_reduce_rows_matches_polynomial_remainder(data):
+    # Each row's zeta blocks, reduced in one step for the whole stack, are
+    # the remainders modulo the cyclotomic polynomial; entries near 2^62
+    # put some stacks on Python ints.
+    m = data.draw(st.sampled_from([1, 2, 4, 6, 8, 9, 12, 25]))
+    order = data.draw(st.sampled_from([1, 2, 3]))
+    value = st.integers(-3, 3)
+    if data.draw(st.booleans()):
+        value |= st.sampled_from([2**62, -(2**62), 2**70])
+    row = st.lists(value, min_size=order * m, max_size=order * m)
+    rows = data.draw(st.lists(row, min_size=1, max_size=4))
+    matrix = np.stack([int_array(r) for r in rows])  # an object matrix if any row is
+    got = reduce_rows(matrix, m)
+    event(f"dtype {got.dtype}")
+    phi = cyclotomic_poly(m)
+    deg = len(phi) - 1
+    for r, out in zip(rows, got.tolist()):
+        want = []
+        for g in range(order):
+            rem = poly_divmod(r[g * m : (g + 1) * m], phi)[1]
+            want += rem + [0] * (deg - len(rem))
+        assert out == want

@@ -1,11 +1,15 @@
+import math
 import os
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
+from hypothesis import event, example, given, settings, strategies as st
 
+from pcikit import kernels, pci_set
 from pcikit.groups import parse_group_spec
 from pcikit.kernels import (
     _convolve_bigint,
@@ -13,6 +17,7 @@ from pcikit.kernels import (
     _norms,
     convolve_ints,
     int_array,
+    squares_to_rows,
     transform_plan,
 )
 
@@ -151,6 +156,101 @@ def test_certify_idempotents_keeps_no_transforms():
     finally:
         tracemalloc.stop()
     assert retained < 64 * 1024
+
+
+# C_2, C_2 x C_2, C_3, C_4 x C_2, C_9: one DFT step per axis; C_128 and C_81:
+# an axis longer than 64, split four-step; C_67: no plan.
+SQUARE_GROUPS = (
+    "2:[1]", "2:[1,1]", "3:[1]", "2:[2,1]", "3:[2]", "2:[7]", "3:[4]", "67:[1]",
+)
+# 1 and 3 need one plan prime, 2^20 two, and 2^70 + 1 puts entries beyond
+# int64, so every plan's primes, on PCIs of these groups
+SQUARE_SCALES = (1, 3, 2**20, 2**70 + 1)
+
+
+def scaled_rows(e, scale, miss=0, at=0):
+    """e's numerators and denominator times scale, with miss added to one
+    numerator: an idempotent when miss is 0, else almost never."""
+    nums = [v * scale for v in e.nums.tolist()]
+    nums[at] += miss
+    return int_array(nums), e.den * scale
+
+
+def squares_by_convolution(vals: list[int], den: int, orders) -> bool:
+    return convolve_ints(vals, vals, orders).tolist() == [den * v for v in vals]
+
+
+@st.composite
+def stacked_rows(draw):
+    """(orders, rows, dens, rows per block): scaled PCIs of one group, some
+    with one numerator moved by 1."""
+    spec = parse_group_spec(draw(st.sampled_from(SQUARE_GROUPS)))
+    pcis = pci_set(spec)
+    index = st.integers(0, spec.order - 1)
+    pairs = [
+        scaled_rows(
+            draw(st.sampled_from(pcis)),
+            draw(st.sampled_from(SQUARE_SCALES)),
+            draw(st.sampled_from([0, 0, 1, -1])),
+            draw(index),
+        )
+        for _ in range(draw(st.integers(1, 9)))
+    ]
+    rows, dens = (list(t) for t in zip(*pairs))
+    return spec.factor_orders, rows, dens, draw(st.integers(1, 4))
+
+
+def _every_scale(group: str, per_block: int):
+    """Each PCI of group at each scale, as it is and moved by 1."""
+    spec = parse_group_spec(group)
+    pairs = [
+        scaled_rows(e, scale, miss)
+        for e in pci_set(spec)
+        for scale in SQUARE_SCALES
+        for miss in (0, 1)
+    ]
+    rows, dens = (list(t) for t in zip(*pairs))
+    return spec.factor_orders, rows, dens, per_block
+
+
+@given(stacked_rows(), st.booleans())
+@example(_every_scale("2:[7]", 3), True)
+@example(_every_scale("2:[1]", 2**18), False)
+@example(_every_scale("67:[1]", 1), False)
+@settings(max_examples=80, deadline=None)
+def test_squares_to_rows_matches_convolution(data, as_matrix):
+    # Row by row, the batched verdict is whether x*x == den*x with the
+    # square formed in full; blocks of 1-4 rows, or all rows in one.
+    orders, rows, dens, per_block = data
+    want = [squares_by_convolution(r.tolist(), d, orders) for r, d in zip(rows, dens)]
+    matrix = np.array(rows) if as_matrix else rows  # an object matrix if any row is
+    reached = []
+    forward, square = kernels.TransformPlan.forward, kernels.convolve_ints
+
+    def spy_forward(plan, block, i):
+        reached.append(f"prime {i}")
+        return forward(plan, block, i)
+
+    def spy_square(a, b, orders):
+        reached.append("square")
+        return square(a, b, orders)
+
+    with (
+        patch.object(kernels, "_BLOCK_CELLS", per_block * math.prod(orders)),
+        patch.object(kernels.TransformPlan, "forward", spy_forward),
+        patch.object(kernels, "convolve_ints", spy_square),
+    ):
+        got = squares_to_rows(matrix, dens, orders)
+    for path in sorted(set(reached)):
+        event(path)
+    event(f"orders {orders}, {math.ceil(len(rows) / per_block)} blocks")
+    assert got.dtype == bool and got.tolist() == want
+
+
+def test_squares_to_rows_refuses_a_wrong_row_length():
+    # a row of 2n entries must not pass as two rows of n
+    with np.testing.assert_raises(ValueError):
+        squares_to_rows([np.ones(8, dtype=np.int64)], [1], (2, 2))
 
 
 def test_direct_kernels_match_bigint_reference():

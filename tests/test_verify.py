@@ -15,17 +15,22 @@ import verify_reference
 from conftest import full_corpus
 from pcikit import (
     CycloAlgebraElement,
+    GroupElement,
     InvariantError,
+    cyclic_group_spec,
+    cyclic_rational_pcis,
     cyclotomic,
     diagram,
     element_from_index,
+    extension_children,
+    lift_into_extension,
     parse_group_spec,
     splitting_field_pcis,
     verify,
 )
 from pcikit.cli import main
 from pcikit.kernels import squares_to
-from pcikit.numtheory import cyclotomic_poly
+from pcikit.numtheory import cyclotomic_poly, is_prime
 
 ENGINE_CHECKS = {
     "engine_idempotency",
@@ -199,8 +204,9 @@ def test_vertex_kernels_match_reference_on_mutated_vertices(vertices):
 
 
 def replace_splitting_idempotent(monkeypatch, p, n, change):
-    """Make verify see change(out) in place of the splitting idempotent of
-    index 1 of C_{p^n}, out being the list of all of them."""
+    """Make verify, and the reference check, see change(out) in place of the
+    splitting idempotent of index 1 of C_{p^n}, out being the list of all
+    of them."""
     original = verify.splitting_field_pcis
 
     def replaced(q, k):
@@ -210,6 +216,7 @@ def replace_splitting_idempotent(monkeypatch, p, n, change):
         return out
 
     monkeypatch.setattr(verify, "splitting_field_pcis", replaced)
+    monkeypatch.setattr(verify_reference, "splitting_field_pcis", replaced)
 
 
 @pytest.mark.parametrize("group, p, n", [("2:[3]", 2, 3), ("3:[2]", 3, 2)])
@@ -253,6 +260,23 @@ def test_scaled_splitting_idempotent_fails_coherence(group, p, n, monkeypatch, c
     assert failed_checks(group, capsys) == {"splitting_field_coherence"}
 
 
+@pytest.mark.parametrize("group, p, n", [("2:[3]", 2, 2), ("3:[2]", 3, 1)])
+def test_scaled_splitting_idempotent_one_level_down_fails_coherence(
+    group, p, n, monkeypatch, capsys
+):
+    # The level below is not a set of lifted splitting idempotents, so
+    # extension_children refuses one of them; the check fails and the full
+    # report is printed, with exit 1 rather than an error exit.
+    assert main(["verify", "--group", group]) == 0
+    count = len(json.loads(capsys.readouterr().out)["checks"])
+    replace_splitting_idempotent(monkeypatch, p, n, lambda out: out[1].scaled(2))
+    assert failed_checks(group, capsys) == {"splitting_field_coherence"}
+    assert main(["verify", "--group", group, "--format", "text"]) == 1
+    report = capsys.readouterr().out.splitlines()
+    assert len(report) == count + 2 and report[-1] == "overall: FAIL"
+    assert "FAIL splitting_field_coherence: modulus" in "\n".join(report)
+
+
 def flip_c8_zeta_table_entry(monkeypatch):
     """Flip entry [1, 0] of the table of reduced zeta powers of C_8: zeta
     reads as 1 + zeta in every reduction taken from the table."""
@@ -283,3 +307,64 @@ def test_flipped_zeta_table_entry_fails_split(monkeypatch, capsys):
     flip_c8_zeta_table_entry(monkeypatch)
     assert main(["split", "--group", "2:[3]"]) == 1
     assert json.loads(capsys.readouterr().out)["matches_closed_form"] is False
+
+
+def _cyclic_groups_to_64():
+    return [
+        (p, n)
+        for p in range(2, 64)
+        if is_prime(p)
+        for n in range(1, 7)
+        if p**n <= verify.SPLIT_CHECK_LIMIT
+    ]
+
+
+def _coherence_verdicts(p, n):
+    part = cyclic_group_spec(p, n)
+    closed = cyclic_rational_pcis(p, n)
+    return (
+        verify._splitting_field_coherent(part, closed),
+        verify_reference.splitting_field_coherent(part, closed),
+    )
+
+
+@pytest.mark.parametrize("p, n", _cyclic_groups_to_64())
+def test_splitting_field_coherence_matches_reference(p, n):
+    assert _coherence_verdicts(p, n) == (True, True)
+
+
+@pytest.mark.parametrize("p, n", [(2, 3), (3, 2), (2, 5), (5, 2), (7, 2)])
+@pytest.mark.parametrize(
+    "level, change, verdict",
+    [
+        pytest.param(0, lambda out: out[0], False, id="duplicated"),
+        pytest.param(0, lambda out: out[1].scaled(2), False, id="scaled"),
+        pytest.param(0, lambda out: plus_phi_m(out[1]), True, id="plus-phi-m"),
+        pytest.param(1, lambda out: out[1].scaled(2), False, id="scaled-one-level-down"),
+        # every check but the match with the extension children still passes
+        pytest.param(1, lambda out: out[0], False, id="duplicated-one-level-down"),
+    ],
+)
+def test_splitting_field_coherence_matches_reference_under_faults(
+    p, n, level, change, verdict, monkeypatch
+):
+    replace_splitting_idempotent(monkeypatch, p, n - level, change)
+    assert _coherence_verdicts(p, n) == (verdict, verdict)
+
+
+def test_splitting_field_coherence_matches_reference_under_flipped_table(monkeypatch):
+    flip_c8_zeta_table_entry(monkeypatch)
+    assert _coherence_verdicts(2, 3) == (False, False)
+
+
+@pytest.mark.parametrize("p, n", [pn for pn in _cyclic_groups_to_64() if pn[1] > 1])
+def test_extension_children_match_reference(p, n):
+    # the same children in the same order, level by level up to C_{p^n}
+    gen = GroupElement(cyclic_group_spec(p, n), (1,))
+    for eta in splitting_field_pcis(p, n - 1):
+        lifted = lift_into_extension(eta)
+        got = extension_children(lifted, gen)
+        want = verify_reference.extension_children(lifted, gen)
+        assert [(c.den, c.nums.tolist()) for c in got] == [
+            (c.den, c.nums.tolist()) for c in want
+        ]
