@@ -25,13 +25,15 @@ from pcikit.kernels import _convolve_bigint, _convolve_direct, convolve_ints, sq
 
 
 def expand_group_text(text):
-    # "2:[1]*6" is shorthand for "2:[1,1,1,1,1,1]"
-    if "*" in text:
-        head, mult = text.split("*")
-        prime, exps = head.split(":[")
-        exps = exps.rstrip("]")
-        return f"{prime}:[{','.join([exps] * int(mult))}]"
-    return text
+    # "2:[1]*6" is shorthand for "2:[1,1,1,1,1,1]", in each ";"-separated part
+    parts = []
+    for part in text.split(";"):
+        if "*" in part:
+            head, mult = part.split("*")
+            prime, exps = head.split(":[")
+            part = f"{prime}:[{','.join([exps.rstrip(']')] * int(mult))}]"
+        parts.append(part)
+    return ";".join(parts)
 
 
 def best_of(run, repeats):

@@ -94,48 +94,106 @@ def integer_form(values: Iterable) -> tuple[list[int], int]:
     return [f.numerator * (den // f.denominator) for f in fracs], den
 
 
+def _fraction(num: int, den: int) -> str:
+    g = math.gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 class FractionList:
-    """The rationals nums[i]/den as exact "num/den" strings in lowest terms,
-    held as a table of the distinct strings plus, for each entry, the
-    position of its string in that table.  One sort and one binary search
-    find them (np.unique with return_inverse took 2-8 times as long on pci
-    rows), only the distinct numerators are reduced and formatted, and
-    writing the list is one gather and one join.  cli's JSON writer writes
-    it as a list of strings.  nums may be an int64 or object array (see
-    int_array), which is read as it is, with no copy.
+    """The rationals nums[..., j]/den as exact "num/den" strings in lowest
+    terms: a 1-D nums over one den, or a 2-D block of rows over one den or
+    a list of one den per row.  They are held as a table of the distinct strings, one per
+    distinct (den, numerator), plus, for each entry, the position of its
+    string in that table.  Only the distinct fractions are reduced and
+    formatted, and writing the entries is one gather and one join.
+
+    An int64 block whose (den, numerator) keys span no more slots than it
+    has entries (pci's rows: a few dens, numerators in a short range) finds
+    them by marking the keys in one table of that span, with no sort.  Any
+    other block takes one sort and one binary search per den.  nums may be
+    an int64 or object array (see int_array), which is read as it is, with
+    no copy.  cli's JSON writer writes a 1-D list as a list of strings.
 
     >>> f = FractionList((0, -2, 3, 2**64, 3), 6)
     >>> f.table, f.index.tolist()
     (['-1/3', '0/1', '1/2', '9223372036854775808/3'], [1, 0, 2, 3, 2])
     >>> f.join(", ")
     '0/1, -1/3, 1/2, 9223372036854775808/3, 1/2'
+    >>> rows = FractionList(np.array([[2, 0, -2], [2, 2, 0]]), [4, 2])
+    >>> rows.strings()
+    [['1/2', '0/1', '-1/2'], ['1/1', '1/1', '0/1']]
+    >>> rows.rows_text(" ", ["a: ", "; b: "], ".")
+    'a: 1/2 0/1 -1/2; b: 1/1 1/1 0/1.'
     """
 
     __slots__ = ("table", "index")
 
-    def __init__(self, nums: Sequence[int] | np.ndarray, den: int):
+    def __init__(self, nums: Sequence[int] | np.ndarray, den: int | list[int]):
         vals = nums if isinstance(nums, np.ndarray) else int_array(nums)
-        ordered = np.sort(vals)
-        starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1  # a new value
-        distinct = np.concatenate((ordered[:1], ordered[starts]))
-        den = int(den)
-        table = []
-        for v in distinct.tolist():
-            g = math.gcd(v, den)
-            table.append(f"{v // g}/{den // g}")
-        self.table, self.index = table, np.searchsorted(distinct, vals)
+        block = vals if vals.ndim == 2 else vals.reshape(1, -1)
+        # den: one for every row, or a list of one per row
+        distinct = list(dict.fromkeys(den)) if isinstance(den, list) else [den]
+        slots = None
+        if len(distinct) > 1:
+            slot = {d: s for s, d in enumerate(distinct)}
+            slots = np.array([slot[d] for d in den], dtype=np.int64)
+        distinct = [int(d) for d in distinct]
+        table: list[str] = []
+        index = None
+        if vals.dtype == np.int64 and block.size:
+            lo = int(block.min())
+            span = int(block.max()) - lo + 1
+            if span * len(distinct) <= block.size:
+                keys = block - lo
+                if slots is not None:
+                    keys += (slots * span)[:, None]
+                present = np.zeros(span * len(distinct), dtype=bool)
+                present[keys] = True
+                rank = present.cumsum()
+                rank -= 1
+                index = rank[keys]
+                for k in np.flatnonzero(present).tolist():
+                    table.append(_fraction(k % span + lo, distinct[k // span]))
+        if index is None:
+            index = np.empty(block.shape, dtype=np.int64)
+            for s, d in enumerate(distinct):
+                rows = slice(None) if slots is None else slots == s
+                part = block[rows]
+                ordered = np.sort(part, axis=None)
+                starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1  # a new value
+                values = np.concatenate((ordered[:1], ordered[starts]))
+                index[rows] = len(table) + np.searchsorted(values, part)
+                table += [_fraction(v, d) for v in values.tolist()]
+        self.table, self.index = table, index.reshape(vals.shape)
 
     def __len__(self) -> int:
         return len(self.index)
 
-    def strings(self, form=None) -> list[str]:
-        """The strings in entry order, each first passed through form when
-        it is given (once per distinct string)."""
-        table = self.table if form is None else list(map(form, self.table))
-        return np.array(table, dtype=object)[self.index].tolist()
+    def _formed(self, form) -> list[str]:
+        # the table, each string passed through form when it is given
+        return self.table if form is None else list(map(form, self.table))
+
+    def strings(self, form=None) -> list:
+        """The strings in entry order (a list of row lists for a block),
+        each first passed through form when it is given (once per distinct
+        string)."""
+        return np.array(self._formed(form), dtype=object)[self.index].tolist()
 
     def join(self, sep: str, form=None) -> str:
         return sep.join(self.strings(form))
+
+    def rows_text(self, sep: str, heads: Sequence[str], end: str, form=None) -> str:
+        """heads[0] + row 0's strings joined by sep + heads[1] + row 1's
+        ... + end, for a block; form as in strings.  One gather over the
+        table with sep already prefixed, one tolist and one join."""
+        if not self.index.size:
+            return "".join(heads) + end
+        table = self._formed(form)
+        cells = np.array([sep + s for s in table], dtype=object)[self.index]
+        firsts = self.index[:, 0].tolist()
+        cells[:, 0] = [head + table[i] for head, i in zip(heads, firsts)]
+        cells[-1, -1] += end
+        return "".join(cells.ravel().tolist())
 
 
 def fraction_strings(nums: Sequence[int], den: int) -> list[str]:

@@ -2,6 +2,10 @@
 computation, and emit deterministic JSON/text/DOT, including the report of
 the checks in verify.py.  Exit codes: 0 success, 1 verification failure,
 2 invalid input.
+
+Each handler does every step that can fail, then returns its exit code and
+its output as pieces of text that are made as they are consumed; main
+writes them in chunks as they come, and run joins them.
 """
 
 from __future__ import annotations
@@ -9,8 +13,11 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
+import math
 import sys
+from typing import Iterable, Iterator
 
 from .algebra import FractionList
 from .cyclotomic import CoefficientRows
@@ -19,7 +26,7 @@ from .diagram import (
     emit_dot,
     galois_orbits,
     part_diagrams,
-    record_arrays,
+    record_blocks,
     splitting_field_pcis,
 )
 from .errors import (
@@ -39,8 +46,9 @@ DEFAULT_MAX_ORDER = 4096
 # split of C_m builds m^2 * phi(m) reduced coefficients (JSON writes them all);
 # C_{2^8}, with 2^23 of them, is the largest cyclic group whose split finishes.
 SPLIT_MAX_COEFFICIENTS = 2**23
-# pci and verify hold |G| idempotents of |G| coefficients each; C_2^12, the
-# largest order the default cap admits, sits exactly on the limit.
+# verify holds |G| idempotents of |G| coefficients each, and pci writes as
+# many (holding one block of rows at a time); C_2^12, the largest order the
+# default cap admits, sits exactly on the limit.
 DENSE_MAX_COEFFICIENTS = 2**24
 # diagram holds one character row per vertex; its largest array is one
 # level's witness scan, |G_l| entries per vertex that scans, below
@@ -52,6 +60,9 @@ DIAGRAM_MAX_ENTRIES = 2**24
 # C_2^20, the costliest census the limit admits, that takes about 1 s and
 # 214 MB peak as one process on 2 vCPUs, mostly 20 int64 digits an element.
 WEDDERBURN_MAX_ELEMENTS = 2**20
+# main joins the output's pieces into chunks of at least this many
+# characters before it writes them, so that a small output is one write.
+CHUNK_CHARS = 2**16
 
 
 @dataclasses.dataclass
@@ -76,13 +87,79 @@ def _json_text(payload) -> str:
     this writer dispatches on exact types: dict (str keys), list, tuple,
     str, int, bool and None are written here, a FractionList as the list of
     its strings, CoefficientRows as the list of {"m", "coeffs"} dicts of
-    CycloAlgebraElement.to_json()["coeffs"], a float by json.dumps, and any
-    other type raises TypeError.  Dict values and list items that _inline
-    writes in one piece take no recursive call."""
+    CycloAlgebraElement.to_json()["coeffs"], an _Items list as the list of
+    its items, a float by json.dumps, and any other type raises TypeError.
+    Dict values and list items that _inline writes in one piece take no
+    recursive call."""
+    return "".join(_json_chunks(payload))
+
+
+def _json_chunks(payload) -> Iterator[str]:
+    """_json_text(payload) in pieces: a dict's values and an _Items list's
+    items one or more at a time, so that an _Items list's items are made
+    only as its text is written."""
+    yield from _pieces(payload, "\n", {})
+    yield "\n"
+
+
+class _Items:
+    """A JSON list whose items are made while the output is written:
+    items(newline) yields them for the indent newline of an item, each as a
+    JSON value or as _Raw text."""
+
+    __slots__ = ("items",)
+
+    def __init__(self, items):
+        self.items = items
+
+
+class _Raw:
+    """The JSON text of one or more items of an _Items list at its item
+    indent, each item preceded by its separator: "[" and the indent before
+    the list's first item, "," and the indent before any other."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _pieces(obj, newline: str, memo: dict) -> Iterator[str]:
+    """The text of obj in pieces: a dict value by value, recursing into
+    dict and _Items values; an _Items list item by item; anything else in
+    one piece (see _write)."""
+    kind = type(obj)
+    if kind is _Items:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in obj.items(inner):
+            if type(item) is _Raw:
+                yield item.text
+            else:
+                yield sep
+                yield from _pieces(item, inner, memo)
+            sep = "," + inner
+        yield "[]" if sep[0] == "[" else newline + "]"
+        return
     out: list[str] = []
-    _write(payload, "\n", out, {})
-    out.append("\n")
-    return "".join(out)
+    if kind is dict and obj:
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, value in obj.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(sep + _quote(key) + ": ")
+            if type(value) is dict or type(value) is _Items:
+                yield "".join(out)
+                out = []
+                yield from _pieces(value, inner, memo)
+            else:
+                _write(value, inner, out, memo)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        _write(obj, newline, out, memo)
+    yield "".join(out)
 
 
 _INT = frozenset((int,))
@@ -135,7 +212,7 @@ def _inline(obj, newline: str, memo: dict) -> str | None:
 
 def _write(obj, newline: str, out: list[str], memo: dict) -> None:
     # newline: a line break and the indent of the line obj starts on; memo:
-    # the texts of _int_tuple, one dict per _json_text call.
+    # the texts of _int_tuple, one dict per _json_chunks call.
     kind = type(obj)
     if kind is dict:
         if not obj:
@@ -182,14 +259,15 @@ def _write(obj, newline: str, out: list[str], memo: dict) -> None:
             return
         inner = newline + "  "
         out.append("[" + inner + obj.join("," + inner, _quote) + newline + "]")
-    elif kind is CoefficientRows:  # one join per row, no dict per row
+    elif kind is CoefficientRows:  # one join for every row, no dict per row
         inner = newline + "  "
         key = inner + "  "
         item = key + "  "
         head = "{" + key + f'"m": {obj.m},' + key + '"coeffs": [' + item
         tail = key + "]" + inner + "}"
-        rows = obj.join("," + item, tail + "," + inner + head, _quote)
-        out.append("[" + inner + head + rows + tail + newline + "]")
+        between = tail + "," + inner + head
+        end = tail + newline + "]"
+        out.append(obj.rows_text("," + item, "[" + inner + head, between, end, _quote))
     elif kind is float:
         out.append(json.dumps(obj))
     elif (text := _inline(obj, newline, memo)) is not None:
@@ -224,40 +302,77 @@ def _refuse_over(limit: int, count: int, what: str, unit: str = "coefficients") 
 # -- pci ----------------------------------------------------------------
 
 
-def _run_pci(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
+def _run_pci(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, Iterable[str]]:
     _refuse_over(DENSE_MAX_COEFFICIENTS, spec.order**2, f"pci of order {spec.order}")
-    records = record_arrays(spec, part_diagrams(spec, config.alternate_order))
-    rows = []
-    for i, rec in enumerate(records):
-        d = rec.quotient_order
-        pp = prime_power(d)
-        rows.append(
-            {
-                "index": i,
-                "coefficients": FractionList(rec.nums, rec.den),
-                "kernel_order": rec.kernel_order,
-                "quotient_order": d,
-                "field": _field_name(d),
-                "field_index": 0 if d == 1 else (pp[1] if pp else None),
-                "dimension": euler_phi(d),
-            }
-        )
-    payload = _payload(
-        spec,
-        count=len(records),
-        pcis=rows,
-        dimension_total=sum(row["dimension"] for row in rows),
+    diagrams = part_diagrams(spec, config.alternate_order)
+    count = math.prod(len(d.leaves) for d in diagrams)
+    # phi is multiplicative and the parts' quotient orders are coprime, so
+    # the records' dimensions sum to the product of the parts' sums
+    total = math.prod(
+        sum(euler_phi(d.spec.p**v.field_index) for v in d.leaves) for d in diagrams
     )
+    blocks = record_blocks(spec, diagrams)
     if config.output_format == "text":
-        lines = [_title(spec), f"{payload['count']} primitive central idempotents"]
-        for row in rows:
-            lines.append(
-                f"[{row['index']}] field {row['field']} dim {row['dimension']} "
-                f"kernel {row['kernel_order']}: " + row["coefficients"].join(", ")
-            )
-        lines.append(f"dimension total {payload['dimension_total']}")
-        return 0, "\n".join(lines) + "\n"
-    return 0, _json_text(payload)
+        head = f"{_title(spec)}\n{count} primitive central idempotents\n"
+        tail = f"dimension total {total}\n"
+        return 0, itertools.chain([head], _pci_text(blocks), [tail])
+    records = _Items(functools.partial(_pci_json, blocks))
+    return 0, _json_chunks(
+        _payload(spec, count=count, pcis=records, dimension_total=total)
+    )
+
+
+@functools.cache  # one entry per quotient order met
+def _record_field(d: int) -> tuple[str, int | None, int]:
+    """The field name, field index and dimension of a record over Q(zeta_d)."""
+    pp = prime_power(d)
+    return _field_name(d), 0 if d == 1 else (pp[1] if pp else None), euler_phi(d)
+
+
+def _pci_text(blocks) -> Iterator[str]:
+    """Each block's lines "[i] field F dim D kernel K: c_0, c_1, ...", each
+    ending in a newline: one FractionList per block."""
+    for block in blocks:
+        heads = []
+        orders = zip(block.kernel_orders, block.quotient_orders)
+        for i, (k, d) in enumerate(orders, block.start):
+            name, _, dim = _record_field(d)
+            head = f"[{i}] field {name} dim {dim} kernel {k}: "
+            heads.append("\n" + head if heads else head)
+        yield FractionList(block.nums, block.dens).rows_text(", ", heads, "\n")
+
+
+def _pci_json(blocks, inner: str) -> Iterator[_Raw]:
+    """The JSON text of each block's records, as items at the indent inner
+    (see _Items): the dict of each record, written as _json_text writes
+    {"index", "coefficients", "kernel_order", "quotient_order", "field",
+    "field_index", "dimension"}, from one FractionList per block."""
+    field = inner + "  "
+    item = field + "  "
+    tails: dict[tuple[int, int], str] = {}  # the text after the coefficients
+    for block in blocks:
+        heads, tail = [], None  # tail: that of the record before
+        orders = zip(block.kernel_orders, block.quotient_orders)
+        for i, (k, d) in enumerate(orders, block.start):
+            head = "{" + field + f'"index": {i},' + field + '"coefficients": [' + item
+            heads.append(head if tail is None else tail + "," + inner + head)
+            if (k, d) not in tails:
+                name, index, dim = _record_field(d)
+                tails[k, d] = field.join(
+                    [
+                        "",
+                        "],",
+                        f'"kernel_order": {k},',
+                        f'"quotient_order": {d},',
+                        f'"field": {_quote(name)},',
+                        f'"field_index": {"null" if index is None else index},',
+                        f'"dimension": {dim}' + inner + "}",
+                    ]
+                )
+            tail = tails[k, d]
+        heads[0] = ("," if block.start else "[") + inner + heads[0]
+        nums = FractionList(block.nums, block.dens)
+        yield _Raw(nums.rows_text("," + item, heads, tail, _quote))
 
 
 # -- diagram ------------------------------------------------------------
@@ -276,7 +391,21 @@ def _vertex_json(v) -> dict:
     }
 
 
-def _run_diagram(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
+def _part_json(diag) -> dict:
+    """A part's diagram, its levels made one at a time as they are written."""
+    levels = (list(map(_vertex_json, level)) for level in diag.levels)
+    return {
+        "p": diag.spec.p,
+        "generators": [
+            {"place": lab.place, "power": lab.power} for lab in diag.generator_labels
+        ],
+        "level_sizes": diag.level_sizes(),
+        "levels": _Items(lambda inner: levels),
+        "edges": diag.edges,
+    }
+
+
+def _run_diagram(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, Iterable[str]]:
     _refuse_over(
         DIAGRAM_MAX_ENTRIES,
         sum(part.order**2 for part in spec.parts),
@@ -286,46 +415,30 @@ def _run_diagram(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
     diagrams = part_diagrams(spec, config.alternate_order)
     if config.output_format == "dot":
         return 0, emit_dot(diagrams)
-    parts = []
-    for part, diag in zip(spec.parts, diagrams):
-        parts.append(
-            {
-                "p": part.p,
-                "generators": [
-                    {"place": lab.place, "power": lab.power}
-                    for lab in diag.generator_labels
-                ],
-                "level_sizes": diag.level_sizes(),
-                "levels": [[_vertex_json(v) for v in level] for level in diag.levels],
-                "edges": diag.edges,
-            }
-        )
     if config.output_format == "text":
         lines = [_title(spec)]
-        for part in parts:
-            lines.append(f"p={part['p']}: level sizes {part['level_sizes']}")
-            for v in part["levels"][-1]:
-                if v["trivial"]:
+        for diag in diagrams:
+            p = diag.spec.p
+            lines.append(f"p={p}: level sizes {diag.level_sizes()}")
+            for v in diag.leaves:
+                if v.trivial:
                     desc = "trivial"
                 else:
                     gens = ",".join(
-                        "(" + ",".join(map(str, g)) + ")"
-                        for g in v["kernel_generators"]
+                        "(" + ",".join(map(str, g.exps)) + ")" for g in v.form.kernel_gens
                     )
-                    primed = "(" + ",".join(map(str, v["primed"])) + ")"
+                    primed = "(" + ",".join(map(str, v.form.primed.exps)) + ")"
                     desc = f"K=<{gens}>; z={primed}"
-                lines.append(
-                    f"  leaf {v['index']}: {desc} -> "
-                    f"{_field_name(part['p'] ** v['field_index'])}"
-                )
-        return 0, "\n".join(lines) + "\n"
-    return 0, _json_text(_payload(spec, parts=parts))
+                lines.append(f"  leaf {v.index}: {desc} -> {_field_name(p**v.field_index)}")
+        return 0, ["\n".join(lines) + "\n"]
+    parts = _Items(lambda inner: map(_part_json, diagrams))
+    return 0, _json_chunks(_payload(spec, parts=parts))
 
 
 # -- wedderburn ---------------------------------------------------------
 
 
-def _run_wedderburn(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
+def _run_wedderburn(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, Iterable[str]]:
     _refuse_over(
         WEDDERBURN_MAX_ELEMENTS,
         sum(part.order for part in spec.parts),
@@ -355,8 +468,8 @@ def _run_wedderburn(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str
                     f"{row['statement_variant']:7} "
                     f"{'yes' if row['agree'] else 'NO'}"
                 )
-        return 0, "\n".join(lines) + "\n"
-    return 0, _json_text(_payload(spec, parts=parts))
+        return 0, ["\n".join(lines) + "\n"]
+    return 0, _json_chunks(_payload(spec, parts=parts))
 
 
 # -- split --------------------------------------------------------------
@@ -367,7 +480,7 @@ def split_coefficient_count(m: int) -> int:
     return m * m * euler_phi(m)
 
 
-def _run_split(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
+def _run_split(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, Iterable[str]]:
     if len(spec.factor_orders) != 1:
         raise GroupSpecError("split requires a cyclic group of prime-power order")
     part = spec.parts[0]
@@ -391,27 +504,26 @@ def _run_split(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
             if matches
             else "collapse DOES NOT match the rational closed form"
         )
-        return code, "\n".join(lines) + "\n"
+        return code, ["\n".join(lines) + "\n"]
+    # each splitting idempotent's rows are formatted as they are written
+    rows = ({"t": t, "coefficients": e.coefficient_rows()} for t, e in enumerate(splitting))
     payload = _payload(
         spec,
         prime=p,
         chain_length=n,
         modulus=m,
-        splitting_pcis=[
-            {"t": t, "coefficients": e.coefficient_rows()}
-            for t, e in enumerate(splitting)
-        ],
+        splitting_pcis=_Items(lambda inner: rows),
         orbits=orbits,
         rational_pcis=[e.to_strings() for e in collapsed],
         matches_closed_form=matches,
     )
-    return code, _json_text(payload)
+    return code, _json_chunks(payload)
 
 
 # -- verify -------------------------------------------------------------
 
 
-def _run_verify(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
+def _run_verify(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, Iterable[str]]:
     # verify has one mode; "check level full" stays in both reports for
     # the programs that read them
     _refuse_over(DENSE_MAX_COEFFICIENTS, spec.order**2, f"verify of order {spec.order}")
@@ -426,12 +538,12 @@ def _run_verify(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, str]:
                 line += f": {c.detail}"
             lines.append(line)
         lines.append(f"overall: {_status(ok).upper()}")
-        return code, "\n".join(lines) + "\n"
+        return code, ["\n".join(lines) + "\n"]
     rows = [
         {"name": c.name, "status": _status(c.ok), "detail": c.detail} for c in checks
     ]
     payload = _payload(spec, check_level="full", checks=rows, status=_status(ok))
-    return code, _json_text(payload)
+    return code, _json_chunks(payload)
 
 
 _HANDLERS = {
@@ -443,14 +555,37 @@ _HANDLERS = {
 }
 
 
-def run(config: RunConfig) -> tuple[int, str]:
-    """Execute one command; returns (exit code, output text)."""
+def _output(config: RunConfig) -> tuple[int, Iterable[str]]:
+    """Execute one command up to its first byte of output; returns the exit
+    code and the output text in pieces.  Everything that can raise (the
+    parse, the caps, the diagram build, verify's checks, split's collapse)
+    happens before this returns; making the pieces only formats."""
     if config.subcommand not in _HANDLERS:
         raise GroupSpecError(f"unknown subcommand {config.subcommand!r}")
     if config.output_format == "dot" and config.subcommand != "diagram":
         raise GroupSpecError("dot output is only available for the diagram subcommand")
     spec = parse_group_spec(config.group_text, config.max_order)
     return _HANDLERS[config.subcommand](config, spec)
+
+
+def run(config: RunConfig) -> tuple[int, str]:
+    """Execute one command; returns (exit code, output text)."""
+    code, pieces = _output(config)
+    return code, "".join(pieces)
+
+
+def _chunks(pieces: Iterable[str]) -> Iterator[str]:
+    """pieces joined into chunks of at least CHUNK_CHARS characters (the
+    last one may be shorter)."""
+    buf, size = [], 0
+    for piece in pieces:
+        buf.append(piece)
+        size += len(piece)
+        if size >= CHUNK_CHARS:
+            yield "".join(buf)
+            buf, size = [], 0
+    if buf:
+        yield "".join(buf)
 
 
 @functools.cache  # one parser per process; parse_args leaves it unchanged
@@ -501,7 +636,7 @@ def main(argv=None) -> int:
         alternate_order=getattr(ns, "alternate_order", False),
     )
     try:
-        code, output = run(config)
+        code, pieces = _output(config)
     except (
         GroupSpecError,
         CapExceededError,
@@ -513,7 +648,9 @@ def main(argv=None) -> int:
     except (InconsistencyError, VerificationError) as exc:
         print(f"verification error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(output)
+    write = sys.stdout.write
+    for chunk in _chunks(pieces):  # each written as soon as it is made
+        write(chunk)
     return code
 
 

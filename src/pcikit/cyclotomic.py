@@ -341,10 +341,11 @@ class CycloAlgebraElement(_CycloLattice):
         return AlgebraElement(self.spec, flat.reshape(self.spec.order, -1)[:, 0], den)
 
     def coefficient_rows(self) -> "CoefficientRows":
-        """to_json()["coeffs"] as one FractionList over the reduced matrix,
-        for cli's JSON writer."""
+        """to_json()["coeffs"] as one FractionList block over the reduced
+        matrix, for cli's JSON writer."""
         den, flat = self.reduced()
-        return CoefficientRows(self.m, euler_phi(self.m), FractionList(flat, den))
+        matrix = flat.reshape(self.spec.order, euler_phi(self.m))
+        return CoefficientRows(self.m, FractionList(matrix, den))
 
     def to_json(self) -> dict:
         """{"m": m, "coeffs": [CycloNumber.to_json() of each coefficient]},
@@ -370,26 +371,24 @@ class CoefficientRows:
     """The reduced (order x phi(m)) matrix of a CycloAlgebraElement as rows
     of "num/den" strings: row g is the coordinates of the coefficient at
     group index g, that is to_json()["coeffs"][g]["coeffs"].  The matrix is
-    one FractionList, so each distinct value is formatted once, and writing
-    the rows is one gather and one join per row.  cli's JSON writer writes
+    one FractionList block, so each distinct value is formatted once, and
+    writing the rows is one gather and one join.  cli's JSON writer writes
     it as to_json()["coeffs"], with no dict per row.
 
     >>> from pcikit.groups import parse_group_spec
     >>> c2 = parse_group_spec("2:[1]")
     >>> rows = CycloAlgebraElement.from_zeta_powers(c2, 4, [0, 1], 2).coefficient_rows()
-    >>> rows.m, rows.join(", ", " | ")
-    (4, '1/2, 0/1 | 0/1, 1/2')
+    >>> rows.m, rows.rows_text(", ", "<", " | ", ">")
+    (4, '<1/2, 0/1 | 0/1, 1/2>')
     """
 
-    __slots__ = ("m", "width", "fractions")
+    __slots__ = ("m", "fractions")
 
-    def __init__(self, m: int, width: int, fractions: FractionList):
-        self.m, self.width, self.fractions = m, width, fractions
+    def __init__(self, m: int, fractions: FractionList):
+        self.m, self.fractions = m, fractions
 
-    def join(self, sep: str, row_sep: str, form=None) -> str:
-        """Each row's strings joined by sep, the rows joined by row_sep;
-        form, when given, is applied once per distinct string."""
-        strings, w = self.fractions.strings(form), self.width
-        return row_sep.join(
-            sep.join(strings[i : i + w]) for i in range(0, len(strings), w)
-        )
+    def rows_text(self, sep: str, first: str, between: str, end: str, form=None) -> str:
+        """first + row 0's strings joined by sep + between + row 1's ...
+        + end; form, when given, is applied once per distinct string."""
+        heads = [first] + [between] * (len(self.fractions) - 1)
+        return self.fractions.rows_text(sep, heads, end, form)

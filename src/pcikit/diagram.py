@@ -24,13 +24,14 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .algebra import AlgebraElement, FactoredIdempotent, exact_sum, expand_factored
-from . import cyclotomic
+from . import cyclotomic, kernels
 from .cyclotomic import CycloAlgebraElement, reduce_rows
 from .errors import (
     GroupSpecError,
@@ -93,28 +94,46 @@ class PciDiagram:
     def leaves(self) -> tuple[PciVertex, ...]:
         return self.levels[-1]
 
-    def leaf_numerators(self) -> list[tuple[np.ndarray, int]]:
-        """Each leaf's expansion as int64 numerators over a denominator, not
-        yet in lowest terms, as algebra.expansion_numerators gives it, read
-        off the leaf's character phi.  phi(g) mod E = exp G over the
-        enumeration of G is the chain digits of g times phi's values on the
-        chain generators, so a row that is not a character shows in the
-        result.  A digit is below p and a value below E <= |G|, so with N
-        generators each sum is below p*E*N.  With z the primed element,
-        phi(z) = E/p, so K = {phi = 0} and <K, z> = {phi in (E/p)Z}: the
-        numerators over p|K| are p on K minus 1 on <K, z>."""
-        spec = self.spec
-        out = [(np.ones(spec.order, dtype=np.int64), spec.order)]  # the trivial leaf
-        if len(self.leaves) == 1:
-            return out
+    def leaf_blocks(self) -> Iterator[tuple[np.ndarray, list[int]]]:
+        """The leaves' expansions in blocks of consecutive leaves, at most
+        kernels._BLOCK_CELLS entries (and at least one leaf) each: a (rows x
+        |G|) int64 array of numerators and one denominator per row, not yet
+        in lowest terms, as algebra.expansion_numerators gives them.  They
+        are read off the leaves' characters by one product: phi(g) mod E =
+        exp G over the enumeration of G is the chain digits of g times
+        phi's values on the chain generators, so a row that is not a
+        character shows in the result.  A digit is below p and a value
+        below E <= |G|, so with N generators each sum is below p*E*N.  With
+        z the primed element, phi(z) = E/p, so K = {phi = 0} and <K, z> =
+        {phi in (E/p)Z}: the numerators over p|K| are p on K minus 1 on
+        <K, z>.  Leaf 0, the trivial one, is 1 everywhere over |G|."""
+        spec, leaves = self.spec, self.leaves
+        if len(leaves) == 1:  # the trivial group
+            yield np.ones((1, spec.order), dtype=np.int64), [spec.order]
+            return
         p, exponent = spec.p, spec.exponent
         numerator = np.zeros(exponent, dtype=np.int64)  # by the value of phi
         numerator[:: exponent // p] = -1
         numerator[0] = p - 1
-        for v, row in zip(self.leaves[1:], self.characters):
-            phi = self.chain_digits @ row % exponent
-            out.append((numerator[phi], p * v.kernel_order))
-        return out
+        dens = [spec.order] + [p * v.kernel_order for v in leaves[1:]]
+        step = max(1, kernels._BLOCK_CELLS // spec.order)
+        for start in range(0, len(leaves), step):
+            stop = min(start + step, len(leaves))
+            nums = np.ones((stop - start, spec.order), dtype=np.int64)
+            # row i - 1 of characters is leaf i's; row 0 of the first block
+            # stays the trivial leaf
+            phi = self.characters[max(start, 1) - 1 : stop - 1] @ self.chain_digits.T
+            phi %= exponent
+            # phi indexes numerator, so "clip" changes nothing; numpy's
+            # default mode takes about twice as long
+            np.take(numerator, phi, out=nums[1:] if start == 0 else nums, mode="clip")
+            yield nums, dens[start:stop]
+
+    def leaf_numerators(self) -> list[tuple[np.ndarray, int]]:
+        """Each leaf's (numerators, denominator): the rows of leaf_blocks."""
+        return [
+            (row, den) for nums, dens in self.leaf_blocks() for row, den in zip(nums, dens)
+        ]
 
     def leaf_expansions(self) -> list[AlgebraElement]:
         return [AlgebraElement(self.spec, nums, den) for nums, den in self.leaf_numerators()]
@@ -523,43 +542,43 @@ def lift_to_product(
     return cross_prime_product(spec, sets)[0]
 
 
-def _tensor_products(
-    per_part: Sequence[Sequence[tuple[np.ndarray, int]]],
-) -> list[tuple[np.ndarray, int]]:
-    """For each choice of one (numerators, denominator) per part, in
-    itertools.product order, the numerators of their tensor product (parts
-    occupy disjoint factor blocks) over the product of the denominators.
-    Each is one np.multiply.outer per part, in int64 when every chosen
-    array is int64 and the product of their largest |numerator| fits, and
-    on Python ints otherwise."""
-    tops = [[(vec, max_abs(vec), den) for vec, den in vectors] for vectors in per_part]
-    out = []
-    for combo in itertools.product(*tops):
-        # a zero top makes the bound 0 even when another part is an object vector
-        bound = math.prod(top for _, top, _ in combo)
-        fits = bound < 2**63 and all(vec.dtype != object for vec, _, _ in combo)
-        dtype = np.int64 if fits else object
-        nums = np.ones(1, dtype=dtype)  # the empty product: 1 in Q[C_1]
-        for vec, _, _ in combo:
-            nums = np.multiply.outer(nums, vec.astype(dtype, copy=False)).ravel()
-        out.append((nums, math.prod(den for _, _, den in combo)))
-    return out
+def _tensor_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """Row i of the result is the tensor product of row i of each part's
+    (rows x |P|) numerator block (parts occupy disjoint factor blocks, the
+    last part's fastest): one broadcast multiply per part.  It is formed
+    in int64 when every block is int64 and the product of their largest
+    |numerator| fits, and on Python ints otherwise."""
+    # a zero top makes the bound 0 even when another block is an object one
+    bound = math.prod(max_abs(block) for block in rows)
+    fits = bound < 2**63 and all(block.dtype != object for block in rows)
+    dtype = np.int64 if fits else object
+    nums = np.ones((len(rows[0]) if rows else 1, 1), dtype=dtype)
+    for block in rows:  # the empty product: 1 in Q[C_1]
+        block = block.astype(dtype, copy=False)
+        nums = (nums[:, :, None] * block[:, None, :]).reshape(len(nums), -1)
+    return nums
 
 
 def cross_prime_product(
     spec: AbelianGroupSpec, per_part_sets: Sequence[Sequence[AlgebraElement]]
 ) -> list[AlgebraElement]:
-    """All products of one idempotent per primary part, lifted to Q[G]:
-    the tensor products of the per-part coefficient vectors (see
-    _tensor_products)."""
+    """All products of one idempotent per primary part, in
+    itertools.product order, lifted to Q[G]: the tensor products of the
+    per-part coefficient vectors (see _tensor_rows)."""
     if len(per_part_sets) != len(spec.parts):
         raise SpecMismatchError("need one idempotent set per primary part")
     for part, pcis in zip(spec.parts, per_part_sets):
         for e in pcis:
             if e.spec != part:
                 raise SpecMismatchError("idempotent does not match its primary part")
-    products = _tensor_products([[(e.nums, e.den) for e in pcis] for pcis in per_part_sets])
-    return [AlgebraElement(spec, nums, den) for nums, den in products]
+    combos = list(itertools.product(*per_part_sets))
+    if not combos:
+        return []
+    rows = [np.stack([combo[i].nums for combo in combos]) for i in range(len(spec.parts))]
+    return [
+        AlgebraElement(spec, nums, math.prod(e.den for e in combo))
+        for nums, combo in zip(_tensor_rows(rows), combos)
+    ]
 
 
 def part_diagrams(spec, alternate_order: bool = False) -> list[PciDiagram]:
@@ -574,30 +593,68 @@ def part_diagrams(spec, alternate_order: bool = False) -> list[PciDiagram]:
     ]
 
 
-def record_arrays(spec, diagrams: Sequence[PciDiagram]) -> list[PciRecord]:
+class RecordBlock(NamedTuple):
+    """The records of Q[spec] with indices start, start + 1, ...: their
+    numerators as one (rows x |G|) array (int64, or object when a value
+    does not fit), one denominator per row (not always in lowest terms),
+    and each record's kernel order and quotient order."""
+
+    start: int
+    nums: np.ndarray
+    dens: list[int]
+    kernel_orders: list[int]
+    quotient_orders: list[int]
+
+
+def record_blocks(spec, diagrams: Sequence[PciDiagram]) -> Iterator[RecordBlock]:
     """The records of Q[spec] from already-built diagrams, one per primary
-    part of spec in order: each leaf's int64 numerators (see
-    PciDiagram.leaf_numerators), or the tensor products of one per part."""
-    # with several parts, only the numerators and orders of these are read
-    parts = [
-        [
-            PciRecord(spec, nums, den, v.kernel_order, d.spec.p**v.field_index)
-            for v, (nums, den) in zip(d.leaves, d.leaf_numerators())
-        ]
-        for d in diagrams
+    part of spec in order, in blocks of at most kernels._BLOCK_CELLS
+    entries (and at least one record): each leaf's numerators (see
+    PciDiagram.leaf_blocks), or the tensor products of one leaf per part,
+    last part fastest (see _tensor_rows)."""
+    if not diagrams:  # the trivial group: its one idempotent is 1
+        yield RecordBlock(0, np.ones((1, 1), dtype=np.int64), [1], [1], [1])
+        return
+    kernel_orders = [[v.kernel_order for v in d.leaves] for d in diagrams]
+    quotient_orders = [[d.spec.p**v.field_index for v in d.leaves] for d in diagrams]
+    if len(diagrams) == 1:
+        start = 0
+        for nums, dens in diagrams[0].leaf_blocks():
+            stop = start + len(dens)
+            orders = kernel_orders[0][start:stop], quotient_orders[0][start:stop]
+            yield RecordBlock(start, nums, dens, *orders)
+            start = stop
+        return
+    # each part's leaves whole: with two primes or more, a part is at
+    # most half of the group
+    parts = [list(d.leaf_blocks()) for d in diagrams]
+    leaves = [np.concatenate([nums for nums, _ in blocks]) for blocks in parts]
+    # per part, a (3 x leaves) table of each leaf's den, kernel order and
+    # quotient order, in Python ints so that their products are exact
+    values = [
+        np.array([[den for _, dens in blocks for den in dens], ks, qs], dtype=object)
+        for blocks, ks, qs in zip(parts, kernel_orders, quotient_orders)
     ]
-    if len(parts) == 1:
-        return parts[0]
-    products = _tensor_products([[(r.nums, r.den) for r in recs] for recs in parts])
+    counts = [len(rows) for rows in leaves]
+    total = math.prod(counts)
+    step = max(1, kernels._BLOCK_CELLS // math.prod(rows.shape[1] for rows in leaves))
+    for start in range(0, total, step):
+        picks = np.unravel_index(np.arange(start, min(start + step, total)), counts)
+        nums = _tensor_rows([rows[pick] for rows, pick in zip(leaves, picks)])
+        chosen = [v[:, pick] for v, pick in zip(values, picks)]
+        products = functools.reduce(operator.mul, chosen)
+        yield RecordBlock(start, nums, *products.tolist())
+
+
+def record_arrays(spec, diagrams: Sequence[PciDiagram]) -> list[PciRecord]:
+    """The records of Q[spec] from already-built diagrams: the rows of
+    record_blocks."""
     return [
-        PciRecord(
-            spec,
-            nums,
-            den,
-            math.prod(r.kernel_order for r in combo),
-            math.prod(r.quotient_order for r in combo),
+        PciRecord(spec, nums, den, kernel, quotient)
+        for block in record_blocks(spec, diagrams)
+        for nums, den, kernel, quotient in zip(
+            block.nums, block.dens, block.kernel_orders, block.quotient_orders
         )
-        for (nums, den), combo in zip(products, itertools.product(*parts))
     ]
 
 
@@ -630,31 +687,33 @@ def _vertex_label(spec: PrimaryGroupSpec, v: PciVertex, is_leaf: bool, name) -> 
     return label
 
 
-def emit_dot(diagrams: Sequence[PciDiagram]) -> str:
+def emit_dot(diagrams: Sequence[PciDiagram]) -> Iterator[str]:
     """Graphviz rendering: one rank per level, factored-form labels, leaves
-    annotated with their component field."""
-    lines = ["digraph pci_diagram {", "  node [shape=box];"]
+    annotated with their component field.  Yields the text a level at a
+    time, then the edges of each diagram."""
+    yield "digraph pci_diagram {\n  node [shape=box];\n"
     name = functools.cache(str)  # each distinct element is formatted once per call
     clustered = len(diagrams) > 1
     for diagram in diagrams:
         p = diagram.spec.p
         indent = "  "
         if clustered:
-            lines.append(f"  subgraph cluster_p{p} {{")
-            lines.append(f'    label="p={p} part";')
+            yield f'  subgraph cluster_p{p} {{\n    label="p={p} part";\n'
             indent = "    "
         last = len(diagram.levels) - 1
         for l, level in enumerate(diagram.levels):
             names = " ".join(f"p{p}_v{l}_{v.index};" for v in level)
-            lines.append(f"{indent}{{ rank=same; {names} }}")
+            lines = [f"{indent}{{ rank=same; {names} }}\n"]
             for v in level:
                 label = _vertex_label(diagram.spec, v, l == last, name)
-                lines.append(f'{indent}p{p}_v{l}_{v.index} [label="{label}"];')
+                lines.append(f'{indent}p{p}_v{l}_{v.index} [label="{label}"];\n')
+            yield "".join(lines)
         if clustered:
-            lines.append("  }")
+            yield "  }\n"
     for diagram in diagrams:
         p = diagram.spec.p
-        for (pl, pi), (cl, ci) in diagram.edges:
-            lines.append(f"  p{p}_v{pl}_{pi} -> p{p}_v{cl}_{ci};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        yield "".join(
+            f"  p{p}_v{pl}_{pi} -> p{p}_v{cl}_{ci};\n"
+            for (pl, pi), (cl, ci) in diagram.edges
+        )
+    yield "}\n"

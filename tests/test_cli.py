@@ -6,22 +6,27 @@ import sys
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cli_reference
 from pcikit import (
     AlgebraElement,
     CapExceededError,
     CycloAlgebraElement,
+    InconsistencyError,
     are_orthogonal,
     build_pci_diagram,
     is_idempotent,
     parse_group_spec,
 )
-from pcikit import WedderburnProfile, cli
+from pcikit import WedderburnProfile, cli, kernels
 from pcikit.algebra import FractionList, fraction_strings
 from pcikit.cli import (
+    CHUNK_CHARS,
     DEFAULT_MAX_ORDER,
     DENSE_MAX_COEFFICIENTS,
     DIAGRAM_MAX_ENTRIES,
@@ -34,6 +39,7 @@ from pcikit.cli import (
     run,
     split_coefficient_count,
 )
+from pcikit.diagram import cross_prime_product
 
 
 def run_json(subcommand, group, **kwargs):
@@ -83,14 +89,14 @@ def test_diagram_dot_c3c3():
 
 @pytest.mark.parametrize("fmt", ["json", "text", "dot"])
 def test_diagram_forms_no_leaf_kernel_or_numerators(fmt, monkeypatch):
-    # diagram prints the factored forms only; the numerators read off the
-    # leaf characters are for pci, verify and the tests.
+    # diagram prints the factored forms only; the numerator blocks read off
+    # the leaf characters are for pci, verify and the tests.
     from pcikit.diagram import PciDiagram
 
     def refuse(diagram):
         raise AssertionError("a leaf was expanded")
 
-    monkeypatch.setattr(PciDiagram, "leaf_numerators", refuse)
+    monkeypatch.setattr(PciDiagram, "leaf_blocks", refuse)
     group = "2:[2,2];3:[1]"  # one split of C_4 x C_4 scans for its witness
     assert run(RunConfig("diagram", group, output_format=fmt))[0] == 0
     with pytest.raises(AssertionError, match="a leaf was expanded"):
@@ -332,6 +338,7 @@ def test_dense_coefficient_limit_boundary(subcommand, group, monkeypatch):
     # Every order the default cap admits passes the limit; C_2^12 sits on it.
     assert DENSE_MAX_COEFFICIENTS == DEFAULT_MAX_ORDER**2
     monkeypatch.setattr(cli, "part_diagrams", lambda spec, alternate_order: [])
+    monkeypatch.setattr(cli, "record_blocks", lambda spec, diagrams: iter(()))
     monkeypatch.setattr(cli, "run_checks", lambda spec, alternate_order: [])
     assert run(RunConfig(subcommand, group))[0] == 0
 
@@ -535,6 +542,26 @@ def test_coefficient_rows_writer_matches_json_dumps(e):
     assert _json_text(payload) == json.dumps(expected, indent=2) + "\n"
 
 
+def _with_items(obj):
+    # every list that is a dict value, an item of such a list or the whole
+    # payload becomes an _Items list; tuples are left as they are
+    if type(obj) is dict:
+        return {key: _with_items(value) for key, value in obj.items()}
+    if type(obj) is list:
+        items = [_with_items(item) for item in obj]
+        return cli._Items(lambda inner: iter(items))
+    return obj
+
+
+@given(json_payload_st)
+@example({"empty": [], "nested": [[], {"l": [1, {"d": []}]}], "t": ([1], {"x": []})})
+@settings(max_examples=100, deadline=None)
+def test_items_lists_are_written_as_lists(payload):
+    # An _Items list, made while it is written, is written as the list of
+    # its items at every depth.
+    assert _json_text(_with_items(payload)) == json.dumps(payload, indent=2) + "\n"
+
+
 @pytest.mark.parametrize(
     "payload", [{"a": {1, 2}}, [b"bytes"], Fraction(1, 2), {1: "int key"}, [object()]]
 )
@@ -590,3 +617,141 @@ def test_large_outputs_are_pinned(subcommand, group, output_format, alternate_or
     code, output = run(config)
     assert code == 0
     assert hashlib.md5(output.encode()).hexdigest() == md5
+
+
+# -- streamed output ------------------------------------------------------
+
+# Primary parts of order at most 9, so that the per-record reference, which
+# expands every leaf by a subgroup closure, stays quick.
+SMALL_PARTS = {
+    2: ["[1]", "[2]", "[1,1]", "[2,1]", "[3]", "[1,1,1]"],
+    3: ["[1]", "[2]", "[1,1]"],
+    5: ["[1]"],
+    7: ["[1]"],
+}
+
+
+@st.composite
+def small_groups(draw):
+    primes = draw(
+        st.lists(st.sampled_from(sorted(SMALL_PARTS)), min_size=1, max_size=3, unique=True)
+    )
+    return ";".join(f"{p}:{draw(st.sampled_from(SMALL_PARTS[p]))}" for p in sorted(primes))
+
+
+@given(
+    small_groups(),
+    st.booleans(),
+    st.sampled_from(["json", "text"]),
+    st.sampled_from([1, 50, 300, kernels._BLOCK_CELLS]),
+)
+@example("2:[2,1];3:[1]", True, "json", 1)
+@example("2:[2,1];3:[1]", False, "json", 50)
+@example("2:[1,1,1];3:[1,1];7:[1]", False, "text", 1)
+@example("2:[3];3:[2];5:[1]", True, "json", 50)
+@example("2:[1]", False, "json", kernels._BLOCK_CELLS)
+@settings(max_examples=60, deadline=None)
+def test_pci_chunks_match_per_record_reference(group, alternate, fmt, cells):
+    # Blocks of at most `cells` entries, down to one row each, join to the
+    # output of the per-record path, byte for byte.
+    config = RunConfig("pci", group, output_format=fmt, alternate_order=alternate)
+    with patch.object(kernels, "_BLOCK_CELLS", cells):
+        code, pieces = cli._output(config)
+        chunks = list(cli._chunks(pieces))  # as main writes them
+    assert code == 0
+    assert "".join(chunks) == cli_reference.pci_output(config)
+    assert all(len(chunk) >= CHUNK_CHARS for chunk in chunks[:-1])
+
+
+def test_object_row_formats_as_fraction_strings():
+    # A numerator past int64 makes the cross-prime product an object row; a
+    # block holding it formats each row as fraction_strings does.
+    spec = parse_group_spec("2:[1];3:[1]")
+    big = AlgebraElement(spec.parts[0], [2**64 + 1, -3], 5)
+    small = AlgebraElement(spec.parts[1], [1, 2, -(2**62)], 7)
+    [e] = cross_prime_product(spec, [[big], [small]])
+    assert e.nums.dtype == object
+    plain = AlgebraElement(spec, [0, 3, -3, 1, 2, 6], 4)
+    block = np.stack([e.nums, plain.nums.astype(object)])
+    text = FractionList(block, [e.den, plain.den]).rows_text(", ", ["a: ", "; b: "], ".")
+    expected = [
+        ", ".join(fraction_strings(x.nums, x.den))
+        for x in (e, plain)
+    ]
+    assert text == f"a: {expected[0]}; b: {expected[1]}."
+    exact = [Fraction(v, e.den) for v in e.nums.tolist()]
+    assert expected[0] == ", ".join(f"{f.numerator}/{f.denominator}" for f in exact)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pci", "--group", "2:[2,1]"],
+        ["pci", "--group", "2:[1];3:[1]", "--format", "text"],
+        ["diagram", "--group", "2:[2,1]"],
+        ["diagram", "--group", "2:[2,1]", "--format", "dot"],
+        ["verify", "--group", "2:[2]"],
+    ],
+)
+def test_failed_build_writes_nothing(argv, monkeypatch, capsys):
+    # The diagram is built before the first byte is written.
+    from pcikit import diagram
+
+    def broken(*args, **kwargs):
+        raise InconsistencyError("chain generator does not extend the subgroup")
+
+    monkeypatch.setattr(diagram, "build_pci_diagram", broken)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "verification error: chain generator does not extend the subgroup\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pci", "--group", "2:[13]"],
+        ["pci", "--group", "2:[40]", "--max-order", str(2**40)],
+        ["split", "--group", "2:[9]"],
+        ["diagram", "--group", "2:[13]", "--max-order", str(2**13), "--format", "dot"],
+    ],
+)
+def test_refusal_writes_nothing(argv, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class _Recorder:
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+
+
+@pytest.mark.parametrize(
+    "argv, small",
+    [
+        (["pci", "--group", "2:[1];3:[1]"], True),
+        (["split", "--group", "3:[2]", "--format", "text"], True),
+        (["pci", "--group", "2:[1,1,1,1,1,1,1,1]"], False),
+        (["pci", "--group", "2:[1,1,1,1,1,1,1,1]", "--format", "text"], False),
+        (["diagram", "--group", "2:[1,1,1,1,1,1,1,1,1]"], False),
+        (["split", "--group", "2:[5]"], False),
+    ],
+)
+def test_main_writes_chunks_of_at_least_chunk_chars(argv, small, monkeypatch):
+    # A small output is one write; a large one goes out in several, each but
+    # the last at least CHUNK_CHARS long, and they join to run's text.
+    recorder = _Recorder()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    assert main(argv) == 0
+    chunks = recorder.chunks
+    assert (len(chunks) == 1) == small
+    assert all(len(chunk) >= CHUNK_CHARS for chunk in chunks[:-1])
+    options = dict(zip(argv[1::2], argv[2::2]))
+    fmt = options.get("--format", "json")
+    config = RunConfig(argv[0], options["--group"], output_format=fmt)
+    assert "".join(chunks) == run(config)[1]

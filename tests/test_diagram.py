@@ -527,7 +527,9 @@ def test_pci_records_bookkeeping():
 
 def test_emit_dot_shape():
     diag = build_pci_diagram(PrimaryGroupSpec(3, ((1, 2),)))
-    dot = emit_dot([diag])
+    pieces = list(emit_dot([diag]))
+    assert len(pieces) == 1 + 3 + 2  # the head, one per level, the edges, the end
+    dot = "".join(pieces)
     assert dot.startswith("digraph pci_diagram {")
     assert dot.count("rank=same") == 3
     assert dot.count("->") == 2 + 5
