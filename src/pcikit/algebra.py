@@ -107,12 +107,10 @@ class FractionList:
     string in that table.  Only the distinct fractions are reduced and
     formatted, and writing the entries is one gather and one join.
 
-    An int64 block whose (den, numerator) keys span no more slots than it
-    has entries (pci's rows: a few dens, numerators in a short range) finds
-    them by marking the keys in one table of that span, with no sort.  Any
-    other block takes one sort and one binary search per den.  nums may be
-    an int64 or object array (see int_array), which is read as it is, with
-    no copy.  cli's JSON writer writes a 1-D list as a list of strings.
+    The distinct numerators are found by one sort and one binary search per
+    den.  nums may be an int64 or object array (see int_array), which is
+    read as it is, with no copy.  cli's JSON writer writes a 1-D list as a
+    list of strings.
 
     >>> f = FractionList((0, -2, 3, 2**64, 3), 6)
     >>> f.table, f.index.tolist()
@@ -137,33 +135,16 @@ class FractionList:
         if len(distinct) > 1:
             slot = {d: s for s, d in enumerate(distinct)}
             slots = np.array([slot[d] for d in den], dtype=np.int64)
-        distinct = [int(d) for d in distinct]
         table: list[str] = []
-        index = None
-        if vals.dtype == np.int64 and block.size:
-            lo = int(block.min())
-            span = int(block.max()) - lo + 1
-            if span * len(distinct) <= block.size:
-                keys = block - lo
-                if slots is not None:
-                    keys += (slots * span)[:, None]
-                present = np.zeros(span * len(distinct), dtype=bool)
-                present[keys] = True
-                rank = present.cumsum()
-                rank -= 1
-                index = rank[keys]
-                for k in np.flatnonzero(present).tolist():
-                    table.append(_fraction(k % span + lo, distinct[k // span]))
-        if index is None:
-            index = np.empty(block.shape, dtype=np.int64)
-            for s, d in enumerate(distinct):
-                rows = slice(None) if slots is None else slots == s
-                part = block[rows]
-                ordered = np.sort(part, axis=None)
-                starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1  # a new value
-                values = np.concatenate((ordered[:1], ordered[starts]))
-                index[rows] = len(table) + np.searchsorted(values, part)
-                table += [_fraction(v, d) for v in values.tolist()]
+        index = np.empty(block.shape, dtype=np.int64)
+        for s, d in enumerate(distinct):
+            rows = slice(None) if slots is None else slots == s
+            part = block[rows]
+            ordered = np.sort(part, axis=None)
+            starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1  # a new value
+            values = np.concatenate((ordered[:1], ordered[starts]))
+            index[rows] = len(table) + np.searchsorted(values, part)
+            table += [_fraction(v, int(d)) for v in values.tolist()]
         self.table, self.index = table, index.reshape(vals.shape)
 
     def __len__(self) -> int:

@@ -87,79 +87,61 @@ def _json_text(payload) -> str:
     this writer dispatches on exact types: dict (str keys), list, tuple,
     str, int, bool and None are written here, a FractionList as the list of
     its strings, CoefficientRows as the list of {"m", "coeffs"} dicts of
-    CycloAlgebraElement.to_json()["coeffs"], an _Items list as the list of
-    its items, a float by json.dumps, and any other type raises TypeError.
+    CycloAlgebraElement.to_json()["coeffs"], a _Stream as the text it
+    yields, a float by json.dumps, and any other type raises TypeError.
     Dict values and list items that _inline writes in one piece take no
     recursive call."""
     return "".join(_json_chunks(payload))
 
 
 def _json_chunks(payload) -> Iterator[str]:
-    """_json_text(payload) in pieces: a dict's values and an _Items list's
-    items one or more at a time, so that an _Items list's items are made
-    only as its text is written."""
+    """_json_text(payload) in pieces, each _Stream's text made only as it
+    is written."""
     yield from _pieces(payload, "\n", {})
     yield "\n"
 
 
-class _Items:
-    """A JSON list whose items are made while the output is written:
-    items(newline) yields them for the indent newline of an item, each as a
-    JSON value or as _Raw text."""
+class _Stream:
+    """A JSON value whose text is made while the output is written:
+    pieces(newline, memo) yields it for the newline of the line it starts
+    on (see _write)."""
 
-    __slots__ = ("items",)
+    __slots__ = ("pieces",)
 
-    def __init__(self, items):
-        self.items = items
+    def __init__(self, pieces):
+        self.pieces = pieces
 
 
-class _Raw:
-    """The JSON text of one or more items of an _Items list at its item
-    indent, each item preceded by its separator: "[" and the indent before
-    the list's first item, "," and the indent before any other."""
+def _stream_list(items: Iterable) -> _Stream:
+    """The JSON list of the values items yields, each made and written in
+    turn."""
 
-    __slots__ = ("text",)
+    def pieces(newline: str, memo: dict) -> Iterator[str]:
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in items:
+            yield sep
+            yield from _pieces(item, inner, memo)
+            sep = "," + inner
+        yield "[]" if sep[0] == "[" else newline + "]"
 
-    def __init__(self, text: str):
-        self.text = text
+    return _Stream(pieces)
 
 
 def _pieces(obj, newline: str, memo: dict) -> Iterator[str]:
-    """The text of obj in pieces: a dict value by value, recursing into
-    dict and _Items values; an _Items list item by item; anything else in
-    one piece (see _write)."""
-    kind = type(obj)
-    if kind is _Items:
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in obj.items(inner):
-            if type(item) is _Raw:
-                yield item.text
-            else:
-                yield sep
-                yield from _pieces(item, inner, memo)
-            sep = "," + inner
-        yield "[]" if sep[0] == "[" else newline + "]"
-        return
-    out: list[str] = []
-    if kind is dict and obj:
-        inner = newline + "  "
-        sep = "{" + inner
-        for key, value in obj.items():
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(sep + _quote(key) + ": ")
-            if type(value) is dict or type(value) is _Items:
-                yield "".join(out)
-                out = []
-                yield from _pieces(value, inner, memo)
-            else:
-                _write(value, inner, out, memo)
-            sep = "," + inner
-        out.append(newline + "}")
-    else:
-        _write(obj, newline, out, memo)
-    yield "".join(out)
+    """The text of obj in pieces: what _write makes of it, cut at each
+    _Stream, whose text follows as it yields it."""
+    out: list = []
+    _write(obj, newline, out, memo)
+    text: list[str] = []
+    for part in out:
+        if type(part) is str:
+            text.append(part)
+        else:  # a _Stream and the newline it starts on
+            yield "".join(text)
+            text = []
+            yield from part[0].pieces(part[1], memo)
+    yield "".join(text)
 
 
 _INT = frozenset((int,))
@@ -210,9 +192,10 @@ def _inline(obj, newline: str, memo: dict) -> str | None:
     return "[" + inner + ("," + inner).join(texts) + newline + "]"
 
 
-def _write(obj, newline: str, out: list[str], memo: dict) -> None:
+def _write(obj, newline: str, out: list, memo: dict) -> None:
     # newline: a line break and the indent of the line obj starts on; memo:
-    # the texts of _int_tuple, one dict per _json_chunks call.
+    # the texts of _int_tuple, one dict per _json_chunks call.  A _Stream
+    # is left in out as (stream, newline), for _pieces to expand.
     kind = type(obj)
     if kind is dict:
         if not obj:
@@ -268,6 +251,8 @@ def _write(obj, newline: str, out: list[str], memo: dict) -> None:
         between = tail + "," + inner + head
         end = tail + newline + "]"
         out.append(obj.rows_text("," + item, "[" + inner + head, between, end, _quote))
+    elif kind is _Stream:
+        out.append((obj, newline))
     elif kind is float:
         out.append(json.dumps(obj))
     elif (text := _inline(obj, newline, memo)) is not None:
@@ -316,7 +301,7 @@ def _run_pci(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, Iterable[s
         head = f"{_title(spec)}\n{count} primitive central idempotents\n"
         tail = f"dimension total {total}\n"
         return 0, itertools.chain([head], _pci_text(blocks), [tail])
-    records = _Items(functools.partial(_pci_json, blocks))
+    records = _Stream(functools.partial(_pci_json, blocks))
     return 0, _json_chunks(
         _payload(spec, count=count, pcis=records, dimension_total=total)
     )
@@ -342,37 +327,51 @@ def _pci_text(blocks) -> Iterator[str]:
         yield FractionList(block.nums, block.dens).rows_text(", ", heads, "\n")
 
 
-def _pci_json(blocks, inner: str) -> Iterator[_Raw]:
-    """The JSON text of each block's records, as items at the indent inner
-    (see _Items): the dict of each record, written as _json_text writes
-    {"index", "coefficients", "kernel_order", "quotient_order", "field",
-    "field_index", "dimension"}, from one FractionList per block."""
-    field = inner + "  "
-    item = field + "  "
-    tails: dict[tuple[int, int], str] = {}  # the text after the coefficients
+_MARK = "\0"  # a str that no field of a pci record holds
+
+
+def _record_template(newline: str, k: int, d: int) -> tuple[str, str, str]:
+    """The JSON text of a pci record of kernel order k over Q(zeta_d) at
+    newline, as _write writes its dict, cut at the index and at the
+    coefficients: the text before the index, between the index and the
+    first coefficient, and after the last coefficient."""
+    name, index, dim = _record_field(d)
+    record = {
+        "index": _MARK,
+        "coefficients": [_MARK],
+        "kernel_order": k,
+        "quotient_order": d,
+        "field": name,
+        "field_index": index,
+        "dimension": dim,
+    }
+    out: list = []
+    _write(record, newline, out, {})
+    before, between, after = "".join(out).split(_quote(_MARK))
+    return before, between, after
+
+
+def _pci_json(blocks, newline: str, memo: dict) -> Iterator[str]:
+    """The JSON list of the records of blocks, for the newline of the line
+    it starts on (see _Stream): each record's text from _record_template,
+    each block's coefficients from one FractionList."""
+    inner = newline + "  "
+    item = inner + "    "  # the indent of a record's coefficients
+    templates: dict[tuple[int, int], tuple[str, str, str]] = {}
+    close = "[" + inner  # the text before the next record
     for block in blocks:
-        heads, tail = [], None  # tail: that of the record before
+        heads = []
         orders = zip(block.kernel_orders, block.quotient_orders)
         for i, (k, d) in enumerate(orders, block.start):
-            head = "{" + field + f'"index": {i},' + field + '"coefficients": [' + item
-            heads.append(head if tail is None else tail + "," + inner + head)
-            if (k, d) not in tails:
-                name, index, dim = _record_field(d)
-                tails[k, d] = field.join(
-                    [
-                        "",
-                        "],",
-                        f'"kernel_order": {k},',
-                        f'"quotient_order": {d},',
-                        f'"field": {_quote(name)},',
-                        f'"field_index": {"null" if index is None else index},',
-                        f'"dimension": {dim}' + inner + "}",
-                    ]
-                )
-            tail = tails[k, d]
-        heads[0] = ("," if block.start else "[") + inner + heads[0]
+            if (k, d) not in templates:
+                templates[k, d] = _record_template(inner, k, d)
+            before, between, after = templates[k, d]
+            heads.append(close + before + str(i) + between)
+            close = after + "," + inner
         nums = FractionList(block.nums, block.dens)
-        yield _Raw(nums.rows_text("," + item, heads, tail, _quote))
+        yield nums.rows_text("," + item, heads, after, _quote)
+        close = "," + inner
+    yield "[]" if close[0] == "[" else newline + "]"
 
 
 # -- diagram ------------------------------------------------------------
@@ -400,7 +399,7 @@ def _part_json(diag) -> dict:
             {"place": lab.place, "power": lab.power} for lab in diag.generator_labels
         ],
         "level_sizes": diag.level_sizes(),
-        "levels": _Items(lambda inner: levels),
+        "levels": _stream_list(levels),
         "edges": diag.edges,
     }
 
@@ -431,7 +430,7 @@ def _run_diagram(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, Iterab
                     desc = f"K=<{gens}>; z={primed}"
                 lines.append(f"  leaf {v.index}: {desc} -> {_field_name(p**v.field_index)}")
         return 0, ["\n".join(lines) + "\n"]
-    parts = _Items(lambda inner: map(_part_json, diagrams))
+    parts = _stream_list(map(_part_json, diagrams))
     return 0, _json_chunks(_payload(spec, parts=parts))
 
 
@@ -512,7 +511,7 @@ def _run_split(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, Iterable
         prime=p,
         chain_length=n,
         modulus=m,
-        splitting_pcis=_Items(lambda inner: rows),
+        splitting_pcis=_stream_list(rows),
         orbits=orbits,
         rational_pcis=[e.to_strings() for e in collapsed],
         matches_closed_form=matches,

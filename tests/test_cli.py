@@ -542,24 +542,23 @@ def test_coefficient_rows_writer_matches_json_dumps(e):
     assert _json_text(payload) == json.dumps(expected, indent=2) + "\n"
 
 
-def _with_items(obj):
+def _streamed(obj):
     # every list that is a dict value, an item of such a list or the whole
-    # payload becomes an _Items list; tuples are left as they are
+    # payload becomes a streamed list; tuples are left as they are
     if type(obj) is dict:
-        return {key: _with_items(value) for key, value in obj.items()}
+        return {key: _streamed(value) for key, value in obj.items()}
     if type(obj) is list:
-        items = [_with_items(item) for item in obj]
-        return cli._Items(lambda inner: iter(items))
+        return cli._stream_list(_streamed(item) for item in obj)
     return obj
 
 
 @given(json_payload_st)
 @example({"empty": [], "nested": [[], {"l": [1, {"d": []}]}], "t": ([1], {"x": []})})
 @settings(max_examples=100, deadline=None)
-def test_items_lists_are_written_as_lists(payload):
-    # An _Items list, made while it is written, is written as the list of
+def test_streamed_lists_are_written_as_lists(payload):
+    # A streamed list, made while it is written, is written as the list of
     # its items at every depth.
-    assert _json_text(_with_items(payload)) == json.dumps(payload, indent=2) + "\n"
+    assert _json_text(_streamed(payload)) == json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
