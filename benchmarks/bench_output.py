@@ -1,6 +1,8 @@
-"""The cost of the CLI's largest outputs, one fresh process per row.
+"""The cost of the CLI's largest outputs and of verify at the cap, one
+fresh process per row.
 
-For each row this runs `pcikit.cli.main` in a new child process and
+For each row (a command, a group, a format and any further flags) this
+runs `pcikit.cli.main` in a new child process and
 prints its wall time, the child's own peak resident memory (VmHWM, read in
 the child when main returns) and the bytes it wrote to stdout, with their
 md5, so that two checkouts can be compared byte for byte.  Run from the
@@ -10,7 +12,9 @@ repository root:
     PYTHONPATH=src python benchmarks/bench_output.py --small
 
 The default rows are the outputs of the largest groups the default order cap
-admits; --small runs the same commands on small groups, in a few seconds.
+admits, and verify on C_2^12, the largest, with and without
+--alternate-order; --small runs the same commands on small groups, in a few
+seconds.
 Every child must exit 0; a row that does not ends the run with an error.
 """
 
@@ -25,21 +29,26 @@ from pathlib import Path
 
 from bench_kernels import expand_group_text
 
+ALTERNATE = ("--alternate-order",)
 ROWS = (
-    ("pci", "2:[1]*12", "json"),
-    ("pci", "2:[1]*12", "text"),
-    ("pci", "2:[1]*10;3:[1]", "json"),
-    ("split", "2:[8]", "json"),
-    ("diagram", "2:[1]*12", "json"),
-    ("diagram", "2:[1]*12", "dot"),
+    ("pci", "2:[1]*12", "json", ()),
+    ("pci", "2:[1]*12", "text", ()),
+    ("pci", "2:[1]*10;3:[1]", "json", ()),
+    ("split", "2:[8]", "json", ()),
+    ("diagram", "2:[1]*12", "json", ()),
+    ("diagram", "2:[1]*12", "dot", ()),
+    ("verify", "2:[1]*12", "json", ()),
+    ("verify", "2:[1]*12", "json", ALTERNATE),
 )
 SMALL_ROWS = (
-    ("pci", "2:[1]*6", "json"),
-    ("pci", "2:[1]*6", "text"),
-    ("pci", "2:[1]*4;3:[1]", "json"),
-    ("split", "2:[4]", "json"),
-    ("diagram", "2:[1]*6", "json"),
-    ("diagram", "2:[1]*6", "dot"),
+    ("pci", "2:[1]*6", "json", ()),
+    ("pci", "2:[1]*6", "text", ()),
+    ("pci", "2:[1]*4;3:[1]", "json", ()),
+    ("split", "2:[4]", "json", ()),
+    ("diagram", "2:[1]*6", "json", ()),
+    ("diagram", "2:[1]*6", "dot", ()),
+    ("verify", "2:[1]*6", "json", ()),
+    ("verify", "2:[1]*6", "json", ALTERNATE),
 )
 
 # Runs main with the arguments after the first, then writes the process's
@@ -59,8 +68,8 @@ sys.exit(code)
 """
 
 
-def run_row(subcommand: str, group: str, fmt: str) -> dict:
-    argv = [subcommand, "--group", expand_group_text(group), "--format", fmt]
+def run_row(subcommand: str, group: str, fmt: str, flags: tuple[str, ...]) -> dict:
+    argv = [subcommand, "--group", expand_group_text(group), "--format", fmt, *flags]
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -84,11 +93,12 @@ def run_row(subcommand: str, group: str, fmt: str) -> dict:
         err = err_file.read().decode()
     lines = err.strip().splitlines()
     if proc.returncode != 0 or not lines or not lines[-1].startswith("peak_kb "):
-        raise SystemExit(f"{subcommand} {group} {fmt}: exit {proc.returncode}\n{err}")
+        raise SystemExit(f"{' '.join(argv)}: exit {proc.returncode}\n{err}")
     return {
         "command": subcommand,
         "group": group,
         "format": fmt,
+        "flags": " ".join(flags),
         "wall_s": round(wall, 3),
         "peak_rss_mb": round(int(lines[-1].split()[1]) / 1024, 1),
         "output_bytes": size,
@@ -102,12 +112,14 @@ def main():
     args = parser.parse_args()
 
     head = ("command", "group", "format", "wall", "peak RSS", "output")
-    print(" ".join(f"{h:>{w}}" for h, w in zip(head, (8, 16, 6, 8, 10, 12))) + "  md5")
-    for subcommand, group, fmt in SMALL_ROWS if args.small else ROWS:
-        row = run_row(subcommand, group, fmt)
+    widths = (8, 16, 6, 8, 10, 12)
+    print(" ".join(f"{h:>{w}}" for h, w in zip(head, widths)) + "  md5 (flags)")
+    for subcommand, group, fmt, flags in SMALL_ROWS if args.small else ROWS:
+        row = run_row(subcommand, group, fmt, flags)
         print(
             f"{subcommand:>8} {group:>16} {fmt:>6} {row['wall_s']:>7.2f}s "
             f"{row['peak_rss_mb']:>8.1f}MB {row['output_bytes']:>12}  {row['md5']}"
+            + (f" ({row['flags']})" if flags else "")
         )
 
 

@@ -1,12 +1,15 @@
 """Benchmark the checks of `pcikit verify`, one stage at a time.
 
-For each group this prints the best wall time of: the records and their
-elements (diagram.record_arrays, then PciRecord.element of each), the
-vertex-kernel check (verify.vertex_kernel_failures over every diagram
-vertex), the idempotency and orthogonality certificate
-(verify.certify_idempotents), the splitting-field check
-(verify._splitting_field_coherent, cyclic groups of order at most
-verify.SPLIT_CHECK_LIMIT only) and the whole of verify.run_checks.  Run:
+For each group this prints the best wall time of: the record blocks
+(diagram.record_blocks), the idempotency and orthogonality certificate on
+them (verify.certify_idempotents), the oracle's rows (oracle.oracle_rows),
+the comparison of the blocks with those rows (RowSet.find on each block,
+then RowSet.matched), the vertex-kernel check
+(verify.vertex_kernel_failures over every diagram vertex), the
+splitting-field check (verify._splitting_field_coherent, cyclic groups of
+order at most verify.SPLIT_CHECK_LIMIT only) and the whole of
+verify.run_checks.  The stages hold every block at once, which run_checks
+does not.  Run:
 
     python benchmarks/bench_verify.py
     python benchmarks/bench_verify.py --repeats 1 --groups "2:[1]*6,2:[5],3:[3],7:[2]"
@@ -20,8 +23,8 @@ import re
 from bench_kernels import best_of, expand_group_text
 
 from pcikit import parse_group_spec
-from pcikit.algebra import lattice_sum
-from pcikit.diagram import cyclic_rational_pcis, part_diagrams, record_arrays
+from pcikit.diagram import cyclic_rational_pcis, part_diagrams, record_blocks
+from pcikit.oracle import oracle_rows
 from pcikit.verify import (
     SPLIT_CHECK_LIMIT,
     _splitting_field_coherent,
@@ -30,7 +33,9 @@ from pcikit.verify import (
     vertex_kernel_failures,
 )
 
-COLUMNS = ("records", "vertex_kernels", "certify", "splitting", "run_checks")
+COLUMNS = (
+    "blocks", "certify", "oracle", "compare", "vertex_kernels", "splitting", "run_checks"
+)
 
 
 def bench(spec, repeats):
@@ -39,17 +44,19 @@ def bench(spec, repeats):
     diagrams = part_diagrams(spec)
     vertices = [(d.spec, v) for d in diagrams for level in d.levels for v in level]
     times = {}
-    times["records"], elements = best_of(
-        lambda: [rec.element for rec in record_arrays(spec, diagrams)], repeats
+    times["blocks"], blocks = best_of(lambda: list(record_blocks(spec, diagrams)), repeats)
+    rows = [(b.nums, b.dens) for b in blocks]
+    times["certify"], (bad, orthogonal, _) = best_of(
+        lambda: certify_idempotents(rows, spec.factor_orders), repeats
     )
-    total = lattice_sum(elements)
+    times["oracle"], oracle = best_of(lambda: oracle_rows(spec), repeats)
+    times["compare"], same = best_of(
+        lambda: oracle.matched([oracle.find(*r) for r in rows]), repeats
+    )
     times["vertex_kernels"], failures = best_of(
         lambda: vertex_kernel_failures(vertices), repeats
     )
-    times["certify"], (bad, orthogonal) = best_of(
-        lambda: certify_idempotents(elements, total), repeats
-    )
-    assert not failures and not bad and orthogonal, spec
+    assert not failures and not bad and orthogonal and same, spec
     times["splitting"] = None
     part = spec.parts[0]
     if len(spec.factor_orders) == 1 and part.order <= SPLIT_CHECK_LIMIT:

@@ -352,10 +352,6 @@ class AlgebraElement(_Lattice):
         """Coefficients as exact "num/den" strings in enumeration order."""
         return fraction_strings(self.nums, self.den)
 
-    @classmethod
-    def from_strings(cls, spec: GroupSpec, strings: Sequence[str]) -> "AlgebraElement":
-        return cls.from_coeffs(spec, strings)
-
 
 def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Group-algebra product: coefficient of g*h accumulates a_g * b_h."""

@@ -1,7 +1,9 @@
 """Command-line front end: parse a group description, dispatch a
 computation, and emit deterministic JSON/text/DOT, including the report of
 the checks in verify.py.  Exit codes: 0 success, 1 verification failure,
-2 invalid input.
+2 invalid input, 141 (128 + SIGPIPE, what a shell reports for a process
+that SIGPIPE ends) when the reader closes stdout before the output ends,
+with nothing on stderr.
 
 Each handler does every step that can fail, then returns its exit code and
 its output as pieces of text that are made as they are consumed; main
@@ -16,6 +18,7 @@ import functools
 import itertools
 import json
 import math
+import os
 import sys
 from typing import Iterable, Iterator
 
@@ -63,6 +66,7 @@ WEDDERBURN_MAX_ELEMENTS = 2**20
 # main joins the output's pieces into chunks of at least this many
 # characters before it writes them, so that a small output is one write.
 CHUNK_CHARS = 2**16
+EXIT_PIPE_CLOSED = 141
 
 
 @dataclasses.dataclass
@@ -648,8 +652,17 @@ def main(argv=None) -> int:
         print(f"verification error: {exc}", file=sys.stderr)
         return 1
     write = sys.stdout.write
-    for chunk in _chunks(pieces):  # each written as soon as it is made
-        write(chunk)
+    try:
+        for chunk in _chunks(pieces):  # each written as soon as it is made
+            write(chunk)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: stdout goes to devnull, so that the flush at
+        # exit neither fails nor prints "Exception ignored"
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE_CLOSED
     return code
 
 

@@ -21,7 +21,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .algebra import (
-    AlgebraElement,
     FractionList,
     _Lattice,
     fraction_strings,
@@ -29,7 +28,7 @@ from .algebra import (
     lattice_sum,
     lowest_terms,
 )
-from .errors import InconsistencyError, InvariantError, SpecMismatchError
+from .errors import InvariantError, SpecMismatchError
 from .groups import AbelianGroupSpec, GroupElement, GroupSpec, member_index
 from .kernels import int_array, max_abs
 from .numtheory import cyclotomic_poly, euler_phi, mobius
@@ -234,19 +233,9 @@ class CycloNumber(_CycloLattice):
         den, flat = self.reduced()
         return tuple(Fraction(v, den) for v in flat.tolist())
 
-    def as_fraction(self) -> Fraction:
-        if not self.is_rational():
-            raise InvariantError("value is not rational")
-        den, flat = self.reduced()
-        return Fraction(int(flat[0]), den)
-
     def to_json(self) -> dict:
         den, flat = self.reduced()
         return {"m": self.m, "coeffs": fraction_strings(flat, den)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "CycloNumber":
-        return cls(data["m"], data["coeffs"])
 
     def __repr__(self) -> str:
         return f"CycloNumber({self.m}, {[str(c) for c in self.coeffs]})"
@@ -283,12 +272,6 @@ class CycloAlgebraElement(_CycloLattice):
         nums = _zeros(spec, m)
         nums[0] = 1
         return cls(spec, m, nums)
-
-    @classmethod
-    def from_rational_element(cls, a: AlgebraElement, m: int) -> "CycloAlgebraElement":
-        nums = _zeros(a.spec, m, a.nums.dtype)
-        nums[::m] = a.nums
-        return cls(a.spec, m, nums, a.den)
 
     @classmethod
     def monomial(
@@ -333,12 +316,6 @@ class CycloAlgebraElement(_CycloLattice):
     @property
     def coeffs(self) -> tuple[CycloNumber, ...]:
         return tuple(self.cyclo_coeff(i) for i in range(self.spec.order))
-
-    def rational_part(self) -> AlgebraElement:
-        if not self.is_rational():
-            raise InconsistencyError("element has irrational coefficients")
-        den, flat = self.reduced()
-        return AlgebraElement(self.spec, flat.reshape(self.spec.order, -1)[:, 0], den)
 
     def coefficient_rows(self) -> "CoefficientRows":
         """to_json()["coeffs"] as one FractionList block over the reduced

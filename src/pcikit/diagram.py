@@ -646,28 +646,22 @@ def record_blocks(spec, diagrams: Sequence[PciDiagram]) -> Iterator[RecordBlock]
         yield RecordBlock(start, nums, *products.tolist())
 
 
-def record_arrays(spec, diagrams: Sequence[PciDiagram]) -> list[PciRecord]:
-    """The records of Q[spec] from already-built diagrams: the rows of
-    record_blocks."""
-    return [
-        PciRecord(spec, nums, den, kernel, quotient)
-        for block in record_blocks(spec, diagrams)
-        for nums, den, kernel, quotient in zip(
-            block.nums, block.dens, block.kernel_orders, block.quotient_orders
-        )
-    ]
-
-
 def pci_records(spec, alternate_order: bool = False) -> list[PciRecord]:
-    """The primitive central idempotents of Q[spec] with their bookkeeping
-    (see record_arrays), from the diagram of each primary part.
+    """The primitive central idempotents of Q[spec] with their bookkeeping:
+    the rows of record_blocks, from the diagram of each primary part.
 
     >>> from pcikit import parse_group_spec
     >>> *_, rec = pci_records(parse_group_spec("2:[2,1]"))
     >>> rec.element.to_strings(), rec.kernel_order, rec.quotient_order, rec.den
     (['1/4', '-1/4', '0/1', '0/1', '-1/4', '1/4', '0/1', '0/1'], 2, 4, 4)
     """
-    return record_arrays(spec, part_diagrams(spec, alternate_order))
+    return [
+        PciRecord(spec, nums, den, kernel, quotient)
+        for block in record_blocks(spec, part_diagrams(spec, alternate_order))
+        for nums, den, kernel, quotient in zip(
+            block.nums, block.dens, block.kernel_orders, block.quotient_orders
+        )
+    ]
 
 
 def pci_set(spec, alternate_order: bool = False):

@@ -24,7 +24,8 @@ from .errors import (
     SpecMismatchError,
     VerificationError,
 )
-from .groups import GroupSpec, PrimaryGroupSpec, enumeration
+from .groups import Enumeration, GroupSpec, PrimaryGroupSpec, enumeration
+from .kernels import _BLOCK_CELLS, max_abs
 from .numtheory import euler_phi
 
 
@@ -57,65 +58,174 @@ def _ramanujan_table(m: int) -> np.ndarray:
     return table
 
 
+def _value_table(L: int, m: int, dtype) -> np.ndarray:
+    """For a character of order m of a group of exponent L, the numerator
+    over |G| at g, by the exponent w < L of chi(g) = zeta_L^w: c_m(a) with
+    chi(g^-1) = zeta_m^a, a = -w / (L/m) mod m.  A w that L/m does not
+    divide lies outside the character's own root lattice; its entry is the
+    least value of dtype, which must lie below -phi(m) <= every c_m."""
+    table = np.full(L, np.iinfo(dtype).min, dtype=dtype)
+    table[:: L // m] = _ramanujan_table(m)[-np.arange(m) % m]
+    return table
+
+
+def _character_rows(
+    table: np.ndarray, weights: np.ndarray, digits: np.ndarray, L: int
+) -> np.ndarray:
+    """The numerators over |G| of the rational idempotents of a block of
+    characters of one order, from that order's _value_table: row c is the
+    gather of table at w = weights[c] @ digits.T mod L, the exponents of
+    the character's values on every element."""
+    w = weights @ digits.T
+    w %= L
+    rows = np.take(table, w, mode="clip")  # w indexes table, so "clip" changes nothing
+    if rows.size and rows.min() == np.iinfo(table.dtype).min:
+        raise InconsistencyError("character value outside its own root lattice")
+    return rows
+
+
 def rational_pci_of_character(spec: GroupSpec, chi: CharacterIndex) -> AlgebraElement:
     """The rational idempotent attached to chi: coefficient of g is the
     Ramanujan sum c_m(a) / |G| where chi(g^-1) = zeta_m^a and m = ord(chi)."""
-    return AlgebraElement(spec, _character_numerators(spec, chi), spec.order)
-
-
-def _character_numerators(spec: GroupSpec, chi: CharacterIndex) -> np.ndarray:
-    """rational_pci_of_character's numerators over |G|, not in lowest terms."""
     if chi.spec != spec:
         raise SpecMismatchError("character belongs to a different group")
     L = spec.exponent
-    m = chi.order
+    weights = np.array([[t * (L // d) for t, d in zip(chi.t, spec.factor_orders)]])
+    table = _value_table(L, chi.order, np.int64)
     digits = enumeration(spec.factor_orders).digits
-    weights = np.array(
-        [t * (L // d) for t, d in zip(chi.t, spec.factor_orders)], dtype=np.int64
-    )
-    w = (digits @ weights) % L
-    q, rem = np.divmod(w, L // m)
-    if rem.any():
-        raise InconsistencyError("character value outside its own root lattice")
-    return _ramanujan_table(m)[(-q) % m]
+    (row,) = _character_rows(table, weights.astype(np.int64), digits, L)
+    return AlgebraElement(spec, row, spec.order)
+
+
+class RowSet:
+    """Rows of rationals nums[i] / den over one denominator, nums a 2-D
+    integer array of a fixed-width dtype, each found by its bytes in that
+    dtype.  A multiset of idempotents held this way is compared with
+    blocks of records row by row, with no element per row (see find and
+    matched)."""
+
+    def __init__(self, nums: np.ndarray, den: int):
+        self.den, self.dtype = den, nums.dtype
+        self._keys = [row.tobytes() for row in nums]
+        self._index = {key: i for i, key in enumerate(self._keys)}
+        # two equal rows share one key, so find never gives the second
+        self.distinct = len(self._index) == len(self._keys)
+
+    def elements(self, spec: GroupSpec) -> list[AlgebraElement]:
+        return [
+            AlgebraElement(spec, np.frombuffer(key, self.dtype).astype(np.int64), self.den)
+            for key in self._keys
+        ]
+
+    def find(self, nums: np.ndarray, dens: list[int]) -> np.ndarray:
+        """For each row nums[i] / dens[i] of a block (a 2-D integer array,
+        see kernels.int_array), the index of the set's row equal to it, or
+        -1: the row is put over den, in the set's dtype, and looked up by
+        its bytes.  A row whose denominator does not divide den, or whose
+        numerators over den do not fit int64, is not found even when it is
+        equal; one that does not fit the set's dtype equals no row."""
+        found = np.full(len(dens), -1, dtype=np.int64)
+        factors = np.array(
+            [self.den // d if d > 0 and self.den % d == 0 else 0 for d in dens],
+            dtype=np.int64,
+        )
+        if nums.dtype == object or max_abs(nums) * int(factors.max()) >= 2**63:
+            return found
+        over = nums * factors[:, None]
+        info = np.iinfo(self.dtype)
+        fits = (factors > 0) & (over.min(axis=1) >= info.min) & (over.max(axis=1) <= info.max)
+        narrow = over.astype(self.dtype)  # exact on the rows that fit
+        for i in np.flatnonzero(fits).tolist():
+            found[i] = self._index.get(narrow[i].tobytes(), -1)
+        return found
+
+    def matched(self, found: list[np.ndarray]) -> bool:
+        """Whether the rows whose find results are the arrays `found` are
+        this set's rows, each as often: every one was found, and every row
+        of the set, all distinct, exactly once.  False does not say that
+        the multisets differ (see find)."""
+        hits = np.sort(np.concatenate(found))
+        return self.distinct and np.array_equal(hits, np.arange(len(self._keys)))
+
+
+def _element_orders(digits: np.ndarray, factor_orders: tuple[int, ...]) -> np.ndarray:
+    """The order of each element of the enumeration with these digit rows:
+    the lcm over its digits e, one per cyclic factor of order d, of
+    d // gcd(e, d), formed one digit column at a time."""
+    orders = np.ones(len(digits), dtype=np.int64)
+    for column, d in zip(digits.T, factor_orders):
+        orders = np.lcm(orders, d // np.gcd(column, d))
+    return orders
+
+
+def _orbit_firsts(enum: Enumeration, L: int) -> np.ndarray:
+    """For each character index, the least index in its Galois orbit
+    {chi^k : k a unit mod L}: Enumeration.power over the units, in blocks."""
+    units = np.array([k for k in range(1, L + 1) if math.gcd(k, L) == 1])
+    index = np.arange(enum.order)
+    firsts = index.copy()
+    step = max(1, _BLOCK_CELLS // max(1, enum.digits.size))
+    for start in range(0, len(units), step):
+        powers = enum.power(index, units[start : start + step, None, None])
+        np.minimum(firsts, powers.min(axis=0), out=firsts)
+    return firsts
+
+
+def oracle_rows(spec: GroupSpec) -> RowSet:
+    """The complete set of primitive central idempotents of Q[G], one per
+    Galois orbit of characters in the order of each orbit's first
+    character, as numerator rows over |G| (see rational_pci_of_character).
+
+    The rows of all |G| characters are formed as array passes, over the
+    characters of one order m at a time, in blocks of at most
+    kernels._BLOCK_CELLS entries: w = weights @ digits.T mod exp G, then
+    one gather from m's _value_table, which also checks that every value
+    lies in the character's own root lattice.  Each row is asserted equal
+    to its orbit's first row, which is kept: equality of the idempotents
+    within each orbit, on their numerators over the one denominator |G|.
+    The kept rows take the narrowest dtype that holds every |c_m| <= phi(m)."""
+    orders = spec.factor_orders
+    enum = enumeration(orders)
+    n, L, digits = spec.order, spec.exponent, enum.digits
+    weights = digits * np.array([L // d for d in orders], dtype=np.int64)
+    char_orders = _element_orders(digits, orders)
+    firsts = _orbit_firsts(enum, L)
+    slot = np.cumsum(firsts == np.arange(n)) - 1  # each first's row
+    # np.bincount, as np.unique imports numpy.ma: milliseconds in a fresh process
+    present = np.flatnonzero(np.bincount(char_orders)).tolist()
+    dtype = np.min_scalar_type(-1 - max(euler_phi(m) for m in present))
+    rows = np.empty((slot[-1] + 1, n), dtype=dtype)
+    step = max(1, _BLOCK_CELLS // n)
+    for m in present:
+        table = _value_table(L, m, dtype)
+        members = np.flatnonzero(char_orders == m)
+        for start in range(0, len(members), step):
+            chars = members[start : start + step]
+            block = _character_rows(table, weights[chars], digits, L)
+            first = firsts[chars] == chars
+            rows[slot[chars[first]]] = block[first]
+            others = chars[~first]
+            differ = (rows[slot[firsts[others]]] != block[~first]).any(axis=1)
+            if differ.any():
+                j = others[differ.argmax()]
+                raise InconsistencyError(
+                    f"characters {tuple(digits[firsts[j]].tolist())} and "
+                    f"{tuple(digits[j].tolist())} share a Galois orbit "
+                    "but produced different idempotents"
+                )
+    return RowSet(rows, n)
 
 
 def oracle_pci_set(spec: GroupSpec) -> list[AlgebraElement]:
-    """Complete set of primitive central idempotents of Q[G], one per Galois
-    orbit of characters; equality of the idempotents within each orbit is
-    asserted along the way, on their numerators over the one denominator
-    |G|."""
-    enum = enumeration(spec.factor_orders)
-    L = spec.exponent
-    units = np.array([k for k in range(1, L + 1) if math.gcd(k, L) == 1])
-    chars = dual_characters(spec)
-    out = []
-    seen: set[int] = set()
-    for i in range(len(chars)):
-        if i in seen:
-            continue
-        orbit = set(enum.power(i, units[:, None]).tolist())
-        seen |= orbit
-        row = _character_numerators(spec, chars[i])
-        for j in orbit - {i}:
-            if _character_numerators(spec, chars[j]).tobytes() != row.tobytes():
-                raise InconsistencyError(
-                    f"characters {chars[i].t} and {chars[j].t} share a Galois orbit "
-                    "but produced different idempotents"
-                )
-        out.append(AlgebraElement(spec, row, spec.order))
-    return out
+    """oracle_rows as elements of Q[G]."""
+    return oracle_rows(spec).elements(spec)
 
 
 def order_census(spec: PrimaryGroupSpec) -> dict[int, int]:
-    """Count elements by exact order, by full enumeration: the order of an
-    element is the lcm over its digits e, one per cyclic factor of order
-    d, of d // gcd(e, d), formed one digit column at a time."""
+    """Count elements by exact order, by full enumeration (see
+    _element_orders)."""
     digits = enumeration(spec.factor_orders).digits
-    orders = np.ones(len(digits), dtype=np.int64)
-    for column, d in zip(digits.T, spec.factor_orders):
-        orders = np.lcm(orders, d // np.gcd(column, d))
-    counts = np.bincount(orders)
+    counts = np.bincount(_element_orders(digits, spec.factor_orders))
     values = counts.nonzero()[0]
     return dict(zip(values.tolist(), counts[values].tolist()))
 

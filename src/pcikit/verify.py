@@ -10,21 +10,22 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .algebra import AlgebraElement, exact_sum, lattice_sum
+from .algebra import AlgebraElement, exact_sum, lowest_terms
 from .cyclotomic import CycloAlgebraElement, reduce_rows
 from .diagram import (
     PciVertex,
+    RecordBlock,
     cyclic_rational_pcis,
     extension_children,
     galois_orbit_collapse,
     galois_orbit_sums,
     lift_into_extension,
     part_diagrams,
-    pci_records,
-    record_arrays,
+    record_blocks,
     splitting_field_pcis,
 )
 from .groups import (
@@ -38,7 +39,13 @@ from .groups import (
 )
 from .errors import InconsistencyError, InvariantError
 from .kernels import int_array, squares_to_rows
-from .oracle import compare_pci_sets, oracle_pci_set, wedderburn_profile
+from .oracle import (
+    PciSetComparison,
+    RowSet,
+    compare_pci_sets,
+    oracle_rows,
+    wedderburn_profile,
+)
 
 SPLIT_CHECK_LIMIT = 64  # largest cyclic group whose splitting field is checked
 
@@ -53,25 +60,30 @@ class Check:
 
 
 def certify_idempotents(
-    elements: list[AlgebraElement], total: AlgebraElement
-) -> tuple[list[int], bool]:
-    """The indices of the elements that are not idempotent, and whether the
-    elements are idempotents with e_i e_j = 0 for all i != j, given their
-    sum total: one idempotency test per element and one more, all as one
-    stack of rows (see kernels.squares_to_rows).
+    blocks: Iterable[tuple[np.ndarray, list[int]]], orders: tuple[int, ...]
+) -> tuple[list[int], bool, tuple[np.ndarray, int]]:
+    """For the rows x/den of blocks of (numerators, one den per row) over
+    the group with these cyclic factor orders: the indices of the rows
+    that are not idempotent, whether the rows are idempotents with
+    e_i e_j = 0 for all i != j, and their sum in lowest terms.  Each block
+    is tested as one stack of rows (see kernels.squares_to_rows) and summed
+    by denominator (see algebra.exact_sum) as it passes; the sum of those
+    sums is tested last, as one more row.
 
     Q[G] is commutative and semisimple, so its complex characters are ring
     homomorphisms that together separate elements.  Each maps every
     idempotent e_i to 0 or 1, so it maps total to the number of e_i it
     sends to 1.  So total is idempotent iff no character sends two e_i to 1,
     that is iff e_i e_j = 0 for all i != j."""
-    ok = squares_to_rows(
-        [e.nums for e in elements] + [total.nums],
-        [e.den for e in elements] + [total.den],
-        total.spec.factor_orders,
-    )
-    bad = np.flatnonzero(~ok[:-1]).tolist()
-    return bad, not bad and bool(ok[-1])
+    bad, start, sums = [], 0, []
+    for nums, dens in blocks:
+        ok = squares_to_rows(nums, dens, orders)
+        bad += (start + np.flatnonzero(~ok)).tolist()
+        start += len(dens)
+        sums.append(exact_sum(list(zip(nums, dens))))
+    total, den = lowest_terms(*exact_sum(sums))
+    orthogonal = not bad and bool(squares_to_rows(total[None], [den], orders)[0])
+    return bad, orthogonal, (total, den)
 
 
 def collapse_matches_closed_form(
@@ -83,20 +95,60 @@ def collapse_matches_closed_form(
     return collapsed, compare_pci_sets(collapsed, closed).equal
 
 
+def _looked_up(blocks: Iterable[RecordBlock], sets: list[RowSet], found: list[list]):
+    """The (numerators, dens) of each record block, each row looked up in
+    every set on the way (see RowSet.find): found[k] gets set k's result
+    for each block in turn."""
+    for block in blocks:
+        for rows, hits in zip(sets, found):
+            hits.append(rows.find(block.nums, block.dens))
+        yield block.nums, block.dens
+
+
+def _compare(rows: RowSet, found: list, on, spec, diagrams) -> PciSetComparison:
+    """The records of Q[spec] from diagrams, whose lookups in rows gave
+    found, and rows, compared as multisets of elements of Q[on] (a group
+    with spec's enumeration): equal when they match row for row (see
+    RowSet.matched); otherwise compare_pci_sets on one element per record
+    (left) and per row, which decides and finds the witness."""
+    if rows.matched(found):
+        return PciSetComparison(True)
+    records = [
+        AlgebraElement(on, nums, den)
+        for block in record_blocks(spec, diagrams)
+        for nums, den in zip(block.nums, block.dens)
+    ]
+    return compare_pci_sets(records, rows.elements(on))
+
+
 def run_checks(spec: AbelianGroupSpec, alternate_order: bool) -> list[Check]:
     """Every check of the engine's result for spec, in report order; each
-    covers every idempotent, every pair of them and every diagram vertex."""
+    covers every idempotent, every pair of them and every diagram vertex.
+
+    The records are read block by block (diagram.record_blocks) in one
+    pass that certifies them and looks each row up in the oracle's rows,
+    and, for a cyclic group, in the closed form's; no element is built
+    per record unless a comparison fails and needs its witness."""
     checks: list[Check] = []
 
     def check(name: str, ok: bool, detail: str | None = None):
         checks.append(Check(name, ok, detail))
 
     diagrams = part_diagrams(spec)
-    elements = [rec.element for rec in record_arrays(spec, diagrams)]
-    count = len(elements)
-
-    total = lattice_sum(elements)
-    bad, orthogonal = certify_idempotents(elements, total)
+    oracle = oracle_rows(spec)
+    sets = [oracle]
+    cyclic = len(spec.factor_orders) == 1
+    if cyclic:
+        part = spec.parts[0]
+        n = part.classes[0][0]
+        closed = cyclic_rational_pcis(part.p, n)
+        over = [e.nums * (part.order // e.den) for e in closed]  # all over |G|
+        sets.append(RowSet(np.stack(over), part.order))
+    found = [[] for _ in sets]
+    bad, orthogonal, (total, den) = certify_idempotents(
+        _looked_up(record_blocks(spec, diagrams), sets, found), spec.factor_orders
+    )
+    count = sum(map(len, found[0]))
     check(
         "engine_idempotency",
         not bad,
@@ -107,9 +159,10 @@ def run_checks(spec: AbelianGroupSpec, alternate_order: bool) -> list[Check]:
     else:
         detail = "not every element is idempotent" if bad else "some pair is not orthogonal"
     check("engine_orthogonality", orthogonal, detail)
-    check("engine_sum_to_identity", total == AlgebraElement.one(spec))
+    is_one = den == 1 and total[0] == 1 and not total[1:].any()
+    check("engine_sum_to_identity", bool(is_one))
 
-    cmp = compare_pci_sets(elements, oracle_pci_set(spec))
+    cmp = _compare(oracle, found[0], spec, spec, diagrams)
     check(
         "engine_matches_oracle",
         cmp.equal,
@@ -148,25 +201,21 @@ def run_checks(spec: AbelianGroupSpec, alternate_order: bool) -> list[Check]:
             ),
         )
 
-    if len(spec.factor_orders) == 1:
-        part = spec.parts[0]
-        n = part.classes[0][0]
-        closed = cyclic_rational_pcis(part.p, n)
+    if cyclic:
         # the records of a cyclic group, re-homed onto its one part
-        leaves = [AlgebraElement(part, e.nums, e.den) for e in elements]
+        same = _compare(sets[1], found[1], part, spec, diagrams).equal
         check(
-            "cyclic_closed_form",
-            len(closed) == n + 1 and compare_pci_sets(closed, leaves).equal,
-            f"{n + 1} idempotents",
+            "cyclic_closed_form", len(closed) == n + 1 and same, f"{n + 1} idempotents"
         )
         if part.order <= SPLIT_CHECK_LIMIT:
             sound = _splitting_field_coherent(part, closed)
             check("splitting_field_coherence", sound, f"modulus {part.order}")
 
     if alternate_order:
-        alt = [r.element for r in pci_records(spec, alternate_order=True)]
-        alt_ok = compare_pci_sets(alt, oracle_pci_set(spec)).equal
-        check("alternate_order_soundness", alt_ok)
+        alternate = part_diagrams(spec, alternate_order=True)
+        hits = [oracle.find(b.nums, b.dens) for b in record_blocks(spec, alternate)]
+        same = _compare(oracle, hits, spec, spec, alternate).equal
+        check("alternate_order_soundness", same)
     return checks
 
 

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import cli_reference
+import element_reference
 from pcikit import (
     AlgebraElement,
     CapExceededError,
@@ -60,7 +61,9 @@ def test_pci_round_trip_is_sound():
     code, data = run_json("pci", "2:[2];3:[1]")
     assert code == 0
     spec = parse_group_spec(data["group"])
-    pcis = [AlgebraElement.from_strings(spec, row["coefficients"]) for row in data["pcis"]]
+    pcis = [
+        element_reference.from_strings(spec, row["coefficients"]) for row in data["pcis"]
+    ]
     total = AlgebraElement.zero(spec)
     for e in pcis:
         assert is_idempotent(e)
@@ -252,6 +255,28 @@ def fresh_process(argv, timeout=20):
         env=env,
         timeout=timeout,
     )
+
+
+def test_closed_pipe_ends_quietly():
+    # The reader takes 100 bytes of a several-MB output and closes the pipe:
+    # the CLI stops writing, prints nothing to stderr and exits 141.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH", "")]
+    )
+    argv = ["pci", "--group", "2:[1,1,1,1,1,1,1,1,1]"]
+    with subprocess.Popen(
+        [sys.executable, "-m", "pcikit.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        head = proc.stdout.read(100)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert len(head) == 100 and head.startswith(b"{")
+    assert (code, err) == (cli.EXIT_PIPE_CLOSED, b"")
 
 
 def test_one_parser_serves_every_call(monkeypatch, capsys):
@@ -728,6 +753,9 @@ class _Recorder:
 
     def write(self, text):
         self.chunks.append(text)
+
+    def flush(self):  # main flushes stdout once its writes are done
+        pass
 
 
 @pytest.mark.parametrize(

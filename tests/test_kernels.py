@@ -144,14 +144,17 @@ def test_certify_idempotents_keeps_no_transforms():
     from pcikit import is_idempotent, pci_set
     from pcikit.algebra import lattice_sum
     from pcikit.verify import certify_idempotents
+    from verify_reference import element_blocks
 
-    pcis = pci_set(parse_group_spec("2:[1,1,1,1,1,1,1,1]"))
-    total = lattice_sum(pcis)
-    assert is_idempotent(total)  # builds the plan and its tables
+    spec = parse_group_spec("2:[1,1,1,1,1,1,1,1]")
+    pcis = pci_set(spec)
+    assert is_idempotent(lattice_sum(pcis))  # builds the plan and its tables
+    blocks = element_blocks(pcis, len(pcis))
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert certify_idempotents(pcis, total) == ([], True)
+        bad, orthogonal, _ = certify_idempotents(blocks, spec.factor_orders)
+        assert (bad, orthogonal) == ([], True)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()

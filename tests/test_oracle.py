@@ -2,6 +2,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import partitions, primary_corpus, spec_from_partition
@@ -20,6 +21,7 @@ from pcikit import (
     wedderburn_profile,
 )
 from pcikit.groups import enumeration
+from pcikit.oracle import RowSet
 from pcikit.numtheory import euler_phi
 from rank_reference import kernel_and_field
 
@@ -27,6 +29,7 @@ C2 = PrimaryGroupSpec(2, ((1, 1),))
 C4 = PrimaryGroupSpec(2, ((2, 1),))
 C4C2 = PrimaryGroupSpec(2, ((2, 1), (1, 1)))
 C9C3 = PrimaryGroupSpec(3, ((2, 1), (1, 1)))
+C2C2 = PrimaryGroupSpec(2, ((1, 2),))
 
 
 def test_dual_characters_count_and_orders():
@@ -191,3 +194,69 @@ def test_compare_pci_sets():
     assert report.witness_side == "left"
     report = compare_pci_sets(pcis[1:], pcis)
     assert report.witness_side == "right"
+
+
+def row_set(elements):
+    """The elements as a RowSet, over their least common denominator."""
+    den = math.lcm(*(e.den for e in elements))
+    return RowSet(np.stack([e.nums * (den // e.den) for e in elements]), den)
+
+
+@st.composite
+def row_multisets(draw):
+    """Two lists of (numerators, den) rows over C_2 x C_2: the right one the
+    left one shuffled, with rows dropped, repeated, rescaled or changed."""
+    row = st.tuples(
+        st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+        st.sampled_from([1, 2, 4, 3]),
+    )
+    left = draw(st.lists(row, min_size=1, max_size=6))
+    right = list(draw(st.permutations(left)))
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(right) - 1))
+        nums, den = right[i]
+        kind = draw(st.sampled_from(["drop", "repeat", "rescale", "change"]))
+        if kind == "drop" and len(right) > 1:
+            del right[i]
+        elif kind == "repeat":
+            right.append(right[i])
+        elif kind == "rescale":
+            right[i] = ([2 * v for v in nums], 2 * den)
+        elif kind == "change":
+            right[i] = ([nums[0] + 1, *nums[1:]], den)
+    return left, right
+
+
+@given(row_multisets())
+@settings(max_examples=200, deadline=None)
+def test_row_set_matches_only_equal_multisets(data):
+    # RowSet.matched is sound: it says yes only for equal multisets.  It
+    # must say yes when they are equal, its rows distinct, and every den
+    # on the right divides its denominator.
+    left, right = data
+    elements = [AlgebraElement(C2C2, nums, den) for nums, den in left]
+    rows = row_set(elements)
+    found = [rows.find(np.array([nums]), [den]) for nums, den in right]
+    equal = Counter(elements) == Counter(AlgebraElement(C2C2, *r) for r in right)
+    divides = all(rows.den % den == 0 for _, den in right)
+    assert rows.matched(found) == (equal and rows.distinct and divides)
+    for (nums, den), (hit,) in zip(right, found):
+        if hit >= 0:
+            assert elements[hit] == AlgebraElement(C2C2, nums, den)
+
+
+def test_row_set_find_skips_rows_it_cannot_put_over_its_den():
+    rows = row_set(oracle_pci_set(C4))
+    assert rows.den == 4 and rows.distinct
+    nums = np.array([[1, 1, 1, 1], [3, 3, 3, 3], [2**62, 0, 0, 0]])
+    assert rows.find(nums, [4, 12, 1]).tolist() == [-1, -1, -1]
+    assert rows.find(nums[:2], [4, 4]).tolist() == [0, -1]
+    huge = np.array([[2**64, 0, 0, 0]], dtype=object)
+    assert rows.find(huge, [1]).tolist() == [-1]
+
+
+def test_row_set_find_checks_its_dtype_range():
+    # 300 does not fit int8; taken modulo 2^8 it would read 44 and match
+    rows = RowSet(np.array([[44, 0, 0, 0]], dtype=np.int8), 1)
+    nums = np.array([[300, 0, 0, 0], [44, 0, 0, 0], [-212, 0, 0, 0]])
+    assert rows.find(nums, [1, 1, 1]).tolist() == [-1, 0, -1]

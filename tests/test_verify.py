@@ -14,21 +14,28 @@ from hypothesis import event, given, settings, strategies as st
 import verify_reference
 from conftest import full_corpus
 from pcikit import (
+    AbelianGroupSpec,
     CycloAlgebraElement,
     GroupElement,
+    InconsistencyError,
     InvariantError,
+    PciRecord,
+    PrimaryGroupSpec,
     cyclic_group_spec,
     cyclic_rational_pcis,
     cyclotomic,
     diagram,
     element_from_index,
+    kernels,
     extension_children,
     lift_into_extension,
+    oracle,
     parse_group_spec,
     splitting_field_pcis,
     verify,
 )
 from pcikit.cli import main
+from pcikit.diagram import RecordBlock
 from pcikit.kernels import squares_to
 from pcikit.numtheory import cyclotomic_poly, is_prime
 
@@ -53,33 +60,164 @@ def shift_one_numerator(records):
     return [records[0]._replace(nums=nums), *records[1:]]
 
 
+def corrupt_record_blocks(monkeypatch, corrupt):
+    """Make verify, and the element reference, read corrupt(records) in
+    place of the engine's records: the rows of verify.record_blocks as
+    PciRecords, changed, then in blocks of three rows, so that the
+    certificate's running sums and indices cross block boundaries."""
+    original = verify.record_blocks
+
+    def blocks(spec, diagrams):
+        records = corrupt([
+            PciRecord(spec, nums, den, kernel, quotient)
+            for b in original(spec, diagrams)
+            for nums, den, kernel, quotient in zip(
+                b.nums, b.dens, b.kernel_orders, b.quotient_orders
+            )
+        ])
+        for start in range(0, len(records), 3):
+            part = records[start : start + 3]
+            yield RecordBlock(
+                start,
+                np.stack([r.nums for r in part]),
+                [r.den for r in part],
+                [r.kernel_order for r in part],
+                [r.quotient_order for r in part],
+            )
+
+    monkeypatch.setattr(verify, "record_blocks", blocks)
+
+
+CORRUPTIONS = [
+    pytest.param(shift_one_numerator, ENGINE_CHECKS, id="shifted-numerator"),
+    # the remaining leaves are still pairwise orthogonal; only the sum
+    # is wrong, so engine_orthogonality passes
+    pytest.param(
+        lambda records: records[:-1],
+        {"engine_sum_to_identity", "engine_matches_oracle"},
+        id="dropped-leaf",
+    ),
+    pytest.param(
+        lambda records: records + records[:1],
+        {"engine_orthogonality", "engine_sum_to_identity", "engine_matches_oracle"},
+        id="duplicated-leaf",
+    ),
+]
+
+
 @pytest.mark.parametrize("group", ["2:[2,1]", "2:[1];3:[1]"])
+@pytest.mark.parametrize("corrupt, expected", CORRUPTIONS)
+def test_corrupted_engine_records_fail(group, corrupt, expected, monkeypatch, capsys):
+    corrupt_record_blocks(monkeypatch, corrupt)
+    assert failed_checks(group, capsys) == expected
+
+
+@pytest.mark.parametrize("group", ["2:[2,1]", "2:[3]", "2:[1];3:[1]"])
+def test_rescaled_records_pass_by_the_element_comparison(group, monkeypatch, capsys):
+    # Numerators and dens times 5, prime to |G|: no record can be put over
+    # |G| as it stands, so no lookup finds it, the element comparison
+    # decides, and every check passes.
+    corrupt_record_blocks(
+        monkeypatch,
+        lambda records: [r._replace(nums=r.nums * 5, den=r.den * 5) for r in records],
+    )
+    compared = []
+    original = verify.compare_pci_sets
+
+    def counted(left, right):
+        compared.append(len(left))
+        return original(left, right)
+
+    monkeypatch.setattr(verify, "compare_pci_sets", counted)
+    assert main(["verify", "--group", group, "--alternate-order"]) == 0
+    assert json.loads(capsys.readouterr().out)["status"] == "pass"
+    assert len(compared) >= 2
+
+
+def small_blocks(monkeypatch):
+    """Make every blocked pass (record blocks, the certificate, the
+    oracle's rows and its orbit search) take at most 64 entries at once,
+    so that on the corpus each spans many blocks: an orbit's first row is
+    then written blocks before the rows compared with it."""
+    monkeypatch.setattr(kernels, "_BLOCK_CELLS", 64)
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 64)
+
+
+BLOCK_SIZES = pytest.mark.parametrize("blocks", ["default", "small"])
+
+
+def as_abelian(spec):
+    return AbelianGroupSpec((spec,)) if isinstance(spec, PrimaryGroupSpec) else spec
+
+
+@BLOCK_SIZES
+def test_run_checks_match_element_reference_on_corpus(blocks, monkeypatch):
+    if blocks == "small":
+        small_blocks(monkeypatch)
+    for spec in map(as_abelian, full_corpus()):
+        assert verify.run_checks(spec, True) == verify_reference.run_checks(spec, True)
+
+
+@pytest.mark.parametrize("group", ["2:[2,1]", "2:[1];3:[1]", "3:[2]", "2:[1,1,1]"])
+@pytest.mark.parametrize("corrupt, expected", CORRUPTIONS)
+def test_run_checks_match_element_reference_under_corruption(
+    group, corrupt, expected, monkeypatch
+):
+    # the same checks fail with the same details, the oracle witness too
+    corrupt_record_blocks(monkeypatch, corrupt)
+    spec = parse_group_spec(group)
+    checks = verify.run_checks(spec, True)
+    assert checks == verify_reference.run_checks(spec, True)
+    failed = {c.name for c in checks if not c.ok}
+    assert expected <= failed <= expected | {
+        "cyclic_closed_form", "alternate_order_soundness"
+    }
+    witness = next(c.detail for c in checks if c.name == "engine_matches_oracle")
+    assert witness.startswith("witness on ")
+
+
+@BLOCK_SIZES
+def test_oracle_matches_character_reference_on_corpus(blocks, monkeypatch):
+    if blocks == "small":
+        small_blocks(monkeypatch)
+    for spec in full_corpus():
+        assert oracle.oracle_pci_set(spec) == verify_reference.oracle_pci_set(spec)
+
+
 @pytest.mark.parametrize(
-    "corrupt, expected",
+    "group, t",
     [
-        pytest.param(shift_one_numerator, ENGINE_CHECKS, id="shifted-numerator"),
-        # the remaining leaves are still pairwise orthogonal; only the sum
-        # is wrong, so engine_orthogonality passes
-        pytest.param(
-            lambda records: records[:-1],
-            {"engine_sum_to_identity", "engine_matches_oracle"},
-            id="dropped-leaf",
-        ),
-        pytest.param(
-            lambda records: records + records[:1],
-            {"engine_orthogonality", "engine_sum_to_identity", "engine_matches_oracle"},
-            id="duplicated-leaf",
-        ),
+        ("2:[2]", (3,)),  # the second member of the orbit {1, 3} of C_4
+        ("2:[2]", (1,)),  # its first member, which the other is compared with
+        ("3:[1,1]", (2, 2)),
+        ("2:[1];3:[1]", (1, 2)),
+        ("2:[2,1];3:[1]", (3, 1, 2)),
     ],
 )
-def test_corrupted_engine_records_fail(group, corrupt, expected, monkeypatch, capsys):
-    original = verify.record_arrays
-    monkeypatch.setattr(
-        verify,
-        "record_arrays",
-        lambda spec, diagrams: corrupt(original(spec, diagrams)),
-    )
-    assert failed_checks(group, capsys) == expected
+@BLOCK_SIZES
+def test_altered_oracle_row_within_an_orbit_raises(
+    group, t, blocks, monkeypatch, capsys
+):
+    if blocks == "small":
+        small_blocks(monkeypatch)
+    spec = parse_group_spec(group)
+    original = oracle._character_rows
+
+    def altered(table, weights, digits, L):
+        rows = original(table, weights, digits, L)
+        target = np.array(t) * (L // np.array(spec.factor_orders))
+        at = np.flatnonzero((weights == target).all(axis=1))
+        if at.size:
+            rows = rows.copy()
+            rows[at[0], 0] += 1
+        return rows
+
+    monkeypatch.setattr(oracle, "_character_rows", altered)
+    with pytest.raises(InconsistencyError, match="share a Galois orbit"):
+        oracle.oracle_rows(spec)
+    assert main(["verify", "--group", group]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "share a Galois orbit" in captured.err
 
 
 def split_witness_always_u(monkeypatch):

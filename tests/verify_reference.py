@@ -1,4 +1,10 @@
-"""References of the tests for two of verify's checks.
+"""References of the tests for verify's checks.
+
+The element reference builds one AlgebraElement per record: run_checks
+certifies the elements as one stack with their lattice sum, and compares
+them with the oracle's set, built one character at a time, by
+compare_pci_sets.  verify.run_checks reads the record blocks and the
+oracle's rows and builds no element unless a comparison fails.
 
 The vertex-kernel reference closes each vertex's kernel span from scratch,
 forms its expansion, and searches for the stabiliser of that expansion to
@@ -13,17 +19,19 @@ tests compare the two."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 
 import numpy as np
 
+from pcikit import verify
 from pcikit.algebra import (
     AlgebraElement,
     expansion_numerators,
     fixing_subgroup,
     lattice_sum,
 )
-from pcikit.cyclotomic import CycloAlgebraElement, CycloNumber
+from pcikit.cyclotomic import CycloAlgebraElement, CycloNumber, ramanujan_sum
 from pcikit.diagram import (
     PciVertex,
     galois_orbit_collapse,
@@ -32,15 +40,175 @@ from pcikit.diagram import (
 )
 from pcikit.errors import InconsistencyError, InvariantError
 from pcikit.groups import (
+    AbelianGroupSpec,
     GroupElement,
+    GroupSpec,
     PrimaryGroupSpec,
     element_index,
     element_order,
+    enumeration,
     identity,
     subgroup_closure,
 )
-from pcikit.kernels import squares_to
-from pcikit.oracle import compare_pci_sets
+from pcikit.kernels import squares_to, squares_to_rows
+from pcikit.oracle import (
+    CharacterIndex,
+    compare_pci_sets,
+    dual_characters,
+    wedderburn_profile,
+)
+from pcikit.verify import Check
+
+
+def character_numerators(spec: GroupSpec, chi: CharacterIndex) -> np.ndarray:
+    """The numerators over |G| of chi's rational idempotent, one character
+    at a time: c_m(a) at g, where chi(g^-1) = zeta_m^a and m = ord(chi)."""
+    L, m = spec.exponent, chi.order
+    digits = enumeration(spec.factor_orders).digits
+    weights = np.array(
+        [t * (L // d) for t, d in zip(chi.t, spec.factor_orders)], dtype=np.int64
+    )
+    q, rem = np.divmod((digits @ weights) % L, L // m)
+    if rem.any():
+        raise InconsistencyError("character value outside its own root lattice")
+    return np.array([ramanujan_sum(m, -a) for a in q.tolist()], dtype=np.int64)
+
+
+def oracle_pci_set(spec: GroupSpec) -> list[AlgebraElement]:
+    """oracle.oracle_pci_set one character at a time: one idempotent per
+    Galois orbit, in the order of each orbit's first character, with every
+    member's numerators compared with the first's."""
+    enum = enumeration(spec.factor_orders)
+    L = spec.exponent
+    units = np.array([k for k in range(1, L + 1) if math.gcd(k, L) == 1])
+    chars = dual_characters(spec)
+    out, seen = [], set()
+    for i, chi in enumerate(chars):
+        if i in seen:
+            continue
+        orbit = set(enum.power(i, units[:, None]).tolist())
+        seen |= orbit
+        row = character_numerators(spec, chi)
+        for j in orbit - {i}:
+            if not np.array_equal(character_numerators(spec, chars[j]), row):
+                raise InconsistencyError(f"characters {chi.t} and {chars[j].t} differ")
+        out.append(AlgebraElement(spec, row, spec.order))
+    return out
+
+
+def element_blocks(elements: list[AlgebraElement], size: int):
+    """The elements as the blocks verify.certify_idempotents reads: a
+    stack of the numerators of up to size elements, and their dens."""
+    return [
+        (np.stack([e.nums for e in part]), [e.den for e in part])
+        for part in (elements[i : i + size] for i in range(0, len(elements), size))
+    ]
+
+
+def certify_idempotents(
+    elements: list[AlgebraElement], total: AlgebraElement
+) -> tuple[list[int], bool]:
+    """verify.certify_idempotents on elements and their sum total, given:
+    the elements and the sum tested as one stack of rows."""
+    ok = squares_to_rows(
+        [e.nums for e in elements] + [total.nums],
+        [e.den for e in elements] + [total.den],
+        total.spec.factor_orders,
+    )
+    bad = np.flatnonzero(~ok[:-1]).tolist()
+    return bad, not bad and bool(ok[-1])
+
+
+def records(on: GroupSpec, spec: AbelianGroupSpec, diagrams) -> list[AlgebraElement]:
+    """The records verify reads (verify.record_blocks), one element each,
+    as elements of Q[on], a group with the same enumeration."""
+    return [
+        AlgebraElement(on, nums, den)
+        for block in verify.record_blocks(spec, diagrams)
+        for nums, den in zip(block.nums, block.dens)
+    ]
+
+
+def run_checks(spec: AbelianGroupSpec, alternate_order: bool) -> list[Check]:
+    """verify.run_checks with one element per record: the certificate on
+    the elements and their lattice_sum, every set comparison by
+    compare_pci_sets, and the oracle one character at a time.  The checks
+    of the diagram's vertices, the census and the splitting field are
+    verify's own."""
+    checks: list[Check] = []
+
+    def check(name: str, ok: bool, detail: str | None = None):
+        checks.append(Check(name, ok, detail))
+
+    diagrams = verify.part_diagrams(spec)
+    elements = records(spec, spec, diagrams)
+    count = len(elements)
+    total = lattice_sum(elements)
+    bad, orthogonal = certify_idempotents(elements, total)
+    check(
+        "engine_idempotency",
+        not bad,
+        f"failures at {bad}" if bad else f"{count} idempotents",
+    )
+    if orthogonal:
+        detail = f"{count * (count - 1) // 2} pairs checked (full)"
+    else:
+        detail = "not every element is idempotent" if bad else "some pair is not orthogonal"
+    check("engine_orthogonality", orthogonal, detail)
+    check("engine_sum_to_identity", total == AlgebraElement.one(spec))
+    oracle = oracle_pci_set(spec)
+    cmp = compare_pci_sets(elements, oracle)
+    check(
+        "engine_matches_oracle",
+        cmp.equal,
+        None
+        if cmp.equal
+        else f"witness on {cmp.witness_side} side: {cmp.witness.to_strings()}",
+    )
+    vertices = [
+        (diag.spec, v) for diag in diagrams for level in diag.levels for v in level
+    ]
+    check(
+        "factored_form_structure",
+        all(v.trivial == (v.form.primed is None) for _, v in vertices),
+    )
+    failures = verify.vertex_kernel_failures(vertices)
+    check(
+        "vertex_kernels",
+        not failures,
+        f"failures: {failures[:3]}"
+        if failures
+        else f"{len(vertices)} vertices checked (full)",
+    )
+    for part, diag in zip(spec.parts, diagrams):
+        profile = wedderburn_profile(part)
+        leaf_counts = Counter(v.field_index for v in diag.leaves)
+        check(
+            f"component_counts_p{part.p}",
+            all(leaf_counts[row.r] == row.census for row in profile.rows),
+            "; ".join(
+                f"r={row.r}: census={row.census} formula={row.formula} "
+                f"variant={row.statement_variant}"
+                for row in profile.rows
+            ),
+        )
+    if len(spec.factor_orders) == 1:
+        part = spec.parts[0]
+        n = part.classes[0][0]
+        closed = verify.cyclic_rational_pcis(part.p, n)
+        leaves = [AlgebraElement(part, e.nums, e.den) for e in elements]
+        check(
+            "cyclic_closed_form",
+            len(closed) == n + 1 and compare_pci_sets(closed, leaves).equal,
+            f"{n + 1} idempotents",
+        )
+        if part.order <= verify.SPLIT_CHECK_LIMIT:
+            sound = verify._splitting_field_coherent(part, closed)
+            check("splitting_field_coherence", sound, f"modulus {part.order}")
+    if alternate_order:
+        alternate = records(spec, spec, verify.part_diagrams(spec, alternate_order=True))
+        check("alternate_order_soundness", compare_pci_sets(alternate, oracle).equal)
+    return checks
 
 
 def vertex_kernel_failures(
