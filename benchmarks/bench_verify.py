@@ -12,7 +12,7 @@ verify.run_checks.  The stages hold every block at once, which run_checks
 does not.  Run:
 
     python benchmarks/bench_verify.py
-    python benchmarks/bench_verify.py --repeats 1 --groups "2:[1]*6,2:[5],3:[3],7:[2]"
+    python benchmarks/bench_verify.py --repeats 1 --groups "2:[1]*6,2:[5],3:[3],7:[2],2:[6,6]"
 
 Each time is the best of --repeats calls after one warm-up call.
 """
@@ -74,7 +74,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--groups",
-        default="2:[1]*6,2:[2,2,2],2:[5],3:[3],7:[2],2:[6,6],2:[1]*12",
+        default="2:[1]*6,2:[2,2,2],2:[5],3:[3],7:[2],2:[6,6],2:[4,4,4],2:[12],2:[1]*12",
         help="comma-separated group descriptions; '2:[1]*6' repeats the exponent",
     )
     parser.add_argument("--repeats", type=int, default=3)

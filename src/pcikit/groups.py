@@ -413,13 +413,6 @@ def element_order(g: GroupElement) -> int:
     )
 
 
-def in_subgroup(sub: np.ndarray, indices):
-    """Whether each element index lies in the subgroup sub, given in the one
-    subgroup form (see index_set); broadcast like numpy arrays."""
-    at = np.searchsorted(sub, indices)
-    return sub[np.minimum(at, len(sub) - 1)] == indices
-
-
 def extend_subgroup(spec: GroupSpec, sub: np.ndarray, g: GroupElement) -> np.ndarray:
     """The subgroup <S, g>, for a subgroup S given in the one subgroup form
     (see index_set), in that form.
@@ -434,7 +427,8 @@ def extend_subgroup(spec: GroupSpec, sub: np.ndarray, g: GroupElement) -> np.nda
     """
     enum = enumeration(spec.factor_orders)
     powers = enum.power(member_index(spec, g), np.arange(spec.exponent)[:, None])
-    inside = in_subgroup(sub, powers[1:])
+    at = np.minimum(np.searchsorted(sub, powers[1:]), len(sub) - 1)
+    inside = sub[at] == powers[1:]
     k = 1 + int(inside.argmax()) if inside.any() else spec.exponent
     span = np.sort(enum.product(powers[:k, None], sub), axis=None)
     span.setflags(write=False)

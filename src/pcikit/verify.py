@@ -8,6 +8,7 @@ them is the CLI's job.
 
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -32,11 +33,10 @@ from .groups import (
     AbelianGroupSpec,
     GroupElement,
     PrimaryGroupSpec,
-    element_index,
-    extend_subgroup,
-    in_subgroup,
+    enumeration,
     subgroup_closure,
 )
+from . import kernels
 from .errors import InconsistencyError, InvariantError
 from .kernels import int_array, squares_to_rows
 from .oracle import (
@@ -236,33 +236,100 @@ def vertex_kernel_failures(
     expansion.
 
     A vertex's generators are its parent's, or those plus one, so each
-    span is looked up among the previous level's spans and, failing that,
-    grown from its prefix's span by one coset walk (see extend_subgroup);
-    a tuple with no known prefix is closed from scratch.  Only two levels
-    of spans are held at once, and the leaves' spans are not kept."""
+    level is checked in one array pass over the previous level's spans
+    (see _part_failures); only two levels of spans are held at once."""
     failures = []
-    spans: dict[tuple, np.ndarray] = {}  # this level's, by generator tuple
-    last: dict[tuple, np.ndarray] = {}  # the previous level's
-    where = None
-    for part, v in vertices:
-        if (part, v.level) != where:
-            where, last, spans = (part, v.level), spans, {}
-        gens = v.form.kernel_gens
-        tracked = last.get(gens)
-        if tracked is None:
-            prefix = last.get(gens[:-1]) if gens else None
-            if prefix is None:
-                tracked = subgroup_closure(part, gens)
-            else:
-                tracked = extend_subgroup(part, prefix, gens[-1])
-        if v.level < part.num_generators:  # no level follows the leaves
-            spans[gens] = tracked
-        primed = v.form.primed
-        if len(tracked) != v.kernel_order:
-            failures.append((part.p, v.level, v.index, "size"))
-        elif primed is not None and in_subgroup(tracked, element_index(primed)):
-            failures.append((part.p, v.level, v.index, "kernel"))
+    for part, run in itertools.groupby(vertices, lambda pv: pv[0]):
+        failures += _part_failures(part, [v for _, v in run])
     return failures
+
+
+def _part_failures(part, run):
+    """vertex_kernel_failures for the vertices run of one part.  Each
+    generator tuple, keyed by its element indices, is looked up among the
+    previous level's (first, the empty tuple's): a vertex whose tuple is a
+    held one, or one plus g, has that vertex's span S, or <S, g> (see
+    _level_pass; g is the identity for the former).  A tuple with no held
+    prefix, and so each of its children, is closed from scratch."""
+    enum, n = enumeration(part.factor_orders), part.order
+    # index each element object once, keyed by id (unique while run holds
+    # them all): a vertex's generators are mostly its parent's objects
+    forms = [v.form for v in run]
+    found = {id(g): g for f in forms for g in (*f.kernel_gens, f.primed) if g is not None}
+    exps = np.array([g.exps for g in found.values()], dtype=np.int64)
+    exps = exps.reshape(len(found), len(enum.orders))
+    at = dict(zip(found, (exps @ enum.strides).tolist()))  # element indices
+    keys = [tuple([at[id(g)] for g in f.kernel_gens]) for f in forms]
+    z = [-1 if f.primed is None else at[id(f.primed)] for f in forms]
+    cuts = [i for i in range(1, len(run)) if run[i].level != run[i - 1].level]
+    levels = list(zip([0, *cuts], [*cuts, len(run)]))  # each level's (lo, hi)
+    held, base, step, fresh = {(): 0}, [], [], {}
+    for lo, hi in levels:
+        for i in range(lo, hi):
+            key = keys[i]
+            grows = key not in held
+            if grows and key[:-1] not in held:  # no held prefix
+                fresh[i] = subgroup_closure(part, forms[i].kernel_gens)
+            base.append(held.get(key[:-1] if grows else key, 0))
+            step.append(key[-1] if grows and i not in fresh else 0)  # 0: the identity
+        held = {keys[i]: i - lo for i in range(lo, hi) if i not in fresh}
+    recorded = [v.kernel_order for v in run]
+    base, step, z, recorded = np.array((base, step, z, recorded), dtype=np.int64)
+    orders = (enum.mods // np.gcd(enum.digits[step], enum.mods)).max(axis=1, initial=1)
+    sizes, inside = np.empty_like(base), np.empty(len(run), dtype=bool)
+    rows, held_sizes = np.eye(1, n, dtype=bool), np.ones(1, dtype=np.int64)
+    for lo, hi in levels:
+        grow = run[lo].level < part.num_generators  # no level follows the leaves
+        k, inside[lo:hi], rows = _level_pass(
+            enum, rows, base[lo:hi], step[lo:hi], orders[lo:hi], z[lo:hi], grow
+        )
+        held_sizes = sizes[lo:hi] = held_sizes[base[lo:hi]] * k
+    for i, span in fresh.items():
+        sizes[i], inside[i] = len(span), z[i] in span
+    wrong_size = sizes != recorded
+    bad = wrong_size | ((z >= 0) & inside)
+    return [
+        (part.p, run[i].level, run[i].index, "size" if wrong_size[i] else "kernel")
+        for i in np.flatnonzero(bad).tolist()
+    ]
+
+
+def _level_pass(enum, rows, base, g, orders, z, grow):
+    """For spans <S, g> with S = rows[base] and ord(g) = orders: the index
+    k of each S in <S, g>, whether z lies in <S, g> (for z >= 0), and, if
+    grow, the rows of the spans.
+
+    Both are read off S's row by gathers over c = 1 ... ord(g), for the
+    vertices of one order at a time: k is the least c such that c g lies
+    in S, and z lies in <S, g> exactly when z - c g lies in S for some
+    c < k (a larger c adds nothing: S + c g lies in <S, g>).  If grow, a
+    span's row is grown from S by the coset union R <- R u (R + 2^j g),
+    j = 0, 1, ..., until 2^j reaches the largest k of its block.  Each
+    block holds at most kernels._BLOCK_CELLS cells."""
+    n = rows.shape[1]
+    cells, at_row = rows.reshape(-1), base * n  # S's row starts at cell at_row
+    k, inside = np.ones_like(g), cells[at_row + z]  # as for ord(g) = 1
+    spans = rows[base] if grow else None
+    for o in set(orders.tolist()) - {1}:
+        which = np.flatnonzero(orders == o)
+        per_block = max(1, kernels._BLOCK_CELLS // (n if grow else o * len(enum.orders)))
+        for start in range(0, len(which), per_block):
+            at = which[start : start + per_block]
+            c, s = np.arange(o + 1), at_row[at, None]
+            cg = enum.power(g[at, None], c[:, None])  # c g, for c = 0 ... o
+            k[at] = cells[s + cg[:, 1:]].argmax(axis=1) + 1
+            c = c[: k[at].max()]
+            shifted = enum.product(z[at, None], enum.inverse[cg[:, c]])  # z - c g
+            inside[at] = cells[s + shifted].any(axis=1)
+            if grow:
+                block = spans[at]
+                grown = block.reshape(-1)
+                for j in range(int(c[-1]).bit_length()):
+                    members = np.flatnonzero(grown)  # r n + x for x in row r's span
+                    x = members % n
+                    grown[members - x + enum.product(x, cg[members // n, 2**j])] = True
+                spans[at] = block
+    return k, inside, spans
 
 
 def _splitting_field_coherent(part, closed: list[AlgebraElement]) -> bool:

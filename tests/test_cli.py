@@ -1,16 +1,18 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import cli_reference
 import element_reference
@@ -782,3 +784,71 @@ def test_main_writes_chunks_of_at_least_chunk_chars(argv, small, monkeypatch):
     fmt = options.get("--format", "json")
     config = RunConfig(argv[0], options["--group"], output_format=fmt)
     assert "".join(chunks) == run(config)[1]
+
+
+FUZZ_FORMATS = {
+    "pci": ("json", "text"),
+    "diagram": ("json", "text", "dot"),
+    "wedderburn": ("json", "text"),
+    "split": ("json", "text"),
+    "verify": ("json", "text"),
+}
+MALFORMED_PARTS = [
+    "", "2", "2:", "2:[]", "2:[0]", "2:[-1]", "2:[1", "2:1]", ":[1]", "[1]",
+    "2:[1,,1]", "2:[1,]", "2:[a]", "2;[1]", "2:(1)", "0:[1]", "1:[1]", "4:[1]",
+    "9:[1]", "02:[01]", "2 :[ 1 ]", "2:[1]x", "٣:[1]",
+]
+OVER_CAP_PARTS = ["2:[13]", "2:[6,7]", "3:[8]", "4099:[1]", "2:[99999999999999999999]"]
+
+
+@st.composite
+def group_texts(draw):
+    """Texts in and around the group grammar: one to three prime parts of
+    total order at most 64, now and then a part over the default cap or a
+    malformed piece, joined by ';' (a prime drawn twice is an error too)."""
+    pieces, order = [], 1
+    for p in draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 61]), min_size=1, max_size=3)):
+        room = 0  # the largest total exponent that keeps the order <= 64
+        while order * p ** (room + 1) <= 64:
+            room += 1
+        if room:
+            exps = draw(st.lists(st.integers(1, room), min_size=1, max_size=room))
+            while sum(exps) > room:
+                exps.pop()
+            exps = exps or [1]
+            order *= p ** sum(exps)
+            pieces.append(f"{p}:[{','.join(map(str, exps))}]")
+    if draw(st.integers(0, 7)) == 0:
+        pieces.append(draw(st.sampled_from(OVER_CAP_PARTS)))
+    if draw(st.integers(0, 3)) == 0:
+        bad = draw(st.sampled_from(MALFORMED_PARTS))
+        pieces.insert(draw(st.integers(0, len(pieces))), bad)
+    return ";".join(draw(st.permutations(pieces)))
+
+
+@given(group_texts(), st.sampled_from(sorted(FUZZ_FORMATS)), st.data())
+@example("2:[1,1,1];3:[1]", "verify", None)
+@example("2:[1];2:[1]", "pci", None)
+@example("2:[13]", "verify", None)
+@settings(max_examples=100, deadline=None)
+def test_group_grammar_fuzz(group, subcommand, data):
+    # every text exits 0, or 2 with nothing on stdout; the same twice, and
+    # never 1 (a fault of the engine) or a traceback
+    if data is None:
+        fmt, alternate = "json", False
+    else:
+        fmt = data.draw(st.sampled_from(FUZZ_FORMATS[subcommand]))
+        alternate = subcommand in ("pci", "diagram", "verify") and data.draw(st.booleans())
+    argv = [subcommand, "--group", group, "--format", fmt]
+    argv += ["--alternate-order"] if alternate else []
+    runs = []
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        runs.append((code, out.getvalue(), err.getvalue()))
+    code, out, err = runs[0]
+    event(f"exit {code}")
+    assert code in (0, 2) and "Traceback" not in err, (argv, err)
+    assert code == 0 or (out == "" and err.startswith("error: ")), argv
+    assert runs[1] == runs[0], argv

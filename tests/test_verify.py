@@ -6,6 +6,7 @@ that the named checks fail and that the CLI exits 1 with status "fail".
 
 import dataclasses
 import json
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -278,20 +279,71 @@ def diagram_vertices(spec):
     ]
 
 
+# The vertex-kernel tests run the check at the default block size and at 64
+# cells, where the level pass takes one row per block at order 64.
+KERNEL_BLOCK_CELLS = (kernels._BLOCK_CELLS, 64)
+
+
+def level_pass_failures(vertices, cells):
+    with patch.object(kernels, "_BLOCK_CELLS", cells):
+        return verify.vertex_kernel_failures(vertices)
+
+
 def test_vertex_kernels_match_reference_on_corpus():
     for spec in full_corpus():
         vertices = diagram_vertices(spec)
-        assert verify.vertex_kernel_failures(vertices) == []
         assert verify_reference.vertex_kernel_failures(vertices) == []
+        for cells in KERNEL_BLOCK_CELLS:
+            assert level_pass_failures(vertices, cells) == []
 
 
 @pytest.mark.parametrize("group", ["2:[2,2]", "3:[2,2]", "2:[3,2,1]"])
 def test_vertex_kernels_match_reference_under_wrong_witness(group, monkeypatch):
     split_witness_always_u(monkeypatch)
     vertices = diagram_vertices(parse_group_spec(group))
-    failures = verify.vertex_kernel_failures(vertices)
-    assert failures
-    assert failures == verify_reference.vertex_kernel_failures(vertices)
+    expected = verify_reference.vertex_kernel_failures(vertices)
+    assert expected
+    for cells in KERNEL_BLOCK_CELLS:
+        assert level_pass_failures(vertices, cells) == expected
+
+
+def reordered(vertices, order):
+    """The vertices with each kernel-generator tuple reordered by order,
+    which keeps every span: prefixes then no longer match the parent's."""
+    out = []
+    for part, v in vertices:
+        form = dataclasses.replace(v.form, kernel_gens=order(v.form.kernel_gens))
+        out.append((part, dataclasses.replace(v, form=form)))
+    return out
+
+
+REORDERS = {
+    "reversed": lambda gens: gens[::-1],
+    # the children of a swapped tuple extend its row, closed from scratch
+    "first two swapped": lambda gens: gens[1::-1] + gens[2:],
+}
+
+
+@pytest.mark.parametrize("group", ["2:[1,1,1]", "2:[2,1]", "3:[2,2]", "2:[1];3:[1,1]"])
+@pytest.mark.parametrize("order", sorted(REORDERS))
+def test_vertex_kernels_match_reference_on_reordered_generators(group, order, monkeypatch):
+    closures = []
+    original = verify.subgroup_closure
+
+    def counted(part, gens):
+        closures.append(gens)
+        return original(part, gens)
+
+    monkeypatch.setattr(verify, "subgroup_closure", counted)
+    vertices = reordered(diagram_vertices(parse_group_spec(group)), REORDERS[order])
+    # and with a kernel generator dropped from every vertex that has two
+    dropped = reordered(vertices, lambda gens: gens[1:] if len(gens) > 1 else gens)
+    expected = verify_reference.vertex_kernel_failures(dropped)
+    assert verify_reference.vertex_kernel_failures(vertices) == [] and expected
+    for cells in KERNEL_BLOCK_CELLS:
+        assert level_pass_failures(vertices, cells) == []
+        assert level_pass_failures(dropped, cells) == expected
+    assert closures  # the from-scratch path ran
 
 
 MUTATED_GROUPS = [
@@ -338,7 +390,8 @@ def test_vertex_kernels_match_reference_on_mutated_vertices(vertices):
         except InvariantError:  # the primed element lies in the span
             expected.append((part.p, v.level, v.index, "kernel"))
     event(f"failures: {[what for *_, what in expected]}")
-    assert verify.vertex_kernel_failures(vertices) == expected
+    for cells in KERNEL_BLOCK_CELLS:
+        assert level_pass_failures(vertices, cells) == expected
 
 
 def replace_splitting_idempotent(monkeypatch, p, n, change):

@@ -8,8 +8,14 @@ oracle's rows and builds no element unless a comparison fails.
 
 The vertex-kernel reference closes each vertex's kernel span from scratch,
 forms its expansion, and searches for the stabiliser of that expansion to
-compare with the span.  verify.vertex_kernel_failures reuses spans across
-levels and tests only whether the primed element lies in the span.
+compare with the span.  verify.vertex_kernel_failures checks each diagram
+level in one array pass: it reads each span's size, and whether the
+primed element lies in it, off the previous level's boolean span rows by
+gathers over the run of powers of the one new generator (V_l x ord(g)
+cells for a level of V_l vertices), grows the span rows of the non-leaf
+levels by coset-union doubling, and closes from scratch only a tuple
+with no known prefix, and its children.  It tests only whether the primed
+element lies in the span, not the stabiliser.
 
 The splitting-field reference checks one element at a time: one
 idempotency test per element, a lattice sum, the Galois collapse of the
