@@ -26,11 +26,14 @@ from .algebra import FractionList
 from .cyclotomic import CoefficientRows
 from .diagram import (
     cyclic_rational_pcis,
+    element_names,
     emit_dot,
     galois_orbits,
+    kernel_generator_texts,
     part_diagrams,
     record_blocks,
     splitting_field_pcis,
+    vertex_descriptions,
 )
 from .errors import (
     CapExceededError,
@@ -53,11 +56,12 @@ SPLIT_MAX_COEFFICIENTS = 2**23
 # many (holding one block of rows at a time); C_2^12, the largest order the
 # default cap admits, sits exactly on the limit.
 DENSE_MAX_COEFFICIENTS = 2**24
-# diagram holds one character row per vertex; its largest array is one
+# diagram holds one character row and five int64 columns per vertex.  Each
 # level's witness scan, |G_l| entries per vertex that scans, below
-# |P|^2 / p^2 for a primary part P (1,015,808 on 2:[2,2,2,2,2,2]; none on
-# C_2^12).  A part of order 4096, the largest the default cap admits, sits
-# exactly on the limit.
+# |P|^2 / p^2 in all for a primary part P (1,015,808 on 2:[2,2,2,2,2,2];
+# none on C_2^12), is formed in pieces of at most kernels._BLOCK_CELLS
+# cells, so the limit bounds its time rather than its memory.  A part of
+# order 4096, the largest the default cap admits, sits exactly on it.
 DIAGRAM_MAX_ENTRIES = 2**24
 # wedderburn's census enumerates every element of each primary part.  On
 # C_2^20, the costliest census the limit admits, that takes about 1 s and
@@ -101,14 +105,14 @@ def _json_text(payload) -> str:
 def _json_chunks(payload) -> Iterator[str]:
     """_json_text(payload) in pieces, each _Stream's text made only as it
     is written."""
-    yield from _pieces(payload, "\n", {})
+    yield from _pieces(payload, "\n")
     yield "\n"
 
 
 class _Stream:
     """A JSON value whose text is made while the output is written:
-    pieces(newline, memo) yields it for the newline of the line it starts
-    on (see _write)."""
+    pieces(newline) yields it for the newline of the line it starts on
+    (see _write)."""
 
     __slots__ = ("pieces",)
 
@@ -120,23 +124,23 @@ def _stream_list(items: Iterable) -> _Stream:
     """The JSON list of the values items yields, each made and written in
     turn."""
 
-    def pieces(newline: str, memo: dict) -> Iterator[str]:
+    def pieces(newline: str) -> Iterator[str]:
         inner = newline + "  "
         sep = "[" + inner
         for item in items:
             yield sep
-            yield from _pieces(item, inner, memo)
+            yield from _pieces(item, inner)
             sep = "," + inner
         yield "[]" if sep[0] == "[" else newline + "]"
 
     return _Stream(pieces)
 
 
-def _pieces(obj, newline: str, memo: dict) -> Iterator[str]:
+def _pieces(obj, newline: str) -> Iterator[str]:
     """The text of obj in pieces: what _write makes of it, cut at each
     _Stream, whose text follows as it yields it."""
     out: list = []
-    _write(obj, newline, out, memo)
+    _write(obj, newline, out)
     text: list[str] = []
     for part in out:
         if type(part) is str:
@@ -144,33 +148,13 @@ def _pieces(obj, newline: str, memo: dict) -> Iterator[str]:
         else:  # a _Stream and the newline it starts on
             yield "".join(text)
             text = []
-            yield from part[0].pieces(part[1], memo)
+            yield from part[0].pieces(part[1])
     yield "".join(text)
 
 
-_INT = frozenset((int,))
-
-
-def _int_tuple(t: tuple, newline: str, memo: dict) -> str | None:
-    """The text of the tuple t when its items are all of exact type int (so
-    no bool), else None.  The item types are checked before the memo is
-    read, since (1, 2) == (True, 2) == (1.0, 2) as dict keys; the text of
-    each distinct tuple at each indent is then built once per memo."""
-    if not set(map(type, t)) <= _INT:
-        return None
-    key = (t, newline)
-    text = memo.get(key)
-    if text is None:
-        inner = newline + "  "
-        items = ("," + inner).join(map(int.__repr__, t))
-        text = memo[key] = ("[" + inner + items + newline + "]") if t else "[]"
-    return text
-
-
-def _inline(obj, newline: str, memo: dict) -> str | None:
-    """The text of obj when it is written in one piece: a str, int, bool,
-    None, tuple of ints (see _int_tuple), or list or tuple of int tuples
-    (one join); None for anything else."""
+def _inline(obj) -> str | None:
+    """The text of obj when it is a str, int, bool or None; None for
+    anything else."""
     kind = type(obj)
     if kind is str:
         return _quote(obj)
@@ -180,26 +164,12 @@ def _inline(obj, newline: str, memo: dict) -> str | None:
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    if kind is tuple:
-        text = _int_tuple(obj, newline, memo)
-        if text is not None:
-            return text
-    elif kind is not list or not obj:
-        return None
-    inner = newline + "  "
-    texts = []
-    for item in obj:
-        text = _int_tuple(item, inner, memo) if type(item) is tuple else None
-        if text is None:
-            return None
-        texts.append(text)
-    return "[" + inner + ("," + inner).join(texts) + newline + "]"
+    return None
 
 
-def _write(obj, newline: str, out: list, memo: dict) -> None:
-    # newline: a line break and the indent of the line obj starts on; memo:
-    # the texts of _int_tuple, one dict per _json_chunks call.  A _Stream
-    # is left in out as (stream, newline), for _pieces to expand.
+def _write(obj, newline: str, out: list) -> None:
+    # newline: a line break and the indent of the line obj starts on.  A
+    # _Stream is left in out as (stream, newline), for _pieces to expand.
     kind = type(obj)
     if kind is dict:
         if not obj:
@@ -211,10 +181,10 @@ def _write(obj, newline: str, out: list, memo: dict) -> None:
             if type(key) is not str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             head = sep + _quote(key) + ": "
-            text = _inline(value, inner, memo)
+            text = _inline(value)
             if text is None:
                 out.append(head)
-                _write(value, inner, out, memo)
+                _write(value, inner, out)
             else:
                 out.append(head + text)
             sep = "," + inner
@@ -232,10 +202,10 @@ def _write(obj, newline: str, out: list, memo: dict) -> None:
             return
         sep = "[" + inner
         for item in obj:
-            text = _inline(item, inner, memo)
+            text = _inline(item)
             if text is None:
                 out.append(sep)
-                _write(item, inner, out, memo)
+                _write(item, inner, out)
             else:
                 out.append(sep + text)
             sep = "," + inner
@@ -259,7 +229,7 @@ def _write(obj, newline: str, out: list, memo: dict) -> None:
         out.append((obj, newline))
     elif kind is float:
         out.append(json.dumps(obj))
-    elif (text := _inline(obj, newline, memo)) is not None:
+    elif (text := _inline(obj)) is not None:
         out.append(text)
     else:
         raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
@@ -294,12 +264,11 @@ def _refuse_over(limit: int, count: int, what: str, unit: str = "coefficients") 
 def _run_pci(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, Iterable[str]]:
     _refuse_over(DENSE_MAX_COEFFICIENTS, spec.order**2, f"pci of order {spec.order}")
     diagrams = part_diagrams(spec, config.alternate_order)
-    count = math.prod(len(d.leaves) for d in diagrams)
+    leaves = [(d.spec.p, d.columns[-1].field_index.tolist()) for d in diagrams]
+    count = math.prod(len(fields) for _, fields in leaves)
     # phi is multiplicative and the parts' quotient orders are coprime, so
     # the records' dimensions sum to the product of the parts' sums
-    total = math.prod(
-        sum(euler_phi(d.spec.p**v.field_index) for v in d.leaves) for d in diagrams
-    )
+    total = math.prod(sum(euler_phi(p**f) for f in fields) for p, fields in leaves)
     blocks = record_blocks(spec, diagrams)
     if config.output_format == "text":
         head = f"{_title(spec)}\n{count} primitive central idempotents\n"
@@ -331,7 +300,15 @@ def _pci_text(blocks) -> Iterator[str]:
         yield FractionList(block.nums, block.dens).rows_text(", ", heads, "\n")
 
 
-_MARK = "\0"  # a str that no field of a pci record holds
+_MARK = "\0"  # a str that no value written from a template holds
+
+
+def _cut(obj, newline: str) -> list[str]:
+    """The text _write makes of obj at newline, cut at each _MARK value
+    (one piece for an obj without one)."""
+    out: list = []
+    _write(obj, newline, out)
+    return "".join(out).split(_quote(_MARK))
 
 
 def _record_template(newline: str, k: int, d: int) -> tuple[str, str, str]:
@@ -349,13 +326,10 @@ def _record_template(newline: str, k: int, d: int) -> tuple[str, str, str]:
         "field_index": index,
         "dimension": dim,
     }
-    out: list = []
-    _write(record, newline, out, {})
-    before, between, after = "".join(out).split(_quote(_MARK))
-    return before, between, after
+    return tuple(_cut(record, newline))
 
 
-def _pci_json(blocks, newline: str, memo: dict) -> Iterator[str]:
+def _pci_json(blocks, newline: str) -> Iterator[str]:
     """The JSON list of the records of blocks, for the newline of the line
     it starts on (see _Stream): each record's text from _record_template,
     each block's coefficients from one FractionList."""
@@ -381,30 +355,54 @@ def _pci_json(blocks, newline: str, memo: dict) -> Iterator[str]:
 # -- diagram ------------------------------------------------------------
 
 
-def _vertex_json(v) -> dict:
-    # exps tuples, not fresh lists: _json_text writes each one from its memo
-    return {
-        "level": v.level,
-        "index": v.index,
-        "trivial": v.trivial,
-        "kernel_generators": [g.exps for g in v.form.kernel_gens],
-        "primed": v.form.primed.exps if v.form.primed is not None else None,
-        "kernel_order": v.kernel_order,
-        "field_index": v.field_index,
-    }
+def _levels_json(diag, newline: str) -> Iterator[str]:
+    """The JSON list of diag's levels, each the list of its vertex dicts,
+    for the newline of the line it starts on (see _Stream), a vertex at a
+    time.  A vertex's text fills in the writer's text of a vertex dict (as
+    a %-format: no key holds a %), its kernel generators from
+    diagram.kernel_generator_texts over the texts of exponent tuples."""
+    inner, vertex, key, item = (newline + "  " * i for i in range(1, 5))
+    keys = "level index trivial kernel_generators primed kernel_order field_index"
+    template = "%s".join(_cut(dict.fromkeys(keys.split(), _MARK), vertex))
+    gen_names = element_names(diag, lambda exps: _cut(exps, item)[0])
+    primed_names = element_names(diag, lambda exps: _cut(exps, key)[0])
+    texts = kernel_generator_texts(diag, gen_names, "," + item)
+    head = "[" + inner + "["  # the text before the next vertex
+    for l, (level, gens) in enumerate(zip(diag.columns, texts)):
+        cols = (c.tolist() for c in (level.primed, level.kernel_order, level.field_index))
+        for i, (z, k, f, g) in enumerate(zip(*cols, gens)):
+            yield head + vertex + template % (
+                l, i, "false" if i else "true", f"[{item}{g}{key}]" if g else "[]",
+                "null" if z < 0 else primed_names[z], k, f,
+            )
+            head = ","
+        head = inner + "]," + inner + "["
+    yield inner + "]" + newline + "]"
+
+
+def _edges_json(diag, newline: str) -> Iterator[str]:
+    """The JSON list of diag's edges [[l, parent], [l + 1, child]], for the
+    newline of the line it starts on, a level at a time."""
+    inner = newline + "  "
+    template = "%s".join(_cut(((_MARK, _MARK), (_MARK, _MARK)), inner))
+    sep = "[" + inner
+    for l, level in enumerate(diag.columns[1:]):
+        parents = enumerate(level.parent.tolist())
+        yield sep + ("," + inner).join(template % (l, p, l + 1, i) for i, p in parents)
+        sep = "," + inner
+    yield "[]" if sep[0] == "[" else newline + "]"
 
 
 def _part_json(diag) -> dict:
-    """A part's diagram, its levels made one at a time as they are written."""
-    levels = (list(map(_vertex_json, level)) for level in diag.levels)
+    """A part's diagram, its levels and edges made as they are written."""
     return {
         "p": diag.spec.p,
         "generators": [
             {"place": lab.place, "power": lab.power} for lab in diag.generator_labels
         ],
         "level_sizes": diag.level_sizes(),
-        "levels": _stream_list(levels),
-        "edges": diag.edges,
+        "levels": _Stream(functools.partial(_levels_json, diag)),
+        "edges": _Stream(functools.partial(_edges_json, diag)),
     }
 
 
@@ -423,16 +421,12 @@ def _run_diagram(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, Iterab
         for diag in diagrams:
             p = diag.spec.p
             lines.append(f"p={p}: level sizes {diag.level_sizes()}")
-            for v in diag.leaves:
-                if v.trivial:
-                    desc = "trivial"
-                else:
-                    gens = ",".join(
-                        "(" + ",".join(map(str, g.exps)) + ")" for g in v.form.kernel_gens
-                    )
-                    primed = "(" + ",".join(map(str, v.form.primed.exps)) + ")"
-                    desc = f"K=<{gens}>; z={primed}"
-                lines.append(f"  leaf {v.index}: {desc} -> {_field_name(p**v.field_index)}")
+            *_, leaves = vertex_descriptions(diag)
+            fields = diag.columns[-1].field_index.tolist()
+            lines += [
+                f"  leaf {i}: {desc} -> {_field_name(p**f)}"
+                for i, (desc, f) in enumerate(zip(leaves, fields))
+            ]
         return 0, ["\n".join(lines) + "\n"]
     parts = _stream_list(map(_part_json, diagrams))
     return 0, _json_chunks(_payload(spec, parts=parts))

@@ -17,6 +17,12 @@ Leaves at the last level are the complete set of primitive central
 idempotents of Q[G].  The same chain refines over Q(zeta_m), where every
 level splits into p one-dimensional components; summing those over Galois
 orbits collapses back to the rational set.
+
+A vertex is given by its parent, the one kernel generator it adds to its
+parent's (or none), its primed element, its kernel order and its field
+index, so the diagram holds each level as those int64 columns (see
+DiagramLevel) and nothing per vertex.  The vertex objects (PciVertex) and
+the edges are views of the columns, built on first access.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -47,7 +53,6 @@ from .groups import (
     PrimaryGroupSpec,
     element_index,
     element_order,
-    elements_from_indices,
     embed_generator,
     enumeration,
     long_generator_sequence,
@@ -72,23 +77,57 @@ class PciVertex:
         return expand_factored(self.form)
 
 
-@dataclass(frozen=True)
+class DiagramLevel(NamedTuple):
+    """The vertices of one diagram level as int64 columns, one entry per
+    vertex in index order; vertex 0 is the trivial one.  A vertex's kernel
+    generators are its parent's, then added when that is an element."""
+
+    parent: np.ndarray  # its index in the level above; -1 for the root
+    kernel_order: np.ndarray
+    field_index: np.ndarray
+    primed: np.ndarray  # element index of the primed element; -1 for none
+    added: np.ndarray  # element index of the generator it adds; -1 for none
+
+
+@dataclass(frozen=True, eq=False)
 class PciDiagram:
-    """Leveled refinement graph of idempotents along a composition chain."""
+    """Leveled refinement graph of idempotents along a composition chain.
+    Holding arrays, a diagram compares by identity: compare its levels."""
 
     spec: PrimaryGroupSpec
     generators: tuple[GroupElement, ...]
     generator_labels: tuple[LongGenerator, ...]
-    levels: tuple[tuple[PciVertex, ...], ...]
-    edges: tuple[tuple[tuple[int, int], tuple[int, int]], ...]
+    columns: tuple[DiagramLevel, ...]
     # Row g: the digits c_i < p with element g = prod generators[i]^c_i.
-    chain_digits: np.ndarray = field(compare=False)
+    chain_digits: np.ndarray
     # Row i - 1 for each nontrivial leaf i (leaf 0 is the trivial one): the
     # character of G whose kernel is the leaf's kernel, by its values on the
-    # generators (see build_pci_diagram).  Neither array takes part in ==
-    # and hash: they follow from the generators and the levels, and arrays
-    # do not compare as one value.
-    characters: np.ndarray = field(compare=False)
+    # generators (see build_pci_diagram).
+    characters: np.ndarray
+
+    @functools.cached_property
+    def levels(self) -> tuple[tuple[PciVertex, ...], ...]:
+        """The vertices of each level as objects, read off the columns."""
+        element = element_names(self, lambda exps: GroupElement(self.spec, tuple(exps)))
+        levels, gens = [], [()]
+        for l, level in enumerate(self.columns):
+            vertices = []
+            for i, (parent, k, f, z, g) in enumerate(zip(*(c.tolist() for c in level))):
+                kernel_gens = gens[max(parent, 0)] + ((element[g],) if g >= 0 else ())
+                form = FactoredIdempotent(self.spec, kernel_gens, element.get(z))
+                vertices.append(PciVertex(l, i, form, i == 0, k, f))
+            levels.append(tuple(vertices))
+            gens = [v.form.kernel_gens for v in vertices]
+        return tuple(levels)
+
+    @functools.cached_property
+    def edges(self) -> tuple[tuple[tuple[int, int], tuple[int, int]], ...]:
+        """((l, parent), (l + 1, child)) for each vertex below the root."""
+        return tuple(
+            ((l, parent), (l + 1, i))
+            for l, level in enumerate(self.columns[1:])
+            for i, parent in enumerate(level.parent.tolist())
+        )
 
     @property
     def leaves(self) -> tuple[PciVertex, ...]:
@@ -107,18 +146,18 @@ class PciDiagram:
         z the primed element, phi(z) = E/p, so K = {phi = 0} and <K, z> =
         {phi in (E/p)Z}: the numerators over p|K| are p on K minus 1 on
         <K, z>.  Leaf 0, the trivial one, is 1 everywhere over |G|."""
-        spec, leaves = self.spec, self.leaves
-        if len(leaves) == 1:  # the trivial group
+        spec, kernel_orders = self.spec, self.columns[-1].kernel_order.tolist()
+        if len(kernel_orders) == 1:  # the trivial group
             yield np.ones((1, spec.order), dtype=np.int64), [spec.order]
             return
         p, exponent = spec.p, spec.exponent
         numerator = np.zeros(exponent, dtype=np.int64)  # by the value of phi
         numerator[:: exponent // p] = -1
         numerator[0] = p - 1
-        dens = [spec.order] + [p * v.kernel_order for v in leaves[1:]]
+        dens = [spec.order] + [p * k for k in kernel_orders[1:]]
         step = max(1, kernels._BLOCK_CELLS // spec.order)
-        for start in range(0, len(leaves), step):
-            stop = min(start + step, len(leaves))
+        for start in range(0, len(dens), step):
+            stop = min(start + step, len(dens))
             nums = np.ones((stop - start, spec.order), dtype=np.int64)
             # row i - 1 of characters is leaf i's; row 0 of the first block
             # stays the trivial leaf
@@ -139,7 +178,7 @@ class PciDiagram:
         return [AlgebraElement(self.spec, nums, den) for nums, den in self.leaf_numerators()]
 
     def level_sizes(self) -> list[int]:
-        return [len(level) for level in self.levels]
+        return [len(level.parent) for level in self.columns]
 
 
 def cyclic_group_spec(p: int, n: int) -> PrimaryGroupSpec:
@@ -214,23 +253,27 @@ def _split_witnesses(
     w := u (g = 1) when u^p lies in K, else the first hit scanning g over
     G_l in index order, as the per-vertex build does, for reproducible
     output.  G_l is where the chain digits (digits, see _chain_digits) from
-    l on are zero, and u adds digit l, so u*g has index u + index(g).  One
-    (|G_l| x rows) table serves every row that scans."""
+    l on are zero, and u adds digit l, so u*g has index u + index(g).  The
+    (|G_l| x rows) table of that test is formed for the rows that scan in
+    pieces of at most kernels._BLOCK_CELLS cells (and at least one row)."""
     witnesses = np.full(len(rows), u, dtype=np.int64)
     phi_g = np.zeros(len(rows), dtype=np.int64)
-    scan = up.nonzero()[0]
-    if scan.size:
-        l = rows.shape[1]
-        level = np.flatnonzero(~digits[:, l:].any(axis=1))
-        phi = digits[level, :l] @ rows[scan].T
+    scan, l = up.nonzero()[0], rows.shape[1]
+    if not scan.size:
+        return witnesses, phi_g
+    level = np.flatnonzero(~digits[:, l:].any(axis=1))  # G_l, of order p^l
+    step = max(1, kernels._BLOCK_CELLS // p**l)
+    for start in range(0, scan.size, step):
+        at = scan[start : start + step]
+        phi = digits[level, :l] @ rows[at].T
         phi %= exponent
-        hits = (p * phi + up[scan]) % exponent == 0
+        hits = (p * phi + up[at]) % exponent == 0
         first = hits.argmax(axis=0)
-        cols = np.arange(scan.size)
+        cols = np.arange(at.size)
         if not hits[first, cols].all():
             raise InconsistencyError("no coset witness despite a non-cyclic quotient")
-        witnesses[scan] = u + level[first]
-        phi_g[scan] = phi[first, cols]
+        witnesses[at] = u + level[first]
+        phi_g[at] = phi[first, cols]
     return witnesses, phi_g
 
 
@@ -245,8 +288,8 @@ def build_pci_diagram(
     into Z/E, E = exp G, and a nontrivial vertex of level l is held as one
     int64 row: phi's values mod E on the chain generators (0 on those
     outside G_l), scaled so that phi(z) = E/p for its primed element z.
-    Each level is one batch over all its vertices (see _next_level); only
-    the factored forms carry GroupElements.
+    Each level is one batch over all its vertices (see _next_level), kept
+    as the columns of a DiagramLevel.
     """
     if generator_labels is None:
         labels = long_generator_sequence(spec)
@@ -261,96 +304,67 @@ def build_pci_diagram(
     # its factor, or None when that power is the identity
     below = [column.get(LongGenerator(lab.place, lab.power - 1)) for lab in labels]
 
-    root = PciVertex(0, 0, FactoredIdempotent(spec, ()), True, 1, 0)
-    levels: list[tuple[PciVertex, ...]] = [(root,)]
-    edges: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    # per nontrivial vertex of the current level: its character row and the
-    # index of its primed element
+    levels = [DiagramLevel(*np.array([[-1], [1], [0], [-1], [-1]]))]  # the root
+    # the character row of each nontrivial vertex of the current level
     rows = np.zeros((0, len(gens)), dtype=np.int64)
-    primed = np.zeros(0, dtype=np.int64)
     for l in range(len(gens)):
-        vertices, rows, primed = _next_level(
-            l, gens, below[l], levels[l], rows, primed, digits, edges, enum
-        )
-        levels.append(vertices)
-    return PciDiagram(
-        spec, tuple(gens), tuple(labels), tuple(levels), tuple(edges), digits, rows
-    )
+        level, rows = _next_level(l, gens[l], below[l], levels[l], rows, digits, enum)
+        levels.append(level)
+    return PciDiagram(spec, tuple(gens), tuple(labels), tuple(levels), digits, rows)
 
 
 def _next_level(
     l: int,
-    gens: Sequence[GroupElement],
+    gen: GroupElement,
     below: int | None,
-    current: tuple[PciVertex, ...],
+    current: DiagramLevel,
     rows: np.ndarray,
-    primed: np.ndarray,
     digits: np.ndarray,
-    edges: list,
     enum: Enumeration,
-) -> tuple[tuple[PciVertex, ...], np.ndarray, np.ndarray]:
-    """Level l+1 of the diagram from level l (the vertices current, with
-    the character row and primed element index of each nontrivial one):
-    its vertices, their rows and primed element indices; appends the edges
-    into level l+1 to edges.  below is the column of u^p, u = gens[l]."""
-    gen = gens[l]
+) -> tuple[DiagramLevel, np.ndarray]:
+    """Level l+1 of the diagram from level l (current, with the character
+    row of each nontrivial vertex): its columns and its rows.  gen is the
+    chain generator gens[l], u its index and below the column of u^p."""
     spec, u = gen.spec, element_index(gen)
     p, exponent = spec.p, spec.exponent
     up = rows[:, below] if below is not None else np.zeros(len(rows), dtype=np.int64)
     # |G_l/K| = p^field_index; the vertex splits when u^|G_l/K| lies in K
-    quotients = p ** np.array([v.field_index for v in current[1:]], dtype=np.int64)
-    split = quotients // p * up % exponent == 0
+    split = p ** current.field_index[1:] // p * up % exponent == 0
     if (up[~split] % p).any():
         raise InconsistencyError("phi(u^p) of a carried vertex is not divisible by p")
-    witnesses, phi_g = _split_witnesses(
-        u, up[split], rows[split, :l], digits, p, exponent
-    )
+    witnesses, phi_g = _split_witnesses(u, up[split], rows[split, :l], digits, p, exponent)
     counts = np.where(split, p, 1)
     # phi on G_{l+1} keeps phi on G_l: a carried vertex takes phi(u) =
     # phi(u^p)/p, split child i takes phi(u) = -(i*E/p + phi(g)), so that
     # phi(z^i w) = 0 for w = u*g
     grown = np.repeat(up // p, counts)
     starts = (np.cumsum(counts) - counts)[split]
+    children = starts[:, None] + np.arange(p)
     steps = np.arange(p) * (exponent // p)
-    grown[starts[:, None] + np.arange(p)] = -(steps + phi_g[:, None]) % exponent
+    grown[children] = -(steps + phi_g[:, None]) % exponent
     next_rows = np.zeros((1 + len(grown), rows.shape[1]), dtype=np.int64)
     next_rows[1:] = np.repeat(rows, counts, axis=0)
     next_rows[1:, l] = grown
     next_rows[0, l] = exponent // p  # the new vertex: kernel G_l, primed u
-    next_primed = np.concatenate(([u], np.repeat(primed, counts)))
+    # the columns each vertex of level l hands its children: its index,
+    # its kernel order (times p for a split), its field index (plus one
+    # when carried), its primed element and no added generator.  The
+    # trivial vertex has two: the trivial vertex of level l+1 and the new
+    # vertex, with kernel G_l and primed u.
+    k0 = current.kernel_order[0]
+    handed = np.array(current)
+    handed[0] = np.arange(len(handed[0]))
+    handed[1, 1:] *= counts
+    handed[2, 1:] += ~split
+    handed[4] = -1
+    handed[:, 0] = 0, k0, 1, u, -1
+    cols = np.repeat(handed, np.concatenate(([2], counts)), axis=1)
+    cols[:, 0] = 0, k0 * p, 0, -1, u
     # the children of a split are the subgroups <K, z^i w>, i < p
-    z = primed[split][:, None]
-    extras = enum.product(enum.power(z, np.arange(p)[:, None]), witnesses[:, None])
-    new_gens = iter(elements_from_indices(spec, extras.ravel()))
-
-    nxt: list[PciVertex] = []
-
-    def attach(parent: int, vertex: PciVertex):
-        nxt.append(vertex)
-        edges.append(((l, parent), (l + 1, vertex.index)))
-
-    trivial = current[0]
-    form = FactoredIdempotent(spec, tuple(gens[: l + 1]))
-    attach(0, PciVertex(l + 1, 0, form, True, trivial.kernel_order * p, 0))
-    form = FactoredIdempotent(spec, trivial.form.kernel_gens, gen)
-    attach(0, PciVertex(l + 1, 1, form, False, trivial.kernel_order, 1))
-    for i, splits in enumerate(split.tolist(), 1):
-        v = current[i]
-        if not splits:
-            # The component stays simple; the vertex carries over.
-            vertex = PciVertex(
-                l + 1, len(nxt), v.form, False, v.kernel_order, v.field_index + 1
-            )
-            attach(i, vertex)
-            continue
-        for _ in range(p):
-            gens_i = v.form.kernel_gens + (next(new_gens),)
-            form = FactoredIdempotent(spec, gens_i, v.form.primed)
-            vertex = PciVertex(
-                l + 1, len(nxt), form, False, v.kernel_order * p, v.field_index
-            )
-            attach(i, vertex)
-    return tuple(nxt), next_rows, next_primed
+    z = current.primed[1:][split][:, None]
+    powers = enum.power(z, np.arange(p)[:, None])  # z^i
+    cols[4, 2:][children] = enum.product(powers, witnesses[:, None])
+    return DiagramLevel(*cols), next_rows
 
 
 def cyclic_rational_pcis(p: int, n: int) -> list[AlgebraElement]:
@@ -615,8 +629,10 @@ def record_blocks(spec, diagrams: Sequence[PciDiagram]) -> Iterator[RecordBlock]
     if not diagrams:  # the trivial group: its one idempotent is 1
         yield RecordBlock(0, np.ones((1, 1), dtype=np.int64), [1], [1], [1])
         return
-    kernel_orders = [[v.kernel_order for v in d.leaves] for d in diagrams]
-    quotient_orders = [[d.spec.p**v.field_index for v in d.leaves] for d in diagrams]
+    kernel_orders = [d.columns[-1].kernel_order.tolist() for d in diagrams]
+    quotient_orders = [
+        [d.spec.p**f for f in d.columns[-1].field_index.tolist()] for d in diagrams
+    ]
     if len(diagrams) == 1:
         start = 0
         for nums, dens in diagrams[0].leaf_blocks():
@@ -669,16 +685,43 @@ def pci_set(spec, alternate_order: bool = False):
     return [r.element for r in pci_records(spec, alternate_order)]
 
 
-def _vertex_label(spec: PrimaryGroupSpec, v: PciVertex, is_leaf: bool, name) -> str:
-    # name: str of an element, formatted once per emit_dot call
-    if v.trivial:
-        label = "trivial"
-    else:
-        gens = ",".join(map(name, v.form.kernel_gens))
-        label = f"K=<{gens}>; z={name(v.form.primed)}"
-    if is_leaf:
-        label += f"\\nQ(zeta_{spec.p ** v.field_index})"
-    return label
+def element_names(diagram: PciDiagram, name) -> dict:
+    """name(exps), exps its list of exponents, for each element that is a
+    primed element or an added kernel generator in diagram, by element
+    index: a name table for kernel_generator_texts."""
+    used = np.zeros(diagram.spec.order + 1, dtype=bool)  # the last one for -1: none
+    for c in diagram.columns:
+        used[c.primed] = used[c.added] = True
+    used = np.flatnonzero(used[:-1])
+    digits = enumeration(diagram.spec.factor_orders).digits[used].tolist()
+    return dict(zip(used.tolist(), map(name, digits)))
+
+
+def kernel_generator_texts(diagram: PciDiagram, names: dict, sep: str) -> Iterator[list]:
+    """For each level of diagram in turn, the text of each vertex's kernel
+    generators: names[g] for each generator's element index g, joined by
+    sep.  A vertex's text is its parent's, extended by the generator it
+    adds, so each level is one pass over the parent column."""
+    texts = [""]  # the previous level's, each name preceded by sep
+    for level in diagram.columns:
+        texts = [
+            texts[max(parent, 0)] + (sep + names[g] if g >= 0 else "")
+            for parent, g in zip(level.parent.tolist(), level.added.tolist())
+        ]
+        yield [text[len(sep) :] for text in texts]
+
+
+def vertex_descriptions(diagram: PciDiagram) -> Iterator[list[str]]:
+    """For each level of diagram in turn, each vertex as dot and text
+    output describe it: "trivial", or "K=<kernel generators>; z=primed",
+    each element as str(GroupElement) writes it."""
+    names = element_names(diagram, lambda exps: "(" + ",".join(map(str, exps)) + ")")
+    texts = kernel_generator_texts(diagram, names, ",")
+    for level, gens in zip(diagram.columns, texts):
+        yield [
+            "trivial" if i == 0 else f"K=<{g}>; z={names[z]}"
+            for i, (z, g) in enumerate(zip(level.primed.tolist(), gens))
+        ]
 
 
 def emit_dot(diagrams: Sequence[PciDiagram]) -> Iterator[str]:
@@ -686,7 +729,6 @@ def emit_dot(diagrams: Sequence[PciDiagram]) -> Iterator[str]:
     annotated with their component field.  Yields the text a level at a
     time, then the edges of each diagram."""
     yield "digraph pci_diagram {\n  node [shape=box];\n"
-    name = functools.cache(str)  # each distinct element is formatted once per call
     clustered = len(diagrams) > 1
     for diagram in diagrams:
         p = diagram.spec.p
@@ -694,20 +736,22 @@ def emit_dot(diagrams: Sequence[PciDiagram]) -> Iterator[str]:
         if clustered:
             yield f'  subgraph cluster_p{p} {{\n    label="p={p} part";\n'
             indent = "    "
-        last = len(diagram.levels) - 1
-        for l, level in enumerate(diagram.levels):
-            names = " ".join(f"p{p}_v{l}_{v.index};" for v in level)
-            lines = [f"{indent}{{ rank=same; {names} }}\n"]
-            for v in level:
-                label = _vertex_label(diagram.spec, v, l == last, name)
-                lines.append(f'{indent}p{p}_v{l}_{v.index} [label="{label}"];\n')
+        last = len(diagram.columns) - 1
+        for l, labels in enumerate(vertex_descriptions(diagram)):
+            if l == last:
+                fields = diagram.columns[l].field_index.tolist()
+                labels = [f"{a}\\nQ(zeta_{p**f})" for a, f in zip(labels, fields)]
+            ids = [f"p{p}_v{l}_{i}" for i in range(len(labels))]
+            lines = [f"{indent}{{ rank=same; {' '.join(i + ';' for i in ids)} }}\n"]
+            lines += [f'{indent}{i} [label="{a}"];\n' for i, a in zip(ids, labels)]
             yield "".join(lines)
         if clustered:
             yield "  }\n"
     for diagram in diagrams:
         p = diagram.spec.p
         yield "".join(
-            f"  p{p}_v{pl}_{pi} -> p{p}_v{cl}_{ci};\n"
-            for (pl, pi), (cl, ci) in diagram.edges
+            f"  p{p}_v{l}_{parent} -> p{p}_v{l + 1}_{i};\n"
+            for l, level in enumerate(diagram.columns[1:])
+            for i, parent in enumerate(level.parent.tolist())
         )
     yield "}\n"

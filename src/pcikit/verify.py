@@ -8,7 +8,6 @@ them is the CLI's job.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
@@ -18,7 +17,7 @@ import numpy as np
 from .algebra import AlgebraElement, exact_sum, lowest_terms
 from .cyclotomic import CycloAlgebraElement, reduce_rows
 from .diagram import (
-    PciVertex,
+    PciDiagram,
     RecordBlock,
     cyclic_rational_pcis,
     extension_children,
@@ -29,13 +28,7 @@ from .diagram import (
     record_blocks,
     splitting_field_pcis,
 )
-from .groups import (
-    AbelianGroupSpec,
-    GroupElement,
-    PrimaryGroupSpec,
-    enumeration,
-    subgroup_closure,
-)
+from .groups import AbelianGroupSpec, GroupElement, enumeration
 from . import kernels
 from .errors import InconsistencyError, InvariantError
 from .kernels import int_array, squares_to_rows
@@ -171,26 +164,25 @@ def run_checks(spec: AbelianGroupSpec, alternate_order: bool) -> list[Check]:
         else f"witness on {cmp.witness_side} side: {cmp.witness.to_strings()}",
     )
 
-    vertices = [
-        (diag.spec, v) for diag in diagrams for level in diag.levels for v in level
-    ]
+    levels = [level for diag in diagrams for level in diag.columns]
+    # vertex 0 of each level, and only it, is trivial: it has no primed element
     check(
         "factored_form_structure",
-        all(v.trivial == (v.form.primed is None) for _, v in vertices),
+        all(c.primed[0] < 0 and (c.primed[1:] >= 0).all() for c in levels),
     )
 
-    kernel_failures = vertex_kernel_failures(vertices)
+    kernel_failures = vertex_kernel_failures(diagrams)
     check(
         "vertex_kernels",
         not kernel_failures,
         f"failures: {kernel_failures[:3]}"
         if kernel_failures
-        else f"{len(vertices)} vertices checked (full)",
+        else f"{sum(len(c.primed) for c in levels)} vertices checked (full)",
     )
 
     for part, diag in zip(spec.parts, diagrams):
         profile = wedderburn_profile(part)  # raises on census disagreement
-        leaf_counts = Counter(v.field_index for v in diag.leaves)
+        leaf_counts = Counter(diag.columns[-1].field_index.tolist())
         check(
             f"component_counts_p{part.p}",
             all(leaf_counts[row.r] == row.census for row in profile.rows),
@@ -219,13 +211,11 @@ def run_checks(spec: AbelianGroupSpec, alternate_order: bool) -> list[Check]:
     return checks
 
 
-def vertex_kernel_failures(
-    vertices: list[tuple[PrimaryGroupSpec, PciVertex]],
-) -> list[tuple[int, int, int, str]]:
-    """(p, level, index, what) for each (part, vertex) whose kernel
+def vertex_kernel_failures(diagrams: list[PciDiagram]) -> list[tuple[int, int, int, str]]:
+    """(p, level, index, what) for each vertex of diagrams whose kernel
     generators do not span a subgroup of the recorded order ("size"), or
     span one that is not the kernel of the vertex's expansion ("kernel"),
-    for vertices listed part by part and level by level.
+    part by part and level by level.
 
     The span K is the kernel of the expansion e exactly when the primed
     element z lies outside K (or there is none; then e is the average of
@@ -235,69 +225,34 @@ def vertex_kernel_failures(
     K <= Stab(e) <= {g : e(g) = e(1)} = K.  For z in K there is no such
     expansion.
 
-    A vertex's generators are its parent's, or those plus one, so each
-    level is checked in one array pass over the previous level's spans
-    (see _part_failures); only two levels of spans are held at once."""
+    A vertex's generators are its parent's, then the one it adds, if any:
+    its span is <S, g> for S its parent's span and g that generator (the
+    identity for none).  So each level is checked in one array pass over
+    the previous level's spans (see _level_pass); only two levels of spans
+    are held at once."""
     failures = []
-    for part, run in itertools.groupby(vertices, lambda pv: pv[0]):
-        failures += _part_failures(part, [v for _, v in run])
+    for diag in diagrams:
+        enum = enumeration(diag.spec.factor_orders)
+        rows, held_sizes = np.eye(1, diag.spec.order, dtype=bool), np.ones(1, np.int64)
+        last = len(diag.columns) - 1
+        for l, level in enumerate(diag.columns):
+            base = np.maximum(level.parent, 0)  # the root's span grows from {1}
+            step = np.maximum(level.added, 0)  # 0: the identity
+            k, inside, rows = _level_pass(enum, rows, base, step, level.primed, l < last)
+            held_sizes = held_sizes[base] * k
+            wrong_size = held_sizes != level.kernel_order
+            bad = wrong_size | ((level.primed >= 0) & inside)
+            failures += [
+                (diag.spec.p, l, i, "size" if wrong_size[i] else "kernel")
+                for i in np.flatnonzero(bad).tolist()
+            ]
     return failures
 
 
-def _part_failures(part, run):
-    """vertex_kernel_failures for the vertices run of one part.  Each
-    generator tuple, keyed by its element indices, is looked up among the
-    previous level's (first, the empty tuple's): a vertex whose tuple is a
-    held one, or one plus g, has that vertex's span S, or <S, g> (see
-    _level_pass; g is the identity for the former).  A tuple with no held
-    prefix, and so each of its children, is closed from scratch."""
-    enum, n = enumeration(part.factor_orders), part.order
-    # index each element object once, keyed by id (unique while run holds
-    # them all): a vertex's generators are mostly its parent's objects
-    forms = [v.form for v in run]
-    found = {id(g): g for f in forms for g in (*f.kernel_gens, f.primed) if g is not None}
-    exps = np.array([g.exps for g in found.values()], dtype=np.int64)
-    exps = exps.reshape(len(found), len(enum.orders))
-    at = dict(zip(found, (exps @ enum.strides).tolist()))  # element indices
-    keys = [tuple([at[id(g)] for g in f.kernel_gens]) for f in forms]
-    z = [-1 if f.primed is None else at[id(f.primed)] for f in forms]
-    cuts = [i for i in range(1, len(run)) if run[i].level != run[i - 1].level]
-    levels = list(zip([0, *cuts], [*cuts, len(run)]))  # each level's (lo, hi)
-    held, base, step, fresh = {(): 0}, [], [], {}
-    for lo, hi in levels:
-        for i in range(lo, hi):
-            key = keys[i]
-            grows = key not in held
-            if grows and key[:-1] not in held:  # no held prefix
-                fresh[i] = subgroup_closure(part, forms[i].kernel_gens)
-            base.append(held.get(key[:-1] if grows else key, 0))
-            step.append(key[-1] if grows and i not in fresh else 0)  # 0: the identity
-        held = {keys[i]: i - lo for i in range(lo, hi) if i not in fresh}
-    recorded = [v.kernel_order for v in run]
-    base, step, z, recorded = np.array((base, step, z, recorded), dtype=np.int64)
-    orders = (enum.mods // np.gcd(enum.digits[step], enum.mods)).max(axis=1, initial=1)
-    sizes, inside = np.empty_like(base), np.empty(len(run), dtype=bool)
-    rows, held_sizes = np.eye(1, n, dtype=bool), np.ones(1, dtype=np.int64)
-    for lo, hi in levels:
-        grow = run[lo].level < part.num_generators  # no level follows the leaves
-        k, inside[lo:hi], rows = _level_pass(
-            enum, rows, base[lo:hi], step[lo:hi], orders[lo:hi], z[lo:hi], grow
-        )
-        held_sizes = sizes[lo:hi] = held_sizes[base[lo:hi]] * k
-    for i, span in fresh.items():
-        sizes[i], inside[i] = len(span), z[i] in span
-    wrong_size = sizes != recorded
-    bad = wrong_size | ((z >= 0) & inside)
-    return [
-        (part.p, run[i].level, run[i].index, "size" if wrong_size[i] else "kernel")
-        for i in np.flatnonzero(bad).tolist()
-    ]
-
-
-def _level_pass(enum, rows, base, g, orders, z, grow):
-    """For spans <S, g> with S = rows[base] and ord(g) = orders: the index
-    k of each S in <S, g>, whether z lies in <S, g> (for z >= 0), and, if
-    grow, the rows of the spans.
+def _level_pass(enum, rows, base, g, z, grow):
+    """For spans <S, g> with S = rows[base]: the index k of each S in
+    <S, g>, whether z lies in <S, g> (for z >= 0), and, if grow, the rows
+    of the spans.  ord(g) is the largest m // gcd(e, m) over g's digits e.
 
     Both are read off S's row by gathers over c = 1 ... ord(g), for the
     vertices of one order at a time: k is the least c such that c g lies
@@ -310,6 +265,7 @@ def _level_pass(enum, rows, base, g, orders, z, grow):
     cells, at_row = rows.reshape(-1), base * n  # S's row starts at cell at_row
     k, inside = np.ones_like(g), cells[at_row + z]  # as for ord(g) = 1
     spans = rows[base] if grow else None
+    orders = (enum.mods // np.gcd(enum.digits[g], enum.mods)).max(axis=1, initial=1)
     for o in set(orders.tolist()) - {1}:
         which = np.flatnonzero(orders == o)
         per_block = max(1, kernels._BLOCK_CELLS // (n if grow else o * len(enum.orders)))

@@ -16,6 +16,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 import cli_reference
 import element_reference
+from conftest import partitions
 from pcikit import (
     AlgebraElement,
     CapExceededError,
@@ -472,17 +473,15 @@ json_payload_st = st.recursive(
 )
 
 
-# Dict values and list items that are a str, int, bool, None, int tuple or
-# list or tuple of int tuples are written inline; float and other
-# containers go through the recursive writer.
+# Dict values and list items that are a str, int, bool or None are written
+# inline; floats and containers go through the recursive writer.
 INLINE_SCALARS = {
     "t": True, "f": False, "zero": 0, "neg": -5, "empty": "", "e": "\u00e9",
     "none": None, "x": 1.5,
 }
-# Equal as dict keys, so the writer's memo of int tuple texts must check the
-# item types first.
+# Equal as dict keys, but each is written by its items' own types.
 EQUAL_KEY_TUPLES = {"a": (1, 2), "b": (True, 2), "c": (1.0, 2)}
-# One int tuple at several depths: the memo keys on the indent as well.
+# One int tuple at several depths, written at each depth's indent.
 TUPLE_AT_DEPTHS = {
     "t": (1, 2),
     "rows": [(1, 2), (), (True, 2), (1, 2)],
@@ -784,6 +783,78 @@ def test_main_writes_chunks_of_at_least_chunk_chars(argv, small, monkeypatch):
     fmt = options.get("--format", "json")
     config = RunConfig(argv[0], options["--group"], output_format=fmt)
     assert "".join(chunks) == run(config)[1]
+
+
+# Every primary part of order at most 81 for p = 2, 3, 5, 7 and 11, for the
+# per-vertex diagram reference.
+DIAGRAM_PARTS = {
+    p: [
+        f"{p}:[{','.join(map(str, part))}]"
+        for n in range(1, 7)
+        if p**n <= 81
+        for part in partitions(n)
+    ]
+    for p in (2, 3, 5, 7, 11)
+}
+
+
+@st.composite
+def diagram_groups(draw):
+    primes = draw(st.sets(st.sampled_from(sorted(DIAGRAM_PARTS)), min_size=1, max_size=3))
+    return ";".join(draw(st.sampled_from(DIAGRAM_PARTS[p])) for p in sorted(primes))
+
+
+@given(diagram_groups(), st.booleans(), st.sampled_from(["json", "text", "dot"]))
+@example("2:[2,1];3:[1,1]", True, "json")
+@example("2:[2,2,2];3:[2,2];7:[2]", False, "dot")
+@example("2:[1,1,1,1,1,1];3:[4]", True, "text")
+@example("3:[2,1,1];5:[1,1];11:[1]", False, "json")
+@settings(max_examples=60, deadline=None)
+def test_diagram_chunks_match_per_vertex_reference(group, alternate, fmt):
+    # What main writes, read off the columns, is the output of the
+    # per-vertex path, byte for byte.
+    flags = ["--format", fmt, "--max-order", str(10**6)]
+    flags += ["--alternate-order"] if alternate else []
+    recorder = _Recorder()
+    with patch.object(sys, "stdout", recorder):
+        assert main(["diagram", "--group", group, *flags]) == 0
+    config = RunConfig("diagram", group, fmt, 10**6, alternate)
+    assert "".join(recorder.chunks) == cli_reference.diagram_output(config)
+    assert all(len(chunk) >= CHUNK_CHARS for chunk in recorder.chunks[:-1])
+
+
+GUARD_GROUP = "2:[2,1];3:[1,1]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pci"],
+        ["pci", "--format", "text"],
+        ["diagram"],
+        ["diagram", "--format", "text"],
+        ["diagram", "--format", "dot"],
+        ["verify"],
+        ["verify", "--alternate-order"],
+    ],
+)
+def test_cli_builds_no_vertex_object(argv, monkeypatch, capsys):
+    # The commands read the diagrams' columns; only PciDiagram.levels, for
+    # the library and the tests, builds PciVertex objects.
+    from pcikit.diagram import PciVertex
+
+    built = []
+    original = PciVertex.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PciVertex, "__init__", counting)
+    assert main([argv[0], "--group", GUARD_GROUP, *argv[1:]]) == 0
+    assert built == []
+    build_pci_diagram(parse_group_spec(GUARD_GROUP).parts[0]).levels
+    assert built  # the counter sees the vertices that are built
 
 
 FUZZ_FORMATS = {

@@ -182,6 +182,22 @@ def test_build_matches_reference_at_the_cap(text):
     assert_matches_reference(part, alternate_generator_labels(part))
 
 
+# Groups whose build scans for a witness.  At 64 cells a piece the scans
+# of 2:[2,2,2] and 2:[4,4] take several pieces; at 1 cell every row that
+# scans is a piece of its own.
+@pytest.mark.parametrize("cells", [64, 1])
+@pytest.mark.parametrize(
+    "text", ["2:[2,2]", "3:[2,2]", "2:[3,2,1]", "2:[2,2,2]", "2:[4,4]"]
+)
+def test_witness_scan_in_small_pieces_matches_reference(text, cells, monkeypatch):
+    from pcikit import kernels
+
+    monkeypatch.setattr(kernels, "_BLOCK_CELLS", cells)
+    part = parse_group_spec(text).parts[0]
+    assert_matches_reference(part, None)
+    assert_matches_reference(part, alternate_generator_labels(part))
+
+
 def _wide_build_parts():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("perfbench_workloads", path)

@@ -26,7 +26,6 @@ from pcikit import (
     cyclic_rational_pcis,
     cyclotomic,
     diagram,
-    element_from_index,
     kernels,
     extension_children,
     lift_into_extension,
@@ -242,16 +241,35 @@ def test_wrong_split_witness_fails_vertex_kernels(group, monkeypatch, capsys):
     assert failed_checks(group, capsys) == expected
 
 
+def replace_column(diag, l, name, i, value):
+    """diag with entry i of column name of level l set to value."""
+    level = diag.columns[l]
+    column = getattr(level, name).copy()
+    column[i] = value
+    columns = list(diag.columns)
+    columns[l] = level._replace(**{name: column})
+    return dataclasses.replace(diag, columns=tuple(columns))
+
+
+def first_kernel_generator(diag, l, i):
+    """The element index of the first kernel generator of vertex i of level
+    l, found up the parent column, or -1 when it has none."""
+    first = -1
+    for level in diag.columns[l::-1]:
+        first = level.added[i] if level.added[i] >= 0 else first
+        i = level.parent[i]
+    return first
+
+
 def primed_in_first_kernel(diagrams):
     """The diagrams with the first nontrivial leaf that has kernel
     generators given its first kernel generator as primed element."""
     diag, *rest = diagrams
-    leaves = list(diag.leaves)
-    i = next(i for i, v in enumerate(leaves) if v.form.primed and v.form.kernel_gens)
-    form = dataclasses.replace(leaves[i].form, primed=leaves[i].form.kernel_gens[0])
-    leaves[i] = dataclasses.replace(leaves[i], form=form)
-    levels = diag.levels[:-1] + (tuple(leaves),)
-    return [dataclasses.replace(diag, levels=levels), *rest]
+    last = len(diag.columns) - 1
+    leaves = range(1, len(diag.columns[-1].primed))
+    i = next(i for i in leaves if first_kernel_generator(diag, last, i) >= 0)
+    g = first_kernel_generator(diag, last, i)
+    return [replace_column(diag, last, "primed", i, g), *rest]
 
 
 @pytest.mark.parametrize("group", ["2:[2,1]", "3:[2,2]"])
@@ -270,13 +288,10 @@ def test_primed_element_in_kernel_fails_vertex_kernels(group, monkeypatch, capsy
     assert "'kernel')" in failed["vertex_kernels"]
 
 
-def diagram_vertices(spec):
-    return [
-        (diag.spec, v)
-        for diag in diagram.part_diagrams(spec)
-        for level in diag.levels
-        for v in level
-    ]
+def vertices(diagrams):
+    """(part, vertex) for each vertex object of diagrams' levels, as the
+    vertex-kernel reference reads them."""
+    return [(diag.spec, v) for diag in diagrams for level in diag.levels for v in level]
 
 
 # The vertex-kernel tests run the check at the default block size and at 64
@@ -284,66 +299,27 @@ def diagram_vertices(spec):
 KERNEL_BLOCK_CELLS = (kernels._BLOCK_CELLS, 64)
 
 
-def level_pass_failures(vertices, cells):
+def level_pass_failures(diagrams, cells):
     with patch.object(kernels, "_BLOCK_CELLS", cells):
-        return verify.vertex_kernel_failures(vertices)
+        return verify.vertex_kernel_failures(diagrams)
 
 
 def test_vertex_kernels_match_reference_on_corpus():
     for spec in full_corpus():
-        vertices = diagram_vertices(spec)
-        assert verify_reference.vertex_kernel_failures(vertices) == []
+        diagrams = diagram.part_diagrams(spec)
+        assert verify_reference.vertex_kernel_failures(vertices(diagrams)) == []
         for cells in KERNEL_BLOCK_CELLS:
-            assert level_pass_failures(vertices, cells) == []
+            assert level_pass_failures(diagrams, cells) == []
 
 
 @pytest.mark.parametrize("group", ["2:[2,2]", "3:[2,2]", "2:[3,2,1]"])
 def test_vertex_kernels_match_reference_under_wrong_witness(group, monkeypatch):
     split_witness_always_u(monkeypatch)
-    vertices = diagram_vertices(parse_group_spec(group))
-    expected = verify_reference.vertex_kernel_failures(vertices)
+    diagrams = diagram.part_diagrams(parse_group_spec(group))
+    expected = verify_reference.vertex_kernel_failures(vertices(diagrams))
     assert expected
     for cells in KERNEL_BLOCK_CELLS:
-        assert level_pass_failures(vertices, cells) == expected
-
-
-def reordered(vertices, order):
-    """The vertices with each kernel-generator tuple reordered by order,
-    which keeps every span: prefixes then no longer match the parent's."""
-    out = []
-    for part, v in vertices:
-        form = dataclasses.replace(v.form, kernel_gens=order(v.form.kernel_gens))
-        out.append((part, dataclasses.replace(v, form=form)))
-    return out
-
-
-REORDERS = {
-    "reversed": lambda gens: gens[::-1],
-    # the children of a swapped tuple extend its row, closed from scratch
-    "first two swapped": lambda gens: gens[1::-1] + gens[2:],
-}
-
-
-@pytest.mark.parametrize("group", ["2:[1,1,1]", "2:[2,1]", "3:[2,2]", "2:[1];3:[1,1]"])
-@pytest.mark.parametrize("order", sorted(REORDERS))
-def test_vertex_kernels_match_reference_on_reordered_generators(group, order, monkeypatch):
-    closures = []
-    original = verify.subgroup_closure
-
-    def counted(part, gens):
-        closures.append(gens)
-        return original(part, gens)
-
-    monkeypatch.setattr(verify, "subgroup_closure", counted)
-    vertices = reordered(diagram_vertices(parse_group_spec(group)), REORDERS[order])
-    # and with a kernel generator dropped from every vertex that has two
-    dropped = reordered(vertices, lambda gens: gens[1:] if len(gens) > 1 else gens)
-    expected = verify_reference.vertex_kernel_failures(dropped)
-    assert verify_reference.vertex_kernel_failures(vertices) == [] and expected
-    for cells in KERNEL_BLOCK_CELLS:
-        assert level_pass_failures(vertices, cells) == []
-        assert level_pass_failures(dropped, cells) == expected
-    assert closures  # the from-scratch path ran
+        assert level_pass_failures(diagrams, cells) == expected
 
 
 MUTATED_GROUPS = [
@@ -353,45 +329,43 @@ MUTATED_GROUPS = [
 
 
 @st.composite
-def mutated_vertices(draw):
-    """The vertices of a small group's diagram, one of them with a kernel
-    generator dropped, added or replaced, or its primed element moved."""
+def mutated_diagrams(draw):
+    """A small group's diagram with one vertex changed in its columns: the
+    kernel generator it adds replaced, dropped or set, its primed element
+    moved, or its kernel order changed.  A changed generator is inherited
+    by the vertex's descendants."""
     spec = draw(st.sampled_from(MUTATED_GROUPS))
-    vertices = diagram_vertices(spec)
-    at = draw(st.integers(0, len(vertices) - 1))
-    v = vertices[at][1]
-    gens = list(v.form.kernel_gens)
-    g = element_from_index(spec, draw(st.integers(0, spec.order - 1)))
-    kinds = ["add"] + (["drop", "replace"] if gens else [])
-    kinds += ["move primed"] if v.form.primed is not None else []
+    diag = diagram.build_pci_diagram(spec)
+    l = draw(st.integers(0, len(diag.columns) - 1))
+    level = diag.columns[l]
+    i = draw(st.integers(0, len(level.primed) - 1))
+    g = draw(st.integers(0, spec.order - 1))
+    kinds = ["replace", "drop"] if level.added[i] >= 0 else ["set"]
+    kinds += ["move primed"] if level.primed[i] >= 0 else []
+    kinds += ["kernel order"]
     kind = draw(st.sampled_from(kinds))
-    i = draw(st.integers(0, len(gens)))
-    if kind == "add":
-        gens.insert(i, g)
-    elif kind == "drop":
-        del gens[min(i, len(gens) - 1)]
-    elif kind == "replace":
-        gens[min(i, len(gens) - 1)] = g
-    form = dataclasses.replace(v.form, kernel_gens=tuple(gens))
-    if kind == "move primed":
-        form = dataclasses.replace(v.form, primed=g)
-    vertices[at] = (spec, dataclasses.replace(v, form=form))
     event(kind)
-    return vertices
+    if kind == "kernel order":
+        k = int(level.kernel_order[i])
+        order = draw(st.sampled_from([k * spec.p, k + 1]))
+        return replace_column(diag, l, "kernel_order", i, order)
+    if kind == "move primed":
+        return replace_column(diag, l, "primed", i, g)
+    return replace_column(diag, l, "added", i, -1 if kind == "drop" else g)
 
 
-@given(mutated_vertices())
+@given(mutated_diagrams())
 @settings(max_examples=150, deadline=None)
-def test_vertex_kernels_match_reference_on_mutated_vertices(vertices):
+def test_vertex_kernels_match_reference_on_mutated_vertices(diag):
     expected = []
-    for part, v in vertices:
+    for part, v in vertices([diag]):
         try:
             expected += verify_reference.vertex_kernel_failures([(part, v)])
         except InvariantError:  # the primed element lies in the span
             expected.append((part.p, v.level, v.index, "kernel"))
     event(f"failures: {[what for *_, what in expected]}")
     for cells in KERNEL_BLOCK_CELLS:
-        assert level_pass_failures(vertices, cells) == expected
+        assert level_pass_failures([diag], cells) == expected
 
 
 def replace_splitting_idempotent(monkeypatch, p, n, change):

@@ -8,14 +8,16 @@ oracle's rows and builds no element unless a comparison fails.
 
 The vertex-kernel reference closes each vertex's kernel span from scratch,
 forms its expansion, and searches for the stabiliser of that expansion to
-compare with the span.  verify.vertex_kernel_failures checks each diagram
-level in one array pass: it reads each span's size, and whether the
-primed element lies in it, off the previous level's boolean span rows by
-gathers over the run of powers of the one new generator (V_l x ord(g)
-cells for a level of V_l vertices), grows the span rows of the non-leaf
-levels by coset-union doubling, and closes from scratch only a tuple
-with no known prefix, and its children.  It tests only whether the primed
-element lies in the span, not the stabiliser.
+compare with the span; it reads the vertex objects of the diagram's levels.
+verify.vertex_kernel_failures reads the diagram's columns and checks each
+level in one array pass: a vertex's span is <S, g> for S its parent's
+span (base = parent) and g the generator it adds (step = added, the
+identity for none).  It reads each span's size, and whether the primed
+element lies in it, off the previous level's boolean span rows by gathers
+over the run of powers of g (V_l x ord(g) cells for a level of V_l
+vertices), and grows the span rows of the non-leaf levels by coset-union
+doubling.  It tests only whether the primed element lies in the span, not
+the stabiliser.
 
 The splitting-field reference checks one element at a time: one
 idempotency test per element, a lattice sum, the Galois collapse of the
@@ -138,8 +140,9 @@ def records(on: GroupSpec, spec: AbelianGroupSpec, diagrams) -> list[AlgebraElem
 def run_checks(spec: AbelianGroupSpec, alternate_order: bool) -> list[Check]:
     """verify.run_checks with one element per record: the certificate on
     the elements and their lattice_sum, every set comparison by
-    compare_pci_sets, and the oracle one character at a time.  The checks
-    of the diagram's vertices, the census and the splitting field are
+    compare_pci_sets, the oracle one character at a time, and the factored
+    form structure and the leaf census on the vertex objects of the levels.
+    The vertex-kernel check, the census itself and the splitting field are
     verify's own."""
     checks: list[Check] = []
 
@@ -178,7 +181,7 @@ def run_checks(spec: AbelianGroupSpec, alternate_order: bool) -> list[Check]:
         "factored_form_structure",
         all(v.trivial == (v.form.primed is None) for _, v in vertices),
     )
-    failures = verify.vertex_kernel_failures(vertices)
+    failures = verify.vertex_kernel_failures(diagrams)
     check(
         "vertex_kernels",
         not failures,
