@@ -12,8 +12,9 @@ repository root:
     PYTHONPATH=src python benchmarks/bench_output.py --small
 
 The default rows are the outputs of the largest groups the default order cap
-admits, and verify on C_2^12, the largest, with and without
---alternate-order; --small runs the same commands on small groups, in a few
+admits, verify on C_2^12, the largest, with and without --alternate-order,
+and verify on C_61, whose splitting-field check refines the most children
+from one row; --small runs the same commands on small groups, in a few
 seconds.
 Every child must exit 0; a row that does not ends the run with an error.
 """
@@ -35,16 +36,19 @@ ROWS = (
     ("pci", "2:[1]*12", "text", ()),
     ("pci", "2:[1]*10;3:[1]", "json", ()),
     ("split", "2:[8]", "json", ()),
+    ("split", "2:[8]", "text", ()),
     ("diagram", "2:[1]*12", "json", ()),
     ("diagram", "2:[1]*12", "dot", ()),
     ("verify", "2:[1]*12", "json", ()),
     ("verify", "2:[1]*12", "json", ALTERNATE),
+    ("verify", "61:[1]", "json", ()),
 )
 SMALL_ROWS = (
     ("pci", "2:[1]*6", "json", ()),
     ("pci", "2:[1]*6", "text", ()),
     ("pci", "2:[1]*4;3:[1]", "json", ()),
     ("split", "2:[4]", "json", ()),
+    ("split", "5:[2]", "json", ()),
     ("diagram", "2:[1]*6", "json", ()),
     ("diagram", "2:[1]*6", "dot", ()),
     ("verify", "2:[1]*6", "json", ()),

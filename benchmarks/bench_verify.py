@@ -8,11 +8,16 @@ then RowSet.matched), the vertex-kernel check
 (verify.vertex_kernel_failures on the diagrams' columns), the
 splitting-field check (verify._splitting_field_coherent, cyclic groups of
 order at most verify.SPLIT_CHECK_LIMIT only) and the whole of
-verify.run_checks.  The stages hold every block at once, which run_checks
-does not.  Run:
+verify.run_checks.  The splitting-field check works on stacks: the
+idempotents' numerator rows (diagram.splitting_field_rows), reduced in one
+step, and the extension children of the lifted level below
+(diagram.lifted_rows, diagram.extension_rows); `split` gathers the same
+reduced rows in blocks (diagram.splitting_field_blocks) for its Galois
+sums and its output.  The stages hold every block at once, which
+run_checks does not.  Run:
 
     python benchmarks/bench_verify.py
-    python benchmarks/bench_verify.py --repeats 1 --groups "2:[1]*6,2:[5],3:[3],7:[2],2:[6,6]"
+    python benchmarks/bench_verify.py --repeats 1 --groups "2:[1]*6,2:[5],3:[3],7:[2],2:[6,6],61:[1]"
 
 Each time is the best of --repeats calls after one warm-up call.
 """

@@ -23,16 +23,16 @@ import sys
 from typing import Iterable, Iterator
 
 from .algebra import FractionList
-from .cyclotomic import CoefficientRows
 from .diagram import (
     cyclic_rational_pcis,
     element_names,
     emit_dot,
+    galois_orbit_sums,
     galois_orbits,
     kernel_generator_texts,
     part_diagrams,
     record_blocks,
-    splitting_field_pcis,
+    splitting_field_blocks,
     vertex_descriptions,
 )
 from .errors import (
@@ -45,8 +45,8 @@ from .errors import (
 )
 from .groups import AbelianGroupSpec, parse_group_spec
 from .numtheory import euler_phi, prime_power
-from .oracle import wedderburn_profile
-from .verify import collapse_matches_closed_form, run_checks
+from .oracle import compare_pci_sets, wedderburn_profile
+from .verify import run_checks
 
 DEFAULT_MAX_ORDER = 4096
 # split of C_m builds m^2 * phi(m) reduced coefficients (JSON writes them all);
@@ -94,9 +94,8 @@ def _json_text(payload) -> str:
     pure-Python indent encoder costs more than computing a large payload, so
     this writer dispatches on exact types: dict (str keys), list, tuple,
     str, int, bool and None are written here, a FractionList as the list of
-    its strings, CoefficientRows as the list of {"m", "coeffs"} dicts of
-    CycloAlgebraElement.to_json()["coeffs"], a _Stream as the text it
-    yields, a float by json.dumps, and any other type raises TypeError.
+    its strings, a _Stream as the text it yields, a float by json.dumps,
+    and any other type raises TypeError.
     Dict values and list items that _inline writes in one piece take no
     recursive call."""
     return "".join(_json_chunks(payload))
@@ -216,15 +215,6 @@ def _write(obj, newline: str, out: list) -> None:
             return
         inner = newline + "  "
         out.append("[" + inner + obj.join("," + inner, _quote) + newline + "]")
-    elif kind is CoefficientRows:  # one join for every row, no dict per row
-        inner = newline + "  "
-        key = inner + "  "
-        item = key + "  "
-        head = "{" + key + f'"m": {obj.m},' + key + '"coeffs": [' + item
-        tail = key + "]" + inner + "}"
-        between = tail + "," + inner + head
-        end = tail + newline + "]"
-        out.append(obj.rows_text("," + item, "[" + inner + head, between, end, _quote))
     elif kind is _Stream:
         out.append((obj, newline))
     elif kind is float:
@@ -483,11 +473,9 @@ def _run_split(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, Iterable
     part = spec.parts[0]
     p, n, m = part.p, part.classes[0][0], part.order
     _refuse_over(SPLIT_MAX_COEFFICIENTS, split_coefficient_count(m), f"split of C_{m}")
-    splitting = splitting_field_pcis(p, n)
     orbits = galois_orbits(m)
-    collapsed, matches = collapse_matches_closed_form(
-        splitting, m, cyclic_rational_pcis(p, n)
-    )
+    collapsed = galois_orbit_sums(part, m, splitting_field_blocks(m))
+    matches = compare_pci_sets(collapsed, cyclic_rational_pcis(p, n)).equal
     code = 0 if matches else 1
     if config.output_format == "text":
         lines = [
@@ -502,19 +490,44 @@ def _run_split(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, Iterable
             else "collapse DOES NOT match the rational closed form"
         )
         return code, ["\n".join(lines) + "\n"]
-    # each splitting idempotent's rows are formatted as they are written
-    rows = ({"t": t, "coefficients": e.coefficient_rows()} for t, e in enumerate(splitting))
+    # the idempotents' rows are reduced again, a block at a time, as they
+    # are written
+    rows = _Stream(functools.partial(_splitting_json, m, splitting_field_blocks(m)))
     payload = _payload(
         spec,
         prime=p,
         chain_length=n,
         modulus=m,
-        splitting_pcis=_stream_list(rows),
+        splitting_pcis=rows,
         orbits=orbits,
         rational_pcis=[e.to_strings() for e in collapsed],
         matches_closed_form=matches,
     )
     return code, _json_chunks(payload)
+
+
+def _splitting_json(m: int, blocks, newline: str) -> Iterator[str]:
+    """The JSON list of the splitting idempotents {"t": t, "coefficients":
+    [{"m": m, "coeffs": [...]}, ...]} over Q(zeta_m), for the newline of
+    the line it starts on (see _Stream): one dict per row of each
+    idempotent's reduced matrix, blocks yielding (those matrices for
+    t = 0, 1, ... in stacks, their den).  Each idempotent's text fills in
+    the writer's text of one sample idempotent of two rows, each block's
+    coefficients from one FractionList."""
+    inner = newline + "  "
+    item = inner + "        "  # the indent of a row's coefficients
+    row = {"m": m, "coeffs": [_MARK]}
+    before, opened, between, after = _cut({"t": _MARK, "coefficients": [row, row]}, inner)
+    close, t = "[" + inner, 0  # the text before the next idempotent
+    for block, den in blocks:
+        heads = []
+        for _ in range(len(block)):
+            heads += [close + before + str(t) + opened] + [between] * (block.shape[1] - 1)
+            close, t = after + "," + inner, t + 1
+        fractions = FractionList(block.reshape(-1, block.shape[2]), den)
+        yield fractions.rows_text("," + item, heads, after, _quote)
+        close = "," + inner
+    yield "[]" if close[0] == "[" else newline + "]"
 
 
 # -- verify -------------------------------------------------------------

@@ -16,12 +16,11 @@ import math
 import numbers
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from .algebra import (
-    FractionList,
     _Lattice,
     fraction_strings,
     integer_form,
@@ -282,27 +281,6 @@ class CycloAlgebraElement(_CycloLattice):
         nums[member_index(spec, g) * m + zeta_exp % m] = 1
         return cls(spec, m, nums, den)
 
-    @classmethod
-    def from_zeta_powers(
-        cls, spec: GroupSpec, m: int, powers: Sequence[int], den: int
-    ) -> "CycloAlgebraElement":
-        """den^-1 * sum_g zeta^powers[g] * g over the group indices g, for
-        den >= 1.
-
-        >>> from pcikit.groups import parse_group_spec
-        >>> c2 = parse_group_spec("2:[1]")
-        >>> e = CycloAlgebraElement.from_zeta_powers(c2, 4, [0, 2], 2)
-        >>> den, flat = e.reduced()
-        >>> e.nums.tolist(), e.den, den, flat.tolist()
-        ([1, 0, 0, 0, 0, 0, 1, 0], 2, 2, [1, 0, -1, 0])
-        """
-        m = _modulus(m)
-        if len(powers) != spec.order or den < 1:
-            raise InvariantError("need one zeta power per group element and den >= 1")
-        nums = _zeros(spec, m)
-        nums[np.arange(spec.order) * m + np.array(powers, dtype=np.int64) % m] = 1
-        return cls(spec, m, nums, den)
-
     # -- coefficients -------------------------------------------------
 
     def cyclo_coeff(self, at) -> CycloNumber:
@@ -316,13 +294,6 @@ class CycloAlgebraElement(_CycloLattice):
     @property
     def coeffs(self) -> tuple[CycloNumber, ...]:
         return tuple(self.cyclo_coeff(i) for i in range(self.spec.order))
-
-    def coefficient_rows(self) -> "CoefficientRows":
-        """to_json()["coeffs"] as one FractionList block over the reduced
-        matrix, for cli's JSON writer."""
-        den, flat = self.reduced()
-        matrix = flat.reshape(self.spec.order, euler_phi(self.m))
-        return CoefficientRows(self.m, FractionList(matrix, den))
 
     def to_json(self) -> dict:
         """{"m": m, "coeffs": [CycloNumber.to_json() of each coefficient]},
@@ -342,30 +313,3 @@ class CycloAlgebraElement(_CycloLattice):
     def __repr__(self) -> str:
         group = self.spec.spec_text() or self.spec  # the trivial group is "C_1"
         return f"CycloAlgebraElement({group}, m={self.m})"
-
-
-class CoefficientRows:
-    """The reduced (order x phi(m)) matrix of a CycloAlgebraElement as rows
-    of "num/den" strings: row g is the coordinates of the coefficient at
-    group index g, that is to_json()["coeffs"][g]["coeffs"].  The matrix is
-    one FractionList block, so each distinct value is formatted once, and
-    writing the rows is one gather and one join.  cli's JSON writer writes
-    it as to_json()["coeffs"], with no dict per row.
-
-    >>> from pcikit.groups import parse_group_spec
-    >>> c2 = parse_group_spec("2:[1]")
-    >>> rows = CycloAlgebraElement.from_zeta_powers(c2, 4, [0, 1], 2).coefficient_rows()
-    >>> rows.m, rows.rows_text(", ", "<", " | ", ">")
-    (4, '<1/2, 0/1 | 0/1, 1/2>')
-    """
-
-    __slots__ = ("m", "fractions")
-
-    def __init__(self, m: int, fractions: FractionList):
-        self.m, self.fractions = m, fractions
-
-    def rows_text(self, sep: str, first: str, between: str, end: str, form=None) -> str:
-        """first + row 0's strings joined by sep + between + row 1's ...
-        + end; form, when given, is applied once per distinct string."""
-        heads = [first] + [between] * (len(self.fractions) - 1)
-        return self.fractions.rows_text(sep, heads, end, form)

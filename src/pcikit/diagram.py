@@ -32,7 +32,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -387,18 +387,41 @@ def cyclic_rational_pcis(p: int, n: int) -> list[AlgebraElement]:
     ]
 
 
+def splitting_field_rows(p: int, n: int) -> np.ndarray:
+    """The p^n primitive idempotents of Q(zeta_m)[C_m], m = p^n, from the
+    character formula, as one int64 stack of numerators over den m on the
+    lattice C_m x C_m (see cyclotomic._CycloLattice): index t carries the
+    character sending the group generator x to zeta^t, and row t is
+    (1/m) * sum_k zeta^(-t*k) x^k, a 1 at (k, -t*k mod m) for each group
+    index k.  extension_rows builds the same set along the chain; verify
+    compares the two."""
+    m = p**n
+    k = np.arange(m)
+    rows = np.zeros((m, m * m), dtype=np.int64)
+    rows[k[:, None], k * m + (-k[:, None] * k) % m] = 1
+    return rows
+
+
+def splitting_field_blocks(m: int) -> Iterator[tuple[np.ndarray, int]]:
+    """The reduced (order x phi(m)) numerator matrices of the rows of
+    splitting_field_rows of C_m, as blocks (matrices, den m) of consecutive
+    rows of at most min(kernels._BLOCK_CELLS, 2^13) cells (at least one
+    row): split formats a block at some 90 bytes a cell, and a larger
+    block is no faster.  Row t has one zeta power per group index, so its
+    matrix is one gather from the table of reduced powers of zeta: row k
+    is cyclotomic._zeta_rows(m)[-t*k]."""
+    table = cyclotomic._zeta_rows(m)
+    k, step = np.arange(m), max(1, min(kernels._BLOCK_CELLS, 2**13) // table.size)
+    for start in range(0, m, step):
+        t = np.arange(start, min(m, start + step))
+        yield table[(-t[:, None] * k) % m], m
+
+
 def splitting_field_pcis(p: int, n: int) -> list[CycloAlgebraElement]:
-    """The p^n primitive idempotents of Q(zeta_{p^n})[C_{p^n}], from the
-    character formula: index t carries the character sending the group
-    generator x to zeta^t, and the t-th result is
-    (1/p^n) * sum_k zeta^(-t*k) x^k.  extension_children builds the same
-    set along the chain; verify compares the two."""
+    """The rows of splitting_field_rows as elements of Q(zeta_m)[C_m]."""
     spec = cyclic_group_spec(p, n)
-    m = spec.order
-    return [
-        CycloAlgebraElement.from_zeta_powers(spec, m, [-t * k for k in range(m)], m)
-        for t in range(m)
-    ]
+    rows = splitting_field_rows(p, n)
+    return [CycloAlgebraElement(spec, spec.order, row, spec.order) for row in rows]
 
 
 def _cyclic_spec(eta: CycloAlgebraElement) -> PrimaryGroupSpec:
@@ -411,69 +434,92 @@ def _cyclic_spec(eta: CycloAlgebraElement) -> PrimaryGroupSpec:
     return spec
 
 
+def lifted_rows(rows: np.ndarray, p: int) -> np.ndarray:
+    """Rows of numerators on the lattice C_m x C_m reindexed into
+    C_pm x C_pm by one index map: the small group embeds as the subgroup of
+    p-th powers, and zeta_m becomes the p-th power of the larger root of
+    unity, so (g, e) goes to (p g, p e)."""
+    m = math.isqrt(rows.shape[1])
+    big = m * p
+    g, e = np.divmod(np.arange(m * m), m)
+    out = np.zeros((len(rows), big * big), dtype=rows.dtype)
+    out[:, g * p * big + e * p] = rows
+    return out
+
+
 def lift_into_extension(eta: CycloAlgebraElement) -> CycloAlgebraElement:
-    """Reindex a splitting idempotent of C_{p^(n-1)} into C_{p^n}: the small
-    group embeds as the subgroup of p-th powers, and zeta_{p^(n-1)} becomes
-    the p-th power of the larger root of unity."""
+    """Reindex a splitting idempotent of C_{p^(n-1)} into C_{p^n} (see
+    lifted_rows)."""
     small = _cyclic_spec(eta)
-    p = small.p
     n_small = small.classes[0][0] if small.classes else 0
-    big = cyclic_group_spec(p, n_small + 1)
-    m_big = big.order
-    nums = np.zeros(big.order * m_big, dtype=eta.nums.dtype)
-    at = np.flatnonzero(eta.nums)
-    g, e = np.divmod(at, eta.m)
-    nums[g * p * m_big + e * p] = eta.nums[at]
-    return CycloAlgebraElement(big, m_big, nums, eta.den)
+    big = cyclic_group_spec(small.p, n_small + 1)
+    nums = lifted_rows(eta.nums[None], small.p)[0]
+    return CycloAlgebraElement(big, big.order, nums, eta.den)
+
+
+def extension_rows(rows: np.ndarray, den: int, top_gen: GroupElement) -> np.ndarray:
+    """The p idempotents refining each lifted splitting idempotent rows[j]/den
+    one level up, as rows j*p ... j*p + p - 1 over den * p.
+
+    The rows are numerators on the lattice C_m x C_m of top_gen's group
+    C_m (see lifted_rows); top_gen generates it.  Row j's children
+    multiply it by the p root-twisted averages (1/p) sum_{c<p} (zeta^r *
+    top_gen)^c whose roots zeta^r are the p-th roots of row j's own top
+    root.  That root is found from the coefficient at top_gen^p: times
+    |G|/p it must be zeta^e for exactly one e, and only an e divisible by
+    p is accepted; its reduced row is compared with those of zeta^0,
+    zeta^p, ... from cyclotomic._zeta_rows, each row at once.  For m = p
+    every row must be the identity.  Each product adds up p index shifts
+    of the row, one gather per term, accumulated in blocks of at most
+    kernels._BLOCK_CELLS output cells."""
+    m, p = top_gen.spec.order, top_gen.spec.p
+    grid = rows.reshape(len(rows), m, m)
+    if m == p:
+        reduced = reduce_rows(rows, m)
+        if (reduced[:, 0] != den).any() or reduced[:, 1:].any():
+            raise InvariantError("the only level-0 idempotent is the identity")
+        roots = np.zeros(len(rows), dtype=np.int64)
+    else:
+        # in Python ints when a product may not fit int64
+        attached, scale = reduce_rows(grid[:, element_index(top_gen**p)], m), m // p
+        powers = cyclotomic._zeta_rows(m)[::p]
+        if max(max_abs(attached) * scale, max_abs(powers) * den) >= 2**63:
+            attached, powers = attached.astype(object), powers.astype(object)
+        matches = (attached[:, None] * scale == powers * den).all(axis=2)
+        if (matches.sum(axis=1) != 1).any():
+            raise InvariantError("input is not a lifted splitting idempotent")
+        roots = matches.argmax(axis=1)
+    if max_abs(grid) * p >= 2**63:
+        grid = grid.astype(object)
+    # child i of row j at (h, z) sums row j at (h - top_gen^c, z - c * r_ji)
+    # over c < p, r_ji = roots[j] + i * m / p
+    at = np.arange(m)
+    moves = [element_index(top_gen**c) for c in range(p)]
+    out = np.zeros((len(rows), p, m, m), dtype=grid.dtype)
+    step = max(1, kernels._BLOCK_CELLS // out[0].size)
+    for start in range(0, len(rows), step):
+        block = slice(start, start + step)
+        twist = roots[block, None] + np.arange(p) * (m // p)  # [j, i]
+        j = np.arange(len(twist))[:, None, None, None]
+        for c, move in enumerate(moves):
+            cols = (at - c * twist[..., None]) % m  # [j, i, z]
+            shifted = ((at - move) % m)[:, None]  # [h]
+            out[block] += grid[block][j, shifted, cols[:, :, None]]
+    return out.reshape(len(rows) * p, m * m)
 
 
 def extension_children(
     eta: CycloAlgebraElement, top_gen: GroupElement
 ) -> list[CycloAlgebraElement]:
-    """The p idempotents refining eta one level up.
-
+    """The p idempotents refining eta one level up (see extension_rows).
     eta must be a splitting idempotent of the index-p subgroup, already
     lifted into the big group's algebra (see lift_into_extension); top_gen
-    is the new chain generator.  Children multiply eta by the p root-twisted
-    averages (1/p) sum_{c<p} (zeta^r * top_gen)^c whose roots zeta^r are the
-    p-th roots of eta's own top root.  Each product adds up p index shifts
-    of eta's (group, zeta power) numerator array, one per term.
-    """
-    spec, m = _cyclic_spec(eta), eta.m
-    p = spec.p
+    is the new chain generator."""
+    spec = _cyclic_spec(eta)
     if top_gen.spec != spec or element_order(top_gen) != spec.order:
         raise InvariantError("top generator must generate the whole group")
-    if spec.order == p:
-        if eta != CycloAlgebraElement.one(spec, m):
-            raise InvariantError("the only level-0 idempotent is the identity")
-        root_exp = 0
-    else:
-        # The coefficient at top_gen^p times |G|/p must be zeta^e for exactly
-        # one e, and only an e divisible by p is accepted: compare its
-        # reduced row, in Python ints, with those of zeta^0, zeta^p, ...
-        at = element_index(top_gen**p)
-        block = eta.nums[at * m : (at + 1) * m][None]
-        attached = reduce_rows(block, m).astype(object) * (spec.order // p)
-        # the table reduce_rows reads, looked up the same way
-        roots = cyclotomic._zeta_rows(m)[::p].astype(object) * eta.den
-        matches = np.flatnonzero((roots == attached).all(axis=1))
-        if len(matches) != 1:
-            raise InvariantError("input is not a lifted splitting idempotent")
-        root_exp = int(matches[0])
-    # child i at (h, z) sums eta at (h - top_gen^c, z - c * r_i) over c < p,
-    # r_i = root_exp + i * m / p: one gather of p * p shifted copies
-    grid = eta.nums.reshape(spec.order, m)
-    if max_abs(grid) * p >= 2**63:
-        grid = grid.astype(object)
-    c = np.arange(p)
-    moves = [element_index(top_gen**k) for k in range(p)]
-    rows = (np.arange(spec.order) - np.array(moves)[:, None]) % spec.order
-    twists = c[:, None] * (root_exp + c * (m // p))  # [c, i]
-    cols = (np.arange(m) - twists[..., None]) % m
-    summed = grid[rows[:, None, :, None], cols[:, :, None, :]].sum(axis=0)
-    return [
-        CycloAlgebraElement(spec, m, nums.ravel(), eta.den * p) for nums in summed
-    ]
+    rows = extension_rows(eta.nums[None], eta.den, top_gen)
+    return [CycloAlgebraElement(spec, eta.m, row, eta.den * spec.p) for row in rows]
 
 
 def galois_orbits(m: int) -> list[list[int]]:
@@ -495,35 +541,45 @@ def galois_orbit_collapse(
 ) -> list[AlgebraElement]:
     """Sum the splitting idempotents over each unit-multiplication orbit of
     the character index; every sum is rational and the results are exactly
-    the rational primitive central idempotents.
-
-    Each sum is taken on the members' reduced (order x phi(m)) matrices,
-    the coordinates split prints (see algebra.exact_sum).  A sum is
-    rational when every coordinate but the constant one is zero."""
+    the rational primitive central idempotents.  The sums are taken on the
+    members' reduced matrices (see galois_orbit_sums)."""
     if len(splitting) != m:
         raise InvariantError("need one splitting idempotent per character index")
     spec = splitting[0].spec
     for e in splitting:
         if e.spec != spec or e.m != m:
             raise SpecMismatchError("splitting idempotents of different algebras")
-    return galois_orbit_sums(spec, m, [e.reduced()[::-1] for e in splitting])
+    reduced = [e.reduced() for e in splitting]
+    return galois_orbit_sums(spec, m, [(nums[None], den) for den, nums in reduced])
 
 
 def galois_orbit_sums(
-    spec: PrimaryGroupSpec, m: int, reduced: Sequence[tuple[np.ndarray, int]]
+    spec: PrimaryGroupSpec, m: int, blocks: Iterable[tuple[np.ndarray, int]]
 ) -> list[AlgebraElement]:
     """galois_orbit_collapse on the splitting idempotents' reduced
-    coordinates: reduced[t] is the t-th one's (order x phi(m)) numerator
-    matrix, flattened, and its denominator, not necessarily in lowest
-    terms (see cyclotomic.reduce_rows)."""
+    coordinates, given as blocks (rows, den) of consecutive character
+    indices: rows[i] is the (order x phi(m)) numerator matrix of one
+    idempotent, in any shape, over den, not necessarily in lowest terms
+    (see cyclotomic.reduce_rows).  Each orbit's members are summed on their
+    least common denominator (see algebra.exact_sum) as the blocks pass.
+    A sum is rational when every coordinate but the constant one is zero."""
+    orbits = galois_orbits(m)
+    orbit_of = np.empty(m, dtype=np.int64)
+    for i, orbit in enumerate(orbits):
+        orbit_of[orbit] = i
+    sums: list[list] = [[] for _ in orbits]
+    start = 0
+    for rows, den in blocks:
+        rows = rows.reshape(len(rows), -1)
+        which = orbit_of[start : start + len(rows)]
+        for i in set(which.tolist()):
+            sums[i] = [exact_sum(sums[i] + [(row, den) for row in rows[which == i]])]
+        start += len(rows)
     out = []
-    for orbit in galois_orbits(m):
-        total, den = exact_sum([reduced[t] for t in orbit])
+    for orbit, [(total, den)] in zip(orbits, sums):
         total = total.reshape(spec.order, euler_phi(m))
         if total[:, 1:].any():
-            raise InconsistencyError(
-                f"orbit {orbit} does not sum to a rational element"
-            )
+            raise InconsistencyError(f"orbit {orbit} does not sum to a rational element")
         out.append(AlgebraElement(spec, total[:, 0], den))
     return out
 

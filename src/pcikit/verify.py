@@ -20,13 +20,12 @@ from .diagram import (
     PciDiagram,
     RecordBlock,
     cyclic_rational_pcis,
-    extension_children,
-    galois_orbit_collapse,
+    extension_rows,
     galois_orbit_sums,
-    lift_into_extension,
+    lifted_rows,
     part_diagrams,
     record_blocks,
-    splitting_field_pcis,
+    splitting_field_rows,
 )
 from .groups import AbelianGroupSpec, GroupElement, enumeration
 from . import kernels
@@ -77,15 +76,6 @@ def certify_idempotents(
     total, den = lowest_terms(*exact_sum(sums))
     orthogonal = not bad and bool(squares_to_rows(total[None], [den], orders)[0])
     return bad, orthogonal, (total, den)
-
-
-def collapse_matches_closed_form(
-    splitting: list[CycloAlgebraElement], m: int, closed: list[AlgebraElement]
-) -> tuple[list[AlgebraElement], bool]:
-    """The Galois-orbit collapse of the splitting-field idempotents of C_m,
-    and whether it equals the closed-form rational set `closed`."""
-    collapsed = galois_orbit_collapse(splitting, m)
-    return collapsed, compare_pci_sets(collapsed, closed).equal
 
 
 def _looked_up(blocks: Iterable[RecordBlock], sets: list[RowSet], found: list[list]):
@@ -257,7 +247,9 @@ def _level_pass(enum, rows, base, g, z, grow):
     Both are read off S's row by gathers over c = 1 ... ord(g), for the
     vertices of one order at a time: k is the least c such that c g lies
     in S, and z lies in <S, g> exactly when z - c g lies in S for some
-    c < k (a larger c adds nothing: S + c g lies in <S, g>).  If grow, a
+    c < k (a larger c adds nothing: S + c g lies in <S, g>); a block of
+    vertices none of which has a primed element (z < 0, as for every
+    growing vertex of a cyclic part) skips that test.  If grow, a
     span's row is grown from S by the coset union R <- R u (R + 2^j g),
     j = 0, 1, ..., until 2^j reaches the largest k of its block.  Each
     block holds at most kernels._BLOCK_CELLS cells."""
@@ -275,8 +267,9 @@ def _level_pass(enum, rows, base, g, z, grow):
             cg = enum.power(g[at, None], c[:, None])  # c g, for c = 0 ... o
             k[at] = cells[s + cg[:, 1:]].argmax(axis=1) + 1
             c = c[: k[at].max()]
-            shifted = enum.product(z[at, None], enum.inverse[cg[:, c]])  # z - c g
-            inside[at] = cells[s + shifted].any(axis=1)
+            if z[at].max() >= 0:  # some vertex has a primed element to test
+                shifted = enum.product(z[at, None], enum.inverse[cg[:, c]])  # z - c g
+                inside[at] = cells[s + shifted].any(axis=1)
             if grow:
                 block = spans[at]
                 grown = block.reshape(-1)
@@ -295,65 +288,46 @@ def _splitting_field_coherent(part, closed: list[AlgebraElement]) -> bool:
     sums are the closed-form rational set; and they are the extension
     children of the idempotents one chain step down.
 
-    The idempotents are checked as one stack of lattice numerator rows.
-    Each row is tested for e*e == e on the lattice Q[G x C_m] it is held
-    on, all at once by squares_to_rows.  Equality there implies equality
-    modulo the m-th cyclotomic polynomial, so a pass is exact; a failure
-    may still be equality in Q(zeta_m)[G], so for that row alone the
-    product is formed and compared reduced.  Every row is then reduced
-    modulo the cyclotomic polynomial in one step (reduce_rows): the sum,
-    the orbit sums and the match with the children all read those rows.
-    A level below whose idempotents are not lifted splitting idempotents,
-    or an orbit sum that is not rational, fails the check."""
+    The idempotents are one stack of lattice numerator rows over den m
+    (diagram.splitting_field_rows).  Each row is tested for e*e == e on the
+    lattice Q[G x C_m] it is held on, all at once by squares_to_rows.
+    Equality there implies equality modulo the m-th cyclotomic polynomial,
+    so a pass is exact; a failure may still be equality in Q(zeta_m)[G],
+    so for that row alone the product is formed and compared reduced.
+    Every row is then reduced modulo the cyclotomic polynomial in one step
+    (reduce_rows): the sum, the orbit sums and the match with the children
+    all read those rows.  The children, over den m too, come from the
+    level below's stack, lifted and refined as stacks (diagram.lifted_rows,
+    diagram.extension_rows).  A level below whose rows are not lifted
+    splitting idempotents, or an orbit sum that is not rational, fails the
+    check."""
     p, n, m = part.p, part.classes[0][0], part.order
-    reduced = _reduced_idempotent_rows(splitting_field_pcis(p, n), m)
-    if reduced is None:
-        return False
-    total, den = exact_sum(reduced)
-    if total[0] != den or total[1:].any():  # the sum is not 1
+    rows = splitting_field_rows(p, n)
+    for i in np.flatnonzero(~squares_to_rows(rows, [m] * m, (m, m))):
+        e = CycloAlgebraElement(part, m, rows[i], m)
+        if e * e != e:
+            return False
+    reduced = reduce_rows(rows, m)
+    total = reduced.sum(axis=0)  # every row is over m
+    if total[0] != m or total[1:].any():  # the sum is not 1
         return False
     gen = GroupElement(part, (1,))
     try:
-        collapsed = galois_orbit_sums(part, m, reduced)
-        children = [
-            child
-            for eta in splitting_field_pcis(p, n - 1)
-            for child in extension_children(lift_into_extension(eta), gen)
-        ]
+        collapsed = galois_orbit_sums(part, m, [(reduced, m)])
+        lifted = lifted_rows(splitting_field_rows(p, n - 1), p)
+        children = extension_rows(lifted, m // p, gen)
     except (InconsistencyError, InvariantError):
         return False
     if not compare_pci_sets(collapsed, closed).equal:
         return False
-    kids = reduce_rows(np.stack([c.nums for c in children]), m)
-    kids_reduced = zip(kids, [c.den for c in children])
-    return np.array_equal(
-        _sorted_lowest_terms(reduced), _sorted_lowest_terms(kids_reduced)
-    )
+    return np.array_equal(_sorted_rows(reduced), _sorted_rows(reduce_rows(children, m)))
 
 
-def _reduced_idempotent_rows(
-    elements: list[CycloAlgebraElement], m: int
-) -> list[tuple[np.ndarray, int]] | None:
-    """Each element's reduced numerator row (see reduce_rows) and its
-    denominator, or None when some element is not idempotent.  The
-    elements are tested as one stack by squares_to_rows, and an element
-    that fails there forms its product (see _splitting_field_coherent)."""
-    stack, dens = np.stack([e.nums for e in elements]), [e.den for e in elements]
-    passed = squares_to_rows(stack, dens, elements[0].lattice_orders)
-    failed = [elements[i] for i in np.flatnonzero(~passed)]
-    if not all(e * e == e for e in failed):
-        return None
-    return list(zip(reduce_rows(stack, m), dens))
-
-
-def _sorted_lowest_terms(reduced) -> np.ndarray:
-    """The (den, numerators...) rows of these (numerators, den) pairs in
-    lowest terms, lexsorted: two runs give equal matrices exactly when they
-    hold the same rationals equally often."""
-    nums, dens = zip(*reduced)
-    keys = np.column_stack((int_array(dens), np.stack(nums)))
-    keys //= np.gcd.reduce(keys, axis=1)[:, None]
-    keys = int_array(keys.ravel()).reshape(keys.shape)  # int64 whenever it fits
+def _sorted_rows(matrix: np.ndarray) -> np.ndarray:
+    """The rows of an integer matrix (see int_array), sorted: two matrices
+    give equal results exactly when they hold the same rows equally
+    often."""
+    keys = int_array(matrix.ravel()).reshape(matrix.shape)  # int64 whenever it fits
     if keys.dtype == object:
         return keys[np.lexsort(keys.T)]
     # any total order will do: sort int64 rows as byte strings, in one step

@@ -9,6 +9,15 @@ coefficients are a 1-D FractionList, written by cli._json_text (JSON) or
 joined line by line (text).  None of it shares the block producer
 (diagram.record_blocks) or the stacked formatting of FractionList blocks.
 
+The split reference builds one CycloAlgebraElement per splitting
+idempotent from the character formula, writes each element's to_json()
+coefficients as one dict, made as it is written (cli._stream_list), and
+sums each Galois orbit on the full lattice (lattice_sum), reading the
+rational sum back through the element's reduction.  None of it shares the
+gathered reduced blocks (diagram.splitting_field_blocks), the blocked orbit
+sums (diagram.galois_orbit_sums) or the idempotent template of
+cli._splitting_json.
+
 The diagram reference reads the vertex objects of PciDiagram.levels and
 the tuples of PciDiagram.edges: one dict per vertex and the edges as they
 are, written by cli._json_text (JSON), one label per vertex from its
@@ -19,14 +28,26 @@ column walk (diagram.kernel_generator_texts) or the vertex templates.
 import functools
 import itertools
 import math
+from typing import Iterator
 
 import numpy as np
 
-from pcikit.algebra import FractionList, expand_factored
-from pcikit.cli import RunConfig, _field_name, _json_text, _payload, _title
-from pcikit.diagram import part_diagrams
+from element_reference import rational_part
+from pcikit.algebra import FractionList, expand_factored, lattice_sum
+from pcikit.cli import (
+    RunConfig,
+    _field_name,
+    _json_chunks,
+    _json_text,
+    _payload,
+    _stream_list,
+    _title,
+)
+from pcikit.cyclotomic import CycloAlgebraElement
+from pcikit.diagram import cyclic_rational_pcis, galois_orbits, part_diagrams
 from pcikit.groups import parse_group_spec
 from pcikit.numtheory import euler_phi, prime_power
+from pcikit.oracle import compare_pci_sets
 
 
 def reference_records(diagrams) -> list[tuple[np.ndarray, int, int, int]]:
@@ -180,3 +201,50 @@ def diagram_output(config: RunConfig) -> str:
         for diag in diagrams
     ]
     return _json_text(_payload(spec, parts=parts))
+
+
+def split_output(config: RunConfig) -> tuple[int, Iterator[str]]:
+    """The exit code and output, in pieces, of `split` for config (a
+    cyclic p-group), built element by element."""
+    spec = parse_group_spec(config.group_text, config.max_order)
+    part = spec.parts[0]
+    p, n, m = part.p, part.classes[0][0], part.order
+    k = np.arange(m)
+    splitting = []
+    for t in range(m):  # (1/m) sum_k zeta^(-t k) x^k
+        nums = np.zeros(m * m, dtype=np.int64)
+        nums[k * m + (-t * k) % m] = 1
+        splitting.append(CycloAlgebraElement(part, m, nums, m))
+    orbits = galois_orbits(m)
+    collapsed = []
+    for orbit in orbits:
+        collapsed.append(rational_part(lattice_sum(splitting[t] for t in orbit)))
+    matches = compare_pci_sets(collapsed, cyclic_rational_pcis(p, n)).equal
+    code = 0 if matches else 1
+    if config.output_format == "text":
+        lines = [
+            f"group {spec}, splitting field Q(zeta_{m})",
+            f"{m} splitting-field idempotents, {len(orbits)} Galois orbits",
+        ]
+        for orbit, e in zip(orbits, collapsed):
+            lines.append(f"orbit {orbit}: " + ", ".join(e.to_strings()))
+        lines.append(
+            "collapse matches the rational closed form"
+            if matches
+            else "collapse DOES NOT match the rational closed form"
+        )
+        return code, iter(["\n".join(lines) + "\n"])
+    rows = (
+        {"t": t, "coefficients": e.to_json()["coeffs"]} for t, e in enumerate(splitting)
+    )
+    payload = _payload(
+        spec,
+        prime=p,
+        chain_length=n,
+        modulus=m,
+        splitting_pcis=_stream_list(rows),
+        orbits=orbits,
+        rational_pcis=[e.to_strings() for e in collapsed],
+        matches_closed_form=matches,
+    )
+    return code, _json_chunks(payload)

@@ -44,6 +44,7 @@ from pcikit.cli import (
     split_coefficient_count,
 )
 from pcikit.diagram import cross_prime_product
+from pcikit.numtheory import is_prime
 
 
 def run_json(subcommand, group, **kwargs):
@@ -555,16 +556,21 @@ def cyclo_elements(draw):
     return CycloAlgebraElement(spec, m, nums, den)
 
 
-@given(cyclo_elements())
-@example(CycloAlgebraElement(parse_group_spec("2:[1]"), 1, [2**64, -1], 3))
+@given(cyclo_elements(), st.integers(min_value=1, max_value=3))
+@example(CycloAlgebraElement(parse_group_spec("2:[1]"), 1, [2**64, -1], 3), 1)
 @settings(max_examples=80, deadline=None)
-def test_coefficient_rows_writer_matches_json_dumps(e):
-    # The rows are written as json.dumps writes to_json()["coeffs"], at the
-    # top level and at split's depth.
-    rows, plain = e.coefficient_rows(), e.to_json()["coeffs"]
+def test_splitting_rows_writer_matches_json_dumps(e, per_block):
+    # Three copies of e's reduced matrix, in blocks of per_block, are
+    # written as json.dumps writes a list of three {"t", "coefficients":
+    # to_json()["coeffs"]} dicts, at the top level and at split's depth.
+    den, flat = e.reduced()
+    block = np.stack([flat.reshape(e.spec.order, -1)] * per_block)
+    blocks = [(block, den)] * (3 // per_block) + [(block[:1], den)] * (3 % per_block)
+    plain = [{"t": t, "coefficients": e.to_json()["coeffs"]} for t in range(3)]
+    rows = cli._Stream(lambda newline: cli._splitting_json(e.m, blocks, newline))
     assert _json_text(rows) == json.dumps(plain, indent=2) + "\n"
-    payload = {"splitting_pcis": [{"t": 0, "coefficients": rows}]}
-    expected = {"splitting_pcis": [{"t": 0, "coefficients": plain}]}
+    payload = {"splitting_pcis": rows, "modulus": e.m}
+    expected = {"splitting_pcis": plain, "modulus": e.m}
     assert _json_text(payload) == json.dumps(expected, indent=2) + "\n"
 
 
@@ -783,6 +789,39 @@ def test_main_writes_chunks_of_at_least_chunk_chars(argv, small, monkeypatch):
     fmt = options.get("--format", "json")
     config = RunConfig(argv[0], options["--group"], output_format=fmt)
     assert "".join(chunks) == run(config)[1]
+
+
+class _Hasher:
+    """A stdout stand-in that keeps only the md5 of what is written."""
+
+    def __init__(self):
+        self.md5 = hashlib.md5()
+
+    def write(self, text):
+        self.md5.update(text.encode())
+
+    def flush(self):
+        pass
+
+
+CYCLIC_TO_128 = [
+    f"{p}:[{n}]" for p in range(2, 128) if is_prime(p) for n in range(1, 8) if p**n <= 128
+]
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("group", CYCLIC_TO_128)
+def test_split_matches_per_element_reference(group, fmt, monkeypatch):
+    # split's output, streamed from gathered blocks, equals the element by
+    # element reference byte for byte; both are hashed as they are written.
+    recorder = _Hasher()
+    monkeypatch.setattr(sys, "stdout", recorder)
+    code = main(["split", "--group", group, "--format", fmt])
+    want_code, pieces = cli_reference.split_output(RunConfig("split", group, fmt))
+    want = hashlib.md5()
+    for piece in pieces:
+        want.update(piece.encode())
+    assert (code, recorder.md5.hexdigest()) == (want_code, want.hexdigest())
 
 
 # Every primary part of order at most 81 for p = 2, 3, 5, 7 and 11, for the

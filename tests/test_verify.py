@@ -6,6 +6,7 @@ that the named checks fail and that the CLI exits 1 with status "fail".
 
 import dataclasses
 import json
+import math
 from unittest.mock import patch
 
 import numpy as np
@@ -27,7 +28,6 @@ from pcikit import (
     cyclotomic,
     diagram,
     kernels,
-    extension_children,
     lift_into_extension,
     oracle,
     parse_group_spec,
@@ -35,7 +35,7 @@ from pcikit import (
     verify,
 )
 from pcikit.cli import main
-from pcikit.diagram import RecordBlock
+from pcikit.diagram import RecordBlock, splitting_field_rows
 from pcikit.kernels import squares_to
 from pcikit.numtheory import cyclotomic_poly, is_prime
 
@@ -369,19 +369,21 @@ def test_vertex_kernels_match_reference_on_mutated_vertices(diag):
 
 
 def replace_splitting_idempotent(monkeypatch, p, n, change):
-    """Make verify, and the reference check, see change(out) in place of the
-    splitting idempotent of index 1 of C_{p^n}, out being the list of all
-    of them."""
-    original = verify.splitting_field_pcis
+    """Make verify, and the reference check, see change(rows) in place of
+    row 1 of the splitting idempotents' stack of C_{p^n}
+    (diagram.splitting_field_rows, every row over den p^n), rows being the
+    whole stack.  The reference reads the stack through
+    diagram.splitting_field_pcis."""
+    original = diagram.splitting_field_rows
 
     def replaced(q, k):
-        out = original(q, k)
+        rows = original(q, k)
         if (q, k) == (p, n):
-            out[1] = change(out)
-        return out
+            rows[1] = change(rows)
+        return rows
 
-    monkeypatch.setattr(verify, "splitting_field_pcis", replaced)
-    monkeypatch.setattr(verify_reference, "splitting_field_pcis", replaced)
+    monkeypatch.setattr(diagram, "splitting_field_rows", replaced)
+    monkeypatch.setattr(verify, "splitting_field_rows", replaced)
 
 
 @pytest.mark.parametrize("group, p, n", [("2:[3]", 2, 3), ("3:[2]", 3, 2)])
@@ -390,17 +392,19 @@ def test_duplicated_splitting_idempotent_fails_coherence(group, p, n, monkeypatc
     # at m and every element idempotent; only the sum to 1 (and with it
     # pairwise orthogonality) and the extension-children match break.  The
     # level below, which the extension children come from, stays intact.
-    replace_splitting_idempotent(monkeypatch, p, n, lambda out: out[0])
+    replace_splitting_idempotent(monkeypatch, p, n, lambda rows: rows[0])
     assert failed_checks(group, capsys) == {"splitting_field_coherence"}
 
 
-def plus_phi_m(e):
-    """e with den * Phi_m added to the zeta block of group index 1: the
-    same element of Q(zeta_m)[G] on other lattice numerators."""
-    nums, m = e.nums.tolist(), e.m
-    for i, c in enumerate(cyclotomic_poly(m)):
-        nums[m + i] += c * e.den
-    return CycloAlgebraElement(e.spec, m, nums, e.den)
+def plus_phi_m(row):
+    """A splitting row of C_m, over den m, with m * Phi_m added to the zeta
+    block of group index 1: the same element of Q(zeta_m)[G] on other
+    lattice numerators."""
+    m = math.isqrt(len(row))
+    phi = np.array(cyclotomic_poly(m))
+    row = row.copy()
+    row[m : m + len(phi)] += m * phi
+    return row
 
 
 @pytest.mark.parametrize("group, p, n", [("2:[3]", 2, 3), ("3:[2]", 3, 2)])
@@ -411,17 +415,17 @@ def test_splitting_idempotent_off_the_lattice_passes_by_product(
     # multiple of Phi_m does not vanish; the product, compared reduced,
     # decides, and every check passes.
     e = splitting_field_pcis(p, n)[1]
-    moved = plus_phi_m(e)
+    moved = CycloAlgebraElement(e.spec, e.m, plus_phi_m(splitting_field_rows(p, n)[1]), e.m)
     assert moved == e and moved.nums.tolist() != e.nums.tolist()
     assert not squares_to(moved.nums, moved.den, moved.lattice_orders)
-    replace_splitting_idempotent(monkeypatch, p, n, lambda out: plus_phi_m(out[1]))
+    replace_splitting_idempotent(monkeypatch, p, n, lambda rows: plus_phi_m(rows[1]))
     assert main(["verify", "--group", group]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "pass"
 
 
 @pytest.mark.parametrize("group, p, n", [("2:[3]", 2, 3), ("3:[2]", 3, 2)])
 def test_scaled_splitting_idempotent_fails_coherence(group, p, n, monkeypatch, capsys):
-    replace_splitting_idempotent(monkeypatch, p, n, lambda out: out[1].scaled(2))
+    replace_splitting_idempotent(monkeypatch, p, n, lambda rows: rows[1] * 2)
     assert failed_checks(group, capsys) == {"splitting_field_coherence"}
 
 
@@ -434,7 +438,7 @@ def test_scaled_splitting_idempotent_one_level_down_fails_coherence(
     # report is printed, with exit 1 rather than an error exit.
     assert main(["verify", "--group", group]) == 0
     count = len(json.loads(capsys.readouterr().out)["checks"])
-    replace_splitting_idempotent(monkeypatch, p, n, lambda out: out[1].scaled(2))
+    replace_splitting_idempotent(monkeypatch, p, n, lambda rows: rows[1] * 2)
     assert failed_checks(group, capsys) == {"splitting_field_coherence"}
     assert main(["verify", "--group", group, "--format", "text"]) == 1
     report = capsys.readouterr().out.splitlines()
@@ -502,12 +506,12 @@ def test_splitting_field_coherence_matches_reference(p, n):
 @pytest.mark.parametrize(
     "level, change, verdict",
     [
-        pytest.param(0, lambda out: out[0], False, id="duplicated"),
-        pytest.param(0, lambda out: out[1].scaled(2), False, id="scaled"),
-        pytest.param(0, lambda out: plus_phi_m(out[1]), True, id="plus-phi-m"),
-        pytest.param(1, lambda out: out[1].scaled(2), False, id="scaled-one-level-down"),
+        pytest.param(0, lambda rows: rows[0], False, id="duplicated"),
+        pytest.param(0, lambda rows: rows[1] * 2, False, id="scaled"),
+        pytest.param(0, lambda rows: plus_phi_m(rows[1]), True, id="plus-phi-m"),
+        pytest.param(1, lambda rows: rows[1] * 2, False, id="scaled-one-level-down"),
         # every check but the match with the extension children still passes
-        pytest.param(1, lambda out: out[0], False, id="duplicated-one-level-down"),
+        pytest.param(1, lambda rows: rows[0], False, id="duplicated-one-level-down"),
     ],
 )
 def test_splitting_field_coherence_matches_reference_under_faults(
@@ -522,14 +526,19 @@ def test_splitting_field_coherence_matches_reference_under_flipped_table(monkeyp
     assert _coherence_verdicts(2, 3) == (False, False)
 
 
-@pytest.mark.parametrize("p, n", [pn for pn in _cyclic_groups_to_64() if pn[1] > 1])
+@pytest.mark.parametrize("p, n", _cyclic_groups_to_64())
 def test_extension_children_match_reference(p, n):
-    # the same children in the same order, level by level up to C_{p^n}
+    # the same children in the same order, row for row: the stacked
+    # children of the lifted level below, over den m, at both block sizes,
+    # and each element's children formed as products
+    m = p**n
     gen = GroupElement(cyclic_group_spec(p, n), (1,))
-    for eta in splitting_field_pcis(p, n - 1):
-        lifted = lift_into_extension(eta)
-        got = extension_children(lifted, gen)
-        want = verify_reference.extension_children(lifted, gen)
-        assert [(c.den, c.nums.tolist()) for c in got] == [
-            (c.den, c.nums.tolist()) for c in want
-        ]
+    want = [
+        (c.nums * (m // c.den)).tolist()
+        for eta in splitting_field_pcis(p, n - 1)
+        for c in verify_reference.extension_children(lift_into_extension(eta), gen)
+    ]
+    lifted = diagram.lifted_rows(splitting_field_rows(p, n - 1), p)
+    for cells in KERNEL_BLOCK_CELLS:
+        with patch.object(kernels, "_BLOCK_CELLS", cells):
+            assert diagram.extension_rows(lifted, m // p, gen).tolist() == want
