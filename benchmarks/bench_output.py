@@ -17,6 +17,8 @@ and verify on C_61, whose splitting-field check refines the most children
 from one row; --small runs the same commands on small groups, in a few
 seconds.
 Every child must exit 0; a row that does not ends the run with an error.
+The first line is the line count of src/pcikit/*.py, so that each run
+reports the code's size next to its timings.
 """
 
 import argparse
@@ -30,6 +32,7 @@ from pathlib import Path
 
 from bench_kernels import expand_group_text
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 ALTERNATE = ("--alternate-order",)
 ROWS = (
     ("pci", "2:[1]*12", "json", ()),
@@ -75,8 +78,7 @@ sys.exit(code)
 def run_row(subcommand: str, group: str, fmt: str, flags: tuple[str, ...]) -> dict:
     argv = [subcommand, "--group", expand_group_text(group), "--format", fmt, *flags]
     env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     digest, size = hashlib.md5(), 0
     # stdout is hashed as it comes, so the parent holds none of it; stderr
     # goes to a file, so the child never blocks on a full stderr pipe
@@ -110,11 +112,18 @@ def run_row(subcommand: str, group: str, fmt: str, flags: tuple[str, ...]) -> di
     }
 
 
+def source_lines() -> int:
+    """The line count of src/pcikit/*.py, as `cat src/pcikit/*.py | wc -l`
+    gives it."""
+    return sum(path.read_bytes().count(b"\n") for path in (SRC / "pcikit").glob("*.py"))
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--small", action="store_true", help="small groups, for CI")
     args = parser.parse_args()
 
+    print(f"src/pcikit/*.py: {source_lines()} lines")
     head = ("command", "group", "format", "wall", "peak RSS", "output")
     widths = (8, 16, 6, 8, 10, 12)
     print(" ".join(f"{h:>{w}}" for h, w in zip(head, widths)) + "  md5 (flags)")

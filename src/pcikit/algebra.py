@@ -109,13 +109,12 @@ class FractionList:
 
     The distinct numerators are found by one sort and one binary search per
     den.  nums may be an int64 or object array (see int_array), which is
-    read as it is, with no copy.  cli's JSON writer writes a 1-D list as a
-    list of strings.
+    read as it is, with no copy.
 
     >>> f = FractionList((0, -2, 3, 2**64, 3), 6)
     >>> f.table, f.index.tolist()
     (['-1/3', '0/1', '1/2', '9223372036854775808/3'], [1, 0, 2, 3, 2])
-    >>> f.join(", ")
+    >>> ", ".join(f.strings())
     '0/1, -1/3, 1/2, 9223372036854775808/3, 1/2'
     >>> rows = FractionList(np.array([[2, 0, -2], [2, 2, 0]]), [4, 2])
     >>> rows.strings()
@@ -147,9 +146,6 @@ class FractionList:
             table += [_fraction(v, int(d)) for v in values.tolist()]
         self.table, self.index = table, index.reshape(vals.shape)
 
-    def __len__(self) -> int:
-        return len(self.index)
-
     def _formed(self, form) -> list[str]:
         # the table, each string passed through form when it is given
         return self.table if form is None else list(map(form, self.table))
@@ -159,9 +155,6 @@ class FractionList:
         each first passed through form when it is given (once per distinct
         string)."""
         return np.array(self._formed(form), dtype=object)[self.index].tolist()
-
-    def join(self, sep: str, form=None) -> str:
-        return sep.join(self.strings(form))
 
     def rows_text(self, sep: str, heads: Sequence[str], end: str, form=None) -> str:
         """heads[0] + row 0's strings joined by sep + heads[1] + row 1's

@@ -89,23 +89,22 @@ def _field_name(d: int) -> str:
 _quote = json.encoder.encode_basestring_ascii
 
 
-def _json_text(payload) -> str:
-    """json.dumps(payload, indent=2) + "\n", byte for byte.  json's
-    pure-Python indent encoder costs more than computing a large payload, so
-    this writer dispatches on exact types: dict (str keys), list, tuple,
-    str, int, bool and None are written here, a FractionList as the list of
-    its strings, a _Stream as the text it yields, a float by json.dumps,
-    and any other type raises TypeError.
-    Dict values and list items that _inline writes in one piece take no
-    recursive call."""
-    return "".join(_json_chunks(payload))
-
-
 def _json_chunks(payload) -> Iterator[str]:
-    """_json_text(payload) in pieces, each _Stream's text made only as it
-    is written."""
-    yield from _pieces(payload, "\n")
-    yield "\n"
+    """json.dumps(payload, indent=2) + "\n", byte for byte, in pieces: the
+    text _write makes of payload, cut at each _Stream, whose text follows
+    as it yields it."""
+    out: list = []
+    _write(payload, "\n", out)
+    text: list[str] = []
+    for part in out:
+        if type(part) is str:
+            text.append(part)
+        else:  # a _Stream and the newline it starts on
+            yield "".join(text)
+            text = []
+            yield from part[0].pieces(part[1])
+    text.append("\n")
+    yield "".join(text)
 
 
 class _Stream:
@@ -117,38 +116,6 @@ class _Stream:
 
     def __init__(self, pieces):
         self.pieces = pieces
-
-
-def _stream_list(items: Iterable) -> _Stream:
-    """The JSON list of the values items yields, each made and written in
-    turn."""
-
-    def pieces(newline: str) -> Iterator[str]:
-        inner = newline + "  "
-        sep = "[" + inner
-        for item in items:
-            yield sep
-            yield from _pieces(item, inner)
-            sep = "," + inner
-        yield "[]" if sep[0] == "[" else newline + "]"
-
-    return _Stream(pieces)
-
-
-def _pieces(obj, newline: str) -> Iterator[str]:
-    """The text of obj in pieces: what _write makes of it, cut at each
-    _Stream, whose text follows as it yields it."""
-    out: list = []
-    _write(obj, newline, out)
-    text: list[str] = []
-    for part in out:
-        if type(part) is str:
-            text.append(part)
-        else:  # a _Stream and the newline it starts on
-            yield "".join(text)
-            text = []
-            yield from part[0].pieces(part[1])
-    yield "".join(text)
 
 
 def _inline(obj) -> str | None:
@@ -167,8 +134,13 @@ def _inline(obj) -> str | None:
 
 
 def _write(obj, newline: str, out: list) -> None:
-    # newline: a line break and the indent of the line obj starts on.  A
-    # _Stream is left in out as (stream, newline), for _pieces to expand.
+    # newline: a line break and the indent of the line obj starts on.  This
+    # stands in for json.dumps(indent=2), whose pure-Python indent encoder
+    # is 2-4 times slower on the small payloads.  It writes exact types:
+    # dict (str keys), list, tuple, str, int, bool and None, and a _Stream,
+    # left in out as (stream, newline) for _json_chunks to expand; any other
+    # type raises TypeError.  Dict values and list items that _inline writes
+    # in one piece take no recursive call.
     kind = type(obj)
     if kind is dict:
         if not obj:
@@ -209,16 +181,8 @@ def _write(obj, newline: str, out: list) -> None:
                 out.append(sep + text)
             sep = "," + inner
         out.append(newline + "]")
-    elif kind is FractionList:  # one join over the quoted distinct strings
-        if not len(obj):
-            out.append("[]")
-            return
-        inner = newline + "  "
-        out.append("[" + inner + obj.join("," + inner, _quote) + newline + "]")
     elif kind is _Stream:
         out.append((obj, newline))
-    elif kind is float:
-        out.append(json.dumps(obj))
     elif (text := _inline(obj)) is not None:
         out.append(text)
     else:
@@ -418,7 +382,7 @@ def _run_diagram(config: RunConfig, spec: AbelianGroupSpec) -> tuple[int, Iterab
                 for i, (desc, f) in enumerate(zip(leaves, fields))
             ]
         return 0, ["\n".join(lines) + "\n"]
-    parts = _stream_list(map(_part_json, diagrams))
+    parts = [_part_json(diag) for diag in diagrams]
     return 0, _json_chunks(_payload(spec, parts=parts))
 
 

@@ -360,10 +360,10 @@ def _next_level(
     handed[:, 0] = 0, k0, 1, u, -1
     cols = np.repeat(handed, np.concatenate(([2], counts)), axis=1)
     cols[:, 0] = 0, k0 * p, 0, -1, u
-    # the children of a split are the subgroups <K, z^i w>, i < p
-    z = current.primed[1:][split][:, None]
-    powers = enum.power(z, np.arange(p)[:, None])  # z^i
-    cols[4, 2:][children] = enum.product(powers, witnesses[:, None])
+    # the children of a split are the subgroups <K, z^i w>, i < p, each
+    # generator read off the digits (no product table)
+    z, w = (enum.digits[a][:, None] for a in (current.primed[1:][split], witnesses))
+    cols[4, 2:][children] = (z * np.arange(p)[:, None] + w) % enum.mods @ enum.strides
     return DiagramLevel(*cols), next_rows
 
 

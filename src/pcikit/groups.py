@@ -384,13 +384,6 @@ def element_from_index(spec: GroupSpec, idx: int) -> GroupElement:
     return _raw_element(spec, tuple(reversed(exps)))
 
 
-def elements_from_indices(spec: GroupSpec, indices: np.ndarray) -> list[GroupElement]:
-    """element_from_index of each index in a 1-D array, from one lookup
-    in the enumeration's digit table."""
-    rows = enumeration(spec.factor_orders).digits[indices].tolist()
-    return [_raw_element(spec, tuple(row)) for row in rows]
-
-
 def elements(spec: GroupSpec):
     """All group elements in canonical enumeration order."""
     for idx in range(spec.order):

@@ -5,22 +5,22 @@ the references for their streamed output.
 Each leaf is expanded from its factored form (algebra.expand_factored, a
 subgroup closure per leaf), a multi-prime record is the np.multiply.outer
 of one leaf per part on Python ints, and each record becomes one dict whose
-coefficients are a 1-D FractionList, written by cli._json_text (JSON) or
-joined line by line (text).  None of it shares the block producer
+coefficients are the list of their fraction_strings, written by json_text
+(JSON) or joined line by line (text).  None of it shares the block producer
 (diagram.record_blocks) or the stacked formatting of FractionList blocks.
 
 The split reference builds one CycloAlgebraElement per splitting
 idempotent from the character formula, writes each element's to_json()
-coefficients as one dict, made as it is written (cli._stream_list), and
-sums each Galois orbit on the full lattice (lattice_sum), reading the
-rational sum back through the element's reduction.  None of it shares the
+coefficients as one dict in a plain list, and sums each Galois orbit on
+the full lattice (lattice_sum), reading the rational sum back through the
+element's reduction.  None of it shares the
 gathered reduced blocks (diagram.splitting_field_blocks), the blocked orbit
 sums (diagram.galois_orbit_sums) or the idempotent template of
 cli._splitting_json.
 
 The diagram reference reads the vertex objects of PciDiagram.levels and
 the tuples of PciDiagram.edges: one dict per vertex and the edges as they
-are, written by cli._json_text (JSON), one label per vertex from its
+are, written by json_text (JSON), one label per vertex from its
 factored form (dot), and one line per leaf (text).  None of it shares the
 column walk (diagram.kernel_generator_texts) or the vertex templates.
 """
@@ -33,21 +33,19 @@ from typing import Iterator
 import numpy as np
 
 from element_reference import rational_part
-from pcikit.algebra import FractionList, expand_factored, lattice_sum
-from pcikit.cli import (
-    RunConfig,
-    _field_name,
-    _json_chunks,
-    _json_text,
-    _payload,
-    _stream_list,
-    _title,
-)
+from pcikit.algebra import expand_factored, fraction_strings, lattice_sum
+from pcikit.cli import RunConfig, _field_name, _json_chunks, _payload, _title
 from pcikit.cyclotomic import CycloAlgebraElement
 from pcikit.diagram import cyclic_rational_pcis, galois_orbits, part_diagrams
 from pcikit.groups import parse_group_spec
 from pcikit.numtheory import euler_phi, prime_power
 from pcikit.oracle import compare_pci_sets
+
+
+def json_text(payload) -> str:
+    """The JSON text cli writes for payload: json.dumps(payload, indent=2)
+    plus a newline, byte for byte."""
+    return "".join(_json_chunks(payload))
 
 
 def reference_records(diagrams) -> list[tuple[np.ndarray, int, int, int]]:
@@ -86,7 +84,7 @@ def pci_output(config: RunConfig) -> str:
         rows.append(
             {
                 "index": i,
-                "coefficients": FractionList(nums, den),
+                "coefficients": fraction_strings(nums, den),
                 "kernel_order": kernel_order,
                 "quotient_order": d,
                 "field": _field_name(d),
@@ -105,11 +103,11 @@ def pci_output(config: RunConfig) -> str:
         for row in rows:
             lines.append(
                 f"[{row['index']}] field {row['field']} dim {row['dimension']} "
-                f"kernel {row['kernel_order']}: " + row["coefficients"].join(", ")
+                f"kernel {row['kernel_order']}: " + ", ".join(row["coefficients"])
             )
         lines.append(f"dimension total {payload['dimension_total']}")
         return "\n".join(lines) + "\n"
-    return _json_text(payload)
+    return json_text(payload)
 
 
 def _vertex_json(v) -> dict:
@@ -200,7 +198,7 @@ def diagram_output(config: RunConfig) -> str:
         }
         for diag in diagrams
     ]
-    return _json_text(_payload(spec, parts=parts))
+    return json_text(_payload(spec, parts=parts))
 
 
 def split_output(config: RunConfig) -> tuple[int, Iterator[str]]:
@@ -234,15 +232,15 @@ def split_output(config: RunConfig) -> tuple[int, Iterator[str]]:
             else "collapse DOES NOT match the rational closed form"
         )
         return code, iter(["\n".join(lines) + "\n"])
-    rows = (
+    rows = [
         {"t": t, "coefficients": e.to_json()["coeffs"]} for t, e in enumerate(splitting)
-    )
+    ]
     payload = _payload(
         spec,
         prime=p,
         chain_length=n,
         modulus=m,
-        splitting_pcis=_stream_list(rows),
+        splitting_pcis=rows,
         orbits=orbits,
         rational_pcis=[e.to_strings() for e in collapsed],
         matches_closed_form=matches,

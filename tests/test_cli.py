@@ -16,6 +16,7 @@ from hypothesis import event, example, given, settings, strategies as st
 
 import cli_reference
 import element_reference
+from cli_reference import json_text
 from conftest import partitions
 from pcikit import (
     AlgebraElement,
@@ -37,13 +38,13 @@ from pcikit.cli import (
     SPLIT_MAX_COEFFICIENTS,
     WEDDERBURN_MAX_ELEMENTS,
     RunConfig,
-    _json_text,
     build_parser,
     main,
     run,
     split_coefficient_count,
 )
 from pcikit.diagram import cross_prime_product
+from pcikit.kernels import int_array
 from pcikit.numtheory import is_prime
 
 
@@ -441,18 +442,16 @@ json_scalar_st = st.one_of(
     st.booleans(),
     st.sampled_from([0, 1, -1]),
     st.integers(min_value=-(2**100), max_value=2**100),
-    st.floats(),
     json_text_st,
 )
 # Int tuples, possibly empty, drawn from few values so that they repeat;
-# tuples that mix in bools and floats equal to ints must not be taken for
-# int tuples.
+# tuples that mix in bools equal to ints must not be taken for int tuples.
 int_tuple_st = st.lists(
     st.one_of(st.sampled_from([0, 1, -1]), st.integers(min_value=-(2**70), max_value=2**70)),
     max_size=4,
 ).map(tuple)
 int_like_tuple_st = st.lists(
-    st.one_of(st.sampled_from([0, 1, -1, True, False, 1.0, 0.0]), st.integers()), max_size=3
+    st.one_of(st.sampled_from([0, 1, -1, True, False]), st.integers()), max_size=3
 ).map(tuple)
 int_rows_st = st.one_of(
     st.lists(int_tuple_st, max_size=4), st.lists(int_tuple_st, max_size=4).map(tuple)
@@ -475,19 +474,19 @@ json_payload_st = st.recursive(
 
 
 # Dict values and list items that are a str, int, bool or None are written
-# inline; floats and containers go through the recursive writer.
+# inline; containers go through the recursive writer.
 INLINE_SCALARS = {
     "t": True, "f": False, "zero": 0, "neg": -5, "empty": "", "e": "\u00e9",
-    "none": None, "x": 1.5,
+    "none": None,
 }
 # Equal as dict keys, but each is written by its items' own types.
-EQUAL_KEY_TUPLES = {"a": (1, 2), "b": (True, 2), "c": (1.0, 2)}
+EQUAL_KEY_TUPLES = {"a": (1, 2), "b": (True, 2)}
 # One int tuple at several depths, written at each depth's indent.
 TUPLE_AT_DEPTHS = {
     "t": (1, 2),
     "rows": [(1, 2), (), (True, 2), (1, 2)],
     "nested": {"t": (1, 2), "rows": ((1, 2), (3,)), "e": ()},
-    "list": [(1, 2), [(1, 2)], {"t": (1, 2)}, ((1, 2), (1.0, 2))],
+    "list": [(1, 2), [(1, 2)], {"t": (1, 2)}, ((1, 2), (True, 2))],
 }
 
 
@@ -502,7 +501,7 @@ TUPLE_AT_DEPTHS = {
 @example([(1, 2), ((1, 2),), [[(1, 2)]]])
 @settings(max_examples=100, deadline=None)
 def test_json_writer_matches_json_dumps(payload):
-    assert _json_text(payload) == json.dumps(payload, indent=2) + "\n"
+    assert json_text(payload) == json.dumps(payload, indent=2) + "\n"
 
 
 # Numerators at and past the int64 edges, which FractionList keeps as Python
@@ -527,18 +526,27 @@ fraction_den_st = st.one_of(
 @example([], 5, ["list"])
 @settings(max_examples=150, deadline=None)
 def test_fraction_list_writer_matches_json_dumps(nums, den, nesting):
-    # A FractionList is written as json.dumps writes fraction_strings, at
-    # every depth, and its text join is the join of those strings.
+    # fraction_strings gives the exact strings.  A row of them, written as
+    # pci writes a record's coefficients (FractionList.rows_text over the
+    # quoted strings), is written as json.dumps writes the strings at every
+    # depth, and as the text format joins them.
     strings = fraction_strings(nums, den)
     assert strings == [f"{f.numerator}/{f.denominator}" for f in (Fraction(v, den) for v in nums)]
-    payload, plain = FractionList(nums, den), strings
+    row = FractionList(int_array(nums).reshape(1, -1), den)
+
+    def pieces(newline):
+        inner = newline + "  "
+        yield row.rows_text("," + inner, ["[" + inner], newline + "]", cli._quote) if nums else "[]"
+
+    payload, plain = cli._Stream(pieces), strings
     for kind in nesting:
         if kind == "dict":
             payload, plain = {"c": payload, "n": 1}, {"c": plain, "n": 1}
         else:
             payload, plain = [payload, "x"], [plain, "x"]
-    assert _json_text(payload) == json.dumps(plain, indent=2) + "\n"
-    assert FractionList(nums, den).join(", ") == ", ".join(strings)
+    assert json_text(payload) == json.dumps(plain, indent=2) + "\n"
+    if nums:
+        assert row.rows_text(", ", ["x: "], ".") == "x: " + ", ".join(strings) + "."
 
 
 # Splitting-field moduli m = p^n <= 64 (and m = 1) over small groups, with
@@ -568,37 +576,52 @@ def test_splitting_rows_writer_matches_json_dumps(e, per_block):
     blocks = [(block, den)] * (3 // per_block) + [(block[:1], den)] * (3 % per_block)
     plain = [{"t": t, "coefficients": e.to_json()["coeffs"]} for t in range(3)]
     rows = cli._Stream(lambda newline: cli._splitting_json(e.m, blocks, newline))
-    assert _json_text(rows) == json.dumps(plain, indent=2) + "\n"
+    assert json_text(rows) == json.dumps(plain, indent=2) + "\n"
     payload = {"splitting_pcis": rows, "modulus": e.m}
     expected = {"splitting_pcis": plain, "modulus": e.m}
-    assert _json_text(payload) == json.dumps(expected, indent=2) + "\n"
+    assert json_text(payload) == json.dumps(expected, indent=2) + "\n"
 
 
-def _streamed(obj):
-    # every list that is a dict value, an item of such a list or the whole
-    # payload becomes a streamed list; tuples are left as they are
+def _with_streams(obj, pick):
+    # obj with each value that pick(value) chooses, in a dict or list at any
+    # depth or the whole of obj, replaced by a _Stream that yields
+    # json.dumps's text of the value a line at a time; the rest stay plain
+    if pick(obj):
+        first, *lines = json.dumps(obj, indent=2).split("\n")
+        return cli._Stream(lambda newline: [first, *(newline + line for line in lines)])
     if type(obj) is dict:
-        return {key: _streamed(value) for key, value in obj.items()}
-    if type(obj) is list:
-        return cli._stream_list(_streamed(item) for item in obj)
+        return {key: _with_streams(value, pick) for key, value in obj.items()}
+    if type(obj) in (list, tuple):
+        return type(obj)(_with_streams(item, pick) for item in obj)
     return obj
 
 
-@given(json_payload_st)
-@example({"empty": [], "nested": [[], {"l": [1, {"d": []}]}], "t": ([1], {"x": []})})
+@given(json_payload_st, st.data())
+@example({"empty": [], "nested": [[], {"l": [1, {"d": []}]}], "t": ([1], {"x": []})}, None)
+@example([[["a", 1], [2]], {"d": {"e": {"f": [None]}}}], None)
 @settings(max_examples=100, deadline=None)
-def test_streamed_lists_are_written_as_lists(payload):
-    # A streamed list, made while it is written, is written as the list of
-    # its items at every depth.
-    assert _json_text(_streamed(payload)) == json.dumps(payload, indent=2) + "\n"
+def test_streams_are_spliced_at_every_depth(payload, data):
+    # A _Stream, made while it is written, is written as the value it
+    # stands for, nested in plain dicts and lists at every depth.  With no
+    # data, every scalar and every empty container is one.
+    def pick(obj):
+        if data is None:
+            return type(obj) not in (dict, list, tuple) or not obj
+        return data.draw(st.booleans())
+
+    assert json_text(_with_streams(payload, pick)) == json.dumps(payload, indent=2) + "\n"
 
 
 @pytest.mark.parametrize(
-    "payload", [{"a": {1, 2}}, [b"bytes"], Fraction(1, 2), {1: "int key"}, [object()]]
+    "payload",
+    [
+        {"a": {1, 2}}, [b"bytes"], Fraction(1, 2), {1: "int key"}, [object()],
+        {"x": 1.5}, [FractionList([1, 2], 3)],
+    ],
 )
 def test_json_writer_refuses_other_types(payload):
     with pytest.raises(TypeError):
-        _json_text(payload)
+        json_text(payload)
 
 
 # md5 of the stdout of large outputs: the JSON writer, the coefficient
@@ -912,14 +935,15 @@ OVER_CAP_PARTS = ["2:[13]", "2:[6,7]", "3:[8]", "4099:[1]", "2:[9999999999999999
 
 
 @st.composite
-def group_texts(draw):
+def group_texts(draw, max_order=64):
     """Texts in and around the group grammar: one to three prime parts of
-    total order at most 64, now and then a part over the default cap or a
-    malformed piece, joined by ';' (a prime drawn twice is an error too)."""
+    total order at most max_order, now and then a part over the default cap
+    or a malformed piece, joined by ';' (a prime drawn twice is an error
+    too)."""
     pieces, order = [], 1
     for p in draw(st.lists(st.sampled_from([2, 3, 5, 7, 11, 61]), min_size=1, max_size=3)):
-        room = 0  # the largest total exponent that keeps the order <= 64
-        while order * p ** (room + 1) <= 64:
+        room = 0  # the largest total exponent that keeps the order <= max_order
+        while order * p ** (room + 1) <= max_order:
             room += 1
         if room:
             exps = draw(st.lists(st.integers(1, room), min_size=1, max_size=room))
@@ -936,29 +960,69 @@ def group_texts(draw):
     return ";".join(draw(st.permutations(pieces)))
 
 
+class _Digest:
+    """A stdout that keeps only the md5 of the text written to it."""
+
+    def __init__(self):
+        self.md5 = hashlib.md5()
+
+    def write(self, text):
+        self.md5.update(text.encode())
+
+    def flush(self):
+        pass
+
+
+def assert_fuzz_case(group, subcommand, data, flags=()):
+    # the text exits 0, or 2 with nothing on stdout; the same twice, and
+    # never 1 (a fault of the engine) or a traceback.  A run that exits 0
+    # takes at most 60 s, one that exits 2 less than 1 s.
+    if data is None:
+        fmt, alternate = "json", False
+    else:
+        fmt = data.draw(st.sampled_from(FUZZ_FORMATS[subcommand]))
+        alternate = subcommand in ("pci", "diagram", "verify") and data.draw(st.booleans())
+    argv = [subcommand, "--group", group, "--format", fmt, *flags]
+    argv += ["--alternate-order"] if alternate else []
+    runs = []
+    for _ in range(2):
+        out, err = _Digest(), io.StringIO()
+        start = time.perf_counter()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        seconds = time.perf_counter() - start
+        assert seconds <= 60 if code == 0 else seconds < 1, (argv, code, seconds)
+        runs.append((code, out.md5.hexdigest(), err.getvalue()))
+    code, out, err = runs[0]
+    event(f"exit {code}")
+    assert code in (0, 2) and "Traceback" not in err, (argv, err)
+    assert code == 0 or (out == hashlib.md5().hexdigest() and err.startswith("error: ")), argv
+    assert runs[1] == runs[0], argv
+
+
 @given(group_texts(), st.sampled_from(sorted(FUZZ_FORMATS)), st.data())
 @example("2:[1,1,1];3:[1]", "verify", None)
 @example("2:[1];2:[1]", "pci", None)
 @example("2:[13]", "verify", None)
 @settings(max_examples=100, deadline=None)
 def test_group_grammar_fuzz(group, subcommand, data):
-    # every text exits 0, or 2 with nothing on stdout; the same twice, and
-    # never 1 (a fault of the engine) or a traceback
-    if data is None:
-        fmt, alternate = "json", False
-    else:
-        fmt = data.draw(st.sampled_from(FUZZ_FORMATS[subcommand]))
-        alternate = subcommand in ("pci", "diagram", "verify") and data.draw(st.booleans())
-    argv = [subcommand, "--group", group, "--format", fmt]
-    argv += ["--alternate-order"] if alternate else []
-    runs = []
-    for _ in range(2):
-        out, err = io.StringIO(), io.StringIO()
-        with redirect_stdout(out), redirect_stderr(err):
-            code = main(argv)
-        runs.append((code, out.getvalue(), err.getvalue()))
-    code, out, err = runs[0]
-    event(f"exit {code}")
-    assert code in (0, 2) and "Traceback" not in err, (argv, err)
-    assert code == 0 or (out == "" and err.startswith("error: ")), argv
-    assert runs[1] == runs[0], argv
+    assert_fuzz_case(group, subcommand, data)
+
+
+RAISED_MAX_ORDER = 65536
+
+
+# Under a raised cap the subcommands' own limits decide: pci and verify
+# refuse an order over 4096, diagram a primary part over 4096, split a
+# cyclic group over C_256 (2:[8] sits on its limit), and wedderburn admits
+# all of them.
+@given(group_texts(RAISED_MAX_ORDER), st.sampled_from(sorted(FUZZ_FORMATS)), st.data())
+@example("2:[1,1,1,1,1,1,1,1,1,1,1,1,1,1,1,1]", "wedderburn", None)
+@example("2:[1,1,1,1,1,1,1,1,1,1,1,1,1]", "verify", None)
+@example("2:[1,1,1,1,1,1,1,1,1,1,1,1,1]", "diagram", None)
+@example("2:[1,1,1,1,1,1,1,1,1,1,1,1];3:[1,1]", "diagram", None)
+@example("2:[9]", "split", None)
+@example("2:[6];3:[2];7:[1]", "pci", None)
+@settings(max_examples=100, deadline=None)
+def test_group_grammar_fuzz_at_a_raised_cap(group, subcommand, data):
+    assert_fuzz_case(group, subcommand, data, ("--max-order", str(RAISED_MAX_ORDER)))

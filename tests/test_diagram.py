@@ -577,3 +577,24 @@ def test_build_runs_no_group_multiplication(monkeypatch):
     for text in ("2:[1,1,1,1,1,1]", "3:[2,2]"):
         checks = run_checks(parse_group_spec(text), False)
         assert all(c.ok for c in checks) and calls == [], text
+
+
+def test_diagram_and_records_build_no_product_table():
+    # The build and pci's records read the enumeration's digits; its
+    # carry-free product table (3^k entries for k factors of order 2) is
+    # never built.
+    from pcikit import groups
+    from pcikit.diagram import part_diagrams, record_blocks
+
+    groups.enumeration.cache_clear()
+    for text in ("2:[1,1,1,1,1,1]", "2:[3,2,1];3:[2,2]", "2:[2,2];5:[1,1]"):
+        spec = parse_group_spec(text)
+        for alternate in (False, True):
+            diagrams = part_diagrams(spec, alternate)
+            for _ in record_blocks(spec, diagrams):
+                pass
+        for orders in [spec.factor_orders] + [part.factor_orders for part in spec.parts]:
+            assert "table" not in vars(groups.enumeration(orders)), (text, orders)
+    enum = groups.enumeration(spec.parts[0].factor_orders)
+    enum.product(1, 2)
+    assert "table" in vars(enum)  # the check sees a table once one is built

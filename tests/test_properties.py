@@ -48,7 +48,7 @@ from pcikit.algebra import (
     lowest_terms,
 )
 from pcikit.diagram import alternate_generator_labels, cross_prime_product
-from pcikit.groups import elements_from_indices, enumeration, extend_subgroup
+from pcikit.groups import enumeration, extend_subgroup
 from pcikit.kernels import _convolve_bigint, _norms, convolve_ints, int_array
 from pcikit.numtheory import cyclotomic_poly, factorize
 from pcikit.verify import certify_idempotents
@@ -121,8 +121,6 @@ def test_enumeration_matches_group_elements(spec, data):
     assert enum.translation(i)[others].tolist() == products
     assert element_from_index(spec, int(enum.inverse[i])) == a.inverse()
     assert element_from_index(spec, int(enum.power(i, k))) == a**k
-    batch = elements_from_indices(spec, np.array(others, dtype=np.int64))
-    assert batch == [element_from_index(spec, j) for j in others]
 
 
 # The cap ladder: C_2^8 to C_2^12, the widest groups of other exponents and
