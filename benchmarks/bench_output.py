@@ -17,8 +17,9 @@ and verify on C_61, whose splitting-field check refines the most children
 from one row; --small runs the same commands on small groups, in a few
 seconds.
 Every child must exit 0; a row that does not ends the run with an error.
-The first line is the line count of src/pcikit/*.py, so that each run
-reports the code's size next to its timings.
+The first line is the line count of src/pcikit/*.py and of tests/*.py, so
+that each run reports the code's size next to its timings, and code moved
+from src/ into the tests shows as a move.
 """
 
 import argparse
@@ -30,9 +31,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_kernels import expand_group_text
-
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 ALTERNATE = ("--alternate-order",)
 ROWS = (
     ("pci", "2:[1]*12", "json", ()),
@@ -75,6 +75,18 @@ sys.exit(code)
 """
 
 
+def expand_group_text(text):
+    # "2:[1]*6" is shorthand for "2:[1,1,1,1,1,1]", in each ";"-separated part
+    parts = []
+    for part in text.split(";"):
+        if "*" in part:
+            head, mult = part.split("*")
+            prime, exps = head.split(":[")
+            part = f"{prime}:[{','.join([exps.rstrip(']')] * int(mult))}]"
+        parts.append(part)
+    return ";".join(parts)
+
+
 def run_row(subcommand: str, group: str, fmt: str, flags: tuple[str, ...]) -> dict:
     argv = [subcommand, "--group", expand_group_text(group), "--format", fmt, *flags]
     env = dict(os.environ)
@@ -112,10 +124,10 @@ def run_row(subcommand: str, group: str, fmt: str, flags: tuple[str, ...]) -> di
     }
 
 
-def source_lines() -> int:
-    """The line count of src/pcikit/*.py, as `cat src/pcikit/*.py | wc -l`
+def source_lines(directory: Path) -> int:
+    """The line count of directory/*.py, as `cat directory/*.py | wc -l`
     gives it."""
-    return sum(path.read_bytes().count(b"\n") for path in (SRC / "pcikit").glob("*.py"))
+    return sum(path.read_bytes().count(b"\n") for path in directory.glob("*.py"))
 
 
 def main():
@@ -123,7 +135,10 @@ def main():
     parser.add_argument("--small", action="store_true", help="small groups, for CI")
     args = parser.parse_args()
 
-    print(f"src/pcikit/*.py: {source_lines()} lines")
+    print(
+        f"src/pcikit/*.py: {source_lines(SRC / 'pcikit')} lines, "
+        f"tests/*.py: {source_lines(ROOT / 'tests')} lines"
+    )
     head = ("command", "group", "format", "wall", "peak RSS", "output")
     widths = (8, 16, 6, 8, 10, 12)
     print(" ".join(f"{h:>{w}}" for h, w in zip(head, widths)) + "  md5 (flags)")

@@ -29,7 +29,7 @@ from .groups import (
     member_index,
     subgroup_closure,
 )
-from .kernels import convolve_ints, int_array, max_abs, squares_to
+from .kernels import convolve_ints, int_array, max_abs, squares_to_rows
 
 
 def lowest_terms(nums, den: int) -> tuple[np.ndarray, int]:
@@ -332,9 +332,6 @@ class AlgebraElement(_Lattice):
     def coeffs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.den) for v in self.nums.tolist())
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.nums).tolist())
-
     def __repr__(self) -> str:
         group = self.spec.spec_text() or self.spec  # the trivial group is "C_1"
         return f"AlgebraElement({group}, {list(self.to_strings())})"
@@ -358,24 +355,15 @@ def _rational(a) -> None:
 
 
 def is_idempotent(a: AlgebraElement) -> bool:
-    """a*a == a, tested pointwise on the transform by kernels.squares_to."""
+    """a*a == a, tested pointwise on the transform by kernels.squares_to_rows."""
     _rational(a)
-    return squares_to(a.nums, a.den, a.spec.factor_orders)
+    return bool(squares_to_rows([a.nums], [a.den], a.spec.factor_orders)[0])
 
 
 def are_orthogonal(a: AlgebraElement, b: AlgebraElement) -> bool:
     """a*b == 0, by forming the product."""
     _rational(a)
     return convolve(a, b).is_zero()
-
-
-def translate(g: GroupElement, a: AlgebraElement) -> AlgebraElement:
-    """Left multiplication by the group element g (a basis permutation)."""
-    _rational(a)
-    perm = enumeration(a.spec.factor_orders).translation(member_index(a.spec, g))
-    nums = np.empty_like(a.nums)
-    nums[perm] = a.nums
-    return AlgebraElement(a.spec, nums, a.den)
 
 
 @dataclass(frozen=True)

@@ -20,13 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .algebra import (
-    _Lattice,
-    fraction_strings,
-    integer_form,
-    lattice_sum,
-    lowest_terms,
-)
+from .algebra import _Lattice, fraction_strings, integer_form, lowest_terms
 from .errors import InvariantError, SpecMismatchError
 from .groups import AbelianGroupSpec, GroupElement, GroupSpec, member_index
 from .kernels import int_array, max_abs
@@ -47,14 +41,6 @@ def ramanujan_sum(m: int, t: int) -> int:
     d = math.gcd(t % m, m)
     q = m // d
     return mobius(q) * (euler_phi(m) // euler_phi(q))
-
-
-def ramanujan_sum_direct(m: int, t: int) -> "CycloNumber":
-    """Same sum evaluated term by term in Q(zeta_m); the independent twin of
-    the closed form."""
-    return lattice_sum(
-        CycloNumber.zeta(m, t * k) for k in range(1, m + 1) if math.gcd(k, m) == 1
-    )
 
 
 @cache
@@ -240,18 +226,6 @@ class CycloNumber(_CycloLattice):
         return f"CycloNumber({self.m}, {[str(c) for c in self.coeffs]})"
 
 
-def galois_apply(k: int, a: CycloNumber) -> CycloNumber:
-    """Field automorphism zeta -> zeta^k (k coprime to the modulus): a
-    permutation of the lattice entries, as i -> i*k mod m is a bijection."""
-    if not isinstance(a, CycloNumber):
-        raise SpecMismatchError("not an element of Q(zeta_m)")
-    if math.gcd(k, a.m) != 1:
-        raise InvariantError(f"{k} is not coprime to the modulus {a.m}")
-    out = np.empty_like(a.nums)
-    out[np.arange(a.m) * (k % a.m) % a.m] = a.nums
-    return CycloNumber(a.m, out, a.den)
-
-
 class CycloAlgebraElement(_CycloLattice):
     """Element of Q(zeta_m)[G] on the lattice G x C_m (see _CycloLattice)."""
 
@@ -294,21 +268,6 @@ class CycloAlgebraElement(_CycloLattice):
     @property
     def coeffs(self) -> tuple[CycloNumber, ...]:
         return tuple(self.cyclo_coeff(i) for i in range(self.spec.order))
-
-    def to_json(self) -> dict:
-        """{"m": m, "coeffs": [CycloNumber.to_json() of each coefficient]},
-        formatted from the reduced matrix: an entry's lowest terms do not
-        depend on the denominator it is stored over."""
-        den, flat = self.reduced()
-        deg = euler_phi(self.m)
-        strings = fraction_strings(flat, den)
-        return {
-            "m": self.m,
-            "coeffs": [
-                {"m": self.m, "coeffs": strings[i : i + deg]}
-                for i in range(0, len(strings), deg)
-            ],
-        }
 
     def __repr__(self) -> str:
         group = self.spec.spec_text() or self.spec  # the trivial group is "C_1"

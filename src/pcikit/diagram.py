@@ -168,14 +168,13 @@ class PciDiagram:
             np.take(numerator, phi, out=nums[1:] if start == 0 else nums, mode="clip")
             yield nums, dens[start:stop]
 
-    def leaf_numerators(self) -> list[tuple[np.ndarray, int]]:
-        """Each leaf's (numerators, denominator): the rows of leaf_blocks."""
-        return [
-            (row, den) for nums, dens in self.leaf_blocks() for row, den in zip(nums, dens)
-        ]
-
     def leaf_expansions(self) -> list[AlgebraElement]:
-        return [AlgebraElement(self.spec, nums, den) for nums, den in self.leaf_numerators()]
+        """Each leaf's expansion: the rows of leaf_blocks as elements."""
+        return [
+            AlgebraElement(self.spec, row, den)
+            for nums, dens in self.leaf_blocks()
+            for row, den in zip(nums, dens)
+        ]
 
     def level_sizes(self) -> list[int]:
         return [len(level.parent) for level in self.columns]
@@ -602,16 +601,6 @@ class PciRecord(NamedTuple):
         return AlgebraElement(self.spec, self.nums, self.den)
 
 
-def lift_to_product(
-    spec: AbelianGroupSpec, part_index: int, a: AlgebraElement
-) -> AlgebraElement:
-    """Embed an element of one primary part's algebra into Q[G]: its tensor
-    product with the identity of every other part."""
-    sets = [[AlgebraElement.one(q)] for q in spec.parts]
-    sets[part_index] = [a]
-    return cross_prime_product(spec, sets)[0]
-
-
 def _tensor_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
     """Row i of the result is the tensor product of row i of each part's
     (rows x |P|) numerator block (parts occupy disjoint factor blocks, the
@@ -734,11 +723,6 @@ def pci_records(spec, alternate_order: bool = False) -> list[PciRecord]:
             block.nums, block.dens, block.kernel_orders, block.quotient_orders
         )
     ]
-
-
-def pci_set(spec, alternate_order: bool = False):
-    """Just the idempotents, without bookkeeping."""
-    return [r.element for r in pci_records(spec, alternate_order)]
 
 
 def element_names(diagram: PciDiagram, name) -> dict:

@@ -45,6 +45,8 @@ class PrimaryGroupSpec:
     classes: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        if self.p >= MR_LIMIT:  # str() of a huge int may raise, so p is not shown
+            raise GroupSpecError("prime is beyond the primality test")
         if not is_prime(self.p):
             raise GroupSpecError(f"{self.p} is not prime")
         object.__setattr__(
@@ -335,10 +337,6 @@ class Enumeration:
         broadcast like numpy arrays."""
         return self.table[self.code[a] + self.code[b]]
 
-    def translation(self, i):
-        """The permutation j -> index of (element i) * (element j)."""
-        return self.table[self.code[i] + self.code]
-
     def power(self, a, k):
         """Indices of the k-th powers of the elements indexed by a; k may
         be an array that broadcasts against the digit rows digits[a]."""
@@ -374,20 +372,6 @@ def member_index(spec: GroupSpec, g) -> int:
     if not isinstance(g, GroupElement) or (g.spec is not spec and g.spec != spec):
         raise SpecMismatchError(f"not an element of {spec}")
     return element_index(g)
-
-
-def element_from_index(spec: GroupSpec, idx: int) -> GroupElement:
-    exps = []
-    for d in reversed(spec.factor_orders):
-        exps.append(idx % d)
-        idx //= d
-    return _raw_element(spec, tuple(reversed(exps)))
-
-
-def elements(spec: GroupSpec):
-    """All group elements in canonical enumeration order."""
-    for idx in range(spec.order):
-        yield element_from_index(spec, idx)
 
 
 def group_mul(a: GroupElement, b: GroupElement) -> GroupElement:

@@ -18,9 +18,7 @@ one or two primes (Pollard, "The fast Fourier transform in a finite
 field", Math. Comp. 1971).  Rows are transformed in blocks of a bounded
 number of entries, the batch as the leading axis, and each row takes as
 many primes as its own bound needs.  Only a row whose bound no transform
-plan covers forms its square.  squares_to is its one-row case.
-
-See benchmarks/bench_kernels.py for a timing of each.
+plan covers forms its square.
 """
 
 from __future__ import annotations
@@ -218,13 +216,6 @@ def _row_norms(block: np.ndarray) -> tuple[list[int], list[int]]:
     return mags.sum(axis=1).tolist(), linf.tolist()
 
 
-def _norms(vec: np.ndarray) -> tuple[int, int]:
-    """The exact l1 and max norms of a nonempty integer array (see
-    int_array): the one-row case of _row_norms."""
-    (l1,), (linf,) = _row_norms(vec[None])
-    return l1, linf
-
-
 def squares_to_rows(matrix, dens, orders: tuple[int, ...]) -> np.ndarray:
     """For each row x of matrix, over its denominator dens[i], whether
     x*x == den*x exactly (so whether x/den is idempotent), as a bool array.
@@ -281,18 +272,6 @@ def squares_to_rows(matrix, dens, orders: tuple[int, ...]) -> np.ndarray:
     return ok
 
 
-def squares_to(values, den: int, orders: tuple[int, ...]) -> bool:
-    """Whether x*x == den*x exactly for the integer vector x = values: the
-    one-row case of squares_to_rows.
-
-    >>> squares_to((1, 1), 2, (2,))  # (1 + g)/2 in Q[C_2]
-    True
-    >>> squares_to((1, 1), 1, (2,))  # 1 + g: its square is 2 + 2g
-    False
-    """
-    return bool(squares_to_rows([int_array(values)], [den], orders)[0])
-
-
 # -- direct and bigint kernels -------------------------------------------
 
 
@@ -341,7 +320,7 @@ def convolve_ints(a, b, orders: tuple[int, ...]) -> np.ndarray:
     av, bv = int_array(a), int_array(b)
     if len(av) != n or len(bv) != n:
         raise ValueError("coefficient vector length does not match the group order")
-    (a1, a_inf), (b1, b_inf) = _norms(av), _norms(bv)
+    (a1, b1), (a_inf, b_inf) = _row_norms(np.stack((av, bv)))
     if a1 == 0 or b1 == 0:
         return np.zeros(n, dtype=np.int64)
     if min(a1 * b_inf, b1 * a_inf) > _INT64_MAX:

@@ -1,8 +1,8 @@
 """Small integer number-theory helpers.
 
 Everything here works at desk scale (group orders of a few thousand), so
-trial division is used throughout instead of pulling in a bignum-factoring
-dependency.
+factorize uses trial division instead of pulling in a bignum-factoring
+dependency; is_prime is deterministic Miller-Rabin below MR_LIMIT.
 """
 
 from __future__ import annotations
@@ -16,23 +16,19 @@ MR_LIMIT = 3_317_044_064_679_887_385_961_981  # the bases above decide every n b
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test: Miller-Rabin with the first twelve
-    prime bases, which is exact below 3.3e24; trial division above.
+    prime bases, which is exact below MR_LIMIT (3.3e24); n >= MR_LIMIT
+    raises ValueError.
 
     >>> [k for k in range(20) if is_prime(k)]
     [2, 3, 5, 7, 11, 13, 17, 19]
     """
+    if n >= MR_LIMIT:
+        raise ValueError("beyond the deterministic Miller-Rabin range")
     if n < 2:
         return False
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    if n >= MR_LIMIT:
-        d = _MR_BASES[-1] + 2
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
     d, s = n - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -29,27 +29,6 @@ from .kernels import _BLOCK_CELLS, max_abs
 from .numtheory import euler_phi
 
 
-@dataclass(frozen=True)
-class CharacterIndex:
-    """Index vector of a complex irreducible character: the character sends
-    the i-th short generator to the t_i-th power of a d_i-th root of unity."""
-
-    spec: GroupSpec
-    t: tuple[int, ...]
-
-    @property
-    def order(self) -> int:
-        return math.lcm(
-            *(d // math.gcd(t, d) for t, d in zip(self.t, self.spec.factor_orders)), 1
-        )
-
-
-def dual_characters(spec: GroupSpec) -> list[CharacterIndex]:
-    """All |G| characters, in the canonical element enumeration order."""
-    digits = enumeration(spec.factor_orders).digits
-    return [CharacterIndex(spec, tuple(row)) for row in digits.tolist()]
-
-
 @cache
 def _ramanujan_table(m: int) -> np.ndarray:
     # c_m(j) for j < m; read-only, as every caller shares it
@@ -82,19 +61,6 @@ def _character_rows(
     if rows.size and rows.min() == np.iinfo(table.dtype).min:
         raise InconsistencyError("character value outside its own root lattice")
     return rows
-
-
-def rational_pci_of_character(spec: GroupSpec, chi: CharacterIndex) -> AlgebraElement:
-    """The rational idempotent attached to chi: coefficient of g is the
-    Ramanujan sum c_m(a) / |G| where chi(g^-1) = zeta_m^a and m = ord(chi)."""
-    if chi.spec != spec:
-        raise SpecMismatchError("character belongs to a different group")
-    L = spec.exponent
-    weights = np.array([[t * (L // d) for t, d in zip(chi.t, spec.factor_orders)]])
-    table = _value_table(L, chi.order, np.int64)
-    digits = enumeration(spec.factor_orders).digits
-    (row,) = _character_rows(table, weights.astype(np.int64), digits, L)
-    return AlgebraElement(spec, row, spec.order)
 
 
 class RowSet:
@@ -174,7 +140,8 @@ def _orbit_firsts(enum: Enumeration, L: int) -> np.ndarray:
 def oracle_rows(spec: GroupSpec) -> RowSet:
     """The complete set of primitive central idempotents of Q[G], one per
     Galois orbit of characters in the order of each orbit's first
-    character, as numerator rows over |G| (see rational_pci_of_character).
+    character, as numerator rows over |G|: the coefficient of g is the
+    Ramanujan sum c_m(a) with chi(g^-1) = zeta_m^a and m = ord(chi).
 
     The rows of all |G| characters are formed as array passes, over the
     characters of one order m at a time, in blocks of at most

@@ -10,7 +10,7 @@ coefficients are the list of their fraction_strings, written by json_text
 (diagram.record_blocks) or the stacked formatting of FractionList blocks.
 
 The split reference builds one CycloAlgebraElement per splitting
-idempotent from the character formula, writes each element's to_json()
+idempotent from the character formula, writes each element's cyclo_json
 coefficients as one dict in a plain list, and sums each Galois orbit on
 the full lattice (lattice_sum), reading the rational sum back through the
 element's reduction.  None of it shares the
@@ -40,6 +40,21 @@ from pcikit.diagram import cyclic_rational_pcis, galois_orbits, part_diagrams
 from pcikit.groups import parse_group_spec
 from pcikit.numtheory import euler_phi, prime_power
 from pcikit.oracle import compare_pci_sets
+
+
+def cyclo_json(e: CycloAlgebraElement) -> dict:
+    """{"m": m, "coeffs": [CycloNumber.to_json() of each coefficient]},
+    formatted from the reduced matrix: an entry's lowest terms do not
+    depend on the denominator it is stored over."""
+    den, flat = e.reduced()
+    deg = euler_phi(e.m)
+    strings = fraction_strings(flat, den)
+    return {
+        "m": e.m,
+        "coeffs": [
+            {"m": e.m, "coeffs": strings[i : i + deg]} for i in range(0, len(strings), deg)
+        ],
+    }
 
 
 def json_text(payload) -> str:
@@ -233,7 +248,7 @@ def split_output(config: RunConfig) -> tuple[int, Iterator[str]]:
         )
         return code, iter(["\n".join(lines) + "\n"])
     rows = [
-        {"t": t, "coefficients": e.to_json()["coeffs"]} for t, e in enumerate(splitting)
+        {"t": t, "coefficients": cyclo_json(e)["coeffs"]} for t, e in enumerate(splitting)
     ]
     payload = _payload(
         spec,

@@ -1,6 +1,9 @@
-"""Shared corpus definitions and cached per-group computations."""
+"""Shared corpus definitions, cached per-group computations, and the
+benchmark harness's tracing module."""
 
+import importlib.util
 from functools import cache
+from pathlib import Path
 
 from pcikit import AbelianGroupSpec, PrimaryGroupSpec, parse_group_spec, pci_records
 from pcikit.verify import Check, run_checks
@@ -72,3 +75,15 @@ def verify_checks(spec) -> dict[str, Check]:
     if isinstance(spec, PrimaryGroupSpec):
         spec = AbelianGroupSpec((spec,))
     return {c.name: c for c in run_checks(spec, alternate_order=False)}
+
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    """perfbench/tracing.py as a module: it defines TARGETS, the functions
+    perfbench's traced runs wrap; install() is not called."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing

@@ -9,6 +9,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from element_reference import element_from_index
 from pcikit.algebra import FactoredIdempotent
 from pcikit.diagram import PciVertex, _validate_generator_order
 from pcikit.errors import InconsistencyError
@@ -16,7 +17,6 @@ from pcikit.groups import (
     Enumeration,
     LongGenerator,
     PrimaryGroupSpec,
-    element_from_index,
     element_index,
     embed_generator,
     enumeration,

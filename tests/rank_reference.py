@@ -10,9 +10,9 @@ from typing import Sequence
 
 import numpy as np
 
-from pcikit.algebra import AlgebraElement, is_idempotent, kernel_subgroup, translate
+from element_reference import elements, translate
+from pcikit.algebra import AlgebraElement, is_idempotent, kernel_subgroup
 from pcikit.errors import InconsistencyError, InvariantError
-from pcikit.groups import elements
 from pcikit.numtheory import euler_phi, prime_power
 
 

@@ -13,28 +13,27 @@ from pathlib import Path
 
 from pcikit import (
     AlgebraElement,
-    CycloAlgebraElement,
-    CycloNumber,
-    GroupElement,
     PrimaryGroupSpec,
-    are_orthogonal,
     build_pci_diagram,
     compare_pci_sets,
+    wedderburn_profile,
+)
+from pcikit.algebra import are_orthogonal, is_idempotent
+from pcikit.cli import RunConfig, run
+from pcikit.cyclotomic import CycloAlgebraElement, CycloNumber, ramanujan_sum
+from pcikit.diagram import (
     cyclic_group_spec,
     cyclic_rational_pcis,
     extension_children,
     galois_orbit_collapse,
     galois_orbits,
-    is_idempotent,
     lift_into_extension,
-    ramanujan_sum,
-    ramanujan_sum_direct,
     splitting_field_pcis,
-    wedderburn_profile,
 )
-from pcikit.cli import RunConfig, run
+from pcikit.groups import GroupElement
 
 from conftest import engine_set, full_corpus, primary_corpus, verify_checks
+from element_reference import ramanujan_sum_direct
 from rank_reference import kernel_and_field
 
 GOLDEN_DIR = Path(__file__).parent / "golden"

@@ -5,33 +5,29 @@ import pytest
 
 from pcikit import (
     AlgebraElement,
-    CycloAlgebraElement,
-    FactoredIdempotent,
     InconsistencyError,
     InvariantError,
     PrimaryGroupSpec,
     SpecMismatchError,
-    are_orthogonal,
     build_pci_diagram,
-    convolve,
-    cyclic_rational_pcis,
-    element,
-    element_from_index,
-    element_index,
-    expand_factored,
-    group_mul,
-    is_idempotent,
     parse_group_spec,
-    subgroup_closure,
-    translate,
 )
 from pcikit.algebra import (
+    FactoredIdempotent,
+    are_orthogonal,
+    convolve,
+    expand_factored,
     expand_from_subgroup,
     expansion_numerators,
     fixing_subgroup,
+    is_idempotent,
     kernel_subgroup,
 )
+from pcikit.cyclotomic import CycloAlgebraElement
+from pcikit.diagram import cyclic_rational_pcis
+from pcikit.groups import element, element_index, group_mul, subgroup_closure
 import element_reference
+from element_reference import element_from_index, translate
 from conftest import engine_records
 from rank_reference import fraction_free_rank, kernel_and_field
 

@@ -16,20 +16,19 @@ from hypothesis import event, example, given, settings, strategies as st
 
 import cli_reference
 import element_reference
-from cli_reference import json_text
+from cli_reference import cyclo_json, json_text
 from conftest import partitions
 from pcikit import (
     AlgebraElement,
     CapExceededError,
-    CycloAlgebraElement,
     InconsistencyError,
-    are_orthogonal,
+    WedderburnProfile,
     build_pci_diagram,
-    is_idempotent,
+    cli,
+    kernels,
     parse_group_spec,
 )
-from pcikit import WedderburnProfile, cli, kernels
-from pcikit.algebra import FractionList, fraction_strings
+from pcikit.algebra import FractionList, are_orthogonal, fraction_strings, is_idempotent
 from pcikit.cli import (
     CHUNK_CHARS,
     DEFAULT_MAX_ORDER,
@@ -43,6 +42,7 @@ from pcikit.cli import (
     run,
     split_coefficient_count,
 )
+from pcikit.cyclotomic import CycloAlgebraElement
 from pcikit.diagram import cross_prime_product
 from pcikit.kernels import int_array
 from pcikit.numtheory import is_prime
@@ -570,11 +570,11 @@ def cyclo_elements(draw):
 def test_splitting_rows_writer_matches_json_dumps(e, per_block):
     # Three copies of e's reduced matrix, in blocks of per_block, are
     # written as json.dumps writes a list of three {"t", "coefficients":
-    # to_json()["coeffs"]} dicts, at the top level and at split's depth.
+    # cyclo_json(e)["coeffs"]} dicts, at the top level and at split's depth.
     den, flat = e.reduced()
     block = np.stack([flat.reshape(e.spec.order, -1)] * per_block)
     blocks = [(block, den)] * (3 // per_block) + [(block[:1], den)] * (3 % per_block)
-    plain = [{"t": t, "coefficients": e.to_json()["coeffs"]} for t in range(3)]
+    plain = [{"t": t, "coefficients": cyclo_json(e)["coeffs"]} for t in range(3)]
     rows = cli._Stream(lambda newline: cli._splitting_json(e.m, blocks, newline))
     assert json_text(rows) == json.dumps(plain, indent=2) + "\n"
     payload = {"splitting_pcis": rows, "modulus": e.m}

@@ -5,24 +5,23 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 import element_reference
+from element_reference import pci_set, ramanujan_sum_direct
 from pcikit import (
     AbelianGroupSpec,
     AlgebraElement,
-    CycloAlgebraElement,
-    CycloNumber,
     InvariantError,
     PrimaryGroupSpec,
     SpecMismatchError,
-    cyclic_group_spec,
-    element,
-    galois_apply,
-    identity,
     parse_group_spec,
-    pci_set,
-    ramanujan_sum,
-    ramanujan_sum_direct,
 )
-from pcikit.cyclotomic import reduce_rows
+from pcikit.cyclotomic import (
+    CycloAlgebraElement,
+    CycloNumber,
+    ramanujan_sum,
+    reduce_rows,
+)
+from pcikit.diagram import cyclic_group_spec
+from pcikit.groups import element, identity
 from pcikit.kernels import int_array
 from pcikit.numtheory import cyclotomic_poly, divisors, euler_phi, poly_divmod, poly_mul
 
@@ -67,28 +66,6 @@ def test_modulus_must_be_positive(m):
         CycloAlgebraElement(spec, m, [])
     with pytest.raises(InvariantError):
         CycloAlgebraElement.zero(spec, m)
-
-
-def test_galois_apply():
-    a = CycloNumber(7, (1, 2, 0, Fraction(1, 3)))
-    assert galois_apply(1, a) == a
-    assert galois_apply(3, CycloNumber.zeta(4)) == -CycloNumber.zeta(4)
-    assert galois_apply(3, galois_apply(2, a)) == galois_apply(6, a)
-    with pytest.raises(InvariantError):
-        galois_apply(2, CycloNumber.zeta(4))
-    with pytest.raises(SpecMismatchError):
-        galois_apply(3, CycloAlgebraElement.one(C4, 4))
-
-
-def test_galois_apply_is_ring_homomorphism():
-    a = CycloNumber(9, (1, -2, 3, 0, Fraction(2, 5), 1))
-    b = CycloNumber(9, (0, 1, 1, -1, 2, Fraction(-1, 3)))
-    for k in (2, 4, 5, 7, 8):
-        assert galois_apply(k, a + b) == galois_apply(k, a) + galois_apply(k, b)
-        assert galois_apply(k, a * b) == galois_apply(k, a) * galois_apply(k, b)
-        assert galois_apply(k, CycloNumber.from_rational(9, Fraction(3, 7))) == (
-            CycloNumber.from_rational(9, Fraction(3, 7))
-        )
 
 
 def test_ramanujan_sum_values():

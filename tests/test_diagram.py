@@ -11,40 +11,42 @@ from hypothesis import example, given, settings, strategies as st
 from pcikit import (
     AbelianGroupSpec,
     AlgebraElement,
-    CycloAlgebraElement,
-    GroupElement,
     GroupSpecError,
     InconsistencyError,
     InvariantError,
-    LongGenerator,
     PrimaryGroupSpec,
     SpecMismatchError,
     build_pci_diagram,
     compare_pci_sets,
+    parse_group_spec,
+    pci_records,
+    verify,
+)
+from pcikit.algebra import (
+    expansion_numerators,
+    is_idempotent,
+    lattice_sum,
+    lowest_terms,
+)
+from pcikit.cyclotomic import CycloAlgebraElement
+from pcikit.diagram import (
+    alternate_generator_labels,
     cross_prime_product,
     cyclic_group_spec,
     cyclic_rational_pcis,
-    element_index,
     emit_dot,
     extension_children,
     galois_orbit_collapse,
     galois_orbits,
-    is_idempotent,
     lift_into_extension,
-    lift_to_product,
-    oracle_pci_set,
-    parse_group_spec,
-    pci_records,
-    pci_set,
     splitting_field_pcis,
-    subgroup_closure,
 )
-from pcikit import verify
-from pcikit.algebra import expansion_numerators, lattice_sum, lowest_terms
-from pcikit.diagram import alternate_generator_labels
+from pcikit.groups import GroupElement, LongGenerator, element_index, subgroup_closure
 from pcikit.kernels import int_array
 from pcikit.numtheory import cyclotomic_poly, euler_phi, is_prime, poly_divmod
+from pcikit.oracle import oracle_pci_set
 import element_reference
+from element_reference import pci_set
 from conftest import partitions, spec_from_partition
 from diagram_reference import reference_diagram
 from rank_reference import kernel_and_field
@@ -71,7 +73,7 @@ def test_c4c2_field_index_census():
 
 def test_levels_partition_identity():
     # At every level the expansions are orthogonal idempotents summing to 1.
-    from pcikit import are_orthogonal, is_idempotent
+    from pcikit.algebra import are_orthogonal, is_idempotent
 
     for spec in (
         PrimaryGroupSpec(2, ((2, 2),)),
@@ -147,9 +149,8 @@ def assert_matches_reference(spec, labels):
     # the records' numerators, read off the characters, against the
     # expansions of the reference kernels; they fix each kernel too, as
     # K = {nums = p - 1}
-    for v, (nums, den), kernel in zip(
-        built.leaves, built.leaf_numerators(), reference.leaf_kernels
-    ):
+    rows = [(row, den) for nums, dens in built.leaf_blocks() for row, den in zip(nums, dens)]
+    for v, (nums, den), kernel in zip(built.leaves, rows, reference.leaf_kernels):
         expected_nums, expected_den = expansion_numerators(spec, kernel, v.form.primed)
         assert nums.dtype == np.int64 and np.array_equal(nums, expected_nums)
         assert den == expected_den
@@ -512,15 +513,19 @@ def test_cross_prime_product_c12():
 
 def test_cross_prime_trivial_factor():
     spec = parse_group_spec("2:[1];3:[1]")
-    # a trivial part's only idempotent is 1; composing with it is identity.
-    # Index -1 is the last part, so it lifts as index 1 does.
-    lifted = {
-        index: [lift_to_product(spec, index, e) for e in pci_set(spec.parts[index])]
-        for index in (0, 1, -1)
-    }
-    for e in lifted[0] + lifted[1]:
-        assert is_idempotent(e)
-    assert lifted[-1] == lifted[1]
+    # a trivial part's only idempotent is 1; composing with it is identity:
+    # each part's idempotents, times 1 on the other part, keep their
+    # coefficients on their own factor and are 0 off it.
+    for i, part in enumerate(spec.parts):
+        sets = [[AlgebraElement.one(q)] for q in spec.parts]
+        sets[i] = pci_set(part)
+        lifted = cross_prime_product(spec, sets)
+        assert len(lifted) == len(sets[i])
+        for e, small in zip(lifted, sets[i]):
+            assert is_idempotent(e)
+            grid = np.reshape(e.coeffs, [q.order for q in spec.parts])
+            assert tuple(np.moveaxis(grid, i, 0)[:, 0]) == small.coeffs
+            assert np.count_nonzero(grid) == np.count_nonzero(small.nums)
 
 
 def test_trivial_group_of_no_parts():

@@ -1,27 +1,33 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from element_reference import element_from_index, elements, translate
 from pcikit import (
     AlgebraElement,
     CapExceededError,
-    CycloAlgebraElement,
     GroupSpecError,
-    LongGenerator,
     PrimaryGroupSpec,
     SpecMismatchError,
+    parse_group_spec,
+)
+from pcikit.cyclotomic import CycloAlgebraElement
+from pcikit.groups import (
+    LongGenerator,
     element,
-    element_from_index,
     element_index,
     element_order,
-    elements,
     embed_generator,
     group_mul,
     identity,
     long_generator_sequence,
-    parse_group_spec,
     subgroup_closure,
-    translate,
 )
+from pcikit.numtheory import MR_LIMIT, is_prime
 
 C9 = PrimaryGroupSpec(3, ((2, 1),))
 C3C3 = PrimaryGroupSpec(3, ((1, 2),))
@@ -38,6 +44,41 @@ def test_spec_validation():
         PrimaryGroupSpec(2, ((0, 1),))
     trivial = PrimaryGroupSpec(5, ())
     assert trivial.order == 1 and trivial.factor_orders == ()
+
+
+# Builds C_p for the prime p = 2^89 - 1 and prints how long the refusal
+# took and its message.
+HUGE_PRIME_CHILD = """
+import time
+from pcikit import GroupSpecError, PrimaryGroupSpec
+t0 = time.perf_counter()
+try:
+    PrimaryGroupSpec(2**89 - 1, ((1, 1),))
+except GroupSpecError as exc:
+    print(time.perf_counter() - t0, exc)
+"""
+
+
+def test_prime_beyond_the_primality_test_is_refused_at_once():
+    # A fresh process, so that a constructor that tests 2^89 - 1 for
+    # primality is stopped by the timeout instead of holding up the suite.
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", HUGE_PRIME_CHILD],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        timeout=30,
+    )
+    seconds, message = proc.stdout.split(" ", 1)
+    assert float(seconds) < 1 and "618970019642690137449562111" not in message
+    # str() of an int of more than 4300 digits raises ValueError, so the
+    # message must not print p
+    with pytest.raises(GroupSpecError):
+        PrimaryGroupSpec(10**5000 + 1, ((1, 1),))
+    with pytest.raises(ValueError):
+        is_prime(MR_LIMIT)
+    assert is_prime(2**61 - 1) and not is_prime(2**61 + 1)  # below the limit
 
 
 def test_parse_grammar():

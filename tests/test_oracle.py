@@ -6,23 +6,18 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from conftest import partitions, primary_corpus, spec_from_partition
+from oracle_reference import CharacterIndex, dual_characters, rational_pci_of_character
 from pcikit import (
     AlgebraElement,
-    CharacterIndex,
     PrimaryGroupSpec,
-    are_orthogonal,
     compare_pci_sets,
-    dual_characters,
-    is_idempotent,
-    oracle_pci_set,
-    order_census,
     parse_group_spec,
-    rational_pci_of_character,
     wedderburn_profile,
 )
+from pcikit.algebra import are_orthogonal, is_idempotent
 from pcikit.groups import enumeration
-from pcikit.oracle import RowSet
 from pcikit.numtheory import euler_phi
+from pcikit.oracle import RowSet, oracle_pci_set, order_census
 from rank_reference import kernel_and_field
 
 C2 = PrimaryGroupSpec(2, ((1, 1),))

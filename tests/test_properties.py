@@ -11,45 +11,44 @@ import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
 import element_reference
+from cli_reference import cyclo_json
 from conftest import partitions, spec_from_partition
+from element_reference import element_from_index, elements, pci_set, translate
 from pcikit import (
     AbelianGroupSpec,
     AlgebraElement,
-    CycloAlgebraElement,
-    CycloNumber,
     InvariantError,
-    SpecMismatchError,
     PrimaryGroupSpec,
-    are_orthogonal,
+    SpecMismatchError,
     build_pci_diagram,
     compare_pci_sets,
-    convolve,
-    element_from_index,
-    element_index,
-    element_order,
-    elements,
-    expand_factored,
-    galois_apply,
-    group_mul,
-    identity,
-    is_idempotent,
-    kernel_subgroup,
     parse_group_spec,
-    pci_set,
-    subgroup_closure,
-    translate,
 )
 from pcikit.algebra import (
+    are_orthogonal,
+    convolve,
+    expand_factored,
     expansion_numerators,
     fixing_subgroup,
     fraction_strings,
     integer_form,
+    is_idempotent,
+    kernel_subgroup,
     lattice_sum,
     lowest_terms,
 )
+from pcikit.cyclotomic import CycloAlgebraElement, CycloNumber
 from pcikit.diagram import alternate_generator_labels, cross_prime_product
-from pcikit.groups import enumeration, extend_subgroup
-from pcikit.kernels import _convolve_bigint, _norms, convolve_ints, int_array
+from pcikit.groups import (
+    element_index,
+    element_order,
+    enumeration,
+    extend_subgroup,
+    group_mul,
+    identity,
+    subgroup_closure,
+)
+from pcikit.kernels import _convolve_bigint, _row_norms, convolve_ints, int_array
 from pcikit.numtheory import cyclotomic_poly, factorize
 from pcikit.verify import certify_idempotents
 from verify_reference import element_blocks
@@ -118,7 +117,6 @@ def test_enumeration_matches_group_elements(spec, data):
     a = element_from_index(spec, i)
     products = [element_index(a * element_from_index(spec, j)) for j in others]
     assert enum.product(i, others).tolist() == products
-    assert enum.translation(i)[others].tolist() == products
     assert element_from_index(spec, int(enum.inverse[i])) == a.inverse()
     assert element_from_index(spec, int(enum.power(i, k))) == a**k
 
@@ -374,16 +372,6 @@ def test_cyclo_mul_commutes_when_compatible(a, b):
     assert a * b == b * a
 
 
-@given(cyclo_st, st.integers(min_value=1, max_value=30))
-@settings(max_examples=40, deadline=None)
-def test_galois_preserves_products(a, k):
-    import math
-
-    if math.gcd(k, a.m) != 1:
-        return
-    assert galois_apply(k, a * a) == galois_apply(k, a) * galois_apply(k, a)
-
-
 # -- Q(zeta_m) and Q(zeta_m)[G] against a Fraction-tuple reference ------------
 # The reference keeps one Fraction per power-basis coordinate and reduces by
 # long division by the m-th cyclotomic polynomial: the representation
@@ -409,13 +397,6 @@ def _ref_mul(m, a, b):
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             out[i + j] += x * y
-    return _ref_reduce(m, out)
-
-
-def _ref_galois(m, k, a):
-    out = [Fraction(0)] * m
-    for i, x in enumerate(a):
-        out[i * k % m] += x
     return _ref_reduce(m, out)
 
 
@@ -500,9 +481,9 @@ def cyclo_pairs(draw):
     return m, draw(coords), draw(coords)
 
 
-@given(cyclo_pairs(), rational_st, st.data())
+@given(cyclo_pairs(), rational_st)
 @settings(max_examples=100, deadline=None)
-def test_cyclo_number_matches_fraction_reference(pair, c, data):
+def test_cyclo_number_matches_fraction_reference(pair, c):
     m, xs, ys = pair
     a, b = CycloNumber(m, xs), CycloNumber(m, ys)
     ra, rb = _ref_reduce(m, xs), _ref_reduce(m, ys)
@@ -512,8 +493,6 @@ def test_cyclo_number_matches_fraction_reference(pair, c, data):
     assert (-a).coeffs == tuple(-x for x in ra)
     assert (a * b).coeffs == _ref_mul(m, ra, rb)
     assert (a * c).coeffs == (c * a).coeffs == tuple(x * c for x in ra)
-    k = data.draw(st.sampled_from([k for k in range(1, m + 1) if math.gcd(k, m) == 1]))
-    assert galois_apply(k, a).coeffs == _ref_galois(m, k, ra)
     assert (a == b) == (ra == rb)
     assert a.to_json() == {
         "m": m,
@@ -587,7 +566,7 @@ def test_cyclo_algebra_matches_coefficientwise_field_arithmetic(data):
         assert (x - y).cyclo_coeff(g) == xc[g] - yc[g]
         assert (x * c).cyclo_coeff(g) == xc[g] * c
     assert (x == y) == (xc == yc)
-    assert x.to_json() == {"m": m, "coeffs": [c.to_json() for c in xc]}
+    assert cyclo_json(x) == {"m": m, "coeffs": [c.to_json() for c in xc]}
     assert (x - x).is_zero() and x - x == CycloAlgebraElement.zero(spec, m)
     # den of either sign reaches the shared normaliser
     assert CycloAlgebraElement(spec, m, [-v for v in x.nums], -x.den) == x
@@ -704,7 +683,7 @@ def kernel_operands(draw):
 
 
 def _kernel_path(a, b, orders):
-    (a1, a_inf), (b1, b_inf) = _norms(int_array(a)), _norms(int_array(b))
+    (a1, b1), (a_inf, b_inf) = _row_norms(np.stack((int_array(a), int_array(b))))
     if a1 == 0 or b1 == 0:
         return "zero"
     return "bigint" if min(a1 * b_inf, b1 * a_inf) >= 2**63 else "direct"
@@ -784,7 +763,8 @@ SMALL_P_GROUPS = [
 def test_diagram_kernels_match_closure_reference(spec, alternate):
     labels = alternate_generator_labels(spec) if alternate else None
     diag = build_pci_diagram(spec, labels)
-    for v, (nums, den) in zip(diag.leaves, diag.leaf_numerators()):
+    rows = [(row, den) for nums, dens in diag.leaf_blocks() for row, den in zip(nums, dens)]
+    for v, (nums, den) in zip(diag.leaves, rows):
         closure = subgroup_closure(spec, v.form.kernel_gens)
         assert len(closure) == v.kernel_order
         expected_nums, expected_den = expansion_numerators(spec, closure, v.form.primed)

@@ -17,26 +17,29 @@ import verify_reference
 from conftest import full_corpus
 from pcikit import (
     AbelianGroupSpec,
-    CycloAlgebraElement,
-    GroupElement,
     InconsistencyError,
     InvariantError,
     PciRecord,
     PrimaryGroupSpec,
-    cyclic_group_spec,
-    cyclic_rational_pcis,
     cyclotomic,
     diagram,
     kernels,
-    lift_into_extension,
     oracle,
     parse_group_spec,
-    splitting_field_pcis,
     verify,
 )
 from pcikit.cli import main
-from pcikit.diagram import RecordBlock, splitting_field_rows
-from pcikit.kernels import squares_to
+from pcikit.cyclotomic import CycloAlgebraElement
+from pcikit.diagram import (
+    RecordBlock,
+    cyclic_group_spec,
+    cyclic_rational_pcis,
+    lift_into_extension,
+    splitting_field_pcis,
+    splitting_field_rows,
+)
+from pcikit.groups import GroupElement
+from pcikit.kernels import squares_to_rows
 from pcikit.numtheory import cyclotomic_poly, is_prime
 
 ENGINE_CHECKS = {
@@ -411,13 +414,13 @@ def plus_phi_m(row):
 def test_splitting_idempotent_off_the_lattice_passes_by_product(
     group, p, n, monkeypatch, capsys
 ):
-    # squares_to tests e*e == e on the lattice Q[G x C_m], where the added
+    # squares_to_rows tests e*e == e on the lattice Q[G x C_m], where the added
     # multiple of Phi_m does not vanish; the product, compared reduced,
     # decides, and every check passes.
     e = splitting_field_pcis(p, n)[1]
     moved = CycloAlgebraElement(e.spec, e.m, plus_phi_m(splitting_field_rows(p, n)[1]), e.m)
     assert moved == e and moved.nums.tolist() != e.nums.tolist()
-    assert not squares_to(moved.nums, moved.den, moved.lattice_orders)
+    assert not squares_to_rows([moved.nums], [moved.den], moved.lattice_orders)[0]
     replace_splitting_idempotent(monkeypatch, p, n, lambda rows: plus_phi_m(rows[1]))
     assert main(["verify", "--group", group]) == 0
     assert json.loads(capsys.readouterr().out)["status"] == "pass"

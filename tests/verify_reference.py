@@ -58,13 +58,9 @@ from pcikit.groups import (
     identity,
     subgroup_closure,
 )
-from pcikit.kernels import squares_to, squares_to_rows
-from pcikit.oracle import (
-    CharacterIndex,
-    compare_pci_sets,
-    dual_characters,
-    wedderburn_profile,
-)
+from oracle_reference import CharacterIndex, dual_characters
+from pcikit.kernels import squares_to_rows
+from pcikit.oracle import compare_pci_sets, wedderburn_profile
 from pcikit.verify import Check
 
 
@@ -288,8 +284,8 @@ def splitting_field_coherent(
     part: PrimaryGroupSpec, closed: list[AlgebraElement]
 ) -> bool:
     """The verdict of verify's splitting_field_coherence check, one element
-    at a time: every splitting idempotent squares to itself (squares_to on
-    its lattice, else the product compared reduced), they sum to 1, their
+    at a time: every splitting idempotent squares to itself (squares_to_rows
+    on its lattice, else the product compared reduced), they sum to 1, their
     Galois collapse is the closed form `closed`, and the extension children
     of the level below are the same elements equally often.  A level below
     that extension_children refuses, or an orbit sum that is not rational,
@@ -297,7 +293,8 @@ def splitting_field_coherent(
     p, n, m = part.p, part.classes[0][0], part.order
     splitting = splitting_field_pcis(p, n)
     if not all(
-        squares_to(e.nums, e.den, e.lattice_orders) or e * e == e for e in splitting
+        squares_to_rows([e.nums], [e.den], e.lattice_orders)[0] or e * e == e
+        for e in splitting
     ):
         return False
     if lattice_sum(splitting) != CycloAlgebraElement.one(part, m):
