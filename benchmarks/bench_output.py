@@ -13,6 +13,7 @@ repository root:
 
 The default rows are the outputs of the largest groups the default order cap
 admits, verify on C_2^12, the largest, with and without --alternate-order,
+verify on C_2^10 x C_3, whose records are products of two parts' leaves,
 and verify on C_61, whose splitting-field check refines the most children
 from one row; --small runs the same commands on small groups, in a few
 seconds.
@@ -44,6 +45,7 @@ ROWS = (
     ("diagram", "2:[1]*12", "dot", ()),
     ("verify", "2:[1]*12", "json", ()),
     ("verify", "2:[1]*12", "json", ALTERNATE),
+    ("verify", "2:[1]*10;3:[1]", "json", ()),
     ("verify", "61:[1]", "json", ()),
 )
 SMALL_ROWS = (
@@ -56,6 +58,7 @@ SMALL_ROWS = (
     ("diagram", "2:[1]*6", "dot", ()),
     ("verify", "2:[1]*6", "json", ()),
     ("verify", "2:[1]*6", "json", ALTERNATE),
+    ("verify", "2:[1]*4;3:[1]", "json", ()),
 )
 
 # Runs main with the arguments after the first, then writes the process's

@@ -17,7 +17,7 @@ sums and its output.  The stages hold every block at once, which
 run_checks does not.  Run:
 
     python benchmarks/bench_verify.py
-    python benchmarks/bench_verify.py --repeats 1 --groups "2:[1]*6,2:[5],3:[3],7:[2],2:[6,6],61:[1]"
+    python benchmarks/bench_verify.py --repeats 1 --groups "2:[1]*6,2:[5],3:[3],7:[2],2:[6,6],61:[1],2:[1]*4;3:[1]"
 
 Each time is the best of --repeats calls after one warm-up call.
 """
@@ -92,13 +92,14 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--groups",
-        default="2:[1]*6,2:[2,2,2],2:[5],3:[3],7:[2],2:[6,6],2:[4,4,4],2:[12],2:[1]*12",
+        default="2:[1]*6,2:[2,2,2],2:[5],3:[3],7:[2],2:[6,6],2:[4,4,4],2:[12],2:[1]*12,"
+        "2:[1]*4;3:[1]",
         help="comma-separated group descriptions; '2:[1]*6' repeats the exponent",
     )
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args()
 
-    header = f"{'group':>12} {'|G|':>6} {'vertices':>8} "
+    header = f"{'group':>14} {'|G|':>6} {'vertices':>8} "
     print(header + " ".join(f"{c:>14}" for c in COLUMNS))
     # split at the commas outside brackets
     for text in re.split(r",(?![^\[]*\])", args.groups):
@@ -109,7 +110,7 @@ def main():
             f"{'-':>14}" if times[c] is None else f"{times[c] * 1e3:>12.2f}ms"
             for c in COLUMNS
         ]
-        print(f"{text:>12} {spec.order:>6} {vertices:>8} " + " ".join(cells))
+        print(f"{text:>14} {spec.order:>6} {vertices:>8} " + " ".join(cells))
 
 
 if __name__ == "__main__":

@@ -78,7 +78,7 @@ def exact_sum(terms: Sequence[tuple[np.ndarray, int]]) -> tuple[np.ndarray, int]
     by_den: dict[int, np.ndarray] = {}  # terms on one denominator, added first
     for top, (v, d) in zip(tops, terms):
         if d in by_den:
-            by_den[d] += v
+            by_den[d] += v.astype(dtype, copy=False)
         elif top:  # a zero term's scale need not fit int64
             by_den[d] = v.astype(dtype)
     total = np.zeros(len(terms[0][0]), dtype=dtype)

@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -133,48 +132,42 @@ class PciDiagram:
     def leaves(self) -> tuple[PciVertex, ...]:
         return self.levels[-1]
 
-    def leaf_blocks(self) -> Iterator[tuple[np.ndarray, list[int]]]:
-        """The leaves' expansions in blocks of consecutive leaves, at most
-        kernels._BLOCK_CELLS entries (and at least one leaf) each: a (rows x
-        |G|) int64 array of numerators and one denominator per row, not yet
-        in lowest terms, as algebra.expansion_numerators gives them.  They
-        are read off the leaves' characters by one product: phi(g) mod E =
-        exp G over the enumeration of G is the chain digits of g times
+    def leaf_rows(self, leaves: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The expansions of the leaves at the indices in the int array
+        leaves (any order, repeats allowed): a (len(leaves) x |G|) int64
+        array of numerators and an int64 array of one denominator per row,
+        not in lowest terms, as algebra.expansion_numerators gives them.
+        They are read off the leaves' characters by one product: phi(g) mod
+        E = exp G over the enumeration of G is the chain digits of g times
         phi's values on the chain generators, so a row that is not a
-        character shows in the result.  A digit is below p and a value
-        below E <= |G|, so with N generators each sum is below p*E*N.  With
-        z the primed element, phi(z) = E/p, so K = {phi = 0} and <K, z> =
-        {phi in (E/p)Z}: the numerators over p|K| are p on K minus 1 on
-        <K, z>.  Leaf 0, the trivial one, is 1 everywhere over |G|."""
-        spec, kernel_orders = self.spec, self.columns[-1].kernel_order.tolist()
-        if len(kernel_orders) == 1:  # the trivial group
-            yield np.ones((1, spec.order), dtype=np.int64), [spec.order]
-            return
-        p, exponent = spec.p, spec.exponent
-        numerator = np.zeros(exponent, dtype=np.int64)  # by the value of phi
-        numerator[:: exponent // p] = -1
-        numerator[0] = p - 1
-        dens = [spec.order] + [p * k for k in kernel_orders[1:]]
-        step = max(1, kernels._BLOCK_CELLS // spec.order)
-        for start in range(0, len(dens), step):
-            stop = min(start + step, len(dens))
-            nums = np.ones((stop - start, spec.order), dtype=np.int64)
-            # row i - 1 of characters is leaf i's; row 0 of the first block
-            # stays the trivial leaf
-            phi = self.characters[max(start, 1) - 1 : stop - 1] @ self.chain_digits.T
+        character shows in the result.  A digit is below p and a value below
+        E <= |G|, so with N generators each sum is below p*E*N.  With z the
+        primed element, phi(z) = E/p, so K = {phi = 0} and <K, z> = {phi in
+        (E/p)Z}: the numerators over p|K| are p on K minus 1 on <K, z>.
+        Leaf 0, the trivial one, is 1 everywhere over |G|."""
+        spec, p, exponent = self.spec, self.spec.p, self.spec.exponent
+        nums = np.empty((len(leaves), spec.order), dtype=np.int64)
+        dens = self.columns[-1].kernel_order[leaves] * p
+        if len(self.characters):  # else G is trivial and its one leaf is 0
+            numerator = np.zeros(exponent, dtype=np.int64)  # by the value of phi
+            numerator[:: exponent // p] = -1
+            numerator[0] = p - 1
+            # row i - 1 of characters is leaf i's; leaf 0's row is set below
+            phi = self.characters.take(leaves - 1, axis=0) @ self.chain_digits.T
             phi %= exponent
             # phi indexes numerator, so "clip" changes nothing; numpy's
             # default mode takes about twice as long
-            np.take(numerator, phi, out=nums[1:] if start == 0 else nums, mode="clip")
-            yield nums, dens[start:stop]
+            numerator.take(phi, out=nums, mode="clip")
+        if np.count_nonzero(leaves) < len(leaves):
+            trivial = leaves == 0
+            nums[trivial] = 1
+            dens[trivial] = spec.order
+        return nums, dens
 
     def leaf_expansions(self) -> list[AlgebraElement]:
-        """Each leaf's expansion: the rows of leaf_blocks as elements."""
-        return [
-            AlgebraElement(self.spec, row, den)
-            for nums, dens in self.leaf_blocks()
-            for row, den in zip(nums, dens)
-        ]
+        """Each leaf's expansion: the rows of leaf_rows as elements."""
+        nums, dens = self.leaf_rows(np.arange(len(self.columns[-1].parent)))
+        return [AlgebraElement(self.spec, row, den) for row, den in zip(nums, dens.tolist())]
 
     def level_sizes(self) -> list[int]:
         return [len(level.parent) for level in self.columns]
@@ -604,16 +597,16 @@ class PciRecord(NamedTuple):
 def _tensor_rows(rows: Sequence[np.ndarray]) -> np.ndarray:
     """Row i of the result is the tensor product of row i of each part's
     (rows x |P|) numerator block (parts occupy disjoint factor blocks, the
-    last part's fastest): one broadcast multiply per part.  It is formed
-    in int64 when every block is int64 and the product of their largest
-    |numerator| fits, and on Python ints otherwise."""
+    last part's fastest): one broadcast multiply per part after the first,
+    so one part is its own block.  It is formed in int64 when every block
+    is int64 and the product of their largest |numerator| fits, and on
+    Python ints otherwise."""
+    nums, *rest = rows or [np.ones((1, 1), dtype=np.int64)]  # the empty product
     # a zero top makes the bound 0 even when another block is an object one
-    bound = math.prod(max_abs(block) for block in rows)
-    fits = bound < 2**63 and all(block.dtype != object for block in rows)
-    dtype = np.int64 if fits else object
-    nums = np.ones((len(rows[0]) if rows else 1, 1), dtype=dtype)
-    for block in rows:  # the empty product: 1 in Q[C_1]
-        block = block.astype(dtype, copy=False)
+    objects = any(block.dtype == object for block in rows)
+    if rest and (objects or math.prod(max_abs(block) for block in rows) >= 2**63):
+        nums = nums.astype(object)
+    for block in rest:
         nums = (nums[:, :, None] * block[:, None, :]).reshape(len(nums), -1)
     return nums
 
@@ -653,10 +646,10 @@ def part_diagrams(spec, alternate_order: bool = False) -> list[PciDiagram]:
 
 
 class RecordBlock(NamedTuple):
-    """The records of Q[spec] with indices start, start + 1, ...: their
-    numerators as one (rows x |G|) array (int64, or object when a value
-    does not fit), one denominator per row (not always in lowest terms),
-    and each record's kernel order and quotient order."""
+    """The records of Q[spec] with indices start, start + 1, ... (see
+    record_blocks): their numerators as one (rows x |G|) array (int64, or
+    object when a value does not fit), one denominator per row (not always
+    in lowest terms), and each record's kernel order and quotient order."""
 
     start: int
     nums: np.ndarray
@@ -668,43 +661,29 @@ class RecordBlock(NamedTuple):
 def record_blocks(spec, diagrams: Sequence[PciDiagram]) -> Iterator[RecordBlock]:
     """The records of Q[spec] from already-built diagrams, one per primary
     part of spec in order, in blocks of at most kernels._BLOCK_CELLS
-    entries (and at least one record): each leaf's numerators (see
-    PciDiagram.leaf_blocks), or the tensor products of one leaf per part,
-    last part fastest (see _tensor_rows)."""
-    if not diagrams:  # the trivial group: its one idempotent is 1
-        yield RecordBlock(0, np.ones((1, 1), dtype=np.int64), [1], [1], [1])
-        return
-    kernel_orders = [d.columns[-1].kernel_order.tolist() for d in diagrams]
-    quotient_orders = [
-        [d.spec.p**f for f in d.columns[-1].field_index.tolist()] for d in diagrams
-    ]
-    if len(diagrams) == 1:
-        start = 0
-        for nums, dens in diagrams[0].leaf_blocks():
-            stop = start + len(dens)
-            orders = kernel_orders[0][start:stop], quotient_orders[0][start:stop]
-            yield RecordBlock(start, nums, dens, *orders)
-            start = stop
-        return
-    # each part's leaves whole: with two primes or more, a part is at
-    # most half of the group
-    parts = [list(d.leaf_blocks()) for d in diagrams]
-    leaves = [np.concatenate([nums for nums, _ in blocks]) for blocks in parts]
-    # per part, a (3 x leaves) table of each leaf's den, kernel order and
-    # quotient order, in Python ints so that their products are exact
-    values = [
-        np.array([[den for _, dens in blocks for den in dens], ks, qs], dtype=object)
-        for blocks, ks, qs in zip(parts, kernel_orders, quotient_orders)
-    ]
-    counts = [len(rows) for rows in leaves]
-    total = math.prod(counts)
-    step = max(1, kernels._BLOCK_CELLS // math.prod(rows.shape[1] for rows in leaves))
+    entries (and at least one record).  Record r is the product of one leaf
+    per part, last part fastest: its numerators are the tensor product of
+    the leaves' rows (see PciDiagram.leaf_rows and _tensor_rows), and its
+    den, kernel order and quotient order are the products of theirs.  A
+    p-group is its one part, and the trivial group, with none, has the one
+    record 1."""
+    counts = [len(d.columns[-1].parent) for d in diagrams]
+    total, step = math.prod(counts), max(1, kernels._BLOCK_CELLS // spec.order)
+    # a leaf's den (|P|, or p|K| with K of index p or more), kernel order
+    # and quotient order are at most |P|, so a record's are at most |G|,
+    # below 2^63 in every block: a block has |G| columns
     for start in range(0, total, step):
-        picks = np.unravel_index(np.arange(start, min(start + step, total)), counts)
-        nums = _tensor_rows([rows[pick] for rows, pick in zip(leaves, picks)])
-        chosen = [v[:, pick] for v, pick in zip(values, picks)]
-        products = functools.reduce(operator.mul, chosen)
-        yield RecordBlock(start, nums, *products.tolist())
+        records = np.arange(start, min(start + step, total))
+        # each part's leaf in each record; the leading axis of length 1
+        # lets the trivial group's empty shape through
+        picks = np.unravel_index(records, [1, *counts])[1:]
+        rows, values = [], np.ones((3, len(records)), dtype=np.int64)
+        for d, pick in zip(diagrams, picks):
+            nums, dens = d.leaf_rows(pick)
+            rows.append(nums)
+            leaf = d.columns[-1]
+            values *= dens, leaf.kernel_order[pick], d.spec.p ** leaf.field_index[pick]
+        yield RecordBlock(start, _tensor_rows(rows), *values.tolist())
 
 
 def pci_records(spec, alternate_order: bool = False) -> list[PciRecord]:

@@ -236,6 +236,8 @@ def squares_to_rows(matrix, dens, orders: tuple[int, ...]) -> np.ndarray:
     >>> squares_to_rows([[1, 1], [1, 1], [0, 0]], [2, 1, 5], (2,)).tolist()
     [True, False, True]
     """
+    if len(matrix) != len(dens):
+        raise ValueError("the rows and their denominators differ in number")
     n = math.prod(orders)
     plan = transform_plan(orders)
     ok = np.ones(len(dens), dtype=bool)

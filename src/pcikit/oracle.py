@@ -25,7 +25,7 @@ from .errors import (
     VerificationError,
 )
 from .groups import Enumeration, GroupSpec, PrimaryGroupSpec, enumeration
-from .kernels import _BLOCK_CELLS, max_abs
+from . import kernels
 from .numtheory import euler_phi
 
 
@@ -95,7 +95,7 @@ class RowSet:
             [self.den // d if d > 0 and self.den % d == 0 else 0 for d in dens],
             dtype=np.int64,
         )
-        if nums.dtype == object or max_abs(nums) * int(factors.max()) >= 2**63:
+        if nums.dtype == object or kernels.max_abs(nums) * int(factors.max()) >= 2**63:
             return found
         over = nums * factors[:, None]
         info = np.iinfo(self.dtype)
@@ -130,7 +130,7 @@ def _orbit_firsts(enum: Enumeration, L: int) -> np.ndarray:
     units = np.array([k for k in range(1, L + 1) if math.gcd(k, L) == 1])
     index = np.arange(enum.order)
     firsts = index.copy()
-    step = max(1, _BLOCK_CELLS // max(1, enum.digits.size))
+    step = max(1, kernels._BLOCK_CELLS // max(1, enum.digits.size))
     for start in range(0, len(units), step):
         powers = enum.power(index, units[start : start + step, None, None])
         np.minimum(firsts, powers.min(axis=0), out=firsts)
@@ -162,7 +162,7 @@ def oracle_rows(spec: GroupSpec) -> RowSet:
     present = np.flatnonzero(np.bincount(char_orders)).tolist()
     dtype = np.min_scalar_type(-1 - max(euler_phi(m) for m in present))
     rows = np.empty((slot[-1] + 1, n), dtype=dtype)
-    step = max(1, _BLOCK_CELLS // n)
+    step = max(1, kernels._BLOCK_CELLS // n)
     for m in present:
         table = _value_table(L, m, dtype)
         members = np.flatnonzero(char_orders == m)

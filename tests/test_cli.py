@@ -101,10 +101,10 @@ def test_diagram_forms_no_leaf_kernel_or_numerators(fmt, monkeypatch):
     # the leaf characters are for pci, verify and the tests.
     from pcikit.diagram import PciDiagram
 
-    def refuse(diagram):
+    def refuse(diagram, leaves):
         raise AssertionError("a leaf was expanded")
 
-    monkeypatch.setattr(PciDiagram, "leaf_blocks", refuse)
+    monkeypatch.setattr(PciDiagram, "leaf_rows", refuse)
     group = "2:[2,2];3:[1]"  # one split of C_4 x C_4 scans for its witness
     assert run(RunConfig("diagram", group, output_format=fmt))[0] == 0
     with pytest.raises(AssertionError, match="a leaf was expanded"):

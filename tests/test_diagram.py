@@ -149,7 +149,7 @@ def assert_matches_reference(spec, labels):
     # the records' numerators, read off the characters, against the
     # expansions of the reference kernels; they fix each kernel too, as
     # K = {nums = p - 1}
-    rows = [(row, den) for nums, dens in built.leaf_blocks() for row, den in zip(nums, dens)]
+    rows = zip(*built.leaf_rows(np.arange(len(built.leaves))))
     for v, (nums, den), kernel in zip(built.leaves, rows, reference.leaf_kernels):
         expected_nums, expected_den = expansion_numerators(spec, kernel, v.form.primed)
         assert nums.dtype == np.int64 and np.array_equal(nums, expected_nums)
@@ -603,3 +603,46 @@ def test_diagram_and_records_build_no_product_table():
     enum = groups.enumeration(spec.parts[0].factor_orders)
     enum.product(1, 2)
     assert "table" in vars(enum)  # the check sees a table once one is built
+
+
+@pytest.mark.parametrize("cells", [50, 500])
+def test_record_blocks_ask_each_part_for_one_block_of_leaves(cells, monkeypatch):
+    # Every group takes the one record path: each block picks each part's
+    # leaves by index, so no part is asked for more rows than one block
+    # holds, and the blocks still hold the per-record reference's records.
+    from cli_reference import reference_records
+    from pcikit import kernels
+    from pcikit.diagram import PciDiagram, part_diagrams, record_blocks
+
+    asked, leaf_rows = [], PciDiagram.leaf_rows
+
+    def counted(diagram, leaves):
+        asked.append(len(leaves))
+        return leaf_rows(diagram, leaves)
+
+    monkeypatch.setattr(PciDiagram, "leaf_rows", counted)
+    monkeypatch.setattr(kernels, "_BLOCK_CELLS", cells)
+    spec = parse_group_spec("2:[1,1,1];3:[1,1]")
+    diagrams = part_diagrams(spec)
+    blocks = list(record_blocks(spec, diagrams))
+    step = max(1, cells // spec.order)
+    assert [len(b.dens) for b in blocks[:-1]] == [step] * (len(blocks) - 1)
+    assert len(asked) == 2 * len(blocks) and max(asked) <= step
+    records = reference_records(diagrams)
+    assert [b.start for b in blocks] == list(range(0, len(records), step))
+    got = [
+        (nums.tolist(), den, kernel, quotient)
+        for b in blocks
+        for nums, den, kernel, quotient in zip(
+            b.nums, b.dens, b.kernel_orders, b.quotient_orders
+        )
+    ]
+    assert got == [(nums.tolist(), *rest) for nums, *rest in records]
+
+
+@pytest.mark.parametrize("spec", [AbelianGroupSpec(()), PrimaryGroupSpec(2, ())])
+def test_trivial_group_has_the_one_record_one(spec):
+    [rec] = pci_records(spec)
+    assert rec.nums.dtype == np.int64 and rec.nums.tolist() == [1]
+    assert (rec.den, rec.kernel_order, rec.quotient_order) == (1, 1, 1)
+    assert all(type(v) is int for v in rec[2:])

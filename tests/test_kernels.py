@@ -151,6 +151,14 @@ def test_certify_idempotents_keeps_no_transforms():
     assert retained < 64 * 1024
 
 
+def test_certify_idempotents_sums_its_own_sums_of_any_dtype():
+    # each block's sum takes its dtype from a bound: an object sum meets an
+    # int64 one when the sums are summed
+    b = (np.array([[2**62, 0], [-2**62, 1]]), [1, 1])
+    bad, orthogonal, (total, den) = certify_idempotents([b, b], (2,))
+    assert (bad, orthogonal, total.tolist(), den) == ([0, 1, 2, 3], False, [0, 2], 1)
+
+
 # C_2, C_2 x C_2, C_3, C_4 x C_2, C_9: one DFT step per axis; C_128 and C_81:
 # an axis longer than 64, split four-step; C_67: no plan.
 SQUARE_GROUPS = (
@@ -244,6 +252,15 @@ def test_squares_to_rows_refuses_a_wrong_row_length():
     # a row of 2n entries must not pass as two rows of n
     with np.testing.assert_raises(ValueError):
         squares_to_rows([np.ones(8, dtype=np.int64)], [1], (2, 2))
+
+
+def test_squares_to_rows_refuses_rows_and_dens_of_different_lengths():
+    # a den without its row must not pass as idempotent, nor a row without
+    # its den go untested
+    with np.testing.assert_raises(ValueError):
+        squares_to_rows([[1, 1]], [2, 5], (2,))
+    with np.testing.assert_raises(ValueError):
+        squares_to_rows([[1, 1], [1, 1]], [2], (2,))
 
 
 def test_direct_kernels_match_bigint_reference():

@@ -255,3 +255,23 @@ def test_row_set_find_checks_its_dtype_range():
     rows = RowSet(np.array([[44, 0, 0, 0]], dtype=np.int8), 1)
     nums = np.array([[300, 0, 0, 0], [44, 0, 0, 0], [-212, 0, 0, 0]])
     assert rows.find(nums, [1, 1, 1]).tolist() == [-1, 0, -1]
+
+
+def test_oracle_blocks_follow_kernels_block_cells(monkeypatch):
+    # the oracle reads kernels._BLOCK_CELLS when it is called, so shrinking
+    # that one constant shrinks the oracle's blocks of rows too
+    from pcikit import kernels, oracle
+
+    spec = parse_group_spec("2:[2,1,1]")
+    whole = oracle.oracle_rows(spec)
+    sizes, original = [], oracle._character_rows
+
+    def counted(table, weights, digits, L):
+        sizes.append(len(weights))
+        return original(table, weights, digits, L)
+
+    monkeypatch.setattr(oracle, "_character_rows", counted)
+    monkeypatch.setattr(kernels, "_BLOCK_CELLS", 2 * spec.order)
+    blocked = oracle.oracle_rows(spec)
+    assert max(sizes) == 2 and len(sizes) > 4
+    assert blocked._keys == whole._keys and blocked.den == whole.den

@@ -763,7 +763,7 @@ SMALL_P_GROUPS = [
 def test_diagram_kernels_match_closure_reference(spec, alternate):
     labels = alternate_generator_labels(spec) if alternate else None
     diag = build_pci_diagram(spec, labels)
-    rows = [(row, den) for nums, dens in diag.leaf_blocks() for row, den in zip(nums, dens)]
+    rows = zip(*diag.leaf_rows(np.arange(len(diag.leaves))))
     for v, (nums, den) in zip(diag.leaves, rows):
         closure = subgroup_closure(spec, v.form.kernel_gens)
         assert len(closure) == v.kernel_order

@@ -143,7 +143,6 @@ def small_blocks(monkeypatch):
     so that on the corpus each spans many blocks: an orbit's first row is
     then written blocks before the rows compared with it."""
     monkeypatch.setattr(kernels, "_BLOCK_CELLS", 64)
-    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 64)
 
 
 BLOCK_SIZES = pytest.mark.parametrize("blocks", ["default", "small"])
